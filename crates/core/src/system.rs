@@ -1,7 +1,7 @@
 //! The full system: cores + private caches + directory banks + mesh.
 
 use crate::report::Report;
-use std::collections::VecDeque;
+use crate::watchdog::Watchdog;
 use wb_cpu::Core;
 use wb_isa::{Reg, Workload};
 use wb_kernel::audit::{AuditKind, AuditReport, AuditViolation};
@@ -151,14 +151,22 @@ pub struct System {
     scratch_due: Vec<u32>,
     /// Sparse per-cycle active sets: membership flags plus insertion
     /// lists, sorted before each phase so visit order matches the
-    /// dense engine's ascending iteration exactly.
+    /// dense engine's ascending iteration exactly. The lists outlive
+    /// the tick: they are what the run loop's post-tick checks walk.
     active_pair: Vec<bool>,
     active_dir: Vec<bool>,
-    /// Nodes hosting at least one active bank this cycle (the phase-4
-    /// injection gate alongside `active_pair`).
-    node_dir_live: Vec<bool>,
     list_pairs: Vec<u32>,
     list_dirs: Vec<u32>,
+    /// Scratch for the nodes that inject this sparse cycle (phase 4).
+    list_nodes: Vec<u32>,
+    /// Wedge-watchdog bookkeeping of the current (or last) run; kept
+    /// here so its buffers are reused across runs.
+    watchdog: Watchdog,
+}
+
+/// A sparse visit list as unit indices.
+fn ids(list: &[u32]) -> impl Iterator<Item = usize> + Clone + '_ {
+    list.iter().map(|&u| u as usize)
 }
 
 impl std::fmt::Debug for System {
@@ -285,9 +293,10 @@ impl System {
             scratch_due: Vec::new(),
             active_pair: vec![false; n],
             active_dir: vec![false; home.total_banks()],
-            node_dir_live: vec![false; n],
             list_pairs: Vec::new(),
             list_dirs: Vec::new(),
+            list_nodes: Vec::new(),
+            watchdog: Watchdog::default(),
             cfg,
         }
     }
@@ -326,6 +335,17 @@ impl System {
     /// of [`Report`] stats.
     pub fn engine_visits(&self) -> u64 {
         self.engine_visits
+    }
+
+    /// Passes over *every* core (or every cache and bank) the run loop's
+    /// bookkeeping took, over all runs so far: the per-run set-up, full
+    /// fault scans, all-core progress walks and exact oldest-progress
+    /// recomputes. A dense-ticking engine takes two per executed cycle
+    /// (it visits everyone); the sparse engine takes one only when a
+    /// stale bound says a watchdog trip is possible. Diagnostic only —
+    /// never part of [`Report`] stats or snapshots.
+    pub fn watchdog_rescans(&self) -> u64 {
+        self.watchdog.rescans
     }
 
     // ------------------------------------------------------------------
@@ -744,6 +764,8 @@ impl System {
         let mut pairs = std::mem::take(&mut self.list_pairs);
         let mut dirs_l = std::mem::take(&mut self.list_dirs);
         due.clear();
+        pairs.clear();
+        dirs_l.clear();
         self.sched.take_due(t, &mut due);
         let mesh_unit = n + self.dirs.len();
         let mut mesh_due = false;
@@ -817,19 +839,21 @@ impl System {
             self.cores[i].tick(t, &mut self.caches[i]);
         }
         // Phase 4: inject from nodes with an active pair or an active
-        // hosted bank. Inactive components cannot have queued messages:
-        // outboxes are filled only by the actions of active components
-        // and drained the same cycle.
-        for k in 0..dirs_l.len() {
-            self.node_dir_live[self.home.node_of(dirs_l[k] as usize)] = true;
-        }
+        // hosted bank, in ascending node order like the dense engine.
+        // Inactive components cannot have queued messages: outboxes are
+        // filled only by the actions of active components and drained
+        // the same cycle.
+        let mut nodes = std::mem::take(&mut self.list_nodes);
+        nodes.clear();
+        nodes.extend_from_slice(&pairs);
+        nodes.extend(dirs_l.iter().map(|&b| self.home.node_of(b as usize) as u32));
+        nodes.sort_unstable();
+        nodes.dedup();
         let (data_flits, ctrl_flits) =
             (self.cfg.network.data_flits, self.cfg.network.control_flits);
         let mut sent_any = false;
-        for i in 0..n {
-            if !self.active_pair[i] && !self.node_dir_live[i] {
-                continue;
-            }
+        for &node in &nodes {
+            let i = node as usize;
             let from = NodeId(i as u16);
             self.scratch_outbox.clear();
             self.caches[i].drain_outbox_into(&mut self.scratch_outbox);
@@ -864,6 +888,7 @@ impl System {
                 sent_any = true;
             }
         }
+        self.list_nodes = nodes;
         // Phase 5: the network runs when it has internal work or took
         // new traffic this cycle; parked arrivals arm drain units.
         let mesh_active = mesh_due || sent_any;
@@ -884,7 +909,6 @@ impl System {
         for k in 0..dirs_l.len() {
             let b = dirs_l[k] as usize;
             self.active_dir[b] = false;
-            self.node_dir_live[self.home.node_of(b)] = false;
             let e = self.dirs[b].next_event(t + 1);
             self.sched.set(self.unit_dir(b), e);
         }
@@ -895,8 +919,6 @@ impl System {
         self.engine_visits +=
             (pairs.len() + dirs_l.len() + due.len() + usize::from(mesh_active)) as u64;
         due.clear();
-        pairs.clear();
-        dirs_l.clear();
         self.scratch_due = due;
         self.list_pairs = pairs;
         self.list_dirs = dirs_l;
@@ -955,6 +977,8 @@ impl System {
         let mut pairs = std::mem::take(&mut self.list_pairs);
         let mut dirs_l = std::mem::take(&mut self.list_dirs);
         due.clear();
+        pairs.clear();
+        dirs_l.clear();
         self.sched.take_due(t, &mut due);
         let mesh_unit = n + self.dirs.len();
         let mut mesh_due = false;
@@ -1173,8 +1197,6 @@ impl System {
             *cu = t + 1;
         }
         due.clear();
-        pairs.clear();
-        dirs_l.clear();
         self.scratch_due = due;
         self.list_pairs = pairs;
         self.list_dirs = dirs_l;
@@ -1183,8 +1205,12 @@ impl System {
 
     /// Is everything finished and drained?
     pub fn done(&self) -> bool {
-        self.cores.iter().all(|c| c.drained())
-            && self.caches.iter().all(|c| c.is_idle())
+        self.cores.iter().all(|c| c.drained()) && self.memory_idle()
+    }
+
+    /// Has the memory system (caches, directory banks, mesh) gone idle?
+    fn memory_idle(&self) -> bool {
+        self.caches.iter().all(|c| c.is_idle())
             && self.dirs.iter().all(|d| d.is_idle())
             && self.mesh.is_idle()
     }
@@ -1206,15 +1232,23 @@ impl System {
     /// the time the memory system has failed to go idle — exceeds
     /// `stall_window`, and then diagnoses the wedge from live state.
     /// Typed protocol faults abort the run as soon as they are raised.
+    ///
+    /// The bookkeeping after each executed cycle costs O(units that
+    /// cycle visited), not O(cores): see `watchdog.rs` for the invariant.
     pub fn run_watchdog(&mut self, max_cycles: u64, stall_window: u64) -> RunOutcome {
-        /// Retry-counter snapshot cadence (power of two, cheap mask test).
-        const SNAP_EVERY_MASK: u64 = 0x1FFF; // 8192 cycles
-        const SNAPS_KEPT: usize = 64;
-        let mut progress: Vec<(u64, Cycle)> =
-            self.cores.iter().map(|c| (c.retired(), self.now)).collect();
-        let mut drained_since: Option<Cycle> = None;
-        let mut snaps: VecDeque<(Cycle, u64)> = VecDeque::with_capacity(SNAPS_KEPT + 1);
-        snaps.push_back((self.now, self.retry_activity()));
+        let mut wd = std::mem::take(&mut self.watchdog);
+        let outcome = self.run_loop(&mut wd, max_cycles, stall_window);
+        self.watchdog = wd;
+        outcome
+    }
+
+    fn run_loop(&mut self, wd: &mut Watchdog, max_cycles: u64, stall_window: u64) -> RunOutcome {
+        wd.start(
+            self.now,
+            stall_window,
+            self.retry_activity(),
+            self.cores.iter().map(|c| (c.retired(), c.drained())),
+        );
         let deadline = self.now.saturating_add(max_cycles);
         let engine = self.cfg.engine;
         if engine.is_sparse() {
@@ -1224,96 +1258,50 @@ impl System {
                 *cu = self.now;
             }
         }
+        let mut first_check = true;
         while self.now < deadline {
-            if self.done() {
+            // The machine can only be done once every core has drained.
+            if wd.all_drained() && self.memory_idle() {
                 self.flush_idle_charges();
                 return RunOutcome::Done;
             }
             match engine {
-                EngineMode::Skip | EngineMode::SkipVerify => {
-                    self.try_skip(
-                        &progress,
-                        &mut drained_since,
-                        stall_window,
-                        deadline,
-                        &mut snaps,
-                        SNAP_EVERY_MASK,
-                        SNAPS_KEPT,
-                    );
-                    if self.now >= deadline {
-                        break;
-                    }
-                }
-                EngineMode::Sparse => {
-                    self.try_jump_sparse(
-                        &progress,
-                        &mut drained_since,
-                        stall_window,
-                        deadline,
-                        &mut snaps,
-                        SNAP_EVERY_MASK,
-                        SNAPS_KEPT,
-                    );
-                    if self.now >= deadline {
-                        break;
-                    }
-                }
+                EngineMode::Skip | EngineMode::SkipVerify => self.try_skip(wd, deadline),
+                EngineMode::Sparse => self.try_jump_sparse(wd, deadline),
                 // SparseVerify never jumps: it executes every cycle to
                 // check the sparse engine's sleep claims against dense
                 // reality.
                 EngineMode::Dense | EngineMode::SparseVerify => {}
+            }
+            if self.now >= deadline {
+                break;
             }
             match engine {
                 EngineMode::Sparse => self.tick_sparse(),
                 EngineMode::SparseVerify => self.tick_sparse_verify(),
                 _ => self.tick(),
             }
-            if let Some(e) = self.protocol_fault() {
+            // A fault may predate this run (a restored snapshot), so the
+            // first check looks at everyone, as do the engines that tick
+            // the whole machine (Dense, Skip and both Verify modes).
+            let fault = if engine == EngineMode::Sparse && !first_check {
+                self.observe_visited(wd, ids(&self.list_pairs), ids(&self.list_dirs))
+            } else {
+                wd.rescans += 2;
+                self.observe_visited(wd, 0..self.cores.len(), 0..self.dirs.len())
+            };
+            first_check = false;
+            if let Some(e) = fault {
                 self.flush_idle_charges();
-                let stalled = self.stalled_cores(&progress, stall_window);
+                let stalled = wd.stalled_cores(self.now, |i| self.cores[i].drained());
                 let report = self.diagnose(stalled, 0, Some(e));
                 return RunOutcome::Fault(Box::new(report));
             }
-            let mut worst: u64 = 0;
-            let mut all_drained = true;
-            for (i, c) in self.cores.iter().enumerate() {
-                let r = c.retired();
-                if c.drained() || r != progress[i].0 {
-                    progress[i] = (r, self.now);
-                } else {
-                    worst = worst.max(self.now - progress[i].1);
-                }
-                all_drained &= c.drained();
-            }
-            if all_drained {
-                // Cores finished but done() is false: the memory system
-                // (store buffers drained, but MSHRs / directory / mesh)
-                // is wedged. No core will ever retire again, so measure
-                // from the moment everything drained.
-                let since = *drained_since.get_or_insert(self.now);
-                worst = worst.max(self.now - since);
-            } else {
-                drained_since = None;
-            }
-            if self.now & SNAP_EVERY_MASK == 0 {
-                snaps.push_back((self.now, self.retry_activity()));
-                while snaps.len() > SNAPS_KEPT {
-                    snaps.pop_front();
-                }
-            }
-            if worst > stall_window {
+            wd.note_cycle(self.now, || self.retry_activity());
+            if wd.tripped(self.now) {
                 self.flush_idle_charges();
-                let activity_now = self.retry_activity();
-                // Baseline: the newest snapshot at least a full stall
-                // window old (fall back to the oldest kept).
-                let base = snaps
-                    .iter()
-                    .rev()
-                    .find(|(t, _)| self.now.saturating_sub(*t) >= stall_window)
-                    .or_else(|| snaps.front())
-                    .map_or(0, |&(_, a)| a);
-                let retries = activity_now.saturating_sub(base);
-                let stalled = self.stalled_cores(&progress, stall_window);
+                let retries = wd.retries_in_window(self.now, self.retry_activity());
+                let stalled = wd.stalled_cores(self.now, |i| self.cores[i].drained());
                 let report = self.diagnose(stalled, retries, None);
                 return RunOutcome::Wedge(Box::new(report));
             }
@@ -1443,17 +1431,7 @@ impl System {
     /// so wedge and budget outcomes land on exactly the dense cycle.
     /// `SkipVerify` instead ticks the window densely and asserts the
     /// inertness claim cycle by cycle.
-    #[allow(clippy::too_many_arguments)]
-    fn try_skip(
-        &mut self,
-        progress: &[(u64, Cycle)],
-        drained_since: &mut Option<Cycle>,
-        stall_window: u64,
-        deadline: Cycle,
-        snaps: &mut VecDeque<(Cycle, u64)>,
-        snap_mask: u64,
-        snaps_kept: usize,
-    ) {
+    fn try_skip(&mut self, wd: &mut Watchdog, deadline: Cycle) {
         if self.now < self.next_probe_at {
             return;
         }
@@ -1465,25 +1443,7 @@ impl System {
             self.next_probe_at = self.now + self.probe_stride;
             return;
         }
-        // Watchdog cap. Dense mode trips when, after the tick at cycle
-        // `c`, `c + 1 - base > stall_window` — so the last tick it runs
-        // is at `base + stall_window`. `base` is the oldest progress
-        // cycle of a non-drained core or, once every core has drained,
-        // the cycle the post-tick check first observed that (which,
-        // during an inert window, is one past the current cycle).
-        let cap_base = if self.cores.iter().all(Core::drained) {
-            *drained_since.get_or_insert(self.now + 1)
-        } else {
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.drained())
-                .map(|(i, _)| progress[i].1)
-                .min()
-                .expect("a non-drained core exists")
-        };
-        let cap = cap_base.saturating_add(stall_window);
-        let target = wake.unwrap_or(Cycle::MAX).min(cap).min(deadline);
+        let target = wd.jump_target(self.now, wake.unwrap_or(Cycle::MAX), deadline);
         if target <= self.now {
             // Quiescent but capped (watchdog / deadline): nothing will
             // change until progress does, so back off as when busy.
@@ -1575,19 +1535,7 @@ impl System {
                 }
             }
         }
-        // Synthesize the snapshots dense ticking would have taken at the
-        // 8192-cycle boundaries inside the window; retry activity is
-        // constant while every component is inert.
-        let step = snap_mask + 1;
-        let activity = self.retry_activity();
-        let mut b = (start / step + 1) * step;
-        while b <= target {
-            snaps.push_back((b, activity));
-            while snaps.len() > snaps_kept {
-                snaps.pop_front();
-            }
-            b += step;
-        }
+        wd.note_jump(start, target, || self.retry_activity());
     }
 
     /// Sparse-engine fast-forward: when the wheel schedules nothing for
@@ -1599,17 +1547,7 @@ impl System {
     /// charged at its own next activation. The wheel's bound may be
     /// early (lazily invalidated entries): an early landing executes
     /// one inert sparse cycle and re-probes, it never diverges.
-    #[allow(clippy::too_many_arguments)]
-    fn try_jump_sparse(
-        &mut self,
-        progress: &[(u64, Cycle)],
-        drained_since: &mut Option<Cycle>,
-        stall_window: u64,
-        deadline: Cycle,
-        snaps: &mut VecDeque<(Cycle, u64)>,
-        snap_mask: u64,
-        snaps_kept: usize,
-    ) {
+    fn try_jump_sparse(&mut self, wd: &mut Watchdog, deadline: Cycle) {
         let wheel = self.sched.earliest();
         if matches!(wheel, Some(c) if c <= self.now) {
             return;
@@ -1618,47 +1556,21 @@ impl System {
         if sys == Some(self.now) {
             return;
         }
-        // Watchdog cap — identical to `try_skip` (see the comment
-        // there for why `base + stall_window` is the last dense tick).
-        let cap_base = if self.cores.iter().all(Core::drained) {
-            *drained_since.get_or_insert(self.now + 1)
-        } else {
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.drained())
-                .map(|(i, _)| progress[i].1)
-                .min()
-                .expect("a non-drained core exists")
-        };
-        let cap = cap_base.saturating_add(stall_window);
         let wake = match (wheel, sys) {
             (Some(a), Some(b)) => a.min(b),
             (a, b) => a.or(b).unwrap_or(Cycle::MAX),
         };
-        let target = wake.min(cap).min(deadline);
-        if target <= self.now {
+        let start = self.now;
+        let target = wd.jump_target(start, wake, deadline);
+        if target <= start {
             return;
         }
-        let start = self.now;
-        let k = target - start;
-        self.skipped_cycles += k;
+        self.skipped_cycles += target - start;
         self.skip_windows += 1;
         self.now = target;
-        // Synthesize the watchdog snapshots dense ticking would have
-        // taken, exactly like `try_skip`: retry activity is constant
-        // while nothing executes, and `retry_activity` reads no
-        // idle-charged counter, so pending idle debt cannot skew it.
-        let step = snap_mask + 1;
-        let activity = self.retry_activity();
-        let mut b = (start / step + 1) * step;
-        while b <= target {
-            snaps.push_back((b, activity));
-            while snaps.len() > snaps_kept {
-                snaps.pop_front();
-            }
-            b += step;
-        }
+        // `retry_activity` reads no idle-charged counter, so pending
+        // idle debt cannot skew the synthesized snapshots.
+        wd.note_jump(start, target, || self.retry_activity());
     }
 
     /// Activate pair `i` for the current sparse cycle (idempotent):
@@ -1684,20 +1596,6 @@ impl System {
         }
     }
 
-    /// Cores that have gone at least half the stall window without
-    /// retiring, worst first: `(core, stalled-for cycles)`.
-    fn stalled_cores(&self, progress: &[(u64, Cycle)], stall_window: u64) -> Vec<(u16, u64)> {
-        let mut v: Vec<(u16, u64)> = self
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(i, c)| !c.drained() && self.now - progress[*i].1 >= stall_window / 2)
-            .map(|(i, _)| (i as u16, self.now - progress[i].1))
-            .collect();
-        v.sort_by_key(|&(c, s)| (std::cmp::Reverse(s), c));
-        v
-    }
-
     /// Total retry-shaped protocol activity: Nack-driven directory
     /// retries, Option-1 re-invalidation rounds, tear-off read retries
     /// and Nacks sent. A wedge during which this keeps climbing is a
@@ -1716,19 +1614,30 @@ impl System {
         total
     }
 
-    /// First typed protocol fault recorded by any cache or directory.
-    fn protocol_fault(&self) -> Option<ProtocolError> {
-        for c in &self.caches {
-            if let Some(e) = c.fault() {
-                return Some(e.clone());
+    /// The post-tick checks over the units a cycle visited (`pairs` and
+    /// `banks`, ascending): the first typed protocol fault recorded by a
+    /// cache, then by a directory bank; without one, every visited
+    /// core's progress goes to the watchdog. Only a visited unit can
+    /// have retired, drained or raised a fault this cycle: a sleeping
+    /// core's counters cannot move, message delivery and soft strikes
+    /// activate their target first, and an audit wakes everything.
+    fn observe_visited(
+        &self,
+        wd: &mut Watchdog,
+        pairs: impl Iterator<Item = usize> + Clone,
+        mut banks: impl Iterator<Item = usize>,
+    ) -> Option<ProtocolError> {
+        let fault = pairs
+            .clone()
+            .find_map(|i| self.caches[i].fault())
+            .or_else(|| banks.find_map(|b| self.dirs[b].fault()));
+        if fault.is_none() {
+            for i in pairs {
+                let c = &self.cores[i];
+                wd.observe(self.now, i, c.retired(), c.drained());
             }
         }
-        for d in &self.dirs {
-            if let Some(e) = d.fault() {
-                return Some(e.clone());
-            }
-        }
-        None
+        fault.cloned()
     }
 
     /// One-line command-equivalent description of this run, printed in

@@ -222,4 +222,13 @@ test "$(wc -l < "$ledgerdir/ledger.jsonl")" -eq 6
 cp results/ledger.jsonl "$ledgerdir/baseline.jsonl"
 WB_LEDGER_PATH="$ledgerdir/baseline.jsonl" cargo run -q --release --offline -p wb-bench --bin ledger
 
-echo "tier-1 verify: OK (offline build + full test suite + trace + chaos + fault + soft + engine-equivalence + scaling + campaign crash-resume + ledger smoke tests)"
+# Benchmark smoke: benchmark/ is a package of its own that builds
+# against the public API of crates/* (the layer rig assembles the
+# machine from the component constructors and must equal `System`
+# cycle for cycle), and the root `cargo test` never sees it. Its unit
+# tests and a cut-down run catch a core change that breaks its build or
+# the rig-equals-System contract before a benchmark driver does.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke > /dev/null
+
+echo "tier-1 verify: OK (offline build + full test suite + trace + chaos + fault + soft + engine-equivalence + scaling + campaign crash-resume + ledger + benchmark smoke tests)"

@@ -10,12 +10,18 @@
 //! self-checking `SkipVerify` / `SparseVerify` modes, which execute
 //! densely and assert every inertness / sleep claim cycle by cycle.
 
-use wb_isa::{AluOp, Program, Reg, Workload};
+use wb_cpu::Core;
+use wb_isa::{AluOp, Cond, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
 use wb_kernel::fault::FaultPlan;
 use wb_kernel::trace::TraceFilter;
-use wb_kernel::SimRng;
+use wb_kernel::wedge::WedgeClass;
+use wb_kernel::{NodeId, SimRng};
+use wb_mem::{HomeMap, LineAddr};
+use wb_mesh::Mesh;
+use wb_protocol::messages::Dest;
+use wb_protocol::{PrivateCache, ProtoMsg, ReadKind};
 use wb_workloads::{splash, Scale};
 use writersblock::{RunOutcome, System};
 
@@ -233,6 +239,30 @@ fn sparse_engine_visits_only_live_components() {
         dense_visits,
         executed
     );
+
+    // The run loop's own bookkeeping must be sparse too: on the
+    // barrier storm (16x16 in release builds, a 10x10 stand-in in debug
+    // builds) it may walk the whole machine — the run's set-up, its
+    // first fault scan, an exact oldest-progress recompute when the
+    // stale bound says a watchdog trip is possible — on at most one
+    // executed cycle in a hundred. (Walking every core, cache and bank
+    // after each tick was three such passes per executed cycle.)
+    let cores = if cfg!(debug_assertions) { 100 } else { 256 };
+    let w = wb_workloads::barrier_storm(cores, 4);
+    let cfg = SystemConfig::new(CoreClass::Slm)
+        .with_cores(cores)
+        .with_commit(CommitMode::OutOfOrderWb)
+        .with_engine(EngineMode::Sparse)
+        .without_event_log();
+    let mut sys = System::new(cfg, &w);
+    assert!(sys.run(200_000_000).is_done(), "barrier storm must complete");
+    let executed = sys.now() - sys.skipped_cycles();
+    assert!(
+        sys.watchdog_rescans() <= executed / 100,
+        "run loop walked the whole machine {} times in {} executed cycles",
+        sys.watchdog_rescans(),
+        executed
+    );
 }
 
 /// Litmus smoke on the 8x8 machine: two active cores in the corner of a
@@ -329,6 +359,36 @@ fn rto_bound_bench_cells_are_cycle_exact() {
     }
 }
 
+/// Run a cell that must wedge on every engine: outcome, cycle, stats
+/// and the whole `WedgeReport` (modulo the reproducer's engine token)
+/// are those of Dense. Returns the dense observation.
+fn assert_same_wedge(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64) -> Observed {
+    let dense = run_with(EngineMode::Dense, cfg, w, budget, false);
+    match &dense.outcome {
+        RunOutcome::Wedge(r) => {
+            // The reproducer names the engine and bank fan-out so the
+            // one-liner replays exactly.
+            assert!(
+                r.reproducer.contains("engine=dense"),
+                "reproducer must name the engine: {}",
+                r.reproducer
+            );
+            assert!(
+                r.reproducer.contains("dir_banks_per_node=1"),
+                "reproducer must name the bank fan-out: {}",
+                r.reproducer
+            );
+        }
+        other => panic!("{label}: cell must wedge densely, got {other}"),
+    }
+    let dense = neutralize_engine(dense);
+    for engine in [EngineMode::Skip, EngineMode::Sparse, EngineMode::SparseVerify] {
+        let other = neutralize_engine(run_with(engine, cfg, w, budget, false));
+        assert_eq!(dense, other, "{label}: wedge diverged under {engine:?}");
+    }
+    dense
+}
+
 /// The watchdog's wedge decision — and the diagnosis report it renders —
 /// must land on exactly the dense cycle. This is the near-miss scenario:
 /// a 4000-cycle RTO against a raw 2500-cycle stall window, with the
@@ -347,34 +407,186 @@ fn wedge_fires_at_the_same_cycle() {
     cfg.network.link.rto_max = 4000;
     cfg.watchdog.stall_window = 2500;
     cfg.watchdog.fault_scale = 1;
-    let dense = run_with(EngineMode::Dense, &cfg, &w, 8_000_000, false);
-    match &dense.outcome {
-        RunOutcome::Wedge(r) => {
-            // The reproducer names the engine and bank fan-out so the
-            // one-liner replays exactly.
-            assert!(
-                r.reproducer.contains("engine=dense"),
-                "reproducer must name the engine: {}",
-                r.reproducer
-            );
-            assert!(
-                r.reproducer.contains("dir_banks_per_node=1"),
-                "reproducer must name the bank fan-out: {}",
-                r.reproducer
-            );
-        }
-        other => panic!("cell must wedge densely, got {other}"),
-    }
-    let skip = run_with(EngineMode::Skip, &cfg, &w, 8_000_000, false);
-    let sparse = run_with(EngineMode::Sparse, &cfg, &w, 8_000_000, false);
-    // Reproducer lines deliberately differ in the engine token; the
-    // wedge itself (cycle, class, parties, stats) must be identical.
-    let dense = neutralize_engine(dense);
-    assert_eq!(dense, neutralize_engine(skip), "wedge cell diverged under Skip");
-    assert_eq!(dense, neutralize_engine(sparse), "wedge cell diverged under Sparse");
+    assert_same_wedge("near-miss", &cfg, &w, 8_000_000);
     // And with scaling restored the same cell completes — identically.
     cfg.watchdog.fault_scale = 4;
     assert_equivalent("near-miss scaled", &cfg, &w, 8_000_000, false);
+}
+
+/// A livelock, where messages keep flowing and the jump paths keep
+/// synthesizing retry snapshots: the known 4-core × 200-op cell
+/// `torture-40` (benchmark/README.md "Known failing inputs"), writes
+/// blocked by lockdowns that never lift.
+#[test]
+fn livelock_fires_at_the_same_cycle() {
+    let w = torture_workload(4, 40, 200);
+    let cfg = SystemConfig::new(CoreClass::Slm)
+        .with_cores(4)
+        .with_commit(CommitMode::OutOfOrderWb)
+        .with_seed(40)
+        .with_jitter(25)
+        .without_event_log();
+    let dense = assert_same_wedge("torture-40", &cfg, &w, 2_000_000);
+    let report = dense.outcome.wedge_report().expect("wedged");
+    assert_eq!(report.class, WedgeClass::Livelock, "torture-40 is a livelock:\n{report}");
+    assert_eq!(dense.final_cycle, 210_317);
+}
+
+/// The watchdog tracks each core on its own, and the sparse engine only
+/// tells it about the cores a cycle visited. On 16 cores: seven halt at
+/// once and seven after one store (drained, asleep), core 0 spins on a
+/// flag nobody sets (retiring forever, visited every cycle) and core 1
+/// walks remote lines over links that drop frames, with a retransmission
+/// time-out far beyond the stall window. A core that waits on a dropped
+/// frame sleeps — never visited, never drained — and must still trip
+/// the watchdog on exactly the dense cycle.
+#[test]
+fn a_sleeping_wedged_core_trips_beside_a_spinning_one() {
+    let spinner = {
+        let mut p = Program::builder();
+        p.imm(Reg(1), 0x9000);
+        let top = p.here();
+        p.load(Reg(3), Reg(1), 0);
+        p.branch(Cond::Eq, Reg(3), Reg(0), top);
+        p.halt();
+        p.build()
+    };
+    let walker = {
+        let mut p = Program::builder();
+        for k in 0..64u64 {
+            p.imm(Reg(1), 0x2_0000 + k * 0x440);
+            p.imm(Reg(2), (1 << 32) | (k + 1));
+            p.store(Reg(2), Reg(1), 0);
+            p.load(Reg(3), Reg(1), 8);
+        }
+        p.halt();
+        p.build()
+    };
+    let mut programs = vec![spinner, walker];
+    for c in 2..16u64 {
+        let mut p = Program::builder();
+        if c >= 9 {
+            p.imm(Reg(1), 0x8_0000 + c * 0x40);
+            p.imm(Reg(2), (c << 32) | 1);
+            p.store(Reg(2), Reg(1), 0);
+        }
+        p.halt();
+        programs.push(p.build());
+    }
+    let w = Workload::new("spin-beside-wedge", programs);
+    let mut cfg = SystemConfig::new(CoreClass::Slm)
+        .with_cores(16)
+        .with_commit(CommitMode::OutOfOrderWb)
+        .with_seed(5)
+        .with_jitter(25)
+        .with_fault(FaultPlan::drop_everywhere(1, 12))
+        .without_event_log();
+    cfg.network.link.rto_min = 40_000;
+    cfg.network.link.rto_max = 40_000;
+    cfg.watchdog.stall_window = 2500;
+    cfg.watchdog.fault_scale = 1;
+    let dense = assert_same_wedge("spin beside wedge", &cfg, &w, 8_000_000);
+    let report = dense.outcome.wedge_report().expect("wedged");
+    let stalled: Vec<u16> = report.stalled_cores.iter().map(|&(c, _)| c).collect();
+    assert!(stalled.contains(&1), "the walker must be reported stalled: {stalled:?}");
+    assert!(!stalled.contains(&0), "the spinner retires every few cycles: {stalled:?}");
+    assert!(
+        stalled.iter().all(|&c| c == 1 || c >= 9),
+        "cores 2-8 halt at once and must have drained: {stalled:?}"
+    );
+    assert!(dense.retired > 1000, "the spinner must have kept retiring ({})", dense.retired);
+}
+
+/// A typed fault that predates the run — here a snapshot whose cache 0
+/// already carries one — is reported by every engine on the first
+/// executed cycle, with equal reports. (The post-tick fault check only
+/// looks at the units a cycle visited; the first check of a run looks
+/// at all of them.)
+///
+/// No run can produce such a snapshot (a fault ends the run that raises
+/// it, and the protocol has no known way to raise one), so the cell
+/// builds it by surgery: it walks the snapshot of a healthy machine up
+/// to cache 0 with the component crates' own `restore`, feeds that cache
+/// a message it can only answer with a fault, and splices its bytes
+/// back. The walk mirrors the order of `System::snapshot` (layout,
+/// fingerprint, cycle, mesh, cores, caches).
+#[test]
+fn a_restored_fault_is_reported_on_the_first_cycle() {
+    // Busy at the snapshot cycle (every core is inside its nop stretch),
+    // so no engine jumps before it executes that cycle.
+    let programs: Vec<Program> = (0..4u64)
+        .map(|c| {
+            let mut p = Program::builder();
+            p.imm(Reg(1), 0x1000 + c * 0x440);
+            p.imm(Reg(2), (c << 32) | 1);
+            p.store(Reg(2), Reg(1), 0);
+            p.nops(3000);
+            p.halt();
+            p.build()
+        })
+        .collect();
+    let w = Workload::new("restored-fault", programs);
+    let cfg = SystemConfig::new(CoreClass::Slm)
+        .with_cores(4)
+        .with_commit(CommitMode::OutOfOrderWb)
+        .with_seed(9)
+        .with_jitter(25);
+    let mut healthy = System::new(cfg.clone(), &w);
+    assert_eq!(healthy.run(300), RunOutcome::Budget);
+    let snap = healthy.snapshot();
+
+    let mut r = wb_kernel::snap::open(&snap).expect("own snapshot");
+    r.u16().expect("layout");
+    r.str().expect("fingerprint");
+    let now = r.u64().expect("cycle");
+    let net = &cfg.network;
+    let mut mesh: Mesh<(Dest, ProtoMsg)> =
+        Mesh::new(net.mesh_width, net.mesh_height, 4, net.hop_cycles, net.jitter, cfg.seed);
+    mesh.restore(&mut r).expect("mesh");
+    assert_eq!(r.usize().expect("core count"), 4);
+    let mut cores: Vec<Core> = (0..4)
+        .map(|i| {
+            let program = w.programs[i].clone();
+            Core::with_event_log(NodeId(i as u16), cfg.core.clone(), cfg.protocol, program, cfg.record_events)
+        })
+        .collect();
+    for c in &mut cores {
+        c.restore(&mut r).expect("core");
+    }
+    assert_eq!(r.usize().expect("cache count"), 4);
+    let start = snap.len() - r.remaining();
+    let home = HomeMap::new(4, cfg.memory.dir_banks_per_node);
+    let mut cache = PrivateCache::new(NodeId(0), home, &cfg.memory, cfg.protocol);
+    cache.restore(&mut r).expect("cache 0");
+    let end = snap.len() - r.remaining();
+    let stray =
+        ProtoMsg::FwdGetS { line: LineAddr(0x7777), requester: NodeId(1), kind: ReadKind::Cacheable };
+    cache.handle_msg(now, stray, &mut cores[0]);
+    assert!(cache.fault().is_some(), "a forward for a line it does not own must fault the cache");
+    let mut wounded = wb_kernel::SnapWriter::new();
+    cache.snap(&mut wounded);
+    let faulty = [&snap[..start], &wounded.into_bytes(), &snap[end..]].concat();
+
+    let run = |engine: EngineMode| {
+        let mut sys = System::new(cfg.clone().with_engine(engine), &w);
+        sys.restore(&faulty).expect("spliced snapshot restores");
+        let outcome = sys.run(1_000_000);
+        neutralize_engine(Observed {
+            outcome,
+            final_cycle: sys.now(),
+            retired: sys.total_retired(),
+            stats_json: sys.report().stats.to_json(),
+            trace: Vec::new(),
+        })
+    };
+    let dense = run(EngineMode::Dense);
+    assert!(matches!(dense.outcome, RunOutcome::Fault(_)), "got {}", dense.outcome);
+    assert_eq!(dense.final_cycle, now + 1, "the fault is reported after the first executed cycle");
+    let report = dense.outcome.wedge_report().expect("fault report");
+    assert_eq!(report.class, WedgeClass::ProtocolFault);
+    for engine in [EngineMode::Skip, EngineMode::Sparse, EngineMode::SparseVerify] {
+        assert_eq!(dense, run(engine), "restored fault diverged under {engine:?}");
+    }
 }
 
 /// Budget exhaustion lands on the same cycle with the same partial
