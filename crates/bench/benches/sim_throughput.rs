@@ -1,19 +1,18 @@
-//! Simulator throughput: dense ticking vs the event-driven
-//! cycle-skipping engine vs the activity-tracked sparse engine, and
-//! serial vs parallel sweep execution.
+//! Simulator throughput: dense ticking vs the activity-tracked sparse
+//! engine, and serial vs parallel sweep execution.
 //!
-//! Emits `BENCH_sim_throughput.json`. Three families of entries:
+//! Emits `BENCH_sim_throughput.json`. Two families of entries:
 //!
-//! - `engine/<cell>/<dense|skip|sparse>` — wall-clock per full run of
+//! - `engine/<cell>/<dense|sparse>` — wall-clock per full run of
 //!   one cell under each engine, with the run's merged counters
 //!   (including a synthetic `sim_cycles` = final cycle) attached, so
-//!   simulated cycles per wall-second and the dense/skip/sparse
-//!   speedups fall out of the JSON. All engines are cycle-exact
+//!   simulated cycles per wall-second and the dense/sparse
+//!   speedup fall out of the JSON. Both engines are cycle-exact
 //!   (pinned by the `engine_equivalence` integration suite), so the
 //!   speedup is free. The two 256-core scaling cells (`fft256`,
 //!   `barrier256`) are where the sparse engine earns its keep: the
-//!   machine is never globally quiescent, so skip barely helps, but
-//!   most components are individually asleep on any given cycle.
+//!   machine is never globally quiescent, but most components are
+//!   individually asleep on any given cycle.
 //! - `sweep/fault_matrix/<n>threads` — the fault-torture matrix (every
 //!   standard fault plan on the paper's WritersBlock OoO configuration)
 //!   on 1 vs 4 worker threads through `wb_bench::sweep`.
@@ -22,7 +21,7 @@
 //! with a 12000-cycle retransmission timeout park the whole machine on
 //! future deadlines, exactly the shape dense ticking wastes cycles on.
 //! `fft16` is the busy-dominated control (barrier spins hit in cache
-//! every cycle — nothing to skip, so it measures probe overhead).
+//! every cycle — nothing sleeps, so it measures scheduler overhead).
 
 use wb_bench::{sweep, BenchGroup, RUN_BUDGET};
 use wb_isa::{AluOp, Program, Reg, Workload};
@@ -108,33 +107,31 @@ fn bench_engines(g: &mut BenchGroup) {
     let fft16 = splash::fft(16, Scale::Test);
     let cells: Vec<(&str, SystemConfig, &Workload)> = vec![
         // Headline: nothing polls while parked, so nearly every parked
-        // cycle is skippable.
+        // cycle is jumped over.
         ("rto_bound_mesi", rto_bound_cfg(ProtocolKind::BaseMesi, CommitMode::InOrder, 6), &torture),
         // The paper configuration under the same faults: SoS retry
         // polling keeps cores active through part of each RTO window,
-        // so the win is smaller — skipping never skips observable work.
+        // so the win is smaller — a jump never crosses observable work.
         (
             "rto_bound_wb",
             rto_bound_cfg(ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 10),
             &torture,
         ),
         // Busy-dominated control: barrier spins hit in cache every
-        // cycle, so there is almost nothing to skip and the probe
-        // throttle must hold overhead near zero.
+        // cycle, so there is almost nothing to sleep through and the
+        // wheel must hold overhead near zero.
         (
             "fft16",
             SystemConfig::new(CoreClass::Hsw).with_commit(CommitMode::OutOfOrderWb).without_event_log(),
             &fft16,
         ),
     ];
-    let engines = [
-        ("dense", EngineMode::Dense),
-        ("skip", EngineMode::Skip),
-        ("sparse", EngineMode::Sparse),
-    ];
+    let engines = [EngineMode::Dense, EngineMode::Sparse];
     for (name, cfg, w) in &cells {
-        for (label, engine) in engines {
-            g.bench_with_stats(&format!("engine/{name}/{label}"), || run_engine(engine, cfg, w));
+        for engine in engines {
+            g.bench_with_stats(&format!("engine/{name}/{}", engine.name()), || {
+                run_engine(engine, cfg, w)
+            });
         }
     }
     // The two 256-core scaling anchors. One dense run of fft at this
@@ -150,8 +147,10 @@ fn bench_engines(g: &mut BenchGroup) {
         .with_commit(CommitMode::OutOfOrderWb)
         .without_event_log();
     for (name, w) in [("fft256", &fft256), ("barrier256", &storm256)] {
-        for (label, engine) in engines {
-            g.bench_with_stats(&format!("engine/{name}/{label}"), || run_engine(engine, &big, w));
+        for engine in engines {
+            g.bench_with_stats(&format!("engine/{name}/{}", engine.name()), || {
+                run_engine(engine, &big, w)
+            });
         }
     }
 }
@@ -174,7 +173,7 @@ fn bench_sweep_scaling(g: &mut BenchGroup) {
             .with_seed(7 + seed)
             .with_jitter(25)
             .with_fault(plan)
-            .with_engine(EngineMode::Skip)
+            .with_engine(EngineMode::Sparse)
             .without_event_log();
         let mut sys = System::new(cfg, &w);
         let out = sys.run(RUN_BUDGET);

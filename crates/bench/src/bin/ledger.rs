@@ -6,9 +6,12 @@
 //! paper's core reordering scenario), a 4-core `fft` (barrier-heavy
 //! kernel), a 4-core barrier storm (directory-bank pressure) and the
 //! same `fft` under accelerated background soft-error radiation
-//! (detection/recovery and audit overhead) — all on the cycle-skipping
-//! engine, so every simulated metric is byte-reproducible on a given
-//! revision. Wall-clock medians ride
+//! (detection/recovery and audit overhead) — all on the sparse engine,
+//! so every simulated metric is byte-reproducible on a given revision,
+//! and the scheduler's economics (`engine_visits`, cycles jumped) gate
+//! at the tight tier beside them: a visits regression means components
+//! stopped sleeping even while outcomes — pinned byte-identical by the
+//! equivalence suite — stay green. Wall-clock medians ride
 //! along as advisory rows (see [`wb_bench::ledger`] for the gating
 //! policy).
 //!
@@ -41,16 +44,8 @@ const WALL_SAMPLES: usize = 3;
 /// bytes are deterministic and gated; wall rows are advisory.
 const CAMPAIGN_GROUP: &str = "campaign";
 
-/// Third metric group: the sparse engine's economics. The same anchor
-/// cells re-run under `EngineMode::Sparse`, recording how many
-/// component visits the activity scheduler actually paid for and how
-/// many cycles it fast-forwarded. Both counters are deterministic and
-/// gate at the tight tier: a visits regression means components stopped
-/// sleeping (the O(active) win eroded silently) even while outcomes —
-/// pinned byte-identical by the equivalence suite — stay green.
-const ENGINE_GROUP: &str = "engine";
 const CAMPAIGN_SPEC: &str = r#"{
-  "name": "ledger-campaign", "cores": 2, "engine": "skip", "budget": 50000000,
+  "name": "ledger-campaign", "cores": 2, "engine": "sparse", "budget": 50000000,
   "workloads": ["mp", "sb", "fft"], "arms": ["wb-ooo"],
   "chaos": ["off"], "faults": ["off"], "seeds": [1, 2]
 }"#;
@@ -66,7 +61,7 @@ fn cells() -> Vec<Cell> {
         SystemConfig::new(CoreClass::Slm)
             .with_cores(cores)
             .with_commit(CommitMode::OutOfOrderWb)
-            .with_engine(EngineMode::Skip)
+            .with_engine(EngineMode::Sparse)
             .without_event_log()
     };
     vec![
@@ -145,6 +140,7 @@ fn run_cell(cell: &Cell, metrics: &mut BTreeMap<String, u64>) {
         (key("mesh_flits"), report.stats.get("mesh_flits")),
         (key("mesh_msg_p99"), report.stats.hist("mesh_msg_cycles").map_or(0, |h| h.p99())),
         (key("read_miss_p90"), report.stats.hist("cache_read_miss_cycles").map_or(0, |h| h.p90())),
+        (key("engine_visits"), sys.engine_visits()),
         (key("engine_skipped_cycles"), sys.skipped_cycles()),
         (key("engine_skip_windows"), sys.skip_windows()),
         (key("wall_ns"), r.median_ns() as u64),
@@ -174,30 +170,6 @@ fn run_cell(cell: &Cell, metrics: &mut BTreeMap<String, u64>) {
         sys.now(),
         r.median_ns()
     );
-}
-
-/// Run every anchor cell once under the sparse engine and collect its
-/// scheduler economics. Single runs: the counters are byte-reproducible
-/// on a given revision, so wall sampling would add nothing.
-fn engine_metrics(cells: &[Cell]) -> BTreeMap<String, u64> {
-    let mut metrics = BTreeMap::new();
-    for cell in cells {
-        let cfg = cell.cfg.clone().with_engine(EngineMode::Sparse);
-        let mut sys = System::new(cfg, &cell.workload);
-        let outcome = sys.run(RUN_BUDGET);
-        assert_eq!(
-            outcome,
-            RunOutcome::Done,
-            "engine cell {} ended with {outcome} at cycle {}", // allow(panic): bench driver
-            cell.name,
-            sys.now()
-        );
-        let key = |k: &str| format!("{}_{k}", cell.name);
-        metrics.insert(key("engine_visits"), sys.engine_visits());
-        metrics.insert(key("engine_skipped_cycles"), sys.skipped_cycles());
-        metrics.insert(key("sim_cycles"), sys.now());
-    }
-    metrics
 }
 
 /// Run the fixed ledger campaign fresh, then resume it as a no-op, and
@@ -238,7 +210,7 @@ fn campaign_metrics() -> BTreeMap<String, u64> {
     let cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
         .with_commit(CommitMode::OutOfOrderWb)
-        .with_engine(EngineMode::Skip)
+        .with_engine(EngineMode::Sparse)
         .without_event_log();
     let mut sys = System::new(cfg, &w);
     let _ = sys.run(2_000);
@@ -279,20 +251,7 @@ fn main() {
             metrics: campaign_metrics(),
         }
     };
-    let engine = {
-        // Same cells, different engine: fold the mode into the digest so
-        // the group re-baselines if the anchor matrix itself changes.
-        let mut h = std::hash::DefaultHasher::new();
-        config_digest(&cells).hash(&mut h);
-        "sparse".hash(&mut h);
-        LedgerEntry {
-            rev: rev.clone(),
-            config_digest: format!("{:016x}", h.finish()),
-            group: ENGINE_GROUP.to_owned(),
-            metrics: engine_metrics(&cells),
-        }
-    };
-    let entries = [smoke, farm, engine];
+    let entries = [smoke, farm];
 
     let path =
         std::env::var("WB_LEDGER_PATH").unwrap_or_else(|_| "results/ledger.jsonl".to_owned());

@@ -4,7 +4,7 @@
 //! aggressiveness: how the WritersBlock rates, Nack retry traffic and
 //! directory-bank contention evolve as the machine grows, and what the
 //! simulator itself sustains (simulated cycles per wall-second, dense
-//! vs skip vs sparse) at each size.
+//! vs sparse) at each size.
 //!
 //! Two workloads anchor the sweep: `fft` (the barrier-heavy fig-8
 //! flagship) and `barrier-storm` (nothing but serialized fetch-adds —
@@ -20,7 +20,7 @@
 //! Cells run on the parallel sweep runner; each cell times itself, so
 //! with concurrent workers the wall numbers carry scheduler noise. Set
 //! `WB_SCALING_SERIAL=1` for clean serial timing, `--smoke` for the
-//! 64-core skip-only cell `scripts/verify.sh` gates on.
+//! 64-core sparse-only cell `scripts/verify.sh` gates on.
 
 use wb_bench::sweep;
 use wb_isa::Workload;
@@ -60,16 +60,6 @@ fn workload_for(cell: Cell) -> Workload {
     }
 }
 
-fn engine_label(e: EngineMode) -> &'static str {
-    match e {
-        EngineMode::Dense => "dense",
-        EngineMode::Skip => "skip",
-        EngineMode::SkipVerify => "skip-verify",
-        EngineMode::Sparse => "sparse",
-        EngineMode::SparseVerify => "sparse-verify",
-    }
-}
-
 /// Run one cell and collect its annotated stats.
 fn run_cell(cell: Cell, bank_keys: &BankKeys) -> CellResult {
     let w = workload_for(cell);
@@ -84,7 +74,7 @@ fn run_cell(cell: Cell, bank_keys: &BankKeys) -> CellResult {
         cell.workload,
         cell.cores,
         cell.banks_per_node,
-        engine_label(cell.engine)
+        cell.engine.name()
     );
     let t0 = std::time::Instant::now();
     let mut sys = System::new(cfg, &w);
@@ -158,7 +148,7 @@ fn main() {
         vec![Cell {
             workload: "fft",
             cores: 64,
-            engine: EngineMode::Skip,
+            engine: EngineMode::Sparse,
             banks_per_node: 2,
             budget: RUN_BUDGET,
         }]
@@ -166,26 +156,30 @@ fn main() {
         let mut v = Vec::new();
         for workload in ["fft", "barrier"] {
             for cores in [16usize, 64, 256] {
-                for engine in [EngineMode::Dense, EngineMode::Skip, EngineMode::Sparse] {
+                for engine in [EngineMode::Dense, EngineMode::Sparse] {
                     v.push(Cell { workload, cores, engine, banks_per_node: 1, budget: RUN_BUDGET });
                 }
             }
         }
         // One sharded point: does splitting each home node into two
         // banks relieve the barrier line's port pressure at 256 cores?
-        for engine in [EngineMode::Skip, EngineMode::Sparse] {
-            v.push(Cell { workload: "barrier", cores: 256, engine, banks_per_node: 2, budget: RUN_BUDGET });
-        }
+        v.push(Cell {
+            workload: "barrier",
+            cores: 256,
+            engine: EngineMode::Sparse,
+            banks_per_node: 2,
+            budget: RUN_BUDGET,
+        });
         if full {
             // Two more kernel shapes: radix (all-to-all permutation
             // traffic) and streamcluster (read-mostly sharing with hot
             // medoid lines). Dense ticking at 256 cores costs minutes of
             // wall-clock for no extra information — the equivalence
-            // suite already pins dense==skip==sparse — so the largest
+            // suite already pins dense==sparse — so the largest
             // size runs without the dense column.
             for workload in ["radix", "stream"] {
                 for cores in [16usize, 64, 256] {
-                    for engine in [EngineMode::Dense, EngineMode::Skip, EngineMode::Sparse] {
+                    for engine in [EngineMode::Dense, EngineMode::Sparse] {
                         if cores == 256 && engine == EngineMode::Dense {
                             continue;
                         }

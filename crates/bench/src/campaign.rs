@@ -111,7 +111,7 @@ impl CampaignSpec {
             name: "campaign".to_owned(),
             cores: 4,
             class: CoreClass::Slm,
-            engine: EngineMode::Skip,
+            engine: EngineMode::Sparse,
             jitter: 0,
             budget: crate::RUN_BUDGET,
             budgets: BTreeMap::new(),
@@ -135,16 +135,7 @@ impl CampaignSpec {
                         other => return Err(format!("unknown core class `{other}`")),
                     }
                 }
-                "engine" => {
-                    spec.engine = match want_str(v, k)?.as_str() {
-                        "dense" => EngineMode::Dense,
-                        "skip" => EngineMode::Skip,
-                        "skip-verify" => EngineMode::SkipVerify,
-                        "sparse" => EngineMode::Sparse,
-                        "sparse-verify" => EngineMode::SparseVerify,
-                        other => return Err(format!("unknown engine `{other}`")),
-                    }
-                }
+                "engine" => spec.engine = EngineMode::parse(&want_str(v, k)?)?,
                 "jitter" => spec.jitter = want_u64(v, k)?,
                 "budget" => spec.budget = want_u64(v, k)?,
                 "budgets" => {
@@ -855,7 +846,7 @@ mod tests {
     }
 
     const TINY: &str = r#"{
-        "name": "tiny", "cores": 2, "engine": "skip", "budget": 20000000,
+        "name": "tiny", "cores": 2, "engine": "sparse", "budget": 20000000,
         "workloads": ["mp", "sb"], "arms": ["wb-ooo"],
         "chaos": ["off", "delay-storm"], "faults": ["off"], "seeds": [1, 2]
     }"#;
@@ -880,6 +871,18 @@ mod tests {
             let e = CampaignSpec::parse(src).expect_err(src);
             assert!(e.contains(needle), "{src}: got {e}");
         }
+    }
+
+    #[test]
+    fn removed_engines_are_rejected_with_their_replacement() {
+        // A stale spec must fail at parse time, before any cell runs.
+        for (name, replacement) in [("skip", "sparse"), ("skip-verify", "sparse-verify")] {
+            let src = format!(r#"{{"workloads":["mp"],"engine":"{name}"}}"#);
+            let e = CampaignSpec::parse(&src).expect_err(&src);
+            assert_eq!(e, format!(r#"engine "{name}" was removed; use "{replacement}""#));
+        }
+        let spec = CampaignSpec::parse(r#"{"workloads":["mp"]}"#).expect("parses");
+        assert_eq!(spec.engine, EngineMode::Sparse);
     }
 
     #[test]

@@ -33,12 +33,12 @@ pub struct RunResult {
 /// given commit mode (protocol inferred: WritersBlock for the relaxed
 /// mode and for in-order/OoO when `wb_protocol` is set).
 pub fn eval_config(class: CoreClass, commit: CommitMode, wb_protocol: bool) -> SystemConfig {
-    // Evaluation sweeps run on the cycle-skipping engine: cycle-exact
-    // by construction (see DESIGN.md "Performance engineering") and
-    // much faster through barriers and other quiescent phases.
+    // Evaluation sweeps run on the sparse engine: cycle-exact with the
+    // dense reference (see DESIGN.md "The engine/component contract")
+    // and much faster through barriers and other quiescent phases.
     let mut cfg = SystemConfig::new(class)
         .with_commit(commit)
-        .with_engine(EngineMode::Skip)
+        .with_engine(EngineMode::Sparse)
         .without_event_log();
     if wb_protocol {
         cfg = cfg.with_protocol(ProtocolKind::WritersBlock);

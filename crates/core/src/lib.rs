@@ -43,8 +43,12 @@
 //! assert!(!litmus.is_forbidden(&observed));
 //! ```
 
+mod audit;
+mod diagnose;
+mod engine;
 pub mod litmus_runner;
 pub mod report;
+mod snapshot;
 pub mod system;
 mod watchdog;
 

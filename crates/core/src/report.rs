@@ -12,8 +12,8 @@ pub struct Report {
     pub cycles: Cycle,
     /// Merged counters from cores, caches, directory banks and the mesh.
     pub stats: Stats,
-    /// Cycles the engine fast-forwarded instead of ticking (0 in dense
-    /// mode). Carried *outside* [`Report::stats`] deliberately: the
+    /// Cycles the sparse engine jumped over instead of ticking (0 in
+    /// dense mode). Carried *outside* [`Report::stats`] deliberately: the
     /// merged stats must stay byte-identical across engine modes (the
     /// engine-equivalence contract), while these two are engine
     /// diagnostics that differ by construction. Bench emitters publish

@@ -393,7 +393,7 @@ impl Core {
     /// Which Figure 10 stall bucket a no-commit cycle charges, given the
     /// current structural occupancy. Shared by [`Core::commit`],
     /// [`Core::apply_idle_cycles`] and [`Core::idle_stat_deltas`] so
-    /// dense and skipped accounting can never drift apart.
+    /// dense and bulk-charged accounting can never drift apart.
     fn idle_stall_key(&self) -> &'static str {
         if self.rob.len() >= self.cfg.rob_entries {
             "core_stall_rob"
@@ -416,9 +416,9 @@ impl Core {
     }
 
     /// The named counter deltas `k` idle cycles produce — exactly what
-    /// [`Core::apply_idle_cycles`] adds. The `SkipVerify` engine applies
-    /// these to a pre-window snapshot and compares against densely
-    /// ticked reality.
+    /// [`Core::apply_idle_cycles`] adds. The `SparseVerify` engine
+    /// applies one cycle's worth to a pre-tick snapshot of a sleeping
+    /// core and compares against the real tick.
     pub fn idle_stat_deltas(&self, k: u64) -> Vec<(&'static str, u64)> {
         let mut v = Vec::new();
         if k == 0 || self.drained() {
@@ -432,19 +432,18 @@ impl Core {
     }
 
     /// Bulk-account `k` cycles in which [`Core::tick`] would have run but
-    /// made no progress: the cycle-skipping engine's equivalent of `k`
-    /// idle dense ticks. The caller must have established (via
+    /// made no progress: the sparse engine's equivalent of `k` idle
+    /// dense ticks. The caller must have established (via
     /// [`Core::next_event`]) that the core is inert across the window, so
     /// the only observable effect of those ticks is counter upkeep:
     /// `core_cycles` always advances, and `commit` charges exactly one
     /// stall bucket per cycle unless the core is halted or sits on an
     /// empty pipeline with fetch stopped.
     ///
-    /// The skip engine calls this for every core at once when the whole
-    /// machine jumps; the sparse engine calls it per core at that core's
-    /// own wake, charging exactly the cycles *this* core slept through
-    /// (the stall bucket chosen is stable across the slept window
-    /// because the core's state did not change while it slept).
+    /// The engine calls this per core at that core's own wake, charging
+    /// exactly the cycles *this* core slept through (the stall bucket
+    /// chosen is stable across the slept window because the core's
+    /// state did not change while it slept).
     pub fn apply_idle_cycles(&mut self, k: u64) {
         if k == 0 || self.drained() {
             return;

@@ -185,7 +185,7 @@ impl Hist {
     /// the tightest bucket bounds the delta permits (lower bound of
     /// the lowest non-empty delta bucket, upper bound of the highest,
     /// clamped to the cumulative max) — deterministic, which is what
-    /// the timeline's dense≡skip byte-equality needs.
+    /// the timeline's dense≡sparse byte-equality needs.
     pub fn delta_since(&self, prev: &Hist) -> Hist {
         let mut d = Hist::new();
         let mut lo = None;

@@ -4,9 +4,8 @@
 //! cycle at which that unit must be visited. The sparse engine
 //! (`EngineMode::Sparse`) asks it each cycle for the set of *due* units
 //! and ticks only those, so a 256-core machine pays O(active) per cycle
-//! instead of O(cores + banks). The skip engine reuses the same wheel
-//! as a cache for `System::quiescent_until`, replacing the linear
-//! min-scan over every component's `next_event` hook.
+//! instead of O(cores + banks); when nothing is due, the wheel's
+//! earliest wake is how far `now` may jump.
 //!
 //! # Structure
 //!
@@ -145,9 +144,9 @@ impl ActivitySched {
     }
 
     /// Schedule every unit at `now` — the conservative reset used at
-    /// construction, after a restore into a non-sparse engine, and after
-    /// an audit (whose scrub may touch any component). Spurious wakes
-    /// are harmless: a quiescent unit's visit is a no-op.
+    /// construction, after an all-units `System::tick`, and after an
+    /// audit (whose scrub may touch any component). Spurious wakes are
+    /// harmless: a quiescent unit's visit is a no-op.
     pub fn wake_all(&mut self, now: Cycle) {
         for u in 0..self.wake.len() {
             self.wake_at(u, now);

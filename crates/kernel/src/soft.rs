@@ -18,8 +18,8 @@
 //! Determinism: the engine's only randomness is a [`SimRng`] stream
 //! distinct from the mesh jitter, chaos and fault streams. The firing
 //! *schedule* is a pure function of (seed, plan) — it never consults
-//! machine state — so Dense, Skip and SkipVerify engines flip the same
-//! bits on the same cycles. Victim selection draws from the same stream
+//! machine state — so every engine mode flips the same bits on the
+//! same cycles. Victim selection draws from the same stream
 //! at fire time, when all engines agree on machine state. A plan is
 //! pure data and appears verbatim in wedge-report reproducer lines, so
 //! its `Display` must stay stable.
@@ -256,9 +256,8 @@ impl SoftEngine {
         &self.plan
     }
 
-    /// The earliest cycle at which any clause fires — the system merges
-    /// this into its `quiescent_until` so cycle skipping never jumps
-    /// over a flip.
+    /// The earliest cycle at which any clause fires — a system deadline
+    /// the sparse engine's jump never crosses, so no flip is skipped.
     pub fn next_fire(&self) -> Option<Cycle> {
         self.next_at.iter().copied().min()
     }

@@ -15,12 +15,12 @@
 //!   cycles, lockdown windows and link retransmits plot as area charts
 //!   next to the event swim lanes.
 //!
-//! # Interaction with the cycle-skipping engine
+//! # Interaction with the sparse engine
 //!
-//! Sampling must not disturb the dense≡skip byte-equality contract:
-//! the owner exposes [`Timeline::next_sample_at`] as one more
-//! `next_event` source, so `Skip` mode never jumps over a sample
-//! deadline — both engines sample on exactly the same cycles with
+//! Sampling must not disturb the dense≡sparse byte-equality contract:
+//! the owner treats [`Timeline::next_sample_at`] as a system deadline,
+//! so the sparse engine never jumps over a sample — both engines
+//! sample on exactly the same cycles with
 //! exactly the same totals (PR 5 guarantees stats equality at every
 //! cycle boundary), making the exported JSONL byte-identical. The
 //! engine-equivalence suite pins this.
@@ -131,8 +131,8 @@ impl Timeline {
         self.sample_every
     }
 
-    /// Cycle of the next scheduled sample. The owner must expose this
-    /// as a `next_event` source so a cycle-skipping engine lands on it.
+    /// Cycle of the next scheduled sample. The owner must treat this
+    /// as a deadline so an engine that jumps cycles lands on it.
     pub fn next_sample_at(&self) -> Cycle {
         self.next_at
     }

@@ -550,50 +550,19 @@ impl<T> Mesh<T> {
         &self.stats
     }
 
-    /// The earliest cycle at which ticking this mesh can change state:
-    /// `Some(now)` when something is actionable this cycle (arrivals
-    /// waiting to be drained, or a flight whose `ready_at` has passed),
-    /// the minimum future deadline otherwise (next flight hop, next ARQ
+    /// The earliest cycle at which `tick` itself can change state:
+    /// `Some(now)` when a flight's `ready_at` has passed, the minimum
+    /// future deadline otherwise (next flight hop, next ARQ
     /// retransmission timeout, next standalone-ack deadline), or `None`
     /// when the network is fully quiescent. Between `now` and the
     /// returned cycle, `tick` is a provable no-op.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut consider = |c: Cycle| {
-            let c = c.max(now);
-            next = Some(next.map_or(c, |n| n.min(c)));
-        };
-        if self.arrived.iter().any(|q| !q.is_empty()) {
-            consider(now);
-        }
-        for f in &self.in_flight {
-            consider(f.ready_at);
-        }
-        if let Some(rl) = &self.reliable {
-            for sf in rl.send_flows.values() {
-                if let Some(head) = sf.unacked.front() {
-                    consider(head.last_sent + head.rto);
-                }
-            }
-            for r in rl.recv_flows.values() {
-                if let Some(since) = r.owed_since {
-                    consider(since + rl.cfg.ack_idle);
-                }
-            }
-        }
-        next
-    }
-
-    /// [`Mesh::next_event`] without the arrivals-awaiting-drain term:
-    /// the earliest cycle at which `tick` itself can change state.
     ///
-    /// `tick` never reads the arrival buffers — draining them is the
-    /// *system's* job — so under the sparse engine, where dedicated
-    /// per-node drain units are woken by the park log, the mesh unit
-    /// sleeps on this hook. Using the full `next_event` there would pin
-    /// the mesh (and its whole-machine jump) awake for as long as a
-    /// flow-gap blocked arrival sits parked. The skip engine keeps the
-    /// full hook: its single global probe has no drain units.
+    /// Arrivals awaiting drain are deliberately not a term: `tick`
+    /// never reads the arrival buffers — draining them is the
+    /// *system's* job, done by per-node drain units the park log wakes
+    /// — and counting them would pin the mesh unit (and the
+    /// whole-machine jump) awake for as long as a flow-gap blocked
+    /// arrival sits parked.
     pub fn next_internal_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Cycle| {
@@ -618,14 +587,9 @@ impl<T> Mesh<T> {
         next
     }
 
-    /// True when any arrival buffer holds parked frames (the term
-    /// [`Mesh::next_internal_event`] omits; the sparse engine's restore
-    /// path uses it to schedule drain units).
-    pub fn has_arrivals(&self) -> bool {
-        self.arrived.iter().any(|q| !q.is_empty())
-    }
-
-    /// True when node `n`'s arrival buffer holds parked frames.
+    /// True when node `n`'s arrival buffer holds parked frames (the
+    /// term [`Mesh::next_internal_event`] omits; snapshot restore uses it
+    /// to schedule drain units).
     pub fn has_arrivals_at(&self, n: NodeId) -> bool {
         !self.arrived[n.index()].is_empty()
     }

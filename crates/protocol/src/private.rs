@@ -392,8 +392,8 @@ impl PrivateCache {
     /// `Some(now)` when something is actionable (outbox messages to
     /// inject, completions for the core, or a deferred fill retrying
     /// every cycle), `None` otherwise. MSHRs and parked evictions only
-    /// advance on incoming messages, which the mesh's own `next_event`
-    /// tracks.
+    /// advance on incoming messages, which the mesh's own
+    /// `next_internal_event` and the per-node drain units track.
     ///
     /// This is the sparse engine's sleep-eligibility hook: a cache
     /// returning `None` may be skipped entirely until a message is

@@ -153,13 +153,13 @@ cargo run -q --release --offline -p wb-examples --bin fault_lab \
 cargo run -q --release --offline -p wb-examples --bin soft_lab \
     | grep -q 'soft lab: all scenarios OK'
 
-# Engine-equivalence smoke: the cycle-skipping and sparse engines must
-# stay cycle-exact against dense ticking — one litmus cell and one
-# RTO-bound fault cell (the quiescence-heavy shape skipping exists
-# for), in release mode, including the self-checking SkipVerify and
-# SparseVerify passes (both ride inside assert_equivalent), plus the
-# sparse-economics sanity cell (the engine must demonstrably visit only
-# live components, not just match outcomes).
+# Engine-equivalence smoke: the sparse engine must stay cycle-exact
+# against dense ticking — one litmus cell and one RTO-bound fault cell
+# (the quiescence-heavy shape jumping exists for), in release mode,
+# including the self-checking SparseVerify pass (it rides inside
+# assert_equivalent), plus the sparse-economics sanity cell (the engine
+# must demonstrably visit only live components, not just match
+# outcomes).
 cargo test -q --release --offline -p wb-integration --test engine_equivalence -- \
     litmus_runs_are_cycle_exact rto_bound_bench_cells_are_cycle_exact \
     sparse_engine_visits_only_live_components \
@@ -167,7 +167,7 @@ cargo test -q --release --offline -p wb-integration --test engine_equivalence --
 
 # Scaling smoke: the 16x16 watchdog regression cells run at full size
 # in release builds (debug builds use a 10x10 stand-in), and the
-# scaling sweep's 64-core skip cell must complete and emit parseable
+# scaling sweep's 64-core sparse cell must complete and emit parseable
 # JSON with the per-bank occupancy instrumentation (the binary
 # self-validates its output before printing the path).
 cargo test -q --release --offline -p wb-integration --test scale \
@@ -185,7 +185,7 @@ grep -q 'dir_bank_occupancy' "$scalingdir/BENCH_scaling.json"
 campdir="$(mktemp -d)"
 trap 'rm -rf "$tracedir" "$scalingdir" "$campdir"' EXIT
 cat > "$campdir/spec.json" <<'EOF'
-{ "name": "smoke", "cores": 2, "engine": "skip", "budget": 20000000,
+{ "name": "smoke", "cores": 2, "engine": "sparse", "budget": 20000000,
   "workloads": ["mp", "sb"], "arms": ["wb-ooo"],
   "chaos": ["off", "delay-storm"], "faults": ["off"], "seeds": [1, 2] }
 EOF
@@ -203,8 +203,8 @@ test "$(wc -l < "$campdir/cut/manifest")" -eq 8
 cmp "$campdir/ref/merged.jsonl" "$campdir/cut/merged.jsonl"
 
 # Ledger smoke: the perf-regression gate run twice at the same revision
-# must produce three parseable JSONL entries per run (smoke + campaign +
-# engine) and a clean second verdict —
+# must produce two parseable JSONL entries per run (smoke + campaign)
+# and a clean second verdict —
 # every gated metric is deterministic, so any nonzero exit here means
 # either real nondeterminism or a broken comparison. The synthetic
 # must-fail direction (a 20% slowdown exits nonzero) is pinned by the
@@ -213,7 +213,7 @@ ledgerdir="$(mktemp -d)"
 trap 'rm -rf "$tracedir" "$scalingdir" "$campdir" "$ledgerdir"' EXIT
 WB_LEDGER_PATH="$ledgerdir/ledger.jsonl" cargo run -q --release --offline -p wb-bench --bin ledger
 WB_LEDGER_PATH="$ledgerdir/ledger.jsonl" cargo run -q --release --offline -p wb-bench --bin ledger
-test "$(wc -l < "$ledgerdir/ledger.jsonl")" -eq 6
+test "$(wc -l < "$ledgerdir/ledger.jsonl")" -eq 4
 # And the real gate: current build vs the committed baseline (copied
 # aside so verification never mutates the tracked ledger). A nonzero
 # exit means a deterministic metric regressed — either fix it, or

@@ -1,14 +1,14 @@
-//! Dense vs cycle-skipping vs sparse engine equivalence.
+//! Dense vs sparse engine equivalence.
 //!
-//! The event-driven engines (`EngineMode::Skip` and the
-//! activity-tracked `EngineMode::Sparse`) must be *cycle-exact*: for
-//! any workload, seed, chaos plan and fault plan, they produce the
-//! same `RunOutcome` at the same final cycle, byte-identical stats JSON
-//! and an identical merged event trace. These tests pin that contract
-//! across litmus races, barrier-heavy kernels, chaos/fault torture
-//! cells, watchdog wedges and budget exhaustion — including the
-//! self-checking `SkipVerify` / `SparseVerify` modes, which execute
-//! densely and assert every inertness / sleep claim cycle by cycle.
+//! The activity-tracked engine (`EngineMode::Sparse`) must be
+//! *cycle-exact* with the dense reference: for any workload, seed,
+//! chaos plan and fault plan, it produces the same `RunOutcome` at the
+//! same final cycle, byte-identical stats JSON and an identical merged
+//! event trace. These tests pin that contract across litmus races,
+//! barrier-heavy kernels, chaos/fault torture cells, watchdog wedges
+//! and budget exhaustion — including the self-checking `SparseVerify`
+//! mode, which visits every unit and asserts every sleep claim cycle
+//! by cycle.
 
 use wb_cpu::Core;
 use wb_isa::{AluOp, Cond, Program, Reg, Workload};
@@ -36,19 +36,15 @@ struct Observed {
 }
 
 /// Wedge reproducer lines carry the engine that produced them
-/// (`engine=dense` vs `engine=skip`); everything else about the two
+/// (`engine=dense` vs `engine=sparse`); everything else about the two
 /// runs must agree, so equivalence compares modulo that one token.
 fn neutralize_engine(mut o: Observed) -> Observed {
     if let RunOutcome::Wedge(r) | RunOutcome::Fault(r) = &mut o.outcome {
         // Longer tokens first, so "engine=sparse" can't eat the prefix
         // of "engine=sparse-verify".
-        r.reproducer = r
-            .reproducer
-            .replace("engine=sparse-verify", "engine=*")
-            .replace("engine=skip-verify", "engine=*")
-            .replace("engine=sparse", "engine=*")
-            .replace("engine=dense", "engine=*")
-            .replace("engine=skip", "engine=*");
+        for engine in [EngineMode::SparseVerify, EngineMode::Sparse, EngineMode::Dense] {
+            r.reproducer = r.reproducer.replace(&format!("engine={}", engine.name()), "engine=*");
+        }
     }
     o
 }
@@ -74,17 +70,13 @@ fn run_with(engine: EngineMode, cfg: &SystemConfig, w: &Workload, budget: u64, t
     }
 }
 
-/// Assert Skip and Sparse (and optionally the self-checking verify
-/// engines) match Dense byte for byte.
+/// Assert Sparse (and optionally the self-checking verify engine)
+/// matches Dense byte for byte.
 fn assert_equivalent(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64, verify: bool) {
     let dense = run_with(EngineMode::Dense, cfg, w, budget, false);
-    let skip = run_with(EngineMode::Skip, cfg, w, budget, false);
-    assert_eq!(dense, skip, "{label}: Skip diverged from Dense");
     let sparse = run_with(EngineMode::Sparse, cfg, w, budget, false);
     assert_eq!(dense, sparse, "{label}: Sparse diverged from Dense");
     if verify {
-        let verified = run_with(EngineMode::SkipVerify, cfg, w, budget, false);
-        assert_eq!(dense, verified, "{label}: SkipVerify diverged from Dense");
         let sverified = run_with(EngineMode::SparseVerify, cfg, w, budget, false);
         assert_eq!(dense, sverified, "{label}: SparseVerify diverged from Dense");
     }
@@ -160,7 +152,7 @@ fn litmus_runs_are_cycle_exact() {
 }
 
 /// Barrier-heavy splash kernel on a 16-core Figure 8 configuration —
-/// the quiescence-dominated shape the skip engine exists for.
+/// a quiescence-dominated shape.
 #[test]
 fn barrier_kernel_is_cycle_exact() {
     let w = splash::fft(4, Scale::Test);
@@ -173,7 +165,7 @@ fn barrier_kernel_is_cycle_exact() {
 }
 
 /// A 64-core (8x8 mesh) machine: the first size where the old `u64`
-/// sharer masks overflowed. All three engines must agree byte for byte
+/// sharer masks overflowed. All engines must agree byte for byte
 /// — and again with two directory banks per node, so bank sharding
 /// cannot silently perturb timing either.
 #[test]
@@ -284,7 +276,8 @@ fn litmus_smoke_at_8x8() {
 }
 
 /// The merged event trace — every component's ring buffer, not just the
-/// end state — is identical under skipping.
+/// end state — is identical when the sparse engine skips sleeping units
+/// and jumps quiescent windows.
 #[test]
 fn traces_are_identical_under_skip() {
     let t = wb_tso::litmus::sb();
@@ -294,13 +287,13 @@ fn traces_are_identical_under_skip() {
         .with_seed(5)
         .with_jitter(30);
     let dense = run_with(EngineMode::Dense, &cfg, &t.workload, 500_000, true);
-    let skip = run_with(EngineMode::Skip, &cfg, &t.workload, 500_000, true);
+    let sparse = run_with(EngineMode::Sparse, &cfg, &t.workload, 500_000, true);
     assert!(!dense.trace.is_empty(), "trace cell must actually record events");
-    assert_eq!(dense, skip, "traced sb run diverged");
+    assert_eq!(dense, sparse, "traced sb run diverged");
 }
 
 /// Chaos timing injection (delay storms, reorder amplification) stays
-/// cycle-exact: chaos draws happen at injection, which skipping never
+/// cycle-exact: chaos draws happen at injection, which no engine ever
 /// suppresses.
 #[test]
 fn chaos_cells_are_cycle_exact() {
@@ -318,7 +311,7 @@ fn chaos_cells_are_cycle_exact() {
 }
 
 /// Link-fault cells: drops force RTO-timed retransmissions, the exact
-/// future deadlines the mesh's `next_event` must honour.
+/// future deadlines the mesh's `next_internal_event` must honour.
 #[test]
 fn fault_cells_are_cycle_exact() {
     let w = torture_workload(4, 7, 15);
@@ -337,7 +330,7 @@ fn fault_cells_are_cycle_exact() {
 /// The quiescence-heavy cell the `sim_throughput` bench measures its
 /// headline speedup on: lossy links with a long fixed RTO, so most of
 /// simulated time is the machine parked on retransmission deadlines.
-/// Pinned here (with SkipVerify on the BaseMesi variant) so the bench's
+/// Pinned here (with SparseVerify on the BaseMesi variant) so the bench's
 /// wall-clock win provably comes with byte-identical results.
 #[test]
 fn rto_bound_bench_cells_are_cycle_exact() {
@@ -382,7 +375,7 @@ fn assert_same_wedge(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64)
         other => panic!("{label}: cell must wedge densely, got {other}"),
     }
     let dense = neutralize_engine(dense);
-    for engine in [EngineMode::Skip, EngineMode::Sparse, EngineMode::SparseVerify] {
+    for engine in [EngineMode::Sparse, EngineMode::SparseVerify] {
         let other = neutralize_engine(run_with(engine, cfg, w, budget, false));
         assert_eq!(dense, other, "{label}: wedge diverged under {engine:?}");
     }
@@ -584,7 +577,7 @@ fn a_restored_fault_is_reported_on_the_first_cycle() {
     assert_eq!(dense.final_cycle, now + 1, "the fault is reported after the first executed cycle");
     let report = dense.outcome.wedge_report().expect("fault report");
     assert_eq!(report.class, WedgeClass::ProtocolFault);
-    for engine in [EngineMode::Skip, EngineMode::Sparse, EngineMode::SparseVerify] {
+    for engine in [EngineMode::Sparse, EngineMode::SparseVerify] {
         assert_eq!(dense, run(engine), "restored fault diverged under {engine:?}");
     }
 }
@@ -598,32 +591,26 @@ fn budget_exhaustion_is_cycle_exact() {
         SystemConfig::new(CoreClass::Slm).with_commit(CommitMode::OutOfOrderWb).without_event_log();
     let dense = run_with(EngineMode::Dense, &cfg, &w, 3_000, false);
     assert_eq!(dense.outcome, RunOutcome::Budget, "budget must run out in 3k cycles");
-    let skip = run_with(EngineMode::Skip, &cfg, &w, 3_000, false);
-    assert_eq!(dense, skip, "budget cell diverged under Skip");
     let sparse = run_with(EngineMode::Sparse, &cfg, &w, 3_000, false);
     assert_eq!(dense, sparse, "budget cell diverged under Sparse");
 }
 
-/// The skip engine must actually skip: on the barrier kernel the
-/// wall-clock dense/skip ratio is measured by the `sim_throughput`
-/// bench; here we only pin that skipping changes nothing while dense
-/// ticking visits every cycle (sanity against a silently-disabled
-/// engine).
+/// On the barrier kernel the wall-clock dense/sparse ratio is measured
+/// by the `sim_throughput` bench; here we only pin that skipping cycles
+/// changes nothing while dense ticking visits every one of them.
 #[test]
 fn skip_engine_reaches_the_same_done_cycle() {
     let w = splash::fft(2, Scale::Test);
     let cfg =
         SystemConfig::new(CoreClass::Slm).with_commit(CommitMode::InOrder).without_event_log();
     let dense = run_with(EngineMode::Dense, &cfg, &w, 10_000_000, false);
-    let skip = run_with(EngineMode::Skip, &cfg, &w, 10_000_000, false);
     assert_eq!(dense.outcome, RunOutcome::Done);
-    assert_eq!(dense, skip);
     let sparse = run_with(EngineMode::Sparse, &cfg, &w, 10_000_000, false);
     assert_eq!(dense, sparse);
 }
 
 /// Timeline sampling is part of the equivalence contract: the periodic
-/// sampler registers its next deadline as an event source, so the skip
+/// sampler's next deadline is one the sparse jump never crosses, so the
 /// engine lands every sample on exactly the dense cycle and the
 /// exported window deltas — and the Perfetto counter tracks derived
 /// from them — are byte-identical. Pinned on a traced chaos cell, the
@@ -646,28 +633,20 @@ fn timeline_sampling_is_cycle_exact() {
         (outcome, sys.now(), sys.timeline_jsonl(), sys.chrome_trace())
     };
     let (d_out, d_cycle, d_jsonl, d_trace) = run(EngineMode::Dense);
-    let (s_out, s_cycle, s_jsonl, s_trace) = run(EngineMode::Skip);
-    assert_eq!(d_out, s_out, "timeline chaos cell outcome diverged");
-    assert_eq!(d_cycle, s_cycle, "timeline chaos cell final cycle diverged");
     assert!(
         d_jsonl.lines().count() >= 4,
         "cell must actually emit timeline windows, got:\n{d_jsonl}"
     );
-    assert_eq!(d_jsonl, s_jsonl, "timeline JSONL diverged between Dense and Skip");
     assert!(d_trace.contains("\"ph\":\"C\""), "chrome trace must carry counter tracks");
-    assert_eq!(d_trace, s_trace, "chrome trace (with counter tracks) diverged");
     // The sparse engine must land every sample on the dense cycle with
-    // fully charged idle counters, even for cores asleep at the sample.
-    let (p_out, p_cycle, p_jsonl, p_trace) = run(EngineMode::Sparse);
-    assert_eq!((&d_out, d_cycle), (&p_out, p_cycle), "Sparse timeline cell diverged");
-    assert_eq!(d_jsonl, p_jsonl, "Sparse timeline JSONL diverged");
-    assert_eq!(d_trace, p_trace, "Sparse chrome trace diverged");
-    // The verify engines execute densely while checking every sleep /
-    // inertness claim; the sampler's deadline must survive both.
-    for engine in [EngineMode::SkipVerify, EngineMode::SparseVerify] {
-        let (v_out, v_cycle, v_jsonl, v_trace) = run(engine);
-        assert_eq!((&d_out, d_cycle), (&v_out, v_cycle), "{engine:?} timeline cell diverged");
-        assert_eq!(d_jsonl, v_jsonl, "{engine:?} timeline JSONL diverged");
-        assert_eq!(d_trace, v_trace, "{engine:?} chrome trace diverged");
+    // fully charged idle counters, even for cores asleep at the sample;
+    // the verify engine visits everything while checking every sleep
+    // claim, and the sampler's deadline must survive that too.
+    for engine in [EngineMode::Sparse, EngineMode::SparseVerify] {
+        let (out, cycle, jsonl, trace) = run(engine);
+        assert_eq!(d_out, out, "{engine:?} timeline chaos cell outcome diverged");
+        assert_eq!(d_cycle, cycle, "{engine:?} timeline chaos cell final cycle diverged");
+        assert_eq!(d_jsonl, jsonl, "{engine:?} timeline JSONL diverged from Dense");
+        assert_eq!(d_trace, trace, "{engine:?} chrome trace (with counter tracks) diverged");
     }
 }

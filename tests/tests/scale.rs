@@ -35,7 +35,7 @@ fn storm_config(cores: usize, window: u64, scale_with_topology: bool) -> SystemC
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(cores)
         .with_commit(CommitMode::OutOfOrderWb)
-        .with_engine(EngineMode::Skip)
+        .with_engine(EngineMode::Sparse)
         .without_event_log();
     cfg.watchdog.stall_window = window;
     cfg.watchdog.scale_with_topology = scale_with_topology;
@@ -66,7 +66,7 @@ fn scaled_watchdog_lets_legal_barrier_finish() {
     let out = sys.run(100_000_000);
     assert_eq!(out, RunOutcome::Done, "legal {cores}-core barrier must not wedge");
 
-    // The skip engine drove a machine this size to completion, and the
+    // The engine drove a machine this size to completion, and the
     // sharded-directory instrumentation saw the storm: the barrier
     // line's home bank records queue depth, so the occupancy histogram
     // must exist and the per-bank view must show exactly that hot bank.

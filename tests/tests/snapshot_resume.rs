@@ -4,8 +4,8 @@
 //! at an arbitrary mid-run cycle, `restore` it into a freshly built
 //! system, and the continuation is *byte-identical* to continuing the
 //! original — same outcome at the same cycle, same stats JSON, same
-//! timeline windows — in every engine mode (Dense, Skip, SkipVerify,
-//! Sparse, SparseVerify), on litmus, chaos, fault (ARQ-active) and
+//! timeline windows — in every engine mode (Dense, Sparse,
+//! SparseVerify), on litmus, chaos, fault (ARQ-active) and
 //! wedge cells. The sparse engines additionally restore the activity
 //! scheduler itself: a snapshot cut while most components sleep must
 //! resume without spuriously waking (or losing) any of them.
@@ -130,7 +130,7 @@ fn check_resume_exact(cfg: &SystemConfig, w: &Workload, cut: u64) {
 wb_proptest! {
     #![cases = 12]
 
-    /// Snapshot at a random mid-run cycle, across all five engines and
+    /// Snapshot at a random mid-run cycle, across all three engines and
     /// the full cell matrix (litmus / contention / chaos / ARQ-fault).
     #[test]
     fn mid_run_snapshots_resume_byte_identically(
@@ -139,21 +139,14 @@ wb_proptest! {
         kind in 0usize..5,
     ) {
         let (cfg, w) = cell(kind, seed);
-        let engines = [
-            EngineMode::Dense,
-            EngineMode::Skip,
-            EngineMode::SkipVerify,
-            EngineMode::Sparse,
-            EngineMode::SparseVerify,
-        ];
-        for engine in engines {
+        for engine in [EngineMode::Dense, EngineMode::Sparse, EngineMode::SparseVerify] {
             check_resume_exact(&cfg.clone().with_engine(engine), &w, cut);
         }
     }
 }
 
 /// A snapshot taken under one engine restores into another: the restored
-/// Skip run must land on the same outcome/stats as the Dense original.
+/// Sparse run must land on the same outcome/stats as the Dense original.
 #[test]
 fn snapshots_restore_across_engines() {
     let (cfg, w) = cell(1, 42);
@@ -162,9 +155,7 @@ fn snapshots_restore_across_engines() {
     let _ = a.run(5_000);
     let bytes = a.snapshot();
     let rest_dense = observe(&mut a, BUDGET);
-    let engines =
-        [EngineMode::Skip, EngineMode::SkipVerify, EngineMode::Sparse, EngineMode::SparseVerify];
-    for engine in engines {
+    for engine in [EngineMode::Sparse, EngineMode::SparseVerify] {
         let mut b = System::new(cfg.clone().with_engine(engine), &w);
         b.restore(&bytes).expect("engine mode is not part of the fingerprint");
         let rest = observe(&mut b, BUDGET);
@@ -180,8 +171,8 @@ fn snapshots_restore_across_engines() {
 /// the middle of the run catches the sparse engine with a mostly-idle
 /// calendar wheel. The snapshot's canonical wake table must restore
 /// that state exactly — resuming in Sparse (same engine), and a
-/// Sparse-taken snapshot must restore into Skip and Dense (which drop
-/// the table) with the identical continuation.
+/// Sparse-taken snapshot must restore into Dense (which drops the
+/// table) and SparseVerify with the identical continuation.
 #[test]
 fn mid_sleep_scheduler_state_survives_restore() {
     let (cfg, w) = cell(3, 77); // ARQ-active fault cell: long sleeps
@@ -196,8 +187,8 @@ fn mid_sleep_scheduler_state_survives_restore() {
     b.restore(&bytes).expect("restores");
     let rest_b = observe(&mut b, BUDGET);
     assert_eq!(rest_a, rest_b, "sparse mid-sleep resume diverged");
-    // Cross-engine resume: engines that don't use the wheel ignore it.
-    for engine in [EngineMode::Dense, EngineMode::Skip, EngineMode::SparseVerify] {
+    // Cross-engine resume: Dense does not use the wheel and ignores it.
+    for engine in [EngineMode::Dense, EngineMode::SparseVerify] {
         let mut c = System::new(cfg.clone().with_engine(engine), &w);
         c.restore(&bytes).expect("restores");
         let rest = observe(&mut c, BUDGET);
@@ -308,8 +299,18 @@ fn mismatched_configurations_are_rejected() {
     let mut c = System::new(cfg.clone(), &w2);
     assert!(c.restore(&bytes).is_err(), "workload mismatch must be rejected");
     // Truncated payload.
-    let mut d = System::new(cfg, &w);
+    let mut d = System::new(cfg.clone(), &w);
     assert!(d.restore(&bytes[..bytes.len() / 2]).is_err(), "truncation must be rejected");
+    // A snapshot of the previous payload layout (the u16 right after
+    // the frame header): a typed error, never a misparse.
+    let mut old = bytes.clone();
+    let at = wb_kernel::snap::MAGIC.len() + 4;
+    let layout = u16::from_le_bytes([old[at], old[at + 1]]);
+    old[at..at + 2].copy_from_slice(&(layout - 1).to_le_bytes());
+    let mut f = System::new(cfg, &w);
+    let e = f.restore(&old).expect_err("old layout must be rejected");
+    let want = format!("snapshot layout {} unsupported (this build reads {layout})", layout - 1);
+    assert!(e.to_string().contains(&want), "got: {e}");
 }
 
 /// Warm-start forking: restore one warmed snapshot twice, re-seed each

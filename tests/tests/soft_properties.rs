@@ -7,8 +7,8 @@
 //!    the final audit finds nothing left to scrub and no violations;
 //! 3. `SoftPlan::none()` is byte-identical to `soft: None` — outcome,
 //!    final cycle and stats JSON — in every engine mode;
-//! 4. soft cells are cycle-exact: Dense, Skip and Sparse (and the
-//!    verify engines on a subset) agree byte for byte with flips,
+//! 4. soft cells are cycle-exact: Dense and Sparse (and the verify
+//!    engine on a subset) agree byte for byte with flips,
 //!    poison/recovery and periodic audits in play.
 
 use wb_isa::{Program, Reg, Workload};
@@ -130,15 +130,9 @@ wb_proptest! {
     #[test]
     fn empty_plan_is_byte_identical_in_every_engine(
         seed in 0u64..1_000_000,
-        engine in 0usize..5,
+        engine in 0usize..3,
     ) {
-        let engine = [
-            EngineMode::Dense,
-            EngineMode::Skip,
-            EngineMode::SkipVerify,
-            EngineMode::Sparse,
-            EngineMode::SparseVerify,
-        ][engine];
+        let engine = [EngineMode::Dense, EngineMode::Sparse, EngineMode::SparseVerify][engine];
         let w = torture_workload(4, seed, 20);
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(4)
@@ -179,20 +173,13 @@ wb_proptest! {
             (out, sys.now(), sys.report().stats.to_json())
         };
         let dense = run(EngineMode::Dense);
-        let skip = run(EngineMode::Skip);
-        prop_assert_eq!(&dense, &skip, "Skip diverged (plan {plan} seed {seed:#x})");
         // Soft strikes hit *sleeping* components — the adversarial
         // shape for the sparse engine's wake-on-strike marks.
         let sparse = run(EngineMode::Sparse);
         prop_assert_eq!(&dense, &sparse, "Sparse diverged (plan {plan} seed {seed:#x})");
-        // The verify engines execute densely, asserting every claim —
+        // The verify engine visits everything, asserting every claim —
         // expensive, so cross-check a subset of cases.
         if seed % 4 == 0 {
-            let verified = run(EngineMode::SkipVerify);
-            prop_assert_eq!(
-                &dense, &verified,
-                "SkipVerify diverged (plan {plan} seed {seed:#x})"
-            );
             let sverified = run(EngineMode::SparseVerify);
             prop_assert_eq!(
                 &dense, &sverified,
