@@ -24,51 +24,12 @@
 //! every cycle — nothing sleeps, so it measures scheduler overhead).
 
 use wb_bench::{sweep, BenchGroup, RUN_BUDGET};
-use wb_isa::{AluOp, Program, Reg, Workload};
+use wb_isa::Workload;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
 use wb_kernel::fault::FaultPlan;
-use wb_kernel::{SimRng, Stats};
-use wb_workloads::{barrier_storm, splash, Scale};
+use wb_kernel::Stats;
+use wb_workloads::{barrier_storm, splash, torture, Scale};
 use writersblock::System;
-
-/// The torture random-program recipe (globally unique store values).
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let (addr_reg, val_reg, dst) = (Reg(1), Reg(2), Reg(3));
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(addr_reg, a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(dst, addr_reg, 0);
-            }
-            5..=8 => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.store(val_reg, addr_reg, 0);
-            }
-            _ => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(dst, addr_reg, 0, val_reg);
-            }
-        }
-        if rng.chance(1, 4) {
-            p.alui(AluOp::Add, Reg(4), Reg(4), 1);
-        }
-    }
-    p.halt();
-    p.build()
-}
-
-fn torture_workload(cores: usize, seed: u64, ops: usize) -> Workload {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let mut rng = SimRng::new(seed);
-    let programs = (0..cores).map(|c| random_program(c, &mut rng, ops, &lines)).collect();
-    Workload::new(format!("torture-{seed}"), programs)
-}
 
 /// Run `w` on `cfg` under `engine`; returns merged counters plus two
 /// synthetic ones for throughput math: `sim_cycles` (final cycle) and
@@ -103,7 +64,7 @@ fn rto_bound_cfg(protocol: ProtocolKind, mode: CommitMode, drop_1_in: u64) -> Sy
 
 fn bench_engines(g: &mut BenchGroup) {
     g.sample_size(10);
-    let torture = torture_workload(4, 7, 30);
+    let torture = torture::workload(4, 7, 30);
     let fft16 = splash::fft(16, Scale::Test);
     let cells: Vec<(&str, SystemConfig, &Workload)> = vec![
         // Headline: nothing polls while parked, so nearly every parked
@@ -165,7 +126,7 @@ fn bench_sweep_scaling(g: &mut BenchGroup) {
         .flat_map(|p| (0..4u64).map(move |s| (p.clone(), s)))
         .collect();
     let run_cell = |(plan, seed): (FaultPlan, u64)| -> u64 {
-        let w = torture_workload(4, 7 + seed, 20);
+        let w = torture::workload(4, 7 + seed, 20);
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(4)
             .with_commit(CommitMode::OutOfOrderWb)

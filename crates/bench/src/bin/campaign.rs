@@ -9,8 +9,9 @@
 //! and appends each completed cell id to `<out>/manifest`; re-running
 //! the same spec into the same directory executes only the missing
 //! cells and rewrites `<out>/merged.jsonl` (spec order, byte-identical
-//! to an uninterrupted run). Fuzz mode mines chaos/fault/litmus cells
-//! and dedupes failures by wedge signature into `<out>/wedges.jsonl`.
+//! to an uninterrupted run). Fuzz mode mines chaos/fault/soft/litmus
+//! cells and dedupes failures by verdict signature into
+//! `<out>/wedges.jsonl`.
 //!
 //! | variable                 | effect                                  |
 //! |--------------------------|-----------------------------------------|
@@ -108,13 +109,14 @@ fn main() {
     });
     match campaign::run_campaign(&spec, &out, threads, kill_after) {
         Ok(rep) => println!(
-            "campaign `{}`: {} cells ({} ran, {} resumed), {} wedges, {} faults -> {}",
+            "campaign `{}`: {} cells ({} ran, {} resumed), {} wedges, {} faults, {} corrupt -> {}",
             spec.name,
             rep.total,
             rep.ran,
             rep.resumed,
             rep.wedges,
             rep.faults,
+            rep.corrupt,
             out.join("merged.jsonl").display()
         ),
         Err(e) => {

@@ -36,7 +36,7 @@ fn main() {
         .into_iter()
         .flat_map(|w| modes.into_iter().map(move |m| (w.clone(), m)))
         .collect();
-    let results = wb_bench::par_map(jobs, |(w, mode)| run_one(&w, eval_config(class, mode, false)));
+    let results = wb_bench::sweep::run(jobs, |(w, mode)| run_one(&w, eval_config(class, mode, false)));
     for chunk in results.chunks(modes.len()) {
         let w_name = chunk[0].bench.clone();
         let mut cycles = Vec::new();

@@ -26,7 +26,7 @@ use wb_bench::sweep;
 use wb_isa::Workload;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
 use wb_kernel::Stats;
-use wb_workloads::{barrier_storm, parsec, splash, Scale};
+use wb_workloads::{barrier_storm, Scale};
 use writersblock::{RunOutcome, System};
 
 const RUN_BUDGET: u64 = 200_000_000;
@@ -50,14 +50,14 @@ struct CellResult {
     stats: Stats,
 }
 
+/// `barrier` is the one-round barrier storm; any other name is a
+/// suite kernel.
 fn workload_for(cell: Cell) -> Workload {
-    match cell.workload {
-        "fft" => splash::fft(cell.cores, Scale::Test),
-        "barrier" => barrier_storm(cell.cores, 1),
-        "radix" => splash::radix(cell.cores, Scale::Test),
-        "stream" => parsec::streamcluster(cell.cores, Scale::Test),
-        other => panic!("unknown scaling workload {other}"), // allow(panic): bench driver
+    if cell.workload == "barrier" {
+        return barrier_storm(cell.cores, 1);
     }
+    wb_workloads::by_name(cell.workload, cell.cores, Scale::Test)
+        .unwrap_or_else(|| panic!("unknown scaling workload {}", cell.workload)) // allow(panic): bench driver
 }
 
 /// Run one cell and collect its annotated stats.
@@ -177,7 +177,7 @@ fn main() {
             // wall-clock for no extra information — the equivalence
             // suite already pins dense==sparse — so the largest
             // size runs without the dense column.
-            for workload in ["radix", "stream"] {
+            for workload in ["radix", "streamcluster"] {
                 for cores in [16usize, 64, 256] {
                     for engine in [EngineMode::Dense, EngineMode::Sparse] {
                         if cores == 256 && engine == EngineMode::Dense {

@@ -23,13 +23,16 @@
 //!   thousands of seeds for the price of one warm-up.
 //! * **Fuzzing** ([`run_fuzz`]): mines torture/litmus cells under the
 //!   chaos, fault and soft-error matrices with a tightened watchdog,
-//!   and dedupes any wedge or fault by [`WedgeReport::signature`] into
+//!   and dedupes every failing [`Verdict`] by its signature into
 //!   `<out>/wedges.jsonl` — each line a distinct failure mode with its
-//!   one-command reproducer. Soft cells that *complete* still pass
-//!   through a corruption oracle (final coherence audit +
-//!   silent-flip accounting), so an undetected bit flip is mined as a
-//!   `silent-corruption|…` signature instead of slipping through as a
-//!   clean run.
+//!   one-command reproducer.
+//!
+//! Farm and fuzz cells alike are judged by [`System::verify`], so a
+//! cell that *completes* still passes through the final coherence audit
+//! and the silent-flip account: an undetected bit flip is recorded as
+//! `corrupt` with a `silent-corruption|…` signature instead of slipping
+//! through as a clean run. (Cells run without the event log, so the
+//! farm's verdict has no TSO half.)
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, OpenOptions};
@@ -38,14 +41,14 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use crate::sweep;
-use wb_isa::{Program, Reg, Workload};
+use wb_isa::Workload;
 use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
+use wb_kernel::config::{self, CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
 use wb_kernel::fault::FaultPlan;
 use wb_kernel::json::{self, Json};
 use wb_kernel::soft::SoftPlan;
-use wb_kernel::SimRng;
-use writersblock::{RunOutcome, System};
+use wb_workloads::torture;
+use writersblock::{Failure, System, Verdict};
 
 /// Fixed seed every warm-start snapshot is taken under; forks restore
 /// it and immediately reseed to their own cell seed.
@@ -225,22 +228,13 @@ pub fn workload_by_name(name: &str, cores: usize) -> Result<Workload, String> {
         "barrier-storm" => return Ok(wb_workloads::barrier_storm(cores, 4)),
         _ => {}
     }
-    wb_workloads::suite(cores, wb_workloads::Scale::Test)
-        .into_iter()
-        .find(|w| w.name == name)
+    wb_workloads::by_name(name, cores, wb_workloads::Scale::Test)
         .ok_or_else(|| format!("unknown workload `{name}`"))
 }
 
-/// Resolve a protocol arm name to (protocol, commit mode).
+/// Resolve a protocol arm name ([`config::ARMS`]) to (protocol, commit mode).
 pub fn arm_by_name(name: &str) -> Result<(ProtocolKind, CommitMode), String> {
-    Ok(match name {
-        "mesi-inorder" => (ProtocolKind::BaseMesi, CommitMode::InOrder),
-        "mesi-ooo" => (ProtocolKind::BaseMesi, CommitMode::OutOfOrder),
-        "wb-inorder" => (ProtocolKind::WritersBlock, CommitMode::InOrder),
-        "wb-ooo" => (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb),
-        "wb-ecl" => (ProtocolKind::WritersBlock, CommitMode::InOrderEcl),
-        other => return Err(format!("unknown arm `{other}`")),
-    })
+    config::arm(name).ok_or_else(|| format!("unknown arm `{name}`"))
 }
 
 /// Resolve a chaos plan name (`"off"` = none).
@@ -405,13 +399,16 @@ pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) ->
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     pub id: String,
-    /// `done` | `budget` | `wedge` | `fault`
+    /// `done` | `budget` | `wedge` | `fault` | `corrupt` — the last for a
+    /// run that completed but failed an oracle of [`System::verify`]: a
+    /// dirty final audit or injected flips that were never detected.
     pub outcome: String,
+    /// As of the end of the run, before the final audit's drain ticks.
     pub cycles: u64,
     pub retired: u64,
-    /// Wedge-signature (dedup key), empty unless wedged/faulted.
+    /// [`Verdict::signature`] (dedup key), empty for `done` and `budget`.
     pub signature: String,
-    /// One-command reproducer, empty unless wedged/faulted.
+    /// One-command reproducer, empty for `done` and `budget`.
     pub reproducer: String,
 }
 
@@ -430,6 +427,28 @@ fn json_escape(s: &str) -> String {
 }
 
 impl CellResult {
+    /// Summarize the verdict on cell `id`.
+    fn from_verdict(id: &str, v: &Verdict) -> CellResult {
+        let outcome = match v.failure() {
+            None => "done",
+            Some(Failure::Budget) => "budget",
+            Some(Failure::Wedge(_)) => "wedge",
+            Some(Failure::Fault(_)) => "fault",
+            Some(Failure::Audit(_) | Failure::SilentFlips(_) | Failure::Tso(_)) => "corrupt",
+        };
+        // A spent budget is a property of the spec, not a failure mode
+        // to dedup or replay.
+        let failed = !matches!(outcome, "done" | "budget");
+        CellResult {
+            id: id.to_owned(),
+            outcome: outcome.to_owned(),
+            cycles: v.cycles,
+            retired: v.retired,
+            signature: v.signature().filter(|_| failed).unwrap_or_default(),
+            reproducer: if failed { v.reproducer.clone() } else { String::new() },
+        }
+    }
+
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"cell\":\"{}\",\"outcome\":\"{}\",\"cycles\":{},\"retired\":{},\"sig\":\"{}\",\"repro\":\"{}\"}}",
@@ -477,21 +496,7 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell, warm: Option<&[u8]>) -> CellResult
         }
         None => System::new(cell_config(spec, cell, cores, cell.seed), &w),
     };
-    let outcome = sys.run(cell.budget);
-    let (outcome, signature, reproducer) = match outcome {
-        RunOutcome::Done => ("done", String::new(), String::new()),
-        RunOutcome::Budget => ("budget", String::new(), String::new()),
-        RunOutcome::Wedge(r) => ("wedge", r.signature(), r.reproducer.clone()),
-        RunOutcome::Fault(r) => ("fault", r.signature(), r.reproducer.clone()),
-    };
-    CellResult {
-        id: cell.id.clone(),
-        outcome: outcome.to_owned(),
-        cycles: sys.now(),
-        retired: sys.total_retired(),
-        signature,
-        reproducer,
-    }
+    CellResult::from_verdict(&cell.id, &sys.verify(cell.budget))
 }
 
 /// Compute the warm snapshot for one cell group: run the group's
@@ -519,6 +524,8 @@ pub struct CampaignReport {
     pub resumed: usize,
     pub wedges: usize,
     pub faults: usize,
+    /// Cells that completed but failed an oracle (outcome `corrupt`).
+    pub corrupt: usize,
 }
 
 fn read_lines(path: &Path) -> Vec<String> {
@@ -643,6 +650,7 @@ pub fn run_campaign(
         resumed,
         wedges: count("wedge"),
         faults: count("fault"),
+        corrupt: count("corrupt"),
     })
 }
 
@@ -655,47 +663,10 @@ pub fn run_campaign(
 pub struct FuzzReport {
     /// Cells executed across all rounds.
     pub cells: usize,
-    /// Cells that wedged or faulted.
+    /// Cells whose verdict was a failure (a spent budget aside).
     pub hits: usize,
     /// Signatures not previously present in `wedges.jsonl`.
     pub fresh: Vec<String>,
-}
-
-/// Random contended straight-line program — the fuzz corpus generator
-/// (same recipe as the engine-equivalence torture cells: store values
-/// globally unique so the TSO checker stays sound).
-fn fuzz_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(Reg(1), a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(Reg(3), Reg(1), 0);
-            }
-            5..=8 => {
-                p.imm(Reg(2), ((core as u64) << 32) | k);
-                k += 1;
-                p.store(Reg(2), Reg(1), 0);
-            }
-            _ => {
-                p.imm(Reg(2), ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(Reg(3), Reg(1), 0, Reg(2));
-            }
-        }
-    }
-    p.halt();
-    p.build()
-}
-
-fn fuzz_workload(cores: usize, seed: u64, ops: usize) -> Workload {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let mut rng = SimRng::new(seed);
-    let programs = (0..cores).map(|c| fuzz_program(c, &mut rng, ops, &lines)).collect();
-    Workload::new(format!("fuzz-{seed}"), programs)
 }
 
 /// Aggressive watchdog/retransmit settings so marginal cells classify
@@ -716,21 +687,16 @@ fn fuzz_config(seed: u64) -> SystemConfig {
 }
 
 /// Mine chaos/fault/soft/litmus cells for failures and dedupe them by
-/// wedge signature into `<out>/wedges.jsonl`. Each round draws a fresh
+/// signature into `<out>/wedges.jsonl`. Each round draws a fresh
 /// seed (`seed0 + round`) and sweeps the full chaos, fault and
 /// accelerated soft-error matrices over a torture workload plus the
-/// `mp`/`sb` litmus races; any wedge or fault whose
-/// [`WedgeReport::signature`] has not been seen before is appended
-/// with its reproducer.
-///
-/// Soft cells get a second oracle: a *completed* run is still a
-/// failure if the final coherence audit finds violations or any
-/// injected flip was never detected (`soft_silent > 0`). Those mine a
-/// normalized `silent-corruption|<plan>|<violation kinds>` signature,
-/// keyed by plan and violation class — not by seed — so each
-/// corruption mode dedupes to one line.
-///
-/// [`WedgeReport::signature`]: wb_kernel::wedge::WedgeReport::signature
+/// `mp`/`sb` litmus races; any failing cell whose
+/// [`Verdict::signature`] has not been seen before is appended with
+/// its reproducer. A *completed* run is still a failure if the final
+/// coherence audit finds violations or any injected flip was never
+/// detected; those mine a `silent-corruption|<plan>|<violation kinds>`
+/// signature, keyed by plan and violation class — not by seed — so
+/// each corruption mode dedupes to one line.
 pub fn run_fuzz(
     out: &Path,
     threads: usize,
@@ -756,11 +722,12 @@ pub fn run_fuzz(
         let mut jobs: Vec<(String, SystemConfig, Workload)> = Vec::new();
         for (i, fp) in FaultPlan::matrix().into_iter().enumerate() {
             let label = format!("fault:{fp}");
-            jobs.push((label, fuzz_config(seed).with_fault(fp), fuzz_workload(2, seed ^ (i as u64), 15)));
+            let w = torture::workload(2, seed ^ (i as u64), 15);
+            jobs.push((label, fuzz_config(seed).with_fault(fp), w));
         }
         for (i, cp) in ChaosPlan::matrix().into_iter().enumerate() {
             let label = format!("chaos:{cp}");
-            let w = fuzz_workload(2, seed ^ (0x1000 + i as u64), 15);
+            let w = torture::workload(2, seed ^ (0x1000 + i as u64), 15);
             jobs.push((label, fuzz_config(seed).with_chaos(cp), w));
         }
         for name in ["mp", "sb"] {
@@ -773,43 +740,13 @@ pub fn run_fuzz(
             // cell takes a real barrage inside FUZZ_BUDGET.
             let sp = sp.accelerated(20);
             let label = format!("soft:{sp}");
-            let w = fuzz_workload(2, seed ^ (0x2000 + i as u64), 15);
+            let w = torture::workload(2, seed ^ (0x2000 + i as u64), 15);
             jobs.push((label, fuzz_config(seed).with_soft(sp), w));
         }
         report.cells += jobs.len();
         let hits = sweep::run_on(threads, jobs, |(label, cfg, w)| {
-            let soft_plan = cfg.soft.clone();
-            let cfg_seed = cfg.seed;
-            let mut sys = System::new(cfg, &w);
-            match sys.run(FUZZ_BUDGET) {
-                RunOutcome::Wedge(r) | RunOutcome::Fault(r) => {
-                    Some((label, r.signature(), r.reproducer.clone()))
-                }
-                _ => {
-                    // Corruption oracle: a run that *finishes* under
-                    // soft errors must also audit clean and account
-                    // for every flip, or it mined a real failure.
-                    let plan = soft_plan?;
-                    let audit = sys.run_audit(true);
-                    if audit.clean() && sys.soft_silent() == 0 {
-                        return None;
-                    }
-                    let mut kinds: Vec<&str> =
-                        audit.violations.iter().map(|v| v.kind.label()).collect();
-                    if sys.soft_silent() > 0 {
-                        kinds.push("silent-flip");
-                    }
-                    kinds.sort_unstable();
-                    kinds.dedup();
-                    let sig = format!("silent-corruption|{}|{}", plan.name, kinds.join(","));
-                    let repro = format!(
-                        "workload={} seed={cfg_seed:#x} cores={} soft={plan}",
-                        w.name,
-                        w.cores(),
-                    );
-                    Some((label, sig, repro))
-                }
-            }
+            let r = CellResult::from_verdict(&label, &System::new(cfg, &w).verify(FUZZ_BUDGET));
+            (!r.signature.is_empty()).then_some((label, r.signature, r.reproducer))
         });
         for (label, sig, repro) in hits.into_iter().flatten() {
             report.hits += 1;
@@ -919,6 +856,60 @@ mod tests {
         assert_eq!(plan.clauses[0].mean_gap, 400, "x20 acceleration applied");
         assert!(soft_by_name("tag-flips").expect("known").is_some());
         assert!(soft_by_name("off").expect("off").is_none());
+        // Both cells pass every oracle, so the farm still calls them done.
+        for c in &cs {
+            let r = run_cell(&spec, c, None);
+            assert_eq!((r.outcome.as_str(), r.signature.as_str()), ("done", ""), "{}", c.id);
+        }
+    }
+
+    /// Every way a verdict can fail lands in a farm outcome; the three
+    /// oracle failures of a completed run are `corrupt`, never `done`.
+    #[test]
+    fn failing_verdicts_map_to_outcomes() {
+        use wb_kernel::audit::{AuditKind, AuditViolation};
+        use wb_kernel::wedge::{WedgeClass, WedgeReport};
+        let report = |class| {
+            Box::new(WedgeReport {
+                class,
+                at_cycle: 9,
+                reproducer: "workload=mp seed=0x3".to_owned(),
+                stalled_cores: vec![(0, 2500)],
+                retries_in_window: 0,
+                edges: Vec::new(),
+                participants: Vec::new(),
+                error: None,
+                notes: Vec::new(),
+            })
+        };
+        let verdict = |failure| Verdict {
+            cycles: 9,
+            retired: 4,
+            reproducer: "workload=mp seed=0x3".to_owned(),
+            soft_plan: "tag_flips",
+            silent: 1,
+            failure: Some(failure),
+        };
+        let leak = AuditViolation { kind: AuditKind::MshrLeak, detail: "cache 0".to_owned() };
+        for (failure, outcome) in [
+            (Failure::Wedge(report(WedgeClass::Deadlock)), "wedge"),
+            (Failure::Fault(report(WedgeClass::ProtocolFault)), "fault"),
+            (Failure::Audit(vec![leak]), "corrupt"),
+            (Failure::SilentFlips(1), "corrupt"),
+            (Failure::Tso(wb_tso::CheckError::TsoViolation), "corrupt"),
+        ] {
+            let v = verdict(failure);
+            let r = CellResult::from_verdict("cell", &v);
+            assert_eq!((r.outcome.as_str(), r.cycles, r.retired), (outcome, 9, 4));
+            assert_eq!(Some(&r.signature), v.signature().as_ref());
+            assert!(!r.signature.is_empty(), "{outcome} cell without a dedup key");
+            assert_eq!(r.reproducer, "workload=mp seed=0x3");
+        }
+        let r = CellResult::from_verdict("cell", &verdict(Failure::Budget));
+        assert_eq!(
+            (r.outcome.as_str(), r.signature.as_str(), r.reproducer.as_str()),
+            ("budget", "", "")
+        );
     }
 
     /// The committed standard campaign spec stays valid, covers the

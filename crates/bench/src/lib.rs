@@ -91,12 +91,6 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[(String, Vec<String>)
     out
 }
 
-/// Run `f` over `items` on all available cores, preserving order.
-/// Thin alias for [`sweep::run`], kept for existing call sites.
-pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    sweep::run(items, f)
-}
-
 /// Geometric mean of a slice (1.0 for empty input).
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -134,12 +128,6 @@ mod tests {
         let c = eval_config(CoreClass::Slm, CommitMode::InOrder, false);
         assert_eq!(c.protocol, ProtocolKind::BaseMesi);
         assert!(!c.record_events);
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        let out = par_map((0..50).collect::<Vec<i32>>(), |x| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -7,8 +7,9 @@ use wb_protocol::ProtocolError;
 
 impl System {
     /// One-line command-equivalent description of this run, printed in
-    /// every wedge report so a failure can be replayed byte-for-byte.
-    fn reproducer(&self) -> String {
+    /// every wedge report and failing verdict so a failure can be
+    /// replayed byte-for-byte.
+    pub(crate) fn reproducer(&self) -> String {
         let c = &self.cfg;
         let mut s = format!(
             "workload={} seed={:#x} cores={} protocol={:?} commit={:?} jitter={} engine={} dir_banks_per_node={}",

@@ -50,15 +50,17 @@ pub mod litmus_runner;
 pub mod report;
 mod snapshot;
 pub mod system;
+mod verdict;
 mod watchdog;
 
 pub use litmus_runner::{run_litmus, LitmusFailure, LitmusReport};
 pub use report::Report;
 pub use system::{RunOutcome, System};
+pub use verdict::{Failure, Verdict};
 
 /// Commonly used items, re-exported for examples and benches.
 pub mod prelude {
-    pub use crate::{Report, RunOutcome, System};
+    pub use crate::{Failure, Report, RunOutcome, System, Verdict};
     pub use wb_isa::{AluOp, AmoOp, Cond, Inst, Program, ProgramBuilder, Reg, Workload};
     pub use wb_kernel::chaos::{ChaosClause, ChaosEffect, ChaosPlan, FlowMatch};
     pub use wb_kernel::config::{CommitMode, CoreClass, LinkConfig, ProtocolKind, SystemConfig, WatchdogConfig};

@@ -551,15 +551,8 @@ impl System {
     /// Emit the failing line's recent trace history through the sink.
     fn dump_check_failure(&mut self, e: &CheckError) {
         const DUMP_LAST: usize = 64;
-        let line = match e {
-            CheckError::ValueNotFound { addr, .. }
-            | CheckError::AmbiguousValue { addr, .. }
-            | CheckError::CoherenceTie { addr }
-            | CheckError::UniprocViolation { addr }
-            | CheckError::AtomicityViolation { addr, .. } => Some(addr.line().0),
-            // A ppo cycle has no single offending address: dump everything.
-            CheckError::TsoViolation => None,
-        };
+        // A ppo cycle has no single offending line: dump everything.
+        let (_, line) = crate::verdict::variant_and_line(e);
         self.sink.emit(&format!("TSO check FAILED: {e}"));
         let silent = self.soft_silent();
         if silent > 0 {

@@ -399,6 +399,25 @@ impl EngineMode {
     }
 }
 
+/// The five protocol/commit arms, by their names in campaign specs:
+/// the baseline, Bell-Lipasti out-of-order commit that squashes on a
+/// consistency hazard, the WritersBlock protocol under in-order commit
+/// (Figure 9), the paper's proposal, and early commit of loads. Every
+/// matrix test and the campaign farm iterate this table; a sixth arm is
+/// added here and nowhere else.
+pub const ARMS: [(&str, ProtocolKind, CommitMode); 5] = [
+    ("mesi-inorder", ProtocolKind::BaseMesi, CommitMode::InOrder),
+    ("mesi-ooo", ProtocolKind::BaseMesi, CommitMode::OutOfOrder),
+    ("wb-inorder", ProtocolKind::WritersBlock, CommitMode::InOrder),
+    ("wb-ooo", ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb),
+    ("wb-ecl", ProtocolKind::WritersBlock, CommitMode::InOrderEcl),
+];
+
+/// The [`ARMS`] entry called `name`.
+pub fn arm(name: &str) -> Option<(ProtocolKind, CommitMode)> {
+    ARMS.iter().find(|(n, ..)| *n == name).map(|&(_, protocol, commit)| (protocol, commit))
+}
+
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
@@ -810,6 +829,19 @@ mod tests {
         let mut cfg = SystemConfig::new(CoreClass::Slm);
         cfg.fault = Some(crate::fault::FaultPlan::drop_everywhere(3, 2));
         cfg.validate();
+    }
+
+    #[test]
+    fn arms_are_the_five_named_ones_and_round_trip() {
+        let names: Vec<&str> = ARMS.iter().map(|&(n, ..)| n).collect();
+        assert_eq!(names, ["mesi-inorder", "mesi-ooo", "wb-inorder", "wb-ooo", "wb-ecl"]);
+        for (i, &(name, protocol, commit)) in ARMS.iter().enumerate() {
+            assert_eq!(arm(name), Some((protocol, commit)));
+            assert!(ARMS[..i].iter().all(|&(n, p, c)| n != name && (p, c) != (protocol, commit)));
+            // Every arm is a configuration `validate` accepts.
+            SystemConfig::new(CoreClass::Slm).with_commit(commit).with_protocol(protocol).validate();
+        }
+        assert_eq!(arm("wb"), None);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! All kernels are parameterized by a [`Scale`] so tests run in
 //! milliseconds while benches use larger iteration counts.
 //!
+//! The crate also owns the racing programs the correctness suites run:
+//! [`torture`] (the random recipe, unique store values for the TSO
+//! checker) and [`directed`] (the Figure 5 and §3.4 scenarios). A test,
+//! example or bench that needs one calls these modules; it does not
+//! define its own.
+//!
 //! # Example
 //!
 //! ```
@@ -20,9 +26,11 @@
 //! ```
 
 pub mod codegen;
+pub mod directed;
 pub mod invariants;
 pub mod parsec;
 pub mod splash;
+pub mod torture;
 
 use wb_isa::Workload;
 
@@ -46,23 +54,40 @@ impl Scale {
     }
 }
 
-/// The full 12-benchmark suite for `cores` cores: six SPLASH-3 surrogates
-/// and six PARSEC surrogates, in the order the paper plots them.
+/// A suite kernel: the workload for `cores` cores at a given scale.
+type Kernel = fn(usize, Scale) -> Workload;
+
+/// The 12-benchmark suite — six SPLASH-3 surrogates and six PARSEC
+/// surrogates, in the order the paper plots them — as `(name, kernel)`.
+/// Each kernel names its workload with its entry's name.
+pub const SUITE: [(&str, Kernel); 12] = [
+    ("fft", splash::fft),
+    ("lu", splash::lu),
+    ("ocean", splash::ocean),
+    ("radix", splash::radix),
+    ("barnes", splash::barnes),
+    ("raytrace", splash::raytrace),
+    ("blackscholes", parsec::blackscholes),
+    ("bodytrack", parsec::bodytrack),
+    ("canneal", parsec::canneal),
+    ("fluidanimate", parsec::fluidanimate),
+    ("freqmine", parsec::freqmine),
+    ("streamcluster", parsec::streamcluster),
+];
+
+/// Every [`SUITE`] kernel generated for `cores` cores, in suite order.
 pub fn suite(cores: usize, scale: Scale) -> Vec<Workload> {
-    vec![
-        splash::fft(cores, scale),
-        splash::lu(cores, scale),
-        splash::ocean(cores, scale),
-        splash::radix(cores, scale),
-        splash::barnes(cores, scale),
-        splash::raytrace(cores, scale),
-        parsec::blackscholes(cores, scale),
-        parsec::bodytrack(cores, scale),
-        parsec::canneal(cores, scale),
-        parsec::fluidanimate(cores, scale),
-        parsec::freqmine(cores, scale),
-        parsec::streamcluster(cores, scale),
-    ]
+    SUITE.iter().map(|(_, kernel)| kernel(cores, scale)).collect()
+}
+
+/// Benchmark names, in suite order.
+pub fn suite_names() -> Vec<&'static str> {
+    SUITE.iter().map(|&(name, _)| name).collect()
+}
+
+/// The one [`SUITE`] kernel called `name`, or `None` for an unknown name.
+pub fn by_name(name: &str, cores: usize, scale: Scale) -> Option<Workload> {
+    SUITE.iter().find(|(n, _)| *n == name).map(|(_, kernel)| kernel(cores, scale))
 }
 
 /// `rounds` central barriers and nothing else: the pure serialized
@@ -85,24 +110,6 @@ pub fn barrier_storm(cores: usize, rounds: u64) -> Workload {
     Workload::new(format!("barrier-storm-{cores}x{rounds}"), programs)
 }
 
-/// Benchmark names, in suite order.
-pub fn suite_names() -> Vec<&'static str> {
-    vec![
-        "fft",
-        "lu",
-        "ocean",
-        "radix",
-        "barnes",
-        "raytrace",
-        "blackscholes",
-        "bodytrack",
-        "canneal",
-        "fluidanimate",
-        "freqmine",
-        "streamcluster",
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +120,11 @@ mod tests {
         assert_eq!(s.len(), 12);
         let names: Vec<&str> = s.iter().map(|w| w.name.as_str()).collect();
         assert_eq!(names, suite_names());
+        for (w, name) in s.iter().zip(names) {
+            let one = by_name(name, 4, Scale::Test).expect("suite name resolves");
+            assert_eq!((&one.name, &one.programs), (&w.name, &w.programs));
+        }
+        assert!(by_name("nope", 4, Scale::Test).is_none());
     }
 
     #[test]

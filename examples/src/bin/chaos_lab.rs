@@ -9,7 +9,7 @@
 //!
 //! 1. Every plan in the standard chaos matrix against a hot-line racing
 //!    workload: chaos only stretches legal unordered-network timing, so
-//!    each run must drain and pass the TSO checker.
+//!    each run must drain, audit clean and pass the TSO checker.
 //! 2. Directed plans aimed at the individual §3.5 windows (eviction
 //!    buffer occupancy, SoS bypass under a stalled response network).
 //! 3. The §3.4 Option-1 ablation under spin-readers: the run *must*
@@ -18,129 +18,21 @@
 //! Each passing scenario prints a `chaos smoke OK:` line; the script
 //! `scripts/verify.sh` greps for them.
 
+use wb_workloads::directed;
 use writersblock::prelude::*;
-use writersblock::System;
 
-/// Writer/reader pairs racing on one hot line, plus cold-line chases
-/// that force directory allocation and eviction.
-fn racing_workload() -> Workload {
-    let hot = 0x1000u64;
-    let mk_reader = |colds: &[u64]| {
-        let mut p = Program::builder();
-        p.imm(Reg(1), hot);
-        p.load(Reg(5), Reg(1), 0);
-        for (i, c) in colds.iter().enumerate() {
-            p.imm(Reg(2), *c);
-            p.load(Reg(3), Reg(2), 0);
-            p.load(Reg(4), Reg(1), 0); // reordered hot read -> lockdowns
-            p.alui(AluOp::Add, Reg(6), Reg(6), i as u64);
-        }
-        p.halt();
-        p.build()
-    };
-    let mut writer = Program::builder();
-    writer.imm(Reg(1), hot).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..40 {
-        writer.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    writer.store(Reg(3), Reg(1), 0);
-    writer.halt();
-    let colds: Vec<u64> = (1..10).map(|i| 0x1000 + i * 0x4000).collect();
-    Workload::new("chaos-racing", vec![mk_reader(&colds), writer.build(), mk_reader(&colds)])
-}
-
-/// Figure 5.B: a blocked write whose SoS load targets the same line.
-fn sos_bypass_workload() -> Workload {
-    let (x, y) = (0x1000u64, 0x2040u64);
-    let (z1, z2) = (0x3080u64, 0x4100u64);
-
-    let mut p0 = Program::builder();
-    p0.imm(Reg(1), x).imm(Reg(2), z1).imm(Reg(6), 1);
-    p0.load(Reg(5), Reg(1), 0);
-    for _ in 0..60 {
-        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p0.load(Reg(9), Reg(2), 0); // z1 -> z2
-    p0.load(Reg(9), Reg(9), 0); // z2 -> y
-    p0.load(Reg(3), Reg(9), 0); // ld y: long non-performed
-    p0.load(Reg(4), Reg(1), 0); // ld x: lockdown
-    p0.halt();
-
-    let mut p1 = Program::builder();
-    p1.imm(Reg(1), x).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..50 {
-        p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p1.store(Reg(3), Reg(1), 0); // blocked by core 0's lockdown
-    p1.load(Reg(7), Reg(1), 0); // SoS load on the write's own line
-    p1.halt();
-
-    Workload::new("chaos-sos-bypass", vec![p0.build(), p1.build()])
-        .with_init(Addr::new(z1), z2)
-        .with_init(Addr::new(z2), y)
-}
-
-/// The §3.4 Option-1 pathology: a writer starved by spin-readers whose
-/// set-conflict loops keep re-entering the re-invalidation rounds.
-fn option1_spin_workload() -> Workload {
-    let (x, y) = (0x1000u64, 0x2040u64);
-    let (z1, z2, z3) = (0x3080u64, 0x4100u64, 0x5140u64);
-    let mut progs = Vec::new();
-
-    let mut p0 = Program::builder();
-    p0.imm(Reg(1), x).imm(Reg(2), z1).imm(Reg(6), 1);
-    p0.load(Reg(5), Reg(1), 0);
-    for _ in 0..70 {
-        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p0.load(Reg(9), Reg(2), 0); // chase z1 -> z2 -> z3 -> &y
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(3), Reg(9), 0);
-    p0.load(Reg(4), Reg(1), 0); // long-lived lockdown on x
-    p0.halt();
-    progs.push(p0.build());
-
-    let mut p1 = Program::builder();
-    p1.imm(Reg(1), x).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..110 {
-        p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p1.alu(AluOp::Add, Reg(3), Reg(3), Reg(6));
-    p1.store(Reg(3), Reg(1), 0); // the write that starves
-    p1.halt();
-    progs.push(p1.build());
-
-    for _ in 2..8 {
-        let mut p = Program::builder();
-        p.imm(Reg(2), 0).imm(Reg(3), u64::MAX);
-        let top = p.here();
-        for k in 0..9u64 {
-            p.imm(Reg(5), x + k * 0x4000); // x + 8 set-conflicting lines
-            p.load(Reg(4), Reg(5), 0);
-        }
-        p.alui(AluOp::Add, Reg(2), Reg(2), 1);
-        p.branch(Cond::Lt, Reg(2), Reg(3), top);
-        p.halt();
-        progs.push(p.build());
-    }
-    Workload::new("option1-spin", progs)
-        .with_init(Addr::new(z1), z2)
-        .with_init(Addr::new(z2), z3)
-        .with_init(Addr::new(z3), y)
-}
-
-fn run_green(label: &str, w: &Workload, cfg: SystemConfig) {
+/// Run one scenario through `System::verify`: it must drain, audit
+/// clean and pass the TSO checker.
+fn smoke(label: &str, w: &Workload, cfg: SystemConfig) {
     let plan = cfg.chaos.as_ref().map(ToString::to_string).unwrap_or_else(|| "off".into());
     let mut sys = System::new(cfg, w);
-    let out = sys.run(8_000_000);
-    assert!(out.is_done(), "{label} [{plan}] wedged:\n{out}");
-    sys.check_tso().unwrap_or_else(|e| panic!("{label} [{plan}] TSO violation: {e}"));
+    sys.verify(8_000_000).assert_pass(&format!("{label} [{plan}]"));
     println!("chaos smoke OK: {label} [{plan}] drained in {} cycles, tso green", sys.now());
 }
 
 fn main() {
-    // 1. The whole standard matrix over the racing workload.
+    // 1. The whole standard matrix over the Figure 5.A racing workload.
+    let racing = directed::racing(9);
     for plan in ChaosPlan::matrix() {
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(3)
@@ -148,7 +40,7 @@ fn main() {
             .with_seed(11)
             .with_jitter(20)
             .with_chaos(plan);
-        run_green("matrix", &racing_workload(), cfg);
+        smoke("matrix", &racing, cfg);
     }
 
     // 2a. §3.5.1: eviction-buffer pressure (tiny LLC) while the
@@ -162,7 +54,7 @@ fn main() {
     cfg.memory.l3_bank_bytes = 4 * 64;
     cfg.memory.l3_ways = 2;
     cfg.memory.dir_evict_buffer = 2;
-    run_green("evict-buffer squeeze", &racing_workload(), cfg);
+    smoke("evict-buffer squeeze", &racing, cfg);
 
     // 2b. §3.5.2: the SoS tear-off escape hatch while the response
     //     network stalls whenever a lockdown is live (directed mode).
@@ -172,7 +64,7 @@ fn main() {
         .with_seed(5)
         .with_jitter(20)
         .with_chaos(ChaosPlan::lockdown_vnet_stall(2));
-    run_green("sos bypass under lockdown stall", &sos_bypass_workload(), cfg);
+    smoke("sos bypass under lockdown stall", &directed::sos_bypass(), cfg);
 
     // 3. The §3.4 Option-1 ablation must wedge — and the watchdog must
     //    say so, with the starving writer and the hot line named.
@@ -183,9 +75,12 @@ fn main() {
         .with_jitter(20)
         .without_event_log();
     cfg.wb_cacheable_reads = true; // Option 1: the rejected design
-    let mut sys = System::new(cfg, &option1_spin_workload());
+    let mut sys = System::new(cfg, &directed::option1_spin());
     let out = sys.run_watchdog(150_000, 50_000);
-    let rep = out.wedge_report().expect("Option 1 under spin-readers must wedge");
+    let verdict = sys.judge(out);
+    let Some(Failure::Wedge(rep)) = verdict.failure() else {
+        panic!("Option 1 under spin-readers must wedge, got: {verdict}");
+    };
     assert_eq!(rep.class, WedgeClass::Livelock, "wrong diagnosis:\n{rep}");
     println!("\n--- the report a wedged run produces ---\n{rep}\n");
     println!("chaos smoke OK: option1 livelock diagnosed at cycle {}", rep.at_cycle);

@@ -6,15 +6,13 @@
 //! cargo run -p wb-examples --bin commit_policies --release [bench-name]
 //! ```
 
-use wb_workloads::{suite, Scale};
+use wb_workloads::Scale;
 use writersblock::prelude::*;
 use writersblock::System;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "ocean".to_string());
-    let workload = suite(16, Scale::Test)
-        .into_iter()
-        .find(|w| w.name == which)
+    let workload = wb_workloads::by_name(&which, 16, Scale::Test)
         .unwrap_or_else(|| panic!("unknown benchmark '{which}'; try one of {:?}", wb_workloads::suite_names()));
 
     println!("benchmark: {which}, 16 SLM-class cores\n");

@@ -11,7 +11,8 @@
 //! 1. Every plan in the standard fault matrix (drops, duplicates,
 //!    payload corruption, a lossy single link, mixed misery) against a
 //!    hot-line racing workload on the paper's WritersBlock + OoO-commit
-//!    configuration: each run must drain and pass the TSO checker.
+//!    configuration: each run must drain, audit clean and pass the TSO
+//!    checker.
 //! 2. Combined chaos+fault cells: adversarial timing above the link
 //!    layer and loss below it at the same time.
 //! 3. A loss-rate sweep — p in {0.1%, 1%, 5%, 10%} x 3 seeds — printing
@@ -21,37 +22,8 @@
 //! Each passing scenario prints a `fault smoke OK:` line; the script
 //! `scripts/verify.sh` greps for the final summary line.
 
+use wb_workloads::directed;
 use writersblock::prelude::*;
-use writersblock::System;
-
-/// Writer/reader pairs racing on one hot line, plus cold-line chases —
-/// the same mixture chaos_lab uses: it exercises all three vnets and
-/// every commit-side window while staying small enough to sweep.
-fn racing_workload() -> Workload {
-    let hot = 0x1000u64;
-    let mk_reader = |colds: &[u64]| {
-        let mut p = Program::builder();
-        p.imm(Reg(1), hot);
-        p.load(Reg(5), Reg(1), 0);
-        for (i, c) in colds.iter().enumerate() {
-            p.imm(Reg(2), *c);
-            p.load(Reg(3), Reg(2), 0);
-            p.load(Reg(4), Reg(1), 0); // reordered hot read -> lockdowns
-            p.alui(AluOp::Add, Reg(6), Reg(6), i as u64);
-        }
-        p.halt();
-        p.build()
-    };
-    let mut writer = Program::builder();
-    writer.imm(Reg(1), hot).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..40 {
-        writer.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    writer.store(Reg(3), Reg(1), 0);
-    writer.halt();
-    let colds: Vec<u64> = (1..10).map(|i| 0x1000 + i * 0x4000).collect();
-    Workload::new("fault-racing", vec![mk_reader(&colds), writer.build(), mk_reader(&colds)])
-}
 
 fn base_cfg(seed: u64) -> SystemConfig {
     SystemConfig::new(CoreClass::Slm)
@@ -62,14 +34,20 @@ fn base_cfg(seed: u64) -> SystemConfig {
         .with_jitter(20)
 }
 
-/// Run one scenario to completion, insist on TSO-green, and return the
+/// Run one cell of the Figure 5.A racing workload — the same mixture
+/// chaos_lab uses: it exercises all three vnets and every commit-side
+/// window while staying small enough to sweep — through
+/// `System::verify` (drained, audit clean, TSO-green) and return the
 /// finished system for stat reporting.
-fn run_green(label: &str, w: &Workload, cfg: SystemConfig) -> System {
+fn verified(what: &str, cfg: SystemConfig) -> System {
+    let mut sys = System::new(cfg, &directed::racing(9));
+    sys.verify(8_000_000).assert_pass(what);
+    sys
+}
+
+fn smoke(label: &str, cfg: SystemConfig) {
     let plan = cfg.fault.as_ref().map(ToString::to_string).unwrap_or_else(|| "off".into());
-    let mut sys = System::new(cfg, w);
-    let out = sys.run(8_000_000);
-    assert!(out.is_done(), "{label} [{plan}] wedged:\n{out}");
-    sys.check_tso().unwrap_or_else(|e| panic!("{label} [{plan}] TSO violation: {e}"));
+    let sys = verified(&format!("{label} [{plan}]"), cfg);
     let s = sys.report().stats;
     println!(
         "fault smoke OK: {label} [{plan}] drained in {} cycles, tso green \
@@ -80,26 +58,23 @@ fn run_green(label: &str, w: &Workload, cfg: SystemConfig) -> System {
         s.get("link_corrupt_injected"),
         s.get("link_retx"),
     );
-    sys
 }
 
 fn main() {
     // 1. The whole standard fault matrix over the racing workload.
     for plan in FaultPlan::matrix() {
-        run_green("matrix", &racing_workload(), base_cfg(11).with_fault(plan));
+        smoke("matrix", base_cfg(11).with_fault(plan));
     }
 
     // 2. Chaos above the link layer, loss below it, at the same time.
-    run_green(
+    smoke(
         "chaos+fault",
-        &racing_workload(),
         base_cfg(13)
             .with_chaos(ChaosPlan::reorder_amplify())
             .with_fault(FaultPlan::mixed_misery()),
     );
-    run_green(
+    smoke(
         "chaos+fault",
-        &racing_workload(),
         base_cfg(17)
             .with_chaos(ChaosPlan::delay_storm())
             .with_fault(FaultPlan::drop_everywhere(1, 20)),
@@ -117,7 +92,8 @@ fn main() {
         &[(1u64, 1000u64, "0.1%"), (1, 100, "1%"), (1, 20, "5%"), (1, 10, "10%")]
     {
         for seed in [2u64, 3, 5] {
-            let sys = run_sweep_cell(num, den, seed);
+            let plan = FaultPlan::drop_everywhere(num, den);
+            let sys = verified(&format!("sweep 1/{den} seed {seed}"), base_cfg(seed).with_fault(plan));
             let s = sys.report().stats;
             let (p50, p90, p99) = s
                 .hist("link_retx_cycles")
@@ -139,15 +115,4 @@ fn main() {
 
     println!();
     println!("fault lab: all scenarios OK");
-}
-
-/// One sweep cell: drop 1/den everywhere, TSO-checked, stats returned.
-fn run_sweep_cell(num: u64, den: u64, seed: u64) -> System {
-    let plan = FaultPlan::drop_everywhere(num, den);
-    let w = racing_workload();
-    let mut sys = System::new(base_cfg(seed).with_fault(plan), &w);
-    let out = sys.run(8_000_000);
-    assert!(out.is_done(), "sweep 1/{den} seed {seed} wedged:\n{out}");
-    sys.check_tso().unwrap_or_else(|e| panic!("sweep 1/{den} seed {seed}: {e}"));
-    sys
 }

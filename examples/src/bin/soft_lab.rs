@@ -26,37 +26,8 @@
 //! Each passing scenario prints a `soft smoke OK:` line; the script
 //! `scripts/verify.sh` greps for the final summary line.
 
+use wb_workloads::directed;
 use writersblock::prelude::*;
-use writersblock::System;
-
-/// Writer/reader pairs racing on one hot line plus cold-line chases —
-/// the same mixture fault_lab uses. Contention keeps the protocol books
-/// busy, so flips land on state that is actually consulted.
-fn racing_workload() -> Workload {
-    let hot = 0x1000u64;
-    let mk_reader = |colds: &[u64]| {
-        let mut p = Program::builder();
-        p.imm(Reg(1), hot);
-        p.load(Reg(5), Reg(1), 0);
-        for (i, c) in colds.iter().enumerate() {
-            p.imm(Reg(2), *c);
-            p.load(Reg(3), Reg(2), 0);
-            p.load(Reg(4), Reg(1), 0);
-            p.alui(AluOp::Add, Reg(6), Reg(6), i as u64);
-        }
-        p.halt();
-        p.build()
-    };
-    let mut writer = Program::builder();
-    writer.imm(Reg(1), hot).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..40 {
-        writer.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    writer.store(Reg(3), Reg(1), 0);
-    writer.halt();
-    let colds: Vec<u64> = (1..10).map(|i| 0x1000 + i * 0x4000).collect();
-    Workload::new("soft-racing", vec![mk_reader(&colds), writer.build(), mk_reader(&colds)])
-}
 
 fn base_cfg(seed: u64) -> SystemConfig {
     SystemConfig::new(CoreClass::Slm)
@@ -67,17 +38,20 @@ fn base_cfg(seed: u64) -> SystemConfig {
         .with_jitter(20)
 }
 
-/// Run one scenario to completion, insist on a clean final audit, zero
-/// silent flips and TSO-green, and return the finished system.
-fn run_green(label: &str, w: &Workload, cfg: SystemConfig) -> System {
+/// Run one cell of the Figure 5.A racing workload — the same mixture
+/// fault_lab uses; contention keeps the protocol books busy, so flips
+/// land on state that is actually consulted — through `System::verify`
+/// (drained, final audit clean, zero silent flips, TSO-green) and
+/// return the finished system for stat reporting.
+fn verified(what: &str, cfg: SystemConfig) -> System {
+    let mut sys = System::new(cfg, &directed::racing(9));
+    sys.verify(8_000_000).assert_pass(what);
+    sys
+}
+
+fn smoke(label: &str, cfg: SystemConfig) {
     let plan = cfg.soft.as_ref().map(ToString::to_string).unwrap_or_else(|| "off".into());
-    let mut sys = System::new(cfg, w);
-    let out = sys.run(8_000_000);
-    assert!(out.is_done(), "{label} [{plan}] wedged:\n{out}");
-    sys.run_audit(true).assert_clean(&format!("{label} [{plan}]"));
-    let silent = sys.soft_silent();
-    assert_eq!(silent, 0, "{label} [{plan}]: {silent} flip(s) escaped detection");
-    sys.check_tso().unwrap_or_else(|e| panic!("{label} [{plan}] TSO violation: {e}"));
+    let sys = verified(&format!("{label} [{plan}]"), cfg);
     let s = sys.report().stats;
     let (injected, _) = sys.soft_injected();
     println!(
@@ -90,7 +64,6 @@ fn run_green(label: &str, w: &Workload, cfg: SystemConfig) -> System {
         s.get("soft_recovered"),
         s.get("audit_runs"),
     );
-    sys
 }
 
 fn main() {
@@ -98,21 +71,19 @@ fn main() {
     //    matrix rates are soak-tuned; x20 acceleration lands a real
     //    barrage inside this short run.
     for plan in SoftPlan::matrix() {
-        run_green("matrix", &racing_workload(), base_cfg(11).with_soft(plan.accelerated(20)));
+        smoke("matrix", base_cfg(11).with_soft(plan.accelerated(20)));
     }
 
     // 2. Bit flips in the books while the links drop packets under
     //    them: recovery re-fetches must survive a lossy mesh.
-    run_green(
+    smoke(
         "soft+fault",
-        &racing_workload(),
         base_cfg(13)
             .with_soft(SoftPlan::background_radiation().accelerated(20))
             .with_fault(FaultPlan::drop_everywhere(1, 50)),
     );
-    run_green(
+    smoke(
         "soft+chaos",
-        &racing_workload(),
         base_cfg(17)
             .with_soft(SoftPlan::double_entry().accelerated(20))
             .with_chaos(ChaosPlan::reorder_amplify()),
@@ -129,13 +100,8 @@ fn main() {
     for accel in [1u64, 5, 20, 50] {
         for seed in [2u64, 3, 5] {
             let plan = SoftPlan::background_radiation().accelerated(accel);
-            let w = racing_workload();
-            let mut sys = System::new(base_cfg(seed).with_soft(plan), &w);
-            let out = sys.run(8_000_000);
-            assert!(out.is_done(), "sweep x{accel} seed {seed} wedged:\n{out}");
-            sys.run_audit(true).assert_clean(&format!("sweep x{accel} seed {seed}"));
-            assert_eq!(sys.soft_silent(), 0, "sweep x{accel} seed {seed}: silent flips");
-            sys.check_tso().unwrap_or_else(|e| panic!("sweep x{accel} seed {seed}: {e}"));
+            let sys =
+                verified(&format!("sweep x{accel} seed {seed}"), base_cfg(seed).with_soft(plan));
             let s = sys.report().stats;
             let (p50, p90, p99) = s.hist("soft_detect_latency").map_or((0, 0, 0), |h| {
                 (h.percentile(50.0), h.percentile(90.0), h.percentile(99.0))

@@ -120,6 +120,10 @@ if grep -rn --include='*.rs' -E '\b(eprintln|println)!' crates/*/src \
 fi
 
 cargo build --release --offline
+# `cargo build` and `cargo test` never compile the three `harness =
+# false` bench targets (figures, protocol, sim_throughput); without
+# this a bench that stops compiling rots until someone runs it.
+cargo check --offline --all-targets
 cargo test -q --offline
 
 # Trace smoke test: the protocol_trace example must emit a well-formed,

@@ -2,52 +2,18 @@
 //! general guarantees of Section 3.5: SoS loads can never be blocked, so
 //! lockdowns always lift and blocked writes always complete.
 
-use wb_isa::{AluOp, Cond, Program, Reg, Workload};
+use wb_isa::{AluOp, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::config::{CommitMode, CoreClass, SystemConfig};
 use wb_kernel::trace::TraceSink;
 use wb_kernel::wedge::{WaitParty, WedgeClass};
 use wb_mem::Addr;
-use writersblock::{RunOutcome, System};
+use wb_workloads::directed;
+use writersblock::{Failure, RunOutcome, System, Verdict};
 
-/// Figure 5.A scenario: writer/reader pairs racing on a hot line while
-/// cold-line chases force directory allocation/eviction.
-fn dir_evict_workload() -> Workload {
-    let mk_reader = |hot: u64, colds: Vec<u64>| {
-        let mut p = Program::builder();
-        p.imm(Reg(1), hot);
-        p.load(Reg(5), Reg(1), 0); // warm the hot line
-        // Chase through cold lines (forces directory allocation/eviction)
-        // while re-reading the hot line out of order.
-        for (i, c) in colds.iter().enumerate() {
-            p.imm(Reg(2), *c);
-            p.load(Reg(3), Reg(2), 0);
-            p.load(Reg(4), Reg(1), 0); // reordered hot read -> lockdowns
-            p.alui(AluOp::Add, Reg(6), Reg(6), i as u64);
-        }
-        p.halt();
-        p.build()
-    };
-    let mk_writer = |hot: u64| {
-        let mut p = Program::builder();
-        p.imm(Reg(1), hot).imm(Reg(3), 1).imm(Reg(6), 1);
-        for _ in 0..40 {
-            p.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-        }
-        p.store(Reg(3), Reg(1), 0);
-        p.halt();
-        p.build()
-    };
-    let hot = 0x1000u64;
-    let colds: Vec<u64> = (1..12).map(|i| 0x1000 + i * 0x4000).collect();
-    Workload::new(
-        "dir-evict",
-        vec![mk_reader(hot, colds.clone()), mk_writer(hot), mk_reader(hot, colds)],
-    )
-}
-
-/// The aggressive config for [`dir_evict_workload`]: tiny LLC banks
-/// (4 lines x 2 ways) and a tiny eviction buffer.
+/// The aggressive config for the Figure 5.A workload
+/// ([`directed::racing`], eleven cold lines): tiny LLC banks (4 lines x
+/// 2 ways) and a tiny eviction buffer.
 fn dir_evict_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
@@ -65,12 +31,9 @@ fn dir_evict_cfg(seed: u64) -> SystemConfig {
 /// SoS loads that resolve to conflicting directory sets.
 #[test]
 fn dir_eviction_under_lockdowns() {
+    let w = directed::racing(11);
     for seed in 0..10u64 {
-        let w = dir_evict_workload();
-        let mut sys = System::new(dir_evict_cfg(seed), &w);
-        let out = sys.run(3_000_000);
-        assert_eq!(out, RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        System::new(dir_evict_cfg(seed), &w).verify(3_000_000).assert_pass("dir eviction");
     }
 }
 
@@ -79,65 +42,26 @@ fn dir_eviction_under_lockdowns() {
 /// WritersBlock entries parked longer). Must still always drain.
 #[test]
 fn dir_eviction_under_chaos_squeeze() {
+    let w = directed::racing(11);
     for seed in 0..4u64 {
-        let w = dir_evict_workload();
         let cfg = dir_evict_cfg(seed).with_chaos(ChaosPlan::wb_entry_squeeze());
-        let mut sys = System::new(cfg, &w);
-        let out = sys.run(8_000_000);
-        assert!(out.is_done(), "seed {seed} under chaos:\n{out}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        System::new(cfg, &w).verify(8_000_000).assert_pass("dir eviction under chaos");
     }
-}
-
-/// Figure 5.B scenario: core 0 holds a lockdown on x behind a pointer
-/// chase; core 1 writes x (gets blocked), then its SoS load targets x.
-fn mshr_bypass_workload() -> Workload {
-    let x = 0x1000u64;
-    let z1 = 0x3080u64;
-    let z2 = 0x4100u64;
-    let y = 0x2040u64;
-
-    let mut p0 = Program::builder();
-    p0.imm(Reg(1), x).imm(Reg(2), z1).imm(Reg(6), 1);
-    p0.load(Reg(5), Reg(1), 0);
-    for _ in 0..60 {
-        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p0.load(Reg(9), Reg(2), 0); // z1 -> z2
-    p0.load(Reg(9), Reg(9), 0); // z2 -> y
-    p0.load(Reg(3), Reg(9), 0); // ld y: long non-performed
-    p0.load(Reg(4), Reg(1), 0); // ld x: lockdown
-    p0.halt();
-
-    let mut p1 = Program::builder();
-    p1.imm(Reg(1), x).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..50 {
-        p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p1.store(Reg(3), Reg(1), 0); // write x: blocked by core 0's lockdown
-    p1.load(Reg(7), Reg(1), 0); // SoS load on the SAME line as the write
-    p1.halt();
-
-    Workload::new("mshr-bypass", vec![p0.build(), p1.build()])
-        .with_init(Addr::new(z1), z2)
-        .with_init(Addr::new(z2), y)
 }
 
 /// Figure 5.B flavour: an SoS load resolving into the cacheline of a
 /// blocked write must bypass the write's MSHR via a tear-off read.
 #[test]
 fn sos_load_bypasses_blocked_write() {
+    let w = directed::sos_bypass();
     for seed in 0..20u64 {
-        let w = mshr_bypass_workload();
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(2)
             .with_commit(CommitMode::OutOfOrderWb)
             .with_seed(seed)
             .with_jitter(20);
         let mut sys = System::new(cfg, &w);
-        let out = sys.run(3_000_000);
-        assert_eq!(out, RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        sys.verify(3_000_000).assert_pass("sos bypass");
         // The load after the store must see the store's value (po-loc).
         assert_eq!(sys.arch_reg(1, Reg(7)), 1, "seed {seed}: store-to-load order broken");
     }
@@ -148,9 +72,9 @@ fn sos_load_bypasses_blocked_write() {
 /// tear-off escape hatch must still drain the machine (§3.5).
 #[test]
 fn sos_bypass_under_lockdown_vnet_stall() {
+    let w = directed::sos_bypass();
     for (vnet, seeds) in [(1u8, 0..6u64), (2u8, 0..6u64)] {
         for seed in seeds {
-            let w = mshr_bypass_workload();
             let cfg = SystemConfig::new(CoreClass::Slm)
                 .with_cores(2)
                 .with_commit(CommitMode::OutOfOrderWb)
@@ -158,9 +82,7 @@ fn sos_bypass_under_lockdown_vnet_stall() {
                 .with_jitter(20)
                 .with_chaos(ChaosPlan::lockdown_vnet_stall(vnet));
             let mut sys = System::new(cfg, &w);
-            let out = sys.run(8_000_000);
-            assert!(out.is_done(), "vnet {vnet} seed {seed} under chaos:\n{out}");
-            sys.check_tso().unwrap_or_else(|e| panic!("vnet {vnet} seed {seed}: {e}"));
+            sys.verify(8_000_000).assert_pass("sos bypass under chaos");
             assert_eq!(sys.arch_reg(1, Reg(7)), 1, "vnet {vnet} seed {seed}: po-loc broken");
         }
     }
@@ -248,10 +170,9 @@ fn unresolved_address_reordering_safe() {
             .with_seed(seed)
             .with_jitter(25);
         let mut sys = System::new(cfg, &w);
-        assert_eq!(sys.run(1_000_000), RunOutcome::Done, "seed {seed}");
+        sys.verify(1_000_000).assert_pass("unresolved address");
         let (ra, rb) = (sys.arch_reg(0, Reg(3)), sys.arch_reg(0, Reg(4)));
         assert!(!(ra == 1 && rb == 0), "seed {seed}: forbidden outcome over unresolved address");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -260,72 +181,7 @@ fn unresolved_address_reordering_safe() {
 // watchdog names it correctly — and deterministically.
 // ---------------------------------------------------------------------------
 
-const LIVELOCK_X: u64 = 0x1000;
-
-/// The §3.4 scenario with *unbounded* spin-readers: core 0 locks down x
-/// behind a pointer chase, core 1 writes x, cores 2..n spin-read x
-/// forever. Under Option 1 (cacheable WritersBlock reads) the directory
-/// re-invalidates the spinners round after round and the write starves —
-/// the livelock the paper rejects Option 1 for. The spinners keep
-/// retiring, so a global retired-sum watchdog would never trip; the
-/// per-core watchdog must trip on the writer.
-///
-/// Each re-invalidation round only targets the readers admitted during
-/// the previous round, so a spinner whose re-read misses one round
-/// window keeps its S copy and drops out of the game for good — simple
-/// spin loops therefore let the rounds die out. The spinners here walk
-/// x plus eight lines that conflict with it in their L1/L2 set (stride
-/// 0x4000 covers both geometries), so every pass evicts x and forces a
-/// fresh cacheable GetS: dropped-out readers re-enter within one loop
-/// iteration and the rounds chain indefinitely.
-fn option1_spin_workload(cores: usize) -> Workload {
-    let (x, y) = (LIVELOCK_X, 0x2040u64);
-    let (z1, z2, z3) = (0x3080u64, 0x4100u64, 0x5140u64);
-    let mut progs = Vec::new();
-
-    let mut p0 = Program::builder();
-    p0.imm(Reg(1), x).imm(Reg(2), z1).imm(Reg(6), 1);
-    p0.load(Reg(5), Reg(1), 0); // warm x
-    for _ in 0..70 {
-        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p0.load(Reg(9), Reg(2), 0); // chase: z1 -> z2 -> z3 -> &y
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(3), Reg(9), 0); // ld y: non-performed for ~4 miss latencies
-    p0.load(Reg(4), Reg(1), 0); // ld x: warm hit, long-lived lockdown
-    p0.halt();
-    progs.push(p0.build());
-
-    let mut p1 = Program::builder();
-    p1.imm(Reg(1), x).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..110 {
-        p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p1.alu(AluOp::Add, Reg(3), Reg(3), Reg(6));
-    p1.store(Reg(3), Reg(1), 0); // the write that starves
-    p1.halt();
-    progs.push(p1.build());
-
-    for _ in 2..cores {
-        let mut p = Program::builder();
-        p.imm(Reg(2), 0).imm(Reg(3), u64::MAX);
-        let top = p.here();
-        for k in 0..9u64 {
-            p.imm(Reg(5), x + k * 0x4000); // x + 8 set-conflicting lines
-            p.load(Reg(4), Reg(5), 0);
-        }
-        p.alui(AluOp::Add, Reg(2), Reg(2), 1);
-        p.branch(Cond::Lt, Reg(2), Reg(3), top); // spin forever
-        p.halt();
-        progs.push(p.build());
-    }
-    Workload::new("option1-spin", progs)
-        .with_init(Addr::new(z1), z2)
-        .with_init(Addr::new(z2), z3)
-        .with_init(Addr::new(z3), y)
-}
-
+/// The machine for [`directed::option1_spin`]: Option 1 switched on.
 fn option1_spin_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(8)
@@ -337,23 +193,22 @@ fn option1_spin_cfg(seed: u64) -> SystemConfig {
     cfg
 }
 
-fn run_option1_livelock(seed: u64) -> (RunOutcome, Vec<String>) {
-    let w = option1_spin_workload(8);
-    let mut sys = System::new(option1_spin_cfg(seed), &w);
+fn run_option1_livelock(seed: u64) -> (Verdict, Vec<String>) {
+    let mut sys = System::new(option1_spin_cfg(seed), &directed::option1_spin());
     sys.set_trace_sink(TraceSink::Capture(Vec::new()));
     let out = sys.run_watchdog(150_000, 50_000);
-    let lines = sys.take_sink_lines();
-    (out, lines)
+    let verdict = sys.judge(out);
+    (verdict, sys.take_sink_lines())
 }
 
 /// Deterministic scan: the first seed whose run wedges. Whether a given
 /// seed sets up the lockdown window is timing-dependent, but the scan
 /// itself is reproducible, so both tests below see the same wedge.
-fn first_wedging_seed() -> (u64, RunOutcome, Vec<String>) {
+fn first_wedging_seed() -> (u64, Verdict, Vec<String>) {
     for seed in 0..6u64 {
-        let (out, lines) = run_option1_livelock(seed);
-        if out.wedge_report().is_some() {
-            return (seed, out, lines);
+        let (verdict, lines) = run_option1_livelock(seed);
+        if matches!(verdict.failure(), Some(Failure::Wedge(_) | Failure::Fault(_))) {
+            return (seed, verdict, lines);
         }
     }
     panic!("no seed in 0..6 wedges — the Option-1 livelock scenario lost its bite");
@@ -363,15 +218,18 @@ fn first_wedging_seed() -> (u64, RunOutcome, Vec<String>) {
 /// and the right participants: the starving writer and the hot line.
 #[test]
 fn option1_livelock_is_diagnosed() {
-    let (seed, out, sink_lines) = first_wedging_seed();
-    let rep = out.wedge_report().expect("scan returned a wedge");
-    assert!(matches!(out, RunOutcome::Wedge(_)), "seed {seed}: {out}");
+    let (seed, verdict, sink_lines) = first_wedging_seed();
+    let Some(Failure::Wedge(rep)) = verdict.failure() else {
+        panic!("seed {seed}: scan returned {verdict}");
+    };
+    // The verdict's dedup key is the wedge report's own.
+    assert_eq!(verdict.signature(), Some(rep.signature()));
     assert_eq!(rep.class, WedgeClass::Livelock, "seed {seed}, wrong class:\n{rep}");
     assert!(rep.retries_in_window >= 16, "seed {seed}, no retry storm:\n{rep}");
     // The starving writer (core 1) and the contested line are named.
     assert!(rep.involves(WaitParty::Core(1)), "seed {seed}, writer not named:\n{rep}");
     assert!(
-        rep.involves(WaitParty::Line(Addr::new(LIVELOCK_X).line().0)),
+        rep.involves(WaitParty::Line(Addr::new(directed::X).line().0)),
         "seed {seed}, hot line not named:\n{rep}"
     );
     assert!(
@@ -392,8 +250,7 @@ fn option1_livelock_is_diagnosed() {
 /// the livelock run, `tearoff_reads_served` from the SoS bypass run.
 #[test]
 fn wedge_pressure_lands_in_histograms() {
-    let w = option1_spin_workload(8);
-    let mut sys = System::new(option1_spin_cfg(0), &w);
+    let mut sys = System::new(option1_spin_cfg(0), &directed::option1_spin());
     let _ = sys.run_watchdog(150_000, 50_000);
     let r = sys.report();
     let nacks = r.stats.hist("nack_retries").expect("nack_retries histogram missing");
@@ -443,10 +300,10 @@ fn wedge_pressure_lands_in_histograms() {
 /// wedge diagnosis is part of the deterministic surface.
 #[test]
 fn wedge_reports_are_deterministic() {
-    let (seed_a, out_a, sink_a) = first_wedging_seed();
-    let (seed_b, out_b, sink_b) = first_wedging_seed();
+    let (seed_a, verdict_a, sink_a) = first_wedging_seed();
+    let (seed_b, verdict_b, sink_b) = first_wedging_seed();
     assert_eq!(seed_a, seed_b, "seed scan diverged");
-    assert_eq!(out_a, out_b, "structured outcome diverged");
-    assert_eq!(out_a.to_string(), out_b.to_string(), "rendered report diverged");
+    assert_eq!(verdict_a, verdict_b, "structured verdict diverged");
+    assert_eq!(verdict_a.to_string(), verdict_b.to_string(), "rendered report diverged");
     assert_eq!(sink_a, sink_b, "sink output diverged");
 }

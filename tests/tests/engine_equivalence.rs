@@ -11,18 +11,18 @@
 //! by cycle.
 
 use wb_cpu::Core;
-use wb_isa::{AluOp, Cond, Program, Reg, Workload};
+use wb_isa::{Cond, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
 use wb_kernel::fault::FaultPlan;
 use wb_kernel::trace::TraceFilter;
 use wb_kernel::wedge::WedgeClass;
-use wb_kernel::{NodeId, SimRng};
+use wb_kernel::NodeId;
 use wb_mem::{HomeMap, LineAddr};
 use wb_mesh::Mesh;
 use wb_protocol::messages::Dest;
 use wb_protocol::{PrivateCache, ProtoMsg, ReadKind};
-use wb_workloads::{splash, Scale};
+use wb_workloads::{splash, torture, Scale};
 use writersblock::{RunOutcome, System};
 
 /// Everything observable about one finished run.
@@ -82,48 +82,6 @@ fn assert_equivalent(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64,
     }
 }
 
-/// Random straight-line program (the torture recipe: globally unique
-/// store values so the TSO checker can recover the rf relation).
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let addr_reg = Reg(1);
-    let val_reg = Reg(2);
-    let dst = Reg(3);
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(addr_reg, a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(dst, addr_reg, 0);
-            }
-            5..=8 => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.store(val_reg, addr_reg, 0);
-            }
-            _ => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(dst, addr_reg, 0, val_reg);
-            }
-        }
-        if rng.chance(1, 4) {
-            p.alui(AluOp::Add, Reg(4), Reg(4), 1);
-        }
-    }
-    p.halt();
-    p.build()
-}
-
-fn torture_workload(cores: usize, seed: u64, ops: usize) -> Workload {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let mut rng = SimRng::new(seed);
-    let programs = (0..cores).map(|c| random_program(c, &mut rng, ops, &lines)).collect();
-    Workload::new(format!("torture-{seed}"), programs)
-}
-
 /// Litmus races: the message-passing test across many seeds, on both
 /// protocols and the paper's relaxed commit mode.
 #[test]
@@ -170,7 +128,7 @@ fn barrier_kernel_is_cycle_exact() {
 /// cannot silently perturb timing either.
 #[test]
 fn machine_at_64_cores_is_cycle_exact() {
-    let w = torture_workload(64, 13, 8);
+    let w = torture::workload(64, 13, 8);
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(64)
         .with_commit(CommitMode::OutOfOrderWb)
@@ -188,7 +146,7 @@ fn machine_at_64_cores_is_cycle_exact() {
 /// directory (2 banks/node) riding along.
 #[test]
 fn machine_at_256_cores_is_cycle_exact() {
-    let w = torture_workload(256, 17, 4);
+    let w = torture::workload(256, 17, 4);
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(256)
         .with_commit(CommitMode::OutOfOrderWb)
@@ -297,7 +255,7 @@ fn traces_are_identical_under_skip() {
 /// suppresses.
 #[test]
 fn chaos_cells_are_cycle_exact() {
-    let w = torture_workload(4, 7, 15);
+    let w = torture::workload(4, 7, 15);
     for chaos in [ChaosPlan::delay_storm(), ChaosPlan::reorder_amplify()] {
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(4)
@@ -314,7 +272,7 @@ fn chaos_cells_are_cycle_exact() {
 /// future deadlines the mesh's `next_internal_event` must honour.
 #[test]
 fn fault_cells_are_cycle_exact() {
-    let w = torture_workload(4, 7, 15);
+    let w = torture::workload(4, 7, 15);
     for plan in [FaultPlan::drop_everywhere(1, 10), FaultPlan::mixed_misery()] {
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(4)
@@ -334,7 +292,7 @@ fn fault_cells_are_cycle_exact() {
 /// wall-clock win provably comes with byte-identical results.
 #[test]
 fn rto_bound_bench_cells_are_cycle_exact() {
-    let w = torture_workload(4, 7, 30);
+    let w = torture::workload(4, 7, 30);
     for (protocol, mode, drop_1_in, verify) in [
         (ProtocolKind::BaseMesi, CommitMode::InOrder, 6, true),
         (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 10, false),
@@ -388,7 +346,7 @@ fn assert_same_wedge(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64)
 /// fault-scale widening disabled so the run *must* trip the watchdog.
 #[test]
 fn wedge_fires_at_the_same_cycle() {
-    let w = torture_workload(2, 11, 15);
+    let w = torture::workload(2, 11, 15);
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(2)
         .with_commit(CommitMode::OutOfOrderWb)
@@ -412,7 +370,7 @@ fn wedge_fires_at_the_same_cycle() {
 /// blocked by lockdowns that never lift.
 #[test]
 fn livelock_fires_at_the_same_cycle() {
-    let w = torture_workload(4, 40, 200);
+    let w = torture::workload(4, 40, 200);
     let cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
         .with_commit(CommitMode::OutOfOrderWb)
@@ -617,7 +575,7 @@ fn skip_engine_reaches_the_same_done_cycle() {
 /// adversarial shape for deadline bookkeeping.
 #[test]
 fn timeline_sampling_is_cycle_exact() {
-    let w = torture_workload(4, 7, 60);
+    let w = torture::workload(4, 7, 60);
     let cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
         .with_commit(CommitMode::OutOfOrderWb)

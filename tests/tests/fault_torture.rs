@@ -1,63 +1,21 @@
 //! Fault torture: the full link-fault matrix (drops, duplicates,
 //! corruptions, lossy links, mixed misery — plus combined chaos+fault
-//! cells) across both protocols and the interesting commit modes.
+//! cells) across all five protocol/commit arms.
 //!
 //! Link faults are *below* the coherence protocol: the reliable
-//! sublayer must hide them completely, so every run still drains and
-//! passes the axiomatic TSO checker. A failure prints the plan's
-//! reproducer via the wedge report.
+//! sublayer must hide them completely, so every run still drains,
+//! audits clean and passes the axiomatic TSO checker. A failing
+//! verdict prints the cell's reproducer, plan included.
 
-use wb_isa::{AluOp, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig};
+use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
 use wb_kernel::fault::FaultPlan;
-use wb_kernel::SimRng;
-use writersblock::{RunOutcome, System};
+use wb_workloads::torture;
+use writersblock::{Failure, System};
 
-/// Build a random straight-line program for one core (same recipe as
-/// `torture.rs`: globally unique store values so the checker recovers rf).
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let addr_reg = Reg(1);
-    let val_reg = Reg(2);
-    let dst = Reg(3);
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(addr_reg, a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(dst, addr_reg, 0);
-            }
-            5..=8 => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.store(val_reg, addr_reg, 0);
-            }
-            _ => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(dst, addr_reg, 0, val_reg);
-            }
-        }
-        if rng.chance(1, 4) {
-            p.alui(AluOp::Add, Reg(4), Reg(4), 1);
-        }
-    }
-    p.halt();
-    p.build()
-}
-
-const COMBOS: [(ProtocolKind, CommitMode); 4] = [
-    (ProtocolKind::BaseMesi, CommitMode::InOrder),
-    (ProtocolKind::BaseMesi, CommitMode::OutOfOrder),
-    (ProtocolKind::WritersBlock, CommitMode::InOrder),
-    (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb),
-];
-
-/// Run one (plan, chaos, protocol, mode) cell to completion and through
-/// the TSO checker; returns the run's merged stats for assertions.
+/// Run one (plan, chaos, protocol, mode) cell through `System::verify`
+/// — drained, audit clean, TSO-green; returns the run's merged stats
+/// for assertions.
 fn run_cell(
     plan: &FaultPlan,
     chaos: Option<&ChaosPlan>,
@@ -65,11 +23,7 @@ fn run_cell(
     mode: CommitMode,
     ops: usize,
 ) -> wb_kernel::Stats {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
     let seed = 7u64;
-    let mut rng = SimRng::new(seed);
-    let programs = (0..4).map(|c| random_program(c, &mut rng, ops, &lines)).collect::<Vec<_>>();
-    let w = Workload::new(format!("fault-{plan}"), programs);
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
         .with_commit(mode)
@@ -80,16 +34,13 @@ fn run_cell(
     if let Some(c) = chaos {
         cfg = cfg.with_chaos(c.clone());
     }
-    let mut sys = System::new(cfg, &w);
-    let out = sys.run(8_000_000);
-    assert!(out.is_done(), "plan {plan} {protocol:?} {mode:?}:\n{out}");
-    sys.check_tso().unwrap_or_else(|e| panic!("plan {plan} {protocol:?} {mode:?}: {e}"));
-    sys.run_audit(true).assert_clean("fault-torture final audit");
+    let mut sys = System::new(cfg, &torture::workload(4, seed, ops));
+    sys.verify(8_000_000).assert_pass("fault-torture cell");
     sys.report().stats
 }
 
-/// Every fault plan in the standard matrix x the four protocol/commit
-/// combos: each cell must drain and stay TSO-correct, and at least one
+/// Every fault plan in the standard matrix x the five protocol/commit
+/// arms: each cell must drain and stay TSO-correct, and at least one
 /// lossy cell must show actual recovery work (retransmission latency
 /// and per-frame retry-count histograms populated).
 #[test]
@@ -100,10 +51,8 @@ fn fault_torture_matrix() {
     // out over the deterministic sweep runner and assert on the ordered
     // results (run_cell panics inside a worker still fail the test —
     // the scoped thread's panic propagates on join).
-    let jobs: Vec<(FaultPlan, ProtocolKind, CommitMode)> = plans
-        .iter()
-        .flat_map(|p| COMBOS.into_iter().map(move |(pr, m)| (p.clone(), pr, m)))
-        .collect();
+    let jobs: Vec<(FaultPlan, ProtocolKind, CommitMode)> =
+        plans.iter().flat_map(|p| ARMS.map(|(_, pr, m)| (p.clone(), pr, m))).collect();
     let results = wb_bench::sweep::run(jobs.clone(), |(plan, protocol, mode)| {
         run_cell(&plan, None, protocol, mode, 25)
     });
@@ -147,13 +96,9 @@ fn fault_torture_ten_percent_drop() {
 /// misclassification.
 #[test]
 fn watchdog_near_miss_scaled_window_rides_out_retransmissions() {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
     let seed = 11u64;
+    let w = torture::workload(2, seed, 15);
     let build = |fault_scale: u64| {
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..2).map(|c| random_program(c, &mut rng, 15, &lines)).collect::<Vec<_>>();
-        let w = Workload::new("near-miss".to_string(), programs);
         let mut cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(2)
             .with_commit(CommitMode::OutOfOrderWb)
@@ -175,20 +120,17 @@ fn watchdog_near_miss_scaled_window_rides_out_retransmissions() {
     // Default-style scaling (x4 -> effective 10_000): rides out the RTO.
     let mut sys = build(4);
     assert_eq!(sys.config().effective_stall_window(), 10_000);
-    let out = sys.run(8_000_000);
-    assert_eq!(out, RunOutcome::Done, "scaled window must ride out retransmissions:\n{out}");
-    sys.check_tso().unwrap_or_else(|e| panic!("near-miss scaled run: {e}"));
-    sys.run_audit(true).assert_clean("fault-torture final audit");
+    sys.verify(8_000_000).assert_pass("scaled window must ride out retransmissions");
     let stats = sys.report().stats;
     assert!(stats.get("link_retx") > 0, "the near-miss needs a real retransmission stall");
 
     // Scaling off: the same seed, plan and workload is misread as a wedge.
     let mut sys = build(1);
     assert_eq!(sys.config().effective_stall_window(), 2500);
-    let out = sys.run(8_000_000);
+    let v = sys.verify(8_000_000);
     assert!(
-        matches!(out, RunOutcome::Wedge(_)),
-        "without fault-aware scaling the RTO must trip the 2500-cycle watchdog, got: {out}"
+        matches!(v.failure(), Some(Failure::Wedge(_))),
+        "without fault-aware scaling the RTO must trip the 2500-cycle watchdog, got: {v}"
     );
 }
 
@@ -201,7 +143,7 @@ fn fault_torture_combined_with_chaos() {
         (ChaosPlan::response_storm(), FaultPlan::drop_everywhere(1, 20)),
     ];
     for (chaos, plan) in &cells {
-        for (protocol, mode) in COMBOS {
+        for (_, protocol, mode) in ARMS {
             let stats = run_cell(plan, Some(chaos), protocol, mode, 20);
             assert!(
                 stats.get("mesh_chaos_msgs") > 0,

@@ -15,10 +15,8 @@
 //! full 16x16 in release builds — `scripts/verify.sh` runs this file
 //! with `--release`.
 
-use wb_isa::{Program, Reg, Workload};
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
-use wb_kernel::SimRng;
-use wb_workloads::barrier_storm;
+use wb_workloads::{barrier_storm, torture};
 use writersblock::{RunOutcome, System};
 
 /// The machine/raw-window pair for the watchdog regression: sized down
@@ -78,50 +76,15 @@ fn scaled_watchdog_lets_legal_barrier_finish() {
     assert!(busy_banks >= 1, "no directory bank saw the barrier traffic");
 }
 
-/// Random straight-line program with globally unique store values, so
-/// the axiomatic TSO checker can recover the rf relation (the torture
-/// recipe, here pointed at a sharded-directory machine).
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let addr_reg = Reg(1);
-    let val_reg = Reg(2);
-    let dst = Reg(3);
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(addr_reg, a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(dst, addr_reg, 0);
-            }
-            5..=8 => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.store(val_reg, addr_reg, 0);
-            }
-            _ => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(dst, addr_reg, 0, val_reg);
-            }
-        }
-    }
-    p.halt();
-    p.build()
-}
-
 /// Two directory banks per node: the home map decouples bank count from
 /// core count, and the memory model must not notice. Torture runs stay
 /// TSO-green and traffic actually spreads over all 32 banks' stats.
 #[test]
 fn sharded_directory_banks_stay_tso_correct() {
     // Lines strided so they hash across banks, two words per line.
-    let lines: Vec<u64> = (0..8).map(|i| 0x1000 + i * 0x440).collect();
+    let lines = torture::spread_lines(8);
     for seed in 0..8u64 {
-        let mut rng = SimRng::new(seed);
-        let programs = (0..4).map(|c| random_program(c, &mut rng, 30, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("sharded-torture-{seed}"), programs);
+        let w = torture::workload_on(4, seed, 30, &lines);
         let mut cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(16)
             .with_commit(CommitMode::OutOfOrderWb)
@@ -129,9 +92,7 @@ fn sharded_directory_banks_stay_tso_correct() {
             .with_jitter(25);
         cfg.memory.dir_banks_per_node = 2;
         let mut sys = System::new(cfg, &w);
-        let out = sys.run(2_000_000);
-        assert_eq!(out, RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}")); // allow(panic): test-only assertion
+        sys.verify(2_000_000).assert_pass("sharded directory");
         assert_eq!(sys.dir_stats().count(), 32, "16 nodes x 2 banks");
     }
 }

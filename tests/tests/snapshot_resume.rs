@@ -16,13 +16,13 @@
 //! for a resumed run is the *split* original (run-to-cut, then run-on),
 //! which these tests use throughout.
 
-use wb_isa::{Program, Reg, Workload};
+use wb_isa::Workload;
 use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::check::prelude::*;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
 use wb_kernel::fault::FaultPlan;
 use wb_kernel::soft::SoftPlan;
-use wb_kernel::SimRng;
+use wb_workloads::torture;
 use writersblock::{RunOutcome, System};
 
 /// Everything observable about a finished (or stopped) run.
@@ -46,42 +46,6 @@ fn observe(sys: &mut System, budget: u64) -> Observed {
     }
 }
 
-/// Random contended straight-line program (store values globally
-/// unique, as in the engine-equivalence torture recipe).
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(Reg(1), a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(Reg(3), Reg(1), 0);
-            }
-            5..=8 => {
-                p.imm(Reg(2), ((core as u64) << 32) | k);
-                k += 1;
-                p.store(Reg(2), Reg(1), 0);
-            }
-            _ => {
-                p.imm(Reg(2), ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(Reg(3), Reg(1), 0, Reg(2));
-            }
-        }
-    }
-    p.halt();
-    p.build()
-}
-
-fn torture_workload(cores: usize, seed: u64, ops: usize) -> Workload {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let mut rng = SimRng::new(seed);
-    let programs = (0..cores).map(|c| random_program(c, &mut rng, ops, &lines)).collect();
-    Workload::new(format!("torture-{seed}"), programs)
-}
-
 /// The cell matrix the property test draws from: litmus, plain
 /// contention, chaos timing injection, a lossy-link (ARQ-active) fault
 /// cell, and a soft-error cell (bit flips + guards + periodic audit).
@@ -93,18 +57,18 @@ fn cell(kind: usize, seed: u64) -> (SystemConfig, Workload) {
         .with_jitter(25);
     match kind % 5 {
         0 => (base.with_cores(2), wb_tso::litmus::mp().workload),
-        1 => (base.with_cores(4), torture_workload(4, seed, 10)),
+        1 => (base.with_cores(4), torture::workload(4, seed, 10)),
         2 => (
             base.with_cores(4).with_chaos(ChaosPlan::delay_storm()),
-            torture_workload(4, seed, 8),
+            torture::workload(4, seed, 8),
         ),
         3 => (
             base.with_cores(4).with_fault(FaultPlan::drop_everywhere(1, 10)),
-            torture_workload(4, seed, 8),
+            torture::workload(4, seed, 8),
         ),
         _ => (
             base.with_cores(4).with_soft(SoftPlan::background_radiation().accelerated(20)),
-            torture_workload(4, seed, 10),
+            torture::workload(4, seed, 10),
         ),
     }
 }
@@ -204,7 +168,7 @@ fn mid_sleep_scheduler_state_survives_restore() {
 /// parties, reproducer — is byte-identical to the split baseline.
 #[test]
 fn wedge_cells_resume_to_the_same_report() {
-    let w = torture_workload(2, 11, 15);
+    let w = torture::workload(2, 11, 15);
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(2)
         .with_commit(CommitMode::OutOfOrderWb)
@@ -236,7 +200,7 @@ fn wedge_cells_resume_to_the_same_report() {
 #[test]
 fn timeline_state_survives_restore() {
     let (cfg, _) = cell(2, 7);
-    let w = torture_workload(4, 7, 60);
+    let w = torture::workload(4, 7, 60);
     let mut a = System::new(cfg.clone(), &w);
     a.enable_timeline(500);
     let _ = a.run(3_750); // mid-window: origin/partial-window state matters

@@ -11,55 +11,12 @@
 //!    engine on a subset) agree byte for byte with flips,
 //!    poison/recovery and periodic audits in play.
 
-use wb_isa::{Program, Reg, Workload};
+use wb_isa::Workload;
 use wb_kernel::check::prelude::*;
-use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
+use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig, ARMS};
 use wb_kernel::soft::{SoftClause, SoftPlan, SoftTarget};
-use wb_kernel::SimRng;
+use wb_workloads::torture;
 use writersblock::System;
-
-/// Random contended straight-line program (globally unique store
-/// values, as in the torture recipe).
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(Reg(1), a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(Reg(3), Reg(1), 0);
-            }
-            5..=8 => {
-                p.imm(Reg(2), ((core as u64) << 32) | k);
-                k += 1;
-                p.store(Reg(2), Reg(1), 0);
-            }
-            _ => {
-                p.imm(Reg(2), ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(Reg(3), Reg(1), 0, Reg(2));
-            }
-        }
-    }
-    p.halt();
-    p.build()
-}
-
-fn torture_workload(cores: usize, seed: u64, ops: usize) -> Workload {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let mut rng = SimRng::new(seed);
-    let programs = (0..cores).map(|c| random_program(c, &mut rng, ops, &lines)).collect();
-    Workload::new(format!("soft-prop-{seed}"), programs)
-}
-
-const COMBOS: [(ProtocolKind, CommitMode); 4] = [
-    (ProtocolKind::BaseMesi, CommitMode::InOrder),
-    (ProtocolKind::BaseMesi, CommitMode::OutOfOrder),
-    (ProtocolKind::WritersBlock, CommitMode::InOrder),
-    (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb),
-];
 
 const TARGETS: [SoftTarget; 5] = [
     SoftTarget::CacheState,
@@ -94,10 +51,10 @@ wb_proptest! {
     fn every_flip_is_detected_and_recovery_is_idempotent(
         plan in soft_plan(),
         seed in 0u64..1_000_000,
-        combo in 0usize..4,
+        arm in 0..ARMS.len(),
     ) {
-        let (protocol, mode) = COMBOS[combo];
-        let w = torture_workload(4, seed, 25);
+        let (_, protocol, mode) = ARMS[arm];
+        let w = torture::workload(4, seed, 25);
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(4)
             .with_commit(mode)
@@ -106,25 +63,14 @@ wb_proptest! {
             .with_jitter(25)
             .with_soft(plan.clone());
         let mut sys = System::new(cfg, &w);
-        let out = sys.run(8_000_000);
-        prop_assert!(out.is_done(), "plan {plan} {protocol:?} {mode:?} seed {seed:#x}:\n{out}");
-        let first = sys.run_audit(true);
-        prop_assert!(
-            first.clean(),
-            "final audit not clean (plan {plan} seed {seed:#x}):\n{first}"
-        );
-        prop_assert_eq!(
-            sys.soft_silent(), 0,
-            "undetected flips escaped (plan {plan} seed {seed:#x})"
-        );
+        // Drained, final audit clean, no flip undetected, TSO-green.
+        let first = sys.verify(8_000_000);
+        prop_assert!(first.passed(), "plan {plan} {protocol:?} {mode:?} seed {seed:#x}: {first}");
         // Idempotence: everything was repaired; a second audit finds no
         // wounds left to scrub and agrees the books are consistent.
         let second = sys.run_audit(true);
         prop_assert!(second.clean(), "re-audit not clean:\n{second}");
         prop_assert_eq!(second.scrub_repairs, 0, "re-audit still found wounds to scrub");
-        if let Err(e) = sys.check_tso() {
-            prop_assert!(false, "TSO failed (plan {plan} seed {seed:#x}): {e}");
-        }
     }
 
     #[test]
@@ -133,7 +79,7 @@ wb_proptest! {
         engine in 0usize..3,
     ) {
         let engine = [EngineMode::Dense, EngineMode::Sparse, EngineMode::SparseVerify][engine];
-        let w = torture_workload(4, seed, 20);
+        let w = torture::workload(4, seed, 20);
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(4)
             .with_commit(CommitMode::OutOfOrderWb)
@@ -159,7 +105,7 @@ wb_proptest! {
         plan in soft_plan(),
         seed in 0u64..1_000_000,
     ) {
-        let w = torture_workload(4, seed, 20);
+        let w = torture::workload(4, seed, 20);
         let cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(4)
             .with_commit(CommitMode::OutOfOrderWb)

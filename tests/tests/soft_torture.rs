@@ -1,7 +1,7 @@
 //! Soft-error torture: the full stored-state bit-flip matrix (cache
 //! state/tag scrambles, directory state and sharer-set flips, MSHR
-//! strikes, mixed background radiation) across both protocols and the
-//! interesting commit modes.
+//! strikes, mixed background radiation) across all five protocol/commit
+//! arms.
 //!
 //! Soft errors land *inside* the coherence protocol's own books, so no
 //! layer below can hide them. The guard-hash detectors plus the
@@ -11,95 +11,42 @@
 //! final audit, and accounts for every injected flip
 //! (`soft_silent == 0`).
 
-use wb_isa::{AluOp, Program, Reg, Workload};
-use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig};
+use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
 use wb_kernel::soft::SoftPlan;
-use wb_kernel::SimRng;
+use wb_workloads::torture;
 use writersblock::System;
 
-/// Build a random straight-line program for one core (same recipe as
-/// `torture.rs`: globally unique store values so the checker recovers rf).
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let addr_reg = Reg(1);
-    let val_reg = Reg(2);
-    let dst = Reg(3);
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(addr_reg, a + word);
-        match rng.below(10) {
-            0..=4 => {
-                p.load(dst, addr_reg, 0);
-            }
-            5..=8 => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.store(val_reg, addr_reg, 0);
-            }
-            _ => {
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(dst, addr_reg, 0, val_reg);
-            }
-        }
-        if rng.chance(1, 4) {
-            p.alui(AluOp::Add, Reg(4), Reg(4), 1);
-        }
-    }
-    p.halt();
-    p.build()
-}
-
-const COMBOS: [(ProtocolKind, CommitMode); 4] = [
-    (ProtocolKind::BaseMesi, CommitMode::InOrder),
-    (ProtocolKind::BaseMesi, CommitMode::OutOfOrder),
-    (ProtocolKind::WritersBlock, CommitMode::InOrder),
-    (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb),
-];
-
-/// Run one (plan, protocol, mode) cell to completion, through the final
-/// audit and the TSO checker; returns `(stats, injected, silent)`.
-fn run_cell(
-    plan: &SoftPlan,
-    protocol: ProtocolKind,
-    mode: CommitMode,
-    ops: usize,
-) -> (wb_kernel::Stats, u64, u64) {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let seed = 7u64;
-    let mut rng = SimRng::new(seed);
-    let programs = (0..4).map(|c| random_program(c, &mut rng, ops, &lines)).collect::<Vec<_>>();
-    let w = Workload::new(format!("soft-{}", plan.name), programs);
-    // Matrix rates are soak-tuned (thousands of cycles between strikes);
-    // these cells run a few thousand cycles total, so accelerate 20x to
-    // land a real barrage in every cell.
-    let cfg = SystemConfig::new(CoreClass::Slm)
+/// Four SLM cores on one arm, jitter 25.
+fn config(protocol: ProtocolKind, mode: CommitMode, seed: u64) -> SystemConfig {
+    SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
         .with_commit(mode)
         .with_protocol(protocol)
         .with_seed(seed)
         .with_jitter(25)
-        .with_soft(plan.clone().accelerated(20));
-    let mut sys = System::new(cfg, &w);
-    let out = sys.run(8_000_000);
-    assert!(out.is_done(), "plan {plan} {protocol:?} {mode:?}:\n{out}");
-    // Final audit: scrub any wound still latent (a flip the workload
-    // never touched again), then require every invariant to hold.
-    sys.run_audit(true).assert_clean(&format!("plan {plan} {protocol:?} {mode:?}"));
-    let silent = sys.soft_silent();
-    assert_eq!(
-        silent, 0,
-        "plan {plan} {protocol:?} {mode:?}: {silent} flip(s) were never detected"
-    );
-    sys.check_tso().unwrap_or_else(|e| panic!("plan {plan} {protocol:?} {mode:?}: {e}"));
-    let (injected, _missed) = sys.soft_injected();
-    (sys.report().stats, injected, silent)
 }
 
-/// Every soft plan in the standard matrix x the four protocol/commit
-/// combos: each cell must drain, audit clean, account for every flip
+/// Run one (plan, protocol, mode) cell through `System::verify` —
+/// drained, final audit clean after its scrub, every flip accounted
+/// for, TSO-green; returns `(stats, injected)`.
+fn run_cell(
+    plan: &SoftPlan,
+    protocol: ProtocolKind,
+    mode: CommitMode,
+    ops: usize,
+) -> (wb_kernel::Stats, u64) {
+    let seed = 7u64;
+    // Matrix rates are soak-tuned (thousands of cycles between strikes);
+    // these cells run a few thousand cycles total, so accelerate 20x to
+    // land a real barrage in every cell.
+    let cfg = config(protocol, mode, seed).with_soft(plan.clone().accelerated(20));
+    let mut sys = System::new(cfg, &torture::workload(4, seed, ops));
+    sys.verify(8_000_000).assert_pass("soft-torture cell");
+    (sys.report().stats, sys.soft_injected().0)
+}
+
+/// Every soft plan in the standard matrix x the five protocol/commit
+/// arms: each cell must drain, audit clean, account for every flip
 /// and stay TSO-correct — and the matrix as a whole must show real
 /// injection and detection work (flips landing in every structure
 /// class, detect-latency histograms populated).
@@ -107,17 +54,15 @@ fn run_cell(
 fn soft_torture_matrix() {
     let plans = SoftPlan::matrix();
     assert!(plans.len() >= 6, "matrix shrank to {} plans", plans.len());
-    let jobs: Vec<(SoftPlan, ProtocolKind, CommitMode)> = plans
-        .iter()
-        .flat_map(|p| COMBOS.into_iter().map(move |(pr, m)| (p.clone(), pr, m)))
-        .collect();
+    let jobs: Vec<(SoftPlan, ProtocolKind, CommitMode)> =
+        plans.iter().flat_map(|p| ARMS.map(|(_, pr, m)| (p.clone(), pr, m))).collect();
     let results = wb_bench::sweep::run(jobs.clone(), |(plan, protocol, mode)| {
         run_cell(&plan, protocol, mode, 25)
     });
     let mut injected_total = 0u64;
     let mut detected_total = 0u64;
     let mut latency_cells = 0usize;
-    for ((plan, protocol, mode), (stats, injected, _)) in jobs.iter().zip(&results) {
+    for ((plan, protocol, mode), (stats, injected)) in jobs.iter().zip(&results) {
         injected_total += injected;
         detected_total += stats.get("soft_detected");
         if stats.hist("soft_detect_latency").map_or(false, |h| h.count() > 0) {
@@ -141,10 +86,9 @@ fn soft_torture_matrix() {
 #[test]
 fn soft_torture_background_radiation_on_wb() {
     let plan = SoftPlan::background_radiation();
-    let (stats, injected, silent) =
+    let (stats, injected) =
         run_cell(&plan, ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 40);
     assert!(injected > 0, "background radiation never landed a flip");
-    assert_eq!(silent, 0);
     assert!(
         stats.get("soft_detected") + stats.get("soft_masked") >= injected,
         "every flip must be detected or masked: {} injected, {} detected, {} masked",
@@ -159,23 +103,11 @@ fn soft_torture_background_radiation_on_wb() {
 /// which they happened, and the window deltas sum to the run totals.
 #[test]
 fn soft_counters_appear_in_timeline_deltas() {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let seed = 11u64;
-    let mut rng = SimRng::new(seed);
-    let programs = (0..4).map(|c| random_program(c, &mut rng, 40, &lines)).collect::<Vec<_>>();
-    let w = Workload::new("soft-timeline".to_string(), programs);
-    let cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(4)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(seed)
-        .with_jitter(25)
+    let cfg = config(ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 11)
         .with_soft(SoftPlan::background_radiation().accelerated(20));
-    let mut sys = System::new(cfg, &w);
+    let mut sys = System::new(cfg, &torture::workload(4, 11, 40));
     sys.enable_timeline(500);
-    let out = sys.run(8_000_000);
-    assert!(out.is_done(), "{out}");
-    sys.run_audit(true).assert_clean("soft-timeline final audit");
+    sys.verify(8_000_000).assert_pass("soft-timeline");
     let totals = sys.report().stats;
     assert!(totals.get("soft_detected") > 0, "no detections to attribute");
     // Close a final partial window at the current cycle (the audit's
@@ -199,17 +131,8 @@ fn soft_counters_appear_in_timeline_deltas() {
 /// bookkeeping) matches a `soft: None` build cycle for cycle.
 #[test]
 fn empty_soft_plan_changes_nothing() {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let seed = 9u64;
-    let mut rng = SimRng::new(seed);
-    let programs = (0..4).map(|c| random_program(c, &mut rng, 30, &lines)).collect::<Vec<_>>();
-    let w = Workload::new("soft-none".to_string(), programs);
-    let cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(4)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(seed)
-        .with_jitter(25);
+    let w = torture::workload(4, 9, 30);
+    let cfg = config(ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 9);
     let mut base = System::new(cfg.clone(), &w);
     let mut soft = System::new(cfg.with_soft(SoftPlan::none()), &w);
     let b_out = base.run(8_000_000);
@@ -222,5 +145,5 @@ fn empty_soft_plan_changes_nothing() {
         "empty soft plan perturbed the stats"
     );
     assert_eq!(soft.soft_injected(), (0, 0));
-    soft.run_audit(true).assert_clean("soft-none final audit");
+    soft.judge(s_out).assert_pass("soft-none");
 }

@@ -1,73 +1,30 @@
 //! Random torture: pseudo-random multi-core programs with unique store
-//! values, run on both protocols and all commit modes, every execution
-//! validated by the axiomatic TSO checker.
+//! values (`wb_workloads::torture`), run on both protocols and all
+//! commit modes, every execution taken through `System::verify` — it
+//! must drain, audit clean and pass the axiomatic TSO checker.
 //!
 //! This is the broadest correctness net in the repository: it explores
 //! protocol races (invalidation vs. lockdown vs. commit) far beyond the
 //! directed litmus tests.
 
-use wb_isa::{AluOp, Program, Reg, Workload};
-use wb_kernel::config::{CommitMode, CoreClass, SystemConfig};
-use wb_kernel::SimRng;
-use writersblock::{RunOutcome, System};
+use wb_isa::Workload;
+use wb_kernel::config::{CommitMode, CoreClass, SystemConfig, ARMS};
+use wb_workloads::torture;
+use writersblock::System;
 
-/// Build a random straight-line program for one core. Store values are
-/// globally unique (`core << 32 | k`) so the checker can recover rf.
-fn random_program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Program {
-    let mut p = Program::builder();
-    let addr_reg = Reg(1);
-    let val_reg = Reg(2);
-    let dst = Reg(3);
-    let mut k: u64 = 1;
-    for _ in 0..ops {
-        let a = *rng.choose(lines).expect("non-empty");
-        let word = rng.below(8) * 8;
-        p.imm(addr_reg, a + word);
-        match rng.below(10) {
-            0..=4 => {
-                // load
-                p.load(dst, addr_reg, 0);
-            }
-            5..=8 => {
-                // store with a unique value
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.store(val_reg, addr_reg, 0);
-            }
-            _ => {
-                // atomic swap with a unique value
-                p.imm(val_reg, ((core as u64) << 32) | k);
-                k += 1;
-                p.amo_swap(dst, addr_reg, 0, val_reg);
-            }
-        }
-        if rng.chance(1, 4) {
-            p.alui(AluOp::Add, Reg(4), Reg(4), 1); // filler compute
-        }
-    }
-    p.halt();
-    p.build()
+/// Four cores of `class` committing by `mode`, jitter 25.
+fn config(class: CoreClass, mode: CommitMode, seed: u64) -> SystemConfig {
+    SystemConfig::new(class).with_cores(4).with_commit(mode).with_seed(seed).with_jitter(25)
+}
+
+/// A failing verdict names the seed, arm and plan in its reproducer.
+fn must_pass(cfg: SystemConfig, w: &Workload, budget: u64) {
+    System::new(cfg, w).verify(budget).assert_pass(&w.name);
 }
 
 fn torture(mode: CommitMode, seeds: std::ops::Range<u64>) {
-    // A handful of lines spread over banks, including two words per line
-    // to exercise same-line different-word interleavings.
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
     for seed in seeds {
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..4).map(|c| random_program(c, &mut rng, 40, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("torture-{seed}"), programs);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(mode)
-            .with_seed(seed)
-            .with_jitter(25);
-        let mut sys = System::new(cfg, &w);
-        let out = sys.run(2_000_000);
-        assert_eq!(out, RunOutcome::Done, "seed {seed} under {mode:?}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed} under {mode:?}: {e}"));
-        sys.run_audit(true).assert_clean("torture final audit");
+        must_pass(config(CoreClass::Slm, mode, seed), &torture::workload(4, seed, 40), 2_000_000);
     }
 }
 
@@ -86,24 +43,12 @@ fn torture_ooo_wb() {
     torture(CommitMode::OutOfOrderWb, 0..25);
 }
 
+/// Two hot lines only: maximal racing.
 #[test]
 fn torture_ooo_wb_more_contention() {
-    // Two hot lines only: maximal racing.
-    let lines: Vec<u64> = vec![0x1000, 0x2040];
     for seed in 100..120u64 {
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..4).map(|c| random_program(c, &mut rng, 30, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("torture-hot-{seed}"), programs);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_seed(seed)
-            .with_jitter(25);
-        let mut sys = System::new(cfg, &w);
-        assert_eq!(sys.run(2_000_000), RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        sys.run_audit(true).assert_clean("torture final audit");
+        let w = torture::workload_on(4, seed, 30, &torture::HOT_LINES);
+        must_pass(config(CoreClass::Slm, CommitMode::OutOfOrderWb, seed), &w, 2_000_000);
     }
 }
 
@@ -113,111 +58,52 @@ fn torture_ooo_wb_more_contention() {
 #[test]
 fn torture_inorder_wb_protocol() {
     use wb_kernel::config::ProtocolKind;
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
     for seed in 200..220u64 {
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..4).map(|c| random_program(c, &mut rng, 40, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("torture-iwb-{seed}"), programs);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::InOrder)
-            .with_protocol(ProtocolKind::WritersBlock)
-            .with_seed(seed)
-            .with_jitter(25);
-        let mut sys = System::new(cfg, &w);
-        assert_eq!(sys.run(2_000_000), RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        sys.run_audit(true).assert_clean("torture final audit");
+        let cfg = config(CoreClass::Slm, CommitMode::InOrder, seed)
+            .with_protocol(ProtocolKind::WritersBlock);
+        must_pass(cfg, &torture::workload(4, seed, 40), 2_000_000);
     }
 }
 
 /// The HSW-class core (deepest window, most speculation) under torture.
 #[test]
 fn torture_hsw_ooo_wb() {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
     for seed in 300..315u64 {
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..4).map(|c| random_program(c, &mut rng, 50, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("torture-hsw-{seed}"), programs);
-        let cfg = SystemConfig::new(CoreClass::Hsw)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_seed(seed)
-            .with_jitter(25);
-        let mut sys = System::new(cfg, &w);
-        assert_eq!(sys.run(2_000_000), RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        sys.run_audit(true).assert_clean("torture final audit");
+        let cfg = config(CoreClass::Hsw, CommitMode::OutOfOrderWb, seed);
+        must_pass(cfg, &torture::workload(4, seed, 50), 2_000_000);
     }
 }
 
 /// The non-collapsible (FIFO) LQ variant under torture.
 #[test]
 fn torture_fifo_lq() {
-    let lines: Vec<u64> = (0..4).map(|i| 0x1000 + i * 0x440).collect();
     for seed in 400..415u64 {
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..4).map(|c| random_program(c, &mut rng, 40, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("torture-fifo-{seed}"), programs);
-        let mut cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_seed(seed)
-            .with_jitter(25);
+        let mut cfg = config(CoreClass::Slm, CommitMode::OutOfOrderWb, seed);
         cfg.core.collapsible_lq = false;
-        let mut sys = System::new(cfg, &w);
-        assert_eq!(sys.run(2_000_000), RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        sys.run_audit(true).assert_clean("torture final audit");
+        let w = torture::workload_on(4, seed, 40, &torture::spread_lines(4));
+        must_pass(cfg, &w, 2_000_000);
     }
 }
 
 /// Every chaos plan in the standard matrix (delay storms, per-vnet
 /// storms, hotspots, bounded starvation, reorder amplification, the
-/// §3.5-window squeezes and the directed lockdown stall) across both
-/// protocols and the interesting commit modes. Chaos only stretches
-/// legal unordered-network timing, so every run must still drain and
-/// pass the TSO checker; a failure prints the plan's reproducer.
+/// §3.5-window squeezes and the directed lockdown stall) across all
+/// five arms. Chaos only stretches legal unordered-network timing, so
+/// every run must still drain and pass every oracle; a failure prints
+/// the cell's reproducer, plan included.
 #[test]
 fn torture_chaos_matrix() {
     use wb_kernel::chaos::ChaosPlan;
-    use wb_kernel::config::ProtocolKind;
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    let combos = [
-        (ProtocolKind::BaseMesi, CommitMode::InOrder),
-        (ProtocolKind::BaseMesi, CommitMode::OutOfOrder),
-        (ProtocolKind::WritersBlock, CommitMode::InOrder),
-        (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb),
-    ];
     let plans = ChaosPlan::matrix();
     assert!(plans.len() >= 8, "matrix shrank to {} plans", plans.len());
     // Independent cells: fan out over the deterministic sweep runner
     // (a panicking cell propagates when its scoped worker joins).
-    let jobs: Vec<(ChaosPlan, ProtocolKind, CommitMode)> = plans
-        .iter()
-        .flat_map(|p| combos.into_iter().map(move |(pr, m)| (p.clone(), pr, m)))
-        .collect();
+    let jobs: Vec<_> =
+        plans.iter().flat_map(|p| ARMS.map(|(_, pr, m)| (p.clone(), pr, m))).collect();
+    let w = torture::workload(4, 7, 25);
     wb_bench::sweep::run(jobs, |(plan, protocol, mode)| {
-        let seed = 7u64;
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..4).map(|c| random_program(c, &mut rng, 25, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("chaos-{plan}"), programs);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(mode)
-            .with_protocol(protocol)
-            .with_seed(seed)
-            .with_jitter(25)
-            .with_chaos(plan.clone());
-        let mut sys = System::new(cfg, &w);
-        let out = sys.run(8_000_000);
-        assert!(out.is_done(), "plan {plan} {protocol:?} {mode:?}:\n{out}");
-        sys.check_tso().unwrap_or_else(|e| panic!("plan {plan} {protocol:?} {mode:?}: {e}"));
-        sys.run_audit(true).assert_clean("torture final audit");
+        let cfg = config(CoreClass::Slm, mode, 7).with_protocol(protocol).with_chaos(plan);
+        must_pass(cfg, &w, 8_000_000);
     });
 }
 
@@ -225,20 +111,5 @@ fn torture_chaos_matrix() {
 /// case — under random torture.
 #[test]
 fn torture_ecl() {
-    let lines: Vec<u64> = (0..6).map(|i| 0x1000 + i * 0x440).collect();
-    for seed in 500..525u64 {
-        let mut rng = SimRng::new(seed);
-        let programs =
-            (0..4).map(|c| random_program(c, &mut rng, 40, &lines)).collect::<Vec<_>>();
-        let w = Workload::new(format!("torture-ecl-{seed}"), programs);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::InOrderEcl)
-            .with_seed(seed)
-            .with_jitter(25);
-        let mut sys = System::new(cfg, &w);
-        assert_eq!(sys.run(2_000_000), RunOutcome::Done, "seed {seed}");
-        sys.check_tso().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        sys.run_audit(true).assert_clean("torture final audit");
-    }
+    torture(CommitMode::InOrderEcl, 500..525);
 }
