@@ -43,6 +43,11 @@
 //! assert!(!litmus.is_forbidden(&observed));
 //! ```
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 mod audit;
 mod diagnose;
 mod engine;

@@ -67,6 +67,8 @@ impl System {
     /// byte-identical (reports, timelines, outcomes) to running `S`
     /// straight through, in every engine mode. Tracers, trace sinks and
     /// the line-trace filter are debug surface and are not captured.
+    /// Written by hand, not declared: [`System::restore`] validates the
+    /// header, fingerprint and component counts between the fields.
     pub fn snapshot(&self) -> Vec<u8> {
         use wb_kernel::Snap;
         wb_kernel::snap::snapshot(|w| {

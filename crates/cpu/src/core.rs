@@ -777,14 +777,6 @@ impl Core {
         self.ecl_pending.retain(|(seq, _)| !ready.iter().any(|(s, _)| s == seq));
         for (seq, rd) in ready {
             self.lsq.mark_delivered(seq);
-            if std::env::var_os("WB_ECL_DEBUG").is_some() {
-                wb_kernel::trace::stderr_line(&format!(
-                    "[ecl] core{} deliver seq={} rd={:?}",
-                    self.id.index(),
-                    seq,
-                    rd
-                ));
-            }
             let (value, addr) = {
                 let e = self.lsq.load(seq).expect("just checked");
                 (e.value, e.addr.expect("performed load has addr"))
@@ -1099,14 +1091,6 @@ impl Core {
                     // performs out of order); the value is delivered to
                     // the register file when it arrives.
                     self.lsq.commit_load_early(e.seq);
-                    if std::env::var_os("WB_ECL_DEBUG").is_some() {
-                        wb_kernel::trace::stderr_line(&format!(
-                            "[ecl] core{} early-commit seq={} dest={:?}",
-                            self.id.index(),
-                            e.seq,
-                            e.inst.dest()
-                        ));
-                    }
                     self.ecl_pending.push((e.seq, e.inst.dest()));
                     self.stats.inc("core_ecl_loads_committed");
                     self.stats.inc_h(self.h_loads_committed);
@@ -1140,12 +1124,6 @@ impl Core {
                         // need the wake-up broadcast.
                         self.broadcast(e.seq, lq.value);
                     }
-                }
-                if std::env::var_os("WB_ECL_DEBUG").is_some() {
-                    wb_kernel::trace::stderr_line(&format!(
-                        "[ecl] core{} normal-commit seq={} dest={:?} lq.value={} rob.result={} has={}",
-                        self.id.index(), e.seq, e.inst.dest(), lq.value, e.result, e.has_result
-                    ));
                 }
                 if self.record_events {
                     self.log.push(MemEvent {
@@ -1573,7 +1551,8 @@ impl Core {
     /// Serialize the core's mutable state. Configuration (id, core
     /// config, protocol, program) and the tracer are reconstructed from
     /// the builder, not the snapshot; ROB instruction words are refetched
-    /// from the program by PC on restore.
+    /// from the program by PC on restore (which is why this pair is
+    /// written by hand and is not a `snap_component!` declaration).
     pub fn snap(&self, w: &mut wb_kernel::SnapWriter) {
         use wb_kernel::Snap;
         w.u32(self.pc);
@@ -1647,52 +1626,21 @@ impl Core {
         }
         self.rob = rob;
         self.lsq.restore(r)?;
-        self.arch_regs = <[u64; Reg::COUNT]>::unsnap(r)?;
-        self.last_commit_seq = <[u64; Reg::COUNT]>::unsnap(r)?;
-        self.rat = <[Option<u64>; Reg::COUNT]>::unsnap(r)?;
-        self.predictor = Bimodal::unsnap(r)?;
-        self.prefetch_writes = Vec::unsnap(r)?;
-        self.ecl_pending = Vec::unsnap(r)?;
-        self.stats.load(&Stats::unsnap(r)?);
-        self.log = ExecutionLog::unsnap(r)?;
+        self.arch_regs.unsnap_into(r)?;
+        self.last_commit_seq.unsnap_into(r)?;
+        self.rat.unsnap_into(r)?;
+        self.predictor.unsnap_into(r)?;
+        self.prefetch_writes.unsnap_into(r)?;
+        self.ecl_pending.unsnap_into(r)?;
+        self.stats.unsnap_into(r)?;
+        self.log.unsnap_into(r)?;
         self.retired = r.u64()?;
         Ok(())
     }
 }
 
-impl wb_kernel::Snap for EState {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match *self {
-            EState::WaitOps => w.u8(0),
-            EState::Executing { done_at } => {
-                w.u8(1);
-                w.u64(done_at);
-            }
-            EState::WaitMem => w.u8(2),
-            EState::Done => w.u8(3),
-        }
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(match r.u8()? {
-            0 => EState::WaitOps,
-            1 => EState::Executing { done_at: r.u64()? },
-            2 => EState::WaitMem,
-            3 => EState::Done,
-            t => return Err(wb_kernel::SnapError::new(format!("unknown EState tag {t}"))),
-        })
-    }
-}
-
-impl wb_kernel::Snap for Operand {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.src.snap(w);
-        w.u64(self.value);
-        w.bool(self.ready);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(Operand { src: Option::unsnap(r)?, value: r.u64()?, ready: r.bool()? })
-    }
-}
+wb_kernel::snap_enum!(EState { 0 => WaitOps, 1 => Executing { done_at }, 2 => WaitMem, 3 => Done });
+wb_kernel::snap_struct!(Operand { src, value, ready });
 
 // ----------------------------------------------------------------------
 // The invalidation hook (Figure 2)

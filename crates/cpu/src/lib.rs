@@ -14,6 +14,11 @@
 //! cache and logs every committed memory instruction into a
 //! `wb-tso::ExecutionLog` so executions can be checked against TSO.
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod core;
 pub mod lsq;
 pub mod predictor;

@@ -546,113 +546,17 @@ impl Lsq {
     }
 }
 
-impl wb_kernel::Snap for LoadState {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u8(match self {
-            LoadState::WaitAddr => 0,
-            LoadState::Ready => 1,
-            LoadState::Requested => 2,
-            LoadState::Performed => 3,
-        });
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(LoadState::WaitAddr),
-            1 => Ok(LoadState::Ready),
-            2 => Ok(LoadState::Requested),
-            3 => Ok(LoadState::Performed),
-            t => Err(wb_kernel::SnapError::new(format!("bad LoadState tag {t:#x}"))),
-        }
-    }
-}
-
-impl wb_kernel::Snap for LqEntry {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u64(self.seq);
-        self.addr.snap(w);
-        self.state.snap(w);
-        w.u64(self.value);
-        w.u64(self.wake_at);
-        w.bool(self.seen);
-        w.bool(self.retry_when_sos);
-        w.bool(self.forwarded);
-        w.bool(self.is_amo);
-        w.bool(self.committed);
-        w.bool(self.delivered);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(LqEntry {
-            seq: r.u64()?,
-            addr: Option::unsnap(r)?,
-            state: LoadState::unsnap(r)?,
-            value: r.u64()?,
-            wake_at: r.u64()?,
-            seen: r.bool()?,
-            retry_when_sos: r.bool()?,
-            forwarded: r.bool()?,
-            is_amo: r.bool()?,
-            committed: r.bool()?,
-            delivered: r.bool()?,
-        })
-    }
-}
-
-impl wb_kernel::Snap for SqEntry {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u64(self.seq);
-        self.addr.snap(w);
-        self.data.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(SqEntry { seq: r.u64()?, addr: Option::unsnap(r)?, data: Option::unsnap(r)? })
-    }
-}
-
-impl wb_kernel::Snap for SbEntry {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u64(self.seq);
-        self.addr.snap(w);
-        w.u64(self.data);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(SbEntry { seq: r.u64()?, addr: Addr::unsnap(r)?, data: r.u64()? })
-    }
-}
-
-impl wb_kernel::Snap for LdtEntry {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.line.snap(w);
-        w.u64(self.seq);
-        w.bool(self.seen);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(LdtEntry { line: LineAddr::unsnap(r)?, seq: r.u64()?, seen: r.bool()? })
-    }
-}
-
-impl Lsq {
-    /// Serialize the queues and the deferred-ack set. Capacities are
-    /// configuration: restore targets an LSQ built with the same limits.
-    pub fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        use wb_kernel::Snap;
-        self.lq.snap(w);
-        self.sq.snap(w);
-        self.sb.snap(w);
-        self.ldt.snap(w);
-        self.pending_acks.snap(w);
-    }
-
-    /// Inverse of [`Lsq::snap`], in place.
-    pub fn restore(&mut self, r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<()> {
-        use wb_kernel::Snap;
-        self.lq = Vec::unsnap(r)?;
-        self.sq = Vec::unsnap(r)?;
-        self.sb = Vec::unsnap(r)?;
-        self.ldt = Vec::unsnap(r)?;
-        self.pending_acks = BTreeSet::unsnap(r)?;
-        Ok(())
-    }
-}
+wb_kernel::snap_enum!(LoadState { 0 => WaitAddr, 1 => Ready, 2 => Requested, 3 => Performed });
+wb_kernel::snap_struct!(LqEntry {
+    seq, addr, state, value, wake_at, seen, retry_when_sos, forwarded, is_amo, committed,
+    delivered,
+});
+wb_kernel::snap_struct!(SqEntry { seq, addr, data });
+wb_kernel::snap_struct!(SbEntry { seq, addr, data });
+wb_kernel::snap_struct!(LdtEntry { line, seq, seen });
+// The queues and the deferred-ack set. Capacities are configuration:
+// restore targets an LSQ built with the same limits.
+wb_kernel::snap_component!(pub Lsq { lq, sq, sb, ldt, pending_acks });
 
 #[cfg(test)]
 mod tests {

@@ -53,6 +53,8 @@ impl Bimodal {
     }
 }
 
+// Not a declaration: the decoder checks the table length is a power of
+// two (`index` masks with `len - 1`).
 impl wb_kernel::Snap for Bimodal {
     fn snap(&self, w: &mut wb_kernel::SnapWriter) {
         self.counters.snap(w);

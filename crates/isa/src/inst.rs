@@ -35,6 +35,7 @@ impl std::fmt::Display for Reg {
     }
 }
 
+// Not a declaration: the decoder range-checks the register number.
 impl wb_kernel::Snap for Reg {
     fn snap(&self, w: &mut wb_kernel::SnapWriter) {
         w.u8(self.0);

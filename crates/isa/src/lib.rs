@@ -32,6 +32,11 @@
 //! assert_eq!(prog.len(), 5);
 //! ```
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod asm;
 pub mod builder;
 pub mod inst;

@@ -160,38 +160,14 @@ impl HeavyHitters {
     }
 }
 
-impl crate::snap::Snap for HotEntry {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.key);
-        w.u64(self.count);
-        w.u64(self.err);
-    }
+crate::snap_struct!(HotEntry { key, count, err });
 
-    fn unsnap(r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<Self> {
-        Ok(HotEntry { key: r.u64()?, count: r.u64()?, err: r.u64()? })
-    }
-}
-
-impl crate::snap::Snap for HeavyHitters {
-    /// Entries serialize positionally (a plain `Vec` walk, keeping this
-    /// file map-free): eviction picks the minimum by `(count, key)`,
-    /// but the linear `find` in [`HeavyHitters::add`] touches entries
-    /// in table order, so the table order itself is execution-visible
-    /// state and must survive the round trip exactly.
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.usize(self.cap);
-        self.entries.snap(w);
-        w.u64(self.total);
-    }
-
-    fn unsnap(r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<Self> {
-        Ok(HeavyHitters {
-            cap: r.usize()?,
-            entries: Vec::unsnap(r)?,
-            total: r.u64()?,
-        })
-    }
-}
+// Entries serialize positionally (a plain `Vec` walk, keeping this file
+// map-free): eviction picks the minimum by `(count, key)`, but the
+// linear `find` in [`HeavyHitters::add`] touches entries in table
+// order, so the table order itself is execution-visible state and must
+// survive the round trip exactly.
+crate::snap_struct!(HeavyHitters { cap, entries, total });
 
 #[cfg(test)]
 mod tests {

@@ -387,28 +387,6 @@ impl ChaosEngine {
         self.signal = live;
     }
 
-    /// Checkpoint the engine's mutable state. The plan itself is
-    /// config, rebuilt from `SystemConfig` on restore — only the rng
-    /// cursor, the signal latch and the audit counters travel.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        use crate::snap::Snap;
-        self.rng.state().snap(w);
-        w.bool(self.signal);
-        w.u64(self.touched);
-        w.u64(self.injected);
-    }
-
-    /// Restore state captured by [`ChaosEngine::snap`] into an engine
-    /// built from the same plan/seed config.
-    pub fn restore(&mut self, r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<()> {
-        use crate::snap::Snap;
-        self.rng = SimRng::from_state(<[u64; 4]>::unsnap(r)?);
-        self.signal = r.bool()?;
-        self.touched = r.u64()?;
-        self.injected = r.u64()?;
-        Ok(())
-    }
-
     /// Re-seed the rng stream (same salt as construction) and zero the
     /// audit counters — warm-start forking: one warmed snapshot, many
     /// divergent futures, each deterministic in its new seed.
@@ -491,6 +469,10 @@ impl ChaosEngine {
         extra
     }
 }
+
+// The plan itself is config, rebuilt from `SystemConfig` on restore —
+// only the rng cursor, the signal latch and the audit counters travel.
+crate::snap_component!(pub ChaosEngine { rng, signal, touched, injected });
 
 #[cfg(test)]
 mod tests {

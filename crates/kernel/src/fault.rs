@@ -298,27 +298,6 @@ impl FaultEngine {
         (self.dropped, self.duplicated, self.corrupted)
     }
 
-    /// Checkpoint the engine's mutable state (the plan is config,
-    /// rebuilt on restore): rng cursor plus audit counters.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        use crate::snap::Snap;
-        self.rng.state().snap(w);
-        w.u64(self.dropped);
-        w.u64(self.duplicated);
-        w.u64(self.corrupted);
-    }
-
-    /// Restore state captured by [`FaultEngine::snap`] into an engine
-    /// built from the same plan/seed config.
-    pub fn restore(&mut self, r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<()> {
-        use crate::snap::Snap;
-        self.rng = SimRng::from_state(<[u64; 4]>::unsnap(r)?);
-        self.dropped = r.u64()?;
-        self.duplicated = r.u64()?;
-        self.corrupted = r.u64()?;
-        Ok(())
-    }
-
     /// Re-seed the rng stream (same salt as construction) and zero the
     /// audit counters, for warm-start forking.
     pub fn reseed(&mut self, seed: u64) {
@@ -328,6 +307,10 @@ impl FaultEngine {
         self.corrupted = 0;
     }
 }
+
+// The plan is config, rebuilt on restore: only the rng cursor and the
+// audit counters travel.
+crate::snap_component!(pub FaultEngine { rng, dropped, duplicated, corrupted });
 
 #[cfg(test)]
 mod tests {

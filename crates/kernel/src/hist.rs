@@ -234,28 +234,10 @@ impl Hist {
     }
 }
 
-impl crate::snap::Snap for Hist {
-    /// Raw-field serialization: the `min` sentinel (`u64::MAX` while
-    /// empty) is captured as-is so a restored histogram keeps recording
-    /// exactly where the original left off.
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        self.buckets.snap(w);
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    fn unsnap(r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<Self> {
-        Ok(Hist {
-            buckets: <[u64; BUCKETS]>::unsnap(r)?,
-            count: r.u64()?,
-            sum: r.u64()?,
-            min: r.u64()?,
-            max: r.u64()?,
-        })
-    }
-}
+// Raw fields: the `min` sentinel (`u64::MAX` while empty) is captured
+// as-is so a restored histogram keeps recording exactly where the
+// original left off.
+crate::snap_struct!(Hist { buckets, count, sum, min, max });
 
 impl std::fmt::Display for Hist {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -44,6 +44,11 @@
 //! assert_eq!(cfg.num_cores, 16);
 //! ```
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod attr;
 pub mod audit;
 pub mod chaos;
@@ -101,14 +106,7 @@ impl NodeId {
     }
 }
 
-impl Snap for NodeId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u16(self.0);
-    }
-    fn unsnap(r: &mut SnapReader) -> snap::SnapResult<Self> {
-        Ok(NodeId(r.u16()?))
-    }
-}
+snap_struct!(NodeId { 0 });
 
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -285,7 +285,8 @@ impl ActivitySched {
 /// The serialized form is canonical: only `(cursor, wake table)` — the
 /// derived index structures (buckets, far list, overdue list) are
 /// rebuilt on restore, so two wheels with the same logical schedule
-/// snapshot to identical bytes regardless of posting history.
+/// snapshot to identical bytes regardless of posting history. (Hence
+/// not a declaration: the decoder re-posts every wake it reads.)
 impl Snap for ActivitySched {
     fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.cursor);

@@ -9,13 +9,20 @@
 //!
 //! Design rules (see DESIGN.md "Campaign farm & checkpointing"):
 //!
+//! - **One statement per layout.** A serialized type is one declaration
+//!   — [`snap_struct!`](crate::snap_struct), [`snap_enum!`](crate::snap_enum)
+//!   or [`snap_component!`](crate::snap_component) — whose field list is
+//!   both the write order and the read order. Adding a field is one edit
+//!   plus a layout-version bump; enum tags are appended, never
+//!   renumbered. A type is written by hand only when its decoder does
+//!   more than read fields back, and says so in a comment.
 //! - **Versioned header.** Every snapshot starts with [`MAGIC`] and
 //!   [`FORMAT_VERSION`]; [`open`] rejects anything else. Bumping the
 //!   layout means bumping the version — old snapshots fail loudly, they
 //!   are never silently misread.
 //! - **Byte-deterministic.** No wall-clock, no pointers, no hash-order
-//!   iteration: callers serialize map-backed state in sorted key order.
-//!   The same machine state always produces the same bytes.
+//!   iteration: the `HashMap` impl writes in sorted key order. The same
+//!   machine state always produces the same bytes.
 //! - **Self-describing lengths.** Collections carry explicit `u64`
 //!   lengths; [`SnapReader`] bounds-checks every read, so a truncated or
 //!   corrupt snapshot surfaces as a [`SnapError`], never a panic in
@@ -26,7 +33,7 @@
 //!   numbers) and a FNV-1a checksum; the envelope self-validates through
 //!   [`crate::json::parse`] before it is handed out.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Magic bytes opening every binary snapshot.
 pub const MAGIC: &[u8; 6] = b"WBSNAP";
@@ -244,14 +251,22 @@ impl<'a> SnapReader<'a> {
 
 /// Value-level serialization into the snapshot byte stream.
 ///
-/// Component types with private state implement this (or a bespoke
-/// `snap`/`restore` pair) inside their own module; containers compose
-/// through the blanket impls below.
+/// Types declare their layout with [`snap_struct!`](crate::snap_struct)
+/// or [`snap_enum!`](crate::snap_enum) inside their own module;
+/// containers compose through the blanket impls below.
 pub trait Snap: Sized {
     /// Append this value to `w`.
     fn snap(&self, w: &mut SnapWriter);
     /// Decode one value from `r`.
     fn unsnap(r: &mut SnapReader) -> SnapResult<Self>;
+    /// Decode one value from `r` over `self` — what the `restore` of
+    /// [`snap_component!`](crate::snap_component) calls per field. The
+    /// default replaces the value; a type whose identity must survive a
+    /// restore ([`crate::Stats`] and its issued handles) overrides it.
+    fn unsnap_into(&mut self, r: &mut SnapReader) -> SnapResult<()> {
+        *self = Self::unsnap(r)?;
+        Ok(())
+    }
 }
 
 macro_rules! impl_snap_prim {
@@ -374,6 +389,50 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     }
 }
 
+impl<K: Snap + Ord + std::hash::Hash, V: Snap> Snap for HashMap<K, V> {
+    /// Written in sorted key order — hash-iteration order must never
+    /// reach the bytes — so the wire equals a sorted `Vec<(K, V)>`.
+    fn snap(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.usize(entries.len());
+        for (k, v) in entries {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader) -> SnapResult<Self> {
+        let n = r.len_for(2)?;
+        let mut out = HashMap::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            let k = K::unsnap(r)?;
+            let v = V::unsnap(r)?;
+            out.insert(k, v);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Snap> Snap for Box<T> {
+    /// A `Box` is a footprint choice, not structure: the wire is `T`'s.
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+    fn unsnap(r: &mut SnapReader) -> SnapResult<Self> {
+        Ok(Box::new(T::unsnap(r)?))
+    }
+}
+
+impl Snap for crate::SimRng {
+    /// The raw generator state: a restored stream resumes mid-sequence.
+    fn snap(&self, w: &mut SnapWriter) {
+        self.state().snap(w);
+    }
+    fn unsnap(r: &mut SnapReader) -> SnapResult<Self> {
+        Ok(crate::SimRng::from_state(Snap::unsnap(r)?))
+    }
+}
+
 impl<T: Snap, const N: usize> Snap for [T; N] {
     fn snap(&self, w: &mut SnapWriter) {
         for v in self {
@@ -410,6 +469,118 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
     fn unsnap(r: &mut SnapReader) -> SnapResult<Self> {
         Ok((A::unsnap(r)?, B::unsnap(r)?, C::unsnap(r)?))
     }
+}
+
+// ---------------------------------------------------------------------------
+// Declarative layouts
+// ---------------------------------------------------------------------------
+
+/// Declare a struct's wire layout: one ordered field list that is both
+/// the write order of `snap` and the read order of `unsnap` (field types
+/// are inferred). Takes named structs, tuple newtypes (`{ 0 }`) and
+/// structs generic over one `Snap` parameter.
+///
+/// ```
+/// use wb_kernel::{Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Entry<T> { seq: u64, payload: Option<T> }
+/// wb_kernel::snap_struct!(Entry<T> { seq, payload });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum State { Idle, Busy { until: u64 }, Moved(Entry<u16>) }
+/// // Tags are frozen: append a variant with the next tag, never renumber.
+/// wb_kernel::snap_enum!(State { 0 => Idle, 1 => Busy { until }, 2 => Moved(e) });
+///
+/// struct Unit { capacity: usize, state: State, log: Vec<u32> }
+/// // `capacity` is configuration: not listed, so neither written nor read.
+/// wb_kernel::snap_component!(pub Unit { state, log });
+///
+/// let a = Unit { capacity: 4, state: State::Busy { until: 9 }, log: vec![1, 2] };
+/// let mut w = SnapWriter::new();
+/// a.snap(&mut w);
+/// let mut b = Unit { capacity: 4, state: State::Idle, log: vec![] };
+/// b.restore(&mut SnapReader::new(&w.into_bytes())).unwrap();
+/// assert_eq!((b.state, b.log), (State::Busy { until: 9 }, vec![1, 2]));
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    ($name:ident $(<$g:ident>)? { $($field:tt),+ $(,)? }) => {
+        impl $(<$g: $crate::snap::Snap>)? $crate::snap::Snap for $name $(<$g>)? {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                $( $crate::snap::Snap::snap(&self.$field, w); )+
+            }
+            fn unsnap(r: &mut $crate::snap::SnapReader) -> $crate::snap::SnapResult<Self> {
+                Ok(Self { $( $field: $crate::snap::Snap::unsnap(r)? ),+ })
+            }
+        }
+    };
+}
+
+/// Declare an enum's wire layout: one `tag => Variant` row per variant
+/// (unit, `{ fields }` or `(binders)`), the frozen `u8` tag a literal in
+/// this one list. A missing variant fails to compile; an unknown tag
+/// decodes to a [`SnapError`](crate::snap::SnapError) naming the type.
+/// Example under [`snap_struct!`](crate::snap_struct).
+#[macro_export]
+macro_rules! snap_enum {
+    ($name:ident { $(
+        $tag:literal => $variant:ident
+            $( { $($field:ident),+ $(,)? } )?
+            $( ( $($elem:ident),+ $(,)? ) )?
+    ),+ $(,)? }) => {
+        impl $crate::snap::Snap for $name {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {$(
+                    Self::$variant $( { $($field),+ } )? $( ( $($elem),+ ) )? => {
+                        w.u8($tag);
+                        $( $( $crate::snap::Snap::snap($field, w); )+ )?
+                        $( $( $crate::snap::Snap::snap($elem, w); )+ )?
+                    }
+                )+}
+            }
+            fn unsnap(r: &mut $crate::snap::SnapReader) -> $crate::snap::SnapResult<Self> {
+                match r.u8()? {
+                    $( $tag => Ok(Self::$variant
+                        $( { $( $field: $crate::snap::Snap::unsnap(r)? ),+ } )?
+                        $( ( $( { let $elem = $crate::snap::Snap::unsnap(r)?; $elem } ),+ ) )?
+                    ), )+
+                    t => Err($crate::snap::SnapError::new(format!(
+                        "bad {} tag {t:#x}",
+                        stringify!($name)
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+/// Declare the in-place checkpoint of a component built from
+/// configuration: one field list generating the inherent
+/// `snap(&self, w)` and `restore(&mut self, r)` at the given visibility.
+/// Fields not listed (configuration, tracers, scratch) are neither
+/// written nor touched; listed fields restore through
+/// [`Snap::unsnap_into`](crate::snap::Snap::unsnap_into). Example under
+/// [`snap_struct!`](crate::snap_struct).
+#[macro_export]
+macro_rules! snap_component {
+    ($vis:vis $name:ident $(<$g:ident>)? { $($field:ident),+ $(,)? }) => {
+        impl $(<$g: $crate::snap::Snap>)? $name $(<$g>)? {
+            /// Append every execution-visible field to `w`.
+            $vis fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                $( $crate::snap::Snap::snap(&self.$field, w); )+
+            }
+            /// Inverse of `snap`, in place, over a value built from the
+            /// same configuration.
+            $vis fn restore(
+                &mut self,
+                r: &mut $crate::snap::SnapReader,
+            ) -> $crate::snap::SnapResult<()> {
+                $( $crate::snap::Snap::unsnap_into(&mut self.$field, r)?; )+
+                Ok(())
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -591,6 +762,128 @@ mod tests {
         assert_eq!(VecDeque::<u16>::unsnap(&mut r).unwrap(), value.3);
         assert_eq!(<[u8; 4]>::unsnap(&mut r).unwrap(), value.4);
         r.finish().unwrap();
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Named {
+        seq: u64,
+        tag: Option<u16>,
+        words: [u8; 3],
+    }
+    crate::snap_struct!(Named { seq, tag, words });
+
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Newtype(u32);
+    crate::snap_struct!(Newtype { 0 });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Generic<T> {
+        payload: T,
+        n: u32,
+    }
+    crate::snap_struct!(Generic<T> { payload, n });
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Shape {
+        Unit,
+        Fields { a: u64, b: bool },
+        Tuple(Newtype, Generic<String>),
+    }
+    crate::snap_enum!(Shape { 0 => Unit, 1 => Fields { a, b }, 4 => Tuple(x, y) });
+
+    fn bytes_of(v: &impl Snap) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn round_trip<T: Snap + PartialEq + std::fmt::Debug>(v: T) {
+        let bytes = bytes_of(&v);
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(T::unsnap(&mut r).unwrap(), v);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn declared_layouts_round_trip_in_field_order() {
+        let named = Named { seq: 9, tag: Some(0xbeef), words: [1, 2, 3] };
+        // The declaration's order is the wire order.
+        assert_eq!(bytes_of(&named), bytes_of(&(9u64, Some(0xbeefu16), [1u8, 2, 3])));
+        round_trip(named);
+        round_trip(Newtype(7));
+        round_trip(Generic { payload: vec![Newtype(1), Newtype(2)], n: 3 });
+        round_trip(Box::new(Generic { payload: Newtype(5), n: 1 }));
+        for shape in [
+            Shape::Unit,
+            Shape::Fields { a: u64::MAX, b: true },
+            Shape::Tuple(Newtype(8), Generic { payload: "x".to_owned(), n: 2 }),
+        ] {
+            round_trip(shape);
+        }
+        // The tag is the literal in the declaration, not the variant's position.
+        assert_eq!(bytes_of(&Shape::Tuple(Newtype(0), Generic { payload: String::new(), n: 0 }))[0], 4);
+        let mut rng = crate::SimRng::new(11);
+        rng.next_u64();
+        let mut back = crate::SimRng::unsnap(&mut SnapReader::new(&bytes_of(&rng))).unwrap();
+        assert_eq!(back.next_u64(), rng.next_u64(), "a restored stream resumes mid-sequence");
+    }
+
+    #[test]
+    fn unknown_enum_tag_is_an_error_naming_the_type() {
+        // 2 and 3 were never assigned: tags are frozen, gaps stay gaps.
+        for tag in [2u8, 3, 5, 0xff] {
+            let e = Shape::unsnap(&mut SnapReader::new(&[tag, 0, 0, 0, 0])).unwrap_err();
+            assert_eq!(e, SnapError::new(format!("bad Shape tag {tag:#x}")));
+        }
+    }
+
+    #[test]
+    fn hashmap_bytes_are_the_sorted_pair_vector() {
+        let mut keys: Vec<u32> = (0..200).map(|i| i * 7919 % 1009).collect();
+        let sorted: Vec<(Newtype, u64)> = {
+            let mut k = keys.clone();
+            k.sort_unstable();
+            k.into_iter().map(|k| (Newtype(k), k as u64 * 3)).collect()
+        };
+        let mut rng = crate::SimRng::new(5);
+        for _ in 0..3 {
+            rng.shuffle(&mut keys);
+            let map: HashMap<Newtype, u64> =
+                keys.iter().map(|&k| (Newtype(k), k as u64 * 3)).collect();
+            assert_eq!(bytes_of(&map), bytes_of(&sorted), "insertion order leaked into the bytes");
+            let back = HashMap::<Newtype, u64>::unsnap(&mut SnapReader::new(&bytes_of(&map)));
+            assert_eq!(back.unwrap(), map);
+        }
+    }
+
+    #[test]
+    fn component_restore_goes_through_unsnap_into() {
+        struct Unit {
+            capacity: usize,
+            queue: Vec<Named>,
+            stats: crate::Stats,
+        }
+        crate::snap_component!(Unit { queue, stats });
+
+        let mut a = Unit { capacity: 4, queue: Vec::new(), stats: crate::Stats::new() };
+        a.queue.push(Named { seq: 1, tag: None, words: [0; 3] });
+        a.stats.add("loads", 7);
+        let mut w = SnapWriter::new();
+        a.snap(&mut w);
+        let bytes = w.into_bytes();
+
+        // A unit built from another configuration, with a handle issued
+        // before the restore: unlisted fields are untouched, listed
+        // ones are replaced, and `Stats` keeps the handle live.
+        let mut b = Unit { capacity: 8, queue: Vec::new(), stats: crate::Stats::new() };
+        let h = b.stats.handle("loads");
+        let mut r = SnapReader::new(&bytes);
+        b.restore(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!((b.capacity, &b.queue), (8, &a.queue));
+        b.stats.inc_h(h);
+        assert_eq!(b.stats.get("loads"), 8);
+        assert!(b.restore(&mut SnapReader::new(&bytes[..bytes.len() - 1])).is_err());
     }
 
     #[test]

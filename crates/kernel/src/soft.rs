@@ -293,27 +293,6 @@ impl SoftEngine {
         self.missed += 1;
     }
 
-    /// Checkpoint the engine's mutable state (the plan is config,
-    /// rebuilt on restore): rng cursor, per-clause schedule, counters.
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        use crate::snap::Snap;
-        self.rng.state().snap(w);
-        self.next_at.snap(w);
-        w.u64(self.injected);
-        w.u64(self.missed);
-    }
-
-    /// Restore state captured by [`SoftEngine::snap`] into an engine
-    /// built from the same plan/seed config.
-    pub fn restore(&mut self, r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<()> {
-        use crate::snap::Snap;
-        self.rng = SimRng::from_state(<[u64; 4]>::unsnap(r)?);
-        self.next_at = Vec::unsnap(r)?;
-        self.injected = r.u64()?;
-        self.missed = r.u64()?;
-        Ok(())
-    }
-
     /// Re-seed the stream (same salt as construction), re-roll the
     /// schedule from `now`, and zero the counters — warm-start forking.
     pub fn reseed(&mut self, seed: u64, now: Cycle) {
@@ -325,6 +304,10 @@ impl SoftEngine {
         self.missed = 0;
     }
 }
+
+// The plan is config, rebuilt on restore: the rng cursor, the
+// per-clause schedule and the counters travel.
+crate::snap_component!(pub SoftEngine { rng, next_at, injected, missed });
 
 #[cfg(test)]
 mod tests {

@@ -269,6 +269,8 @@ impl Stats {
     }
 }
 
+// Not a declaration: the wire is a name-ordered table rather than the
+// fields, and names are re-interned to `&'static str` on the way in.
 impl crate::snap::Snap for Stats {
     /// Counters and histograms by name, in name order — deterministic
     /// regardless of the order handles were resolved in.
@@ -300,6 +302,12 @@ impl crate::snap::Snap for Stats {
             s.hists.insert(k, h);
         }
         Ok(s)
+    }
+
+    /// In place, a restore keeps the slot layout: see [`Stats::load`].
+    fn unsnap_into(&mut self, r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<()> {
+        self.load(&Self::unsnap(r)?);
+        Ok(())
     }
 }
 
@@ -530,15 +538,16 @@ mod tests {
         r.finish().unwrap();
         assert_eq!(back, s);
 
-        // In-place load: a registry with different slot layout and
-        // stale values takes on the snapshot's values while its
-        // previously issued handles keep addressing the right names.
+        // In-place restore (`unsnap_into` is `load`): a registry with
+        // different slot layout and stale values takes on the
+        // snapshot's values while its previously issued handles keep
+        // addressing the right names.
         let mut live = Stats::new();
         let h_extra = live.handle("extra");
         let h_loads = live.handle("loads");
         live.add("extra", 99);
         live.add("loads", 1);
-        live.load(&back);
+        live.unsnap_into(&mut SnapReader::new(&bytes)).unwrap();
         assert_eq!(live.get("loads"), 7);
         assert_eq!(live.get("stores"), 2);
         assert_eq!(live.get("extra"), 0, "counter absent from snapshot zeroes");

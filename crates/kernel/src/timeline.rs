@@ -242,53 +242,13 @@ impl Timeline {
     }
 }
 
-impl crate::snap::Snap for TimelineWindow {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.seq);
-        w.u64(self.start);
-        w.u64(self.end);
-        self.delta.snap(w);
-    }
+crate::snap_struct!(TimelineWindow { seq, start, end, delta });
 
-    fn unsnap(r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<Self> {
-        Ok(TimelineWindow {
-            seq: r.u64()?,
-            start: r.u64()?,
-            end: r.u64()?,
-            delta: Stats::unsnap(r)?,
-        })
-    }
-}
-
-impl crate::snap::Snap for Timeline {
-    /// Whole-value serialization: cadence, deadlines, the previous-
-    /// totals baseline and the retained ring all travel, so a restored
-    /// run samples on exactly the cycles the original would have and
-    /// exports byte-identical JSONL.
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.sample_every);
-        w.usize(self.cap);
-        w.u64(self.next_at);
-        w.u64(self.last_at);
-        w.u64(self.seq);
-        self.prev.snap(w);
-        self.windows.snap(w);
-        w.u64(self.dropped);
-    }
-
-    fn unsnap(r: &mut crate::snap::SnapReader) -> crate::snap::SnapResult<Self> {
-        Ok(Timeline {
-            sample_every: r.u64()?,
-            cap: r.usize()?,
-            next_at: r.u64()?,
-            last_at: r.u64()?,
-            seq: r.u64()?,
-            prev: Stats::unsnap(r)?,
-            windows: VecDeque::unsnap(r)?,
-            dropped: r.u64()?,
-        })
-    }
-}
+// Whole-value serialization: cadence, deadlines, the previous-totals
+// baseline and the retained ring all travel, so a restored run samples
+// on exactly the cycles the original would have and exports
+// byte-identical JSONL.
+crate::snap_struct!(Timeline { sample_every, cap, next_at, last_at, seq, prev, windows, dropped });
 
 #[cfg(test)]
 mod tests {

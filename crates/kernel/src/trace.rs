@@ -611,6 +611,7 @@ pub enum TraceSink {
 
 impl TraceSink {
     /// Emit one line.
+    #[allow(clippy::print_stderr)]
     pub fn emit(&mut self, line: &str) {
         match self {
             TraceSink::Stderr => eprintln!("{line}"),
@@ -626,13 +627,6 @@ impl TraceSink {
             _ => Vec::new(),
         }
     }
-}
-
-/// Print a debug line to stderr. The escape hatch for env-gated debug
-/// output (e.g. `WB_ECL_DEBUG`) so component code stays free of bare
-/// `eprintln!` (enforced by the `scripts/verify.sh` grep guard).
-pub fn stderr_line(line: &str) {
-    eprintln!("{line}");
 }
 
 /// Render records as the human-readable dump, one line per record.

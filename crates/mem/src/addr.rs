@@ -43,14 +43,7 @@ impl Addr {
     }
 }
 
-impl wb_kernel::Snap for Addr {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u64(self.0);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(Addr(r.u64()?))
-    }
-}
+wb_kernel::snap_struct!(Addr { 0 });
 
 impl std::fmt::Display for Addr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -101,14 +94,7 @@ impl LineAddr {
     }
 }
 
-impl wb_kernel::Snap for LineAddr {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u64(self.0);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(LineAddr(r.u64()?))
-    }
-}
+wb_kernel::snap_struct!(LineAddr { 0 });
 
 impl std::fmt::Display for LineAddr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

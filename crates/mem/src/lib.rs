@@ -5,6 +5,11 @@
 //! distinction the paper makes in Section 3.1: *loads and stores* operate on
 //! words while coherence *reads and writes* operate on cache lines.
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod addr;
 pub mod home;
 pub mod line;

@@ -51,14 +51,7 @@ impl LineData {
     }
 }
 
-impl wb_kernel::Snap for LineData {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.words.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(LineData { words: <[u64; WORDS_PER_LINE]>::unsnap(r)? })
-    }
-}
+wb_kernel::snap_struct!(LineData { words });
 
 impl From<[u64; WORDS_PER_LINE]> for LineData {
     fn from(words: [u64; WORDS_PER_LINE]) -> Self {

@@ -56,30 +56,7 @@ impl MainMemory {
     }
 }
 
-impl wb_kernel::Snap for MainMemory {
-    /// The sparse map serializes in sorted line order — `HashMap`
-    /// iteration order must never leak into snapshot bytes.
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        let mut lines: Vec<(&LineAddr, &LineData)> = self.lines.iter().collect();
-        lines.sort_by_key(|(l, _)| **l);
-        w.usize(lines.len());
-        for (l, d) in lines {
-            l.snap(w);
-            d.snap(w);
-        }
-    }
-
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        let n = r.len_for(8 + 64)?;
-        let mut lines = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let l = LineAddr::unsnap(r)?;
-            let d = LineData::unsnap(r)?;
-            lines.insert(l, d);
-        }
-        Ok(MainMemory { lines })
-    }
-}
+wb_kernel::snap_struct!(MainMemory { lines });
 
 #[cfg(test)]
 mod tests {

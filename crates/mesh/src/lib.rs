@@ -43,6 +43,15 @@
 //! except through timing. When neither layer is installed the fast path
 //! is byte-identical to a mesh built before they existed.
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+// The mesh sits under a fault injector, so unwrap/expect here would
+// turn an injected fault into a process abort: every error path is
+// explicit (discard + stat + trace).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod reliable;
 
 use std::collections::{HashMap, VecDeque};
@@ -85,19 +94,8 @@ impl VNet {
     }
 }
 
-impl wb_kernel::Snap for VNet {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u8(self.index() as u8);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(VNet::Request),
-            1 => Ok(VNet::Forward),
-            2 => Ok(VNet::Response),
-            t => Err(wb_kernel::SnapError::new(format!("bad VNet tag {t:#x}"))),
-        }
-    }
-}
+// The tags are [`VNet::index`].
+wb_kernel::snap_enum!(VNet { 0 => Request, 1 => Forward, 2 => Response });
 
 /// A message in flight, generic over the protocol payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,42 +135,9 @@ struct Flight<T> {
     sent_at: Cycle,
 }
 
-impl<T: wb_kernel::Snap> wb_kernel::Snap for Flight<T> {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.src.snap(w);
-        self.dst.snap(w);
-        self.vnet.snap(w);
-        w.u32(self.flits);
-        self.payload.snap(w);
-        // The Box is a footprint optimization, not structure: serialize
-        // the header as a plain Option.
-        match &self.link {
-            Some(b) => {
-                w.bool(true);
-                b.snap(w);
-            }
-            None => w.bool(false),
-        }
-        w.u32(self.hops_left);
-        w.u64(self.ready_at);
-        w.u64(self.flow_seq);
-        w.u64(self.sent_at);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(Flight {
-            src: NodeId::unsnap(r)?,
-            dst: NodeId::unsnap(r)?,
-            vnet: VNet::unsnap(r)?,
-            flits: r.u32()?,
-            payload: Option::unsnap(r)?,
-            link: if r.bool()? { Some(Box::new(LinkCtl::unsnap(r)?)) } else { None },
-            hops_left: r.u32()?,
-            ready_at: r.u64()?,
-            flow_seq: r.u64()?,
-            sent_at: r.u64()?,
-        })
-    }
-}
+wb_kernel::snap_struct!(Flight<T> {
+    src, dst, vnet, flits, payload, link, hops_left, ready_at, flow_seq, sent_at,
+});
 
 /// The mesh network.
 ///
@@ -609,28 +574,20 @@ impl<T> Mesh<T> {
     }
 }
 
+// Not a declaration: the three optional layers restore in place into
+// engines built from config, and their presence is checked against it.
 impl<T: wb_kernel::Snap> Mesh<T> {
     /// Serialize every execution-visible field. Geometry and latency
     /// knobs are configuration; the tracer, counter handles, and scratch
     /// buffers (cleared at each use) carry no execution-visible state.
     pub fn snap(&self, w: &mut wb_kernel::SnapWriter) {
         use wb_kernel::Snap;
-        self.rng.state().snap(w);
+        self.rng.snap(w);
         self.in_flight.snap(w);
-        // HashMaps in sorted key order for determinism.
-        let mut busy: Vec<((NodeId, usize), Cycle)> =
-            self.link_busy.iter().map(|(&k, &c)| (k, c)).collect();
-        busy.sort_unstable();
-        busy.snap(w);
+        self.link_busy.snap(w);
         self.arrived.snap(w);
-        let mut flows: Vec<(FlowKey, u64)> =
-            self.next_flow_seq.iter().map(|(&k, &s)| (k, s)).collect();
-        flows.sort_unstable();
-        flows.snap(w);
-        let mut deliver: Vec<(FlowKey, u64)> =
-            self.next_deliver_seq.iter().map(|(&k, &s)| (k, s)).collect();
-        deliver.sort_unstable();
-        deliver.snap(w);
+        self.next_flow_seq.snap(w);
+        self.next_deliver_seq.snap(w);
         self.stats.snap(w);
         // Optional layers: presence must match the restore target (both
         // are installed from config before any traffic).
@@ -662,14 +619,13 @@ impl<T: wb_kernel::Snap> Mesh<T> {
     /// mesh was configured.
     pub fn restore(&mut self, r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<()> {
         use wb_kernel::Snap;
-        self.rng = SimRng::from_state(<[u64; 4]>::unsnap(r)?);
-        self.in_flight = Vec::unsnap(r)?;
-        self.link_busy = Vec::<((NodeId, usize), Cycle)>::unsnap(r)?.into_iter().collect();
-        self.arrived = Vec::unsnap(r)?;
-        self.next_flow_seq = Vec::<(FlowKey, u64)>::unsnap(r)?.into_iter().collect();
-        self.next_deliver_seq = Vec::<(FlowKey, u64)>::unsnap(r)?.into_iter().collect();
-        let stats = Stats::unsnap(r)?;
-        self.stats.load(&stats);
+        self.rng.unsnap_into(r)?;
+        self.in_flight.unsnap_into(r)?;
+        self.link_busy.unsnap_into(r)?;
+        self.arrived.unsnap_into(r)?;
+        self.next_flow_seq.unsnap_into(r)?;
+        self.next_deliver_seq.unsnap_into(r)?;
+        self.stats.unsnap_into(r)?;
         let mismatch = |layer: &str| {
             wb_kernel::SnapError::new(format!(
                 "snapshot and mesh disagree on the {layer} layer"

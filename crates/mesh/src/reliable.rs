@@ -241,111 +241,14 @@ impl<T> ReliableLink<T> {
     }
 }
 
-impl wb_kernel::Snap for LinkCtl {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match *self {
-            LinkCtl::Data { seq, ack, check } => {
-                w.u8(0);
-                w.u64(seq);
-                w.u64(ack);
-                w.u64(check);
-            }
-            LinkCtl::Ack { ack, check } => {
-                w.u8(1);
-                w.u64(ack);
-                w.u64(check);
-            }
-        }
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(LinkCtl::Data { seq: r.u64()?, ack: r.u64()?, check: r.u64()? }),
-            1 => Ok(LinkCtl::Ack { ack: r.u64()?, check: r.u64()? }),
-            t => Err(wb_kernel::SnapError::new(format!("bad LinkCtl tag {t:#x}"))),
-        }
-    }
-}
-
-impl<T: wb_kernel::Snap> wb_kernel::Snap for Unacked<T> {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.payload.snap(w);
-        w.u32(self.flits);
-        w.u64(self.seq);
-        w.u64(self.first_sent);
-        w.u64(self.last_sent);
-        w.u64(self.rto);
-        w.u32(self.retx);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(Unacked {
-            payload: T::unsnap(r)?,
-            flits: r.u32()?,
-            seq: r.u64()?,
-            first_sent: r.u64()?,
-            last_sent: r.u64()?,
-            rto: r.u64()?,
-            retx: r.u32()?,
-        })
-    }
-}
-
-impl<T: wb_kernel::Snap> wb_kernel::Snap for Pending<T> {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.payload.snap(w);
-        w.u32(self.flits);
-        w.u64(self.seq);
-        w.u64(self.queued_at);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(Pending { payload: T::unsnap(r)?, flits: r.u32()?, seq: r.u64()?, queued_at: r.u64()? })
-    }
-}
-
-impl<T: wb_kernel::Snap> wb_kernel::Snap for SendFlow<T> {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.unacked.snap(w);
-        self.pending.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(SendFlow { unacked: VecDeque::unsnap(r)?, pending: VecDeque::unsnap(r)? })
-    }
-}
-
-impl wb_kernel::Snap for RecvFlow {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u64(self.next_expected);
-        self.ooo.snap(w);
-        self.owed_since.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(RecvFlow {
-            next_expected: r.u64()?,
-            ooo: BTreeSet::unsnap(r)?,
-            owed_since: Option::unsnap(r)?,
-        })
-    }
-}
-
-impl<T: wb_kernel::Snap> ReliableLink<T> {
-    /// Serialize the ARQ state. The policy knobs (`cfg`) are
-    /// configuration, not state: restore targets a link built with the
-    /// same [`LinkConfig`].
-    pub(crate) fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        use wb_kernel::Snap;
-        self.send_flows.snap(w);
-        self.recv_flows.snap(w);
-        w.usize(self.owed_count);
-    }
-
-    /// Inverse of [`ReliableLink::snap`], in place.
-    pub(crate) fn restore(&mut self, r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<()> {
-        use wb_kernel::Snap;
-        self.send_flows = BTreeMap::unsnap(r)?;
-        self.recv_flows = BTreeMap::unsnap(r)?;
-        self.owed_count = r.usize()?;
-        Ok(())
-    }
-}
+wb_kernel::snap_enum!(LinkCtl { 0 => Data { seq, ack, check }, 1 => Ack { ack, check } });
+wb_kernel::snap_struct!(Unacked<T> { payload, flits, seq, first_sent, last_sent, rto, retx });
+wb_kernel::snap_struct!(Pending<T> { payload, flits, seq, queued_at });
+wb_kernel::snap_struct!(SendFlow<T> { unacked, pending });
+wb_kernel::snap_struct!(RecvFlow { next_expected, ooo, owed_since });
+// The ARQ state. The policy knobs (`cfg`) are configuration, not state:
+// restore targets a link built with the same [`LinkConfig`].
+wb_kernel::snap_component!(pub(crate) ReliableLink<T> { send_flows, recv_flows, owed_count });
 
 #[cfg(test)]
 mod tests {

@@ -197,6 +197,8 @@ impl<T> SetAssocArray<T> {
     }
 }
 
+// Not a declaration: the decoder checks that the three planes agree
+// with the geometry (lookups index them by `set * ways + way`).
 impl<T: wb_kernel::Snap> wb_kernel::Snap for SetAssocArray<T> {
     /// All three slot planes serialize positionally: LRU stamps decide
     /// future victims and the way an entry occupies decides scan order,
@@ -264,7 +266,7 @@ mod tests {
                 assert_eq!(l, LineAddr(1));
                 assert_eq!(v, 1);
             }
-            other => panic!("unexpected {other:?}"), // allow(panic): test-only assertion
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -276,7 +278,7 @@ mod tests {
         // Only line 1 is evictable.
         match a.insert(LineAddr(2), 2, 2, |l, _| l == LineAddr(1)) {
             Insert::Evicted(l, _) => assert_eq!(l, LineAddr(1)),
-            other => panic!("unexpected {other:?}"), // allow(panic): test-only assertion
+            other => panic!("unexpected {other:?}"),
         }
         // Now nothing is evictable.
         assert!(matches!(a.insert(LineAddr(3), 3, 3, |_, _| false), Insert::NoVictim));

@@ -1711,194 +1711,36 @@ impl Directory {
         self.stats.inc("dir_mem_fetches");
         self.drain_queued(now, line);
     }
-
-    // ------------------------------------------------------------------
-    // Checkpointing
-    // ------------------------------------------------------------------
-
-    /// Serialize every execution-visible field. Configuration-derived
-    /// fields (`node`, `bank`, latencies, port/buffer capacities, the
-    /// Option-1 flag) and observability state (the tracer) are not
-    /// written: restore targets a bank built from the same
-    /// [`SystemConfig`].
-    pub fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        use wb_kernel::Snap;
-        self.l3.snap(w);
-        self.evict_buf.snap(w);
-        self.memory.snap(w);
-        self.ingress.snap(w);
-        self.events.snap(w);
-        self.outbox.snap(w);
-        // HashMaps: sorted key order for determinism.
-        fn sorted<V: Copy>(m: &HashMap<LineAddr, V>) -> Vec<(LineAddr, V)> {
-            let mut v: Vec<(LineAddr, V)> = m.iter().map(|(&l, &x)| (l, x)).collect();
-            v.sort_unstable_by_key(|(l, _)| l.0);
-            v
-        }
-        sorted(&self.stray_unblocks).snap(w);
-        self.stats.snap(w);
-        sorted(&self.wb_since).snap(w);
-        self.fault.snap(w);
-        sorted(&self.retry_counts).snap(w);
-        sorted(&self.tearoff_counts).snap(w);
-        self.hot.snap(w);
-        sorted(&self.wounds).snap(w);
-    }
-
-    /// Inverse of [`Directory::snap`], in place.
-    pub fn restore(&mut self, r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<()> {
-        use wb_kernel::Snap;
-        self.l3 = SetAssocArray::unsnap(r)?;
-        self.evict_buf = Vec::unsnap(r)?;
-        self.memory = MainMemory::unsnap(r)?;
-        self.ingress = VecDeque::unsnap(r)?;
-        self.events = VecDeque::unsnap(r)?;
-        self.outbox = Vec::unsnap(r)?;
-        self.stray_unblocks = Vec::<(LineAddr, u32)>::unsnap(r)?.into_iter().collect();
-        let stats = Stats::unsnap(r)?;
-        self.stats.load(&stats);
-        self.wb_since = Vec::<(LineAddr, Cycle)>::unsnap(r)?.into_iter().collect();
-        self.fault = Option::unsnap(r)?;
-        self.retry_counts = Vec::<(LineAddr, u64)>::unsnap(r)?.into_iter().collect();
-        self.tearoff_counts = Vec::<(LineAddr, u64)>::unsnap(r)?.into_iter().collect();
-        self.hot = HeavyHitters::unsnap(r)?;
-        self.wounds = Vec::<(LineAddr, Cycle)>::unsnap(r)?.into_iter().collect();
-        Ok(())
-    }
 }
 
-impl wb_kernel::Snap for DirState {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match self {
-            DirState::Uncached => w.u8(0),
-            DirState::Shared => w.u8(1),
-            DirState::Owned => w.u8(2),
-            DirState::BusyRead { requester, waiting_datawb, waiting_unblock, grant_exclusive } => {
-                w.u8(3);
-                requester.snap(w);
-                w.bool(*waiting_datawb);
-                w.bool(*waiting_unblock);
-                w.bool(*grant_exclusive);
-            }
-            DirState::BusyWrite { writer, wb, extra_sharers, extra_acks, deferred_redirs } => {
-                w.u8(4);
-                writer.snap(w);
-                w.bool(*wb);
-                extra_sharers.snap(w);
-                w.u32(*extra_acks);
-                w.u32(*deferred_redirs);
-            }
-            DirState::Fetching => w.u8(5),
-            DirState::Poisoned { pending, parked, owner_hint } => {
-                w.u8(6);
-                w.u32(*pending);
-                parked.snap(w);
-                owner_hint.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(DirState::Uncached),
-            1 => Ok(DirState::Shared),
-            2 => Ok(DirState::Owned),
-            3 => Ok(DirState::BusyRead {
-                requester: NodeId::unsnap(r)?,
-                waiting_datawb: r.bool()?,
-                waiting_unblock: r.bool()?,
-                grant_exclusive: r.bool()?,
-            }),
-            4 => Ok(DirState::BusyWrite {
-                writer: NodeId::unsnap(r)?,
-                wb: r.bool()?,
-                extra_sharers: SharerSet::unsnap(r)?,
-                extra_acks: r.u32()?,
-                deferred_redirs: r.u32()?,
-            }),
-            5 => Ok(DirState::Fetching),
-            6 => Ok(DirState::Poisoned {
-                pending: r.u32()?,
-                parked: SharerSet::unsnap(r)?,
-                owner_hint: Option::unsnap(r)?,
-            }),
-            t => Err(wb_kernel::SnapError::new(format!("bad DirState tag {t:#x}"))),
-        }
-    }
-}
+// Every execution-visible field. Configuration-derived fields (`node`,
+// `bank`, latencies, port/buffer capacities, the Option-1 flag) and
+// observability state (the tracer) are not listed: restore targets a
+// bank built from the same [`SystemConfig`].
+wb_kernel::snap_component!(pub Directory {
+    l3, evict_buf, memory, ingress, events, outbox, stray_unblocks, stats,
+    wb_since, fault, retry_counts, tearoff_counts, hot, wounds,
+});
 
-impl wb_kernel::Snap for DirEntry {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.state.snap(w);
-        self.sharers.snap(w);
-        self.owner.snap(w);
-        self.data.snap(w);
-        self.queued.snap(w);
-        // The guard must round-trip verbatim: a snapshot taken between a
-        // flip and its detection carries the (now-mismatched) guard, and
-        // the restored run must detect it on the same cycle.
-        w.u64(self.guard);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(DirEntry {
-            state: DirState::unsnap(r)?,
-            sharers: SharerSet::unsnap(r)?,
-            owner: Option::unsnap(r)?,
-            data: LineData::unsnap(r)?,
-            queued: VecDeque::unsnap(r)?,
-            guard: r.u64()?,
-        })
-    }
-}
-
-impl wb_kernel::Snap for Evicting {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.line.snap(w);
-        self.data.snap(w);
-        w.u32(self.pending);
-        w.bool(self.wb);
-        self.queued.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(Evicting {
-            line: LineAddr::unsnap(r)?,
-            data: LineData::unsnap(r)?,
-            pending: r.u32()?,
-            wb: r.bool()?,
-            queued: VecDeque::unsnap(r)?,
-        })
-    }
-}
-
-impl wb_kernel::Snap for Event {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match self {
-            Event::Process(msg) => {
-                w.u8(0);
-                msg.snap(w);
-            }
-            Event::MemReady { line } => {
-                w.u8(1);
-                line.snap(w);
-            }
-            Event::UncachedMemRead { line, requester } => {
-                w.u8(2);
-                line.snap(w);
-                requester.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(Event::Process(ProtoMsg::unsnap(r)?)),
-            1 => Ok(Event::MemReady { line: LineAddr::unsnap(r)? }),
-            2 => Ok(Event::UncachedMemRead {
-                line: LineAddr::unsnap(r)?,
-                requester: NodeId::unsnap(r)?,
-            }),
-            t => Err(wb_kernel::SnapError::new(format!("bad dir Event tag {t:#x}"))),
-        }
-    }
-}
+wb_kernel::snap_enum!(DirState {
+    0 => Uncached,
+    1 => Shared,
+    2 => Owned,
+    3 => BusyRead { requester, waiting_datawb, waiting_unblock, grant_exclusive },
+    4 => BusyWrite { writer, wb, extra_sharers, extra_acks, deferred_redirs },
+    5 => Fetching,
+    6 => Poisoned { pending, parked, owner_hint },
+});
+// The guard must round-trip verbatim: a snapshot taken between a flip
+// and its detection carries the (now-mismatched) guard, and the restored
+// run must detect it on the same cycle.
+wb_kernel::snap_struct!(DirEntry { state, sharers, owner, data, queued, guard });
+wb_kernel::snap_struct!(Evicting { line, data, pending, wb, queued });
+wb_kernel::snap_enum!(Event {
+    0 => Process(msg),
+    1 => MemReady { line },
+    2 => UncachedMemRead { line, requester },
+});
 
 #[cfg(test)]
 mod tests {

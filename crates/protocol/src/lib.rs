@@ -18,6 +18,14 @@
 //! lifetimes, the LDT) lives in `wb-cpu`; the two halves meet at the
 //! [`CoreSide`] trait and the [`Completion`] event stream.
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+// Impossible protocol states surface as typed `ProtocolError` faults
+// (`RunOutcome::Fault`), never as process aborts.
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 pub mod array;
 pub mod directory;
 pub mod messages;
@@ -52,22 +60,7 @@ pub struct ProtocolError {
     pub detail: String,
 }
 
-impl wb_kernel::Snap for ProtocolError {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.str(&self.at);
-        w.u64(self.line);
-        w.str(&self.context);
-        w.str(&self.detail);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(ProtocolError {
-            at: r.str()?,
-            line: r.u64()?,
-            context: r.str()?,
-            detail: r.str()?,
-        })
-    }
-}
+wb_kernel::snap_struct!(ProtocolError { at, line, context, detail });
 
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

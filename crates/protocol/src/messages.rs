@@ -244,206 +244,32 @@ impl ProtoMsg {
     }
 }
 
-impl wb_kernel::Snap for Dest {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match self {
-            Dest::Cache(n) => {
-                w.u8(0);
-                n.snap(w);
-            }
-            Dest::Dir(n) => {
-                w.u8(1);
-                n.snap(w);
-            }
-        }
-    }
+wb_kernel::snap_enum!(Dest { 0 => Cache(n), 1 => Dir(n) });
+wb_kernel::snap_enum!(ReadKind { 0 => Cacheable, 1 => TearOff });
 
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(Dest::Cache(NodeId::unsnap(r)?)),
-            1 => Ok(Dest::Dir(NodeId::unsnap(r)?)),
-            t => Err(wb_kernel::SnapError::new(format!("bad Dest tag {t:#x}"))),
-        }
-    }
-}
-
-impl wb_kernel::Snap for ReadKind {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u8(match self {
-            ReadKind::Cacheable => 0,
-            ReadKind::TearOff => 1,
-        });
-    }
-
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(ReadKind::Cacheable),
-            1 => Ok(ReadKind::TearOff),
-            t => Err(wb_kernel::SnapError::new(format!("bad ReadKind tag {t:#x}"))),
-        }
-    }
-}
-
-impl wb_kernel::Snap for ProtoMsg {
-    /// Tags are frozen at their declaration order; adding a variant
-    /// means appending a tag and bumping `wb_kernel::snap::FORMAT_VERSION`.
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match self {
-            ProtoMsg::GetS { line, requester, kind } => {
-                w.u8(0);
-                line.snap(w);
-                requester.snap(w);
-                kind.snap(w);
-            }
-            ProtoMsg::GetX { line, requester } => {
-                w.u8(1);
-                line.snap(w);
-                requester.snap(w);
-            }
-            ProtoMsg::PutM { line, requester, data } => {
-                w.u8(2);
-                line.snap(w);
-                requester.snap(w);
-                data.snap(w);
-            }
-            ProtoMsg::PutS { line, requester } => {
-                w.u8(3);
-                line.snap(w);
-                requester.snap(w);
-            }
-            ProtoMsg::Inv { line, writer } => {
-                w.u8(4);
-                line.snap(w);
-                writer.snap(w);
-            }
-            ProtoMsg::FwdGetS { line, requester, kind } => {
-                w.u8(5);
-                line.snap(w);
-                requester.snap(w);
-                kind.snap(w);
-            }
-            ProtoMsg::FwdGetX { line, requester } => {
-                w.u8(6);
-                line.snap(w);
-                requester.snap(w);
-            }
-            ProtoMsg::Recall { line } => {
-                w.u8(7);
-                line.snap(w);
-            }
-            ProtoMsg::Data { line, data, acks_expected, exclusive, cacheable, for_write } => {
-                w.u8(8);
-                line.snap(w);
-                data.snap(w);
-                w.u32(*acks_expected);
-                w.bool(*exclusive);
-                w.bool(*cacheable);
-                w.bool(*for_write);
-            }
-            ProtoMsg::InvAck { line, from } => {
-                w.u8(9);
-                line.snap(w);
-                from.snap(w);
-            }
-            ProtoMsg::Nack { line, from, data } => {
-                w.u8(10);
-                line.snap(w);
-                from.snap(w);
-                data.snap(w);
-            }
-            ProtoMsg::LockdownAck { line, from } => {
-                w.u8(11);
-                line.snap(w);
-                from.snap(w);
-            }
-            ProtoMsg::RedirAck { line } => {
-                w.u8(12);
-                line.snap(w);
-            }
-            ProtoMsg::Unblock { line, from } => {
-                w.u8(13);
-                line.snap(w);
-                from.snap(w);
-            }
-            ProtoMsg::PutAck { line } => {
-                w.u8(14);
-                line.snap(w);
-            }
-            ProtoMsg::WbHint { line } => {
-                w.u8(15);
-                line.snap(w);
-            }
-            ProtoMsg::DataWb { line, from, data } => {
-                w.u8(16);
-                line.snap(w);
-                from.snap(w);
-                data.snap(w);
-            }
-            ProtoMsg::AuditProbe { line } => {
-                w.u8(17);
-                line.snap(w);
-            }
-            ProtoMsg::AuditReply { line, from, present, excl } => {
-                w.u8(18);
-                line.snap(w);
-                from.snap(w);
-                w.bool(*present);
-                w.bool(*excl);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        let tag = r.u8()?;
-        let line = LineAddr::unsnap(r)?;
-        Ok(match tag {
-            0 => ProtoMsg::GetS {
-                line,
-                requester: NodeId::unsnap(r)?,
-                kind: ReadKind::unsnap(r)?,
-            },
-            1 => ProtoMsg::GetX { line, requester: NodeId::unsnap(r)? },
-            2 => ProtoMsg::PutM {
-                line,
-                requester: NodeId::unsnap(r)?,
-                data: LineData::unsnap(r)?,
-            },
-            3 => ProtoMsg::PutS { line, requester: NodeId::unsnap(r)? },
-            4 => ProtoMsg::Inv { line, writer: Option::unsnap(r)? },
-            5 => ProtoMsg::FwdGetS {
-                line,
-                requester: NodeId::unsnap(r)?,
-                kind: ReadKind::unsnap(r)?,
-            },
-            6 => ProtoMsg::FwdGetX { line, requester: NodeId::unsnap(r)? },
-            7 => ProtoMsg::Recall { line },
-            8 => ProtoMsg::Data {
-                line,
-                data: LineData::unsnap(r)?,
-                acks_expected: r.u32()?,
-                exclusive: r.bool()?,
-                cacheable: r.bool()?,
-                for_write: r.bool()?,
-            },
-            9 => ProtoMsg::InvAck { line, from: NodeId::unsnap(r)? },
-            10 => ProtoMsg::Nack { line, from: NodeId::unsnap(r)?, data: Option::unsnap(r)? },
-            11 => ProtoMsg::LockdownAck { line, from: NodeId::unsnap(r)? },
-            12 => ProtoMsg::RedirAck { line },
-            13 => ProtoMsg::Unblock { line, from: NodeId::unsnap(r)? },
-            14 => ProtoMsg::PutAck { line },
-            15 => ProtoMsg::WbHint { line },
-            16 => ProtoMsg::DataWb { line, from: NodeId::unsnap(r)?, data: LineData::unsnap(r)? },
-            17 => ProtoMsg::AuditProbe { line },
-            18 => ProtoMsg::AuditReply {
-                line,
-                from: NodeId::unsnap(r)?,
-                present: r.bool()?,
-                excl: r.bool()?,
-            },
-            t => return Err(wb_kernel::SnapError::new(format!("bad ProtoMsg tag {t:#x}"))),
-        })
-    }
-}
+// Tags are frozen at their declaration order; adding a variant means
+// appending a tag and bumping `wb_kernel::snap::FORMAT_VERSION`.
+wb_kernel::snap_enum!(ProtoMsg {
+    0 => GetS { line, requester, kind },
+    1 => GetX { line, requester },
+    2 => PutM { line, requester, data },
+    3 => PutS { line, requester },
+    4 => Inv { line, writer },
+    5 => FwdGetS { line, requester, kind },
+    6 => FwdGetX { line, requester },
+    7 => Recall { line },
+    8 => Data { line, data, acks_expected, exclusive, cacheable, for_write },
+    9 => InvAck { line, from },
+    10 => Nack { line, from, data },
+    11 => LockdownAck { line, from },
+    12 => RedirAck { line },
+    13 => Unblock { line, from },
+    14 => PutAck { line },
+    15 => WbHint { line },
+    16 => DataWb { line, from, data },
+    17 => AuditProbe { line },
+    18 => AuditReply { line, from, present, excl },
+});
 
 #[cfg(test)]
 mod tests {

@@ -234,70 +234,14 @@ impl MshrFile {
     }
 }
 
-impl wb_kernel::Snap for MshrKind {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u8(match self {
-            MshrKind::Read => 0,
-            MshrKind::Write => 1,
-            MshrKind::TearOff => 2,
-        });
-    }
-
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(MshrKind::Read),
-            1 => Ok(MshrKind::Write),
-            2 => Ok(MshrKind::TearOff),
-            t => Err(wb_kernel::SnapError::new(format!("bad MshrKind tag {t:#x}"))),
-        }
-    }
-}
-
-impl wb_kernel::Snap for Mshr {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.line.snap(w);
-        self.kind.snap(w);
-        self.waiting_loads.snap(w);
-        self.acks_expected.snap(w);
-        w.u32(self.acks_received);
-        w.bool(self.data_received);
-        w.bool(self.blocked_hint);
-        self.pending_data.snap(w);
-        w.u64(self.issued_at);
-        self.blocked_at.snap(w);
-        w.u64(self.shadow);
-    }
-
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(Mshr {
-            line: LineAddr::unsnap(r)?,
-            kind: MshrKind::unsnap(r)?,
-            waiting_loads: Vec::unsnap(r)?,
-            acks_expected: Option::unsnap(r)?,
-            acks_received: r.u32()?,
-            data_received: r.bool()?,
-            blocked_hint: r.bool()?,
-            pending_data: Option::unsnap(r)?,
-            issued_at: r.u64()?,
-            blocked_at: Option::unsnap(r)?,
-            shadow: r.u64()?,
-        })
-    }
-}
-
-impl wb_kernel::Snap for MshrFile {
-    /// Entries serialize positionally: [`MshrFile::free`] uses
-    /// `swap_remove` and lookups scan linearly, so register order is
-    /// execution-visible.
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.entries.snap(w);
-        w.usize(self.capacity);
-    }
-
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(MshrFile { entries: Vec::unsnap(r)?, capacity: r.usize()? })
-    }
-}
+wb_kernel::snap_enum!(MshrKind { 0 => Read, 1 => Write, 2 => TearOff });
+wb_kernel::snap_struct!(Mshr {
+    line, kind, waiting_loads, acks_expected, acks_received, data_received,
+    blocked_hint, pending_data, issued_at, blocked_at, shadow,
+});
+// Entries serialize positionally: [`MshrFile::free`] uses `swap_remove`
+// and lookups scan linearly, so register order is execution-visible.
+wb_kernel::snap_struct!(MshrFile { entries, capacity });
 
 #[cfg(test)]
 mod tests {

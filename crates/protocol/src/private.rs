@@ -32,14 +32,7 @@ use wb_mem::{Addr, HomeMap, LineAddr, LineData};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReadTag(pub u64);
 
-impl wb_kernel::Snap for ReadTag {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u64(self.0);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(ReadTag(r.u64()?))
-    }
-}
+wb_kernel::snap_struct!(ReadTag { 0 });
 
 /// Outcome of a [`PrivateCache::load_access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1378,159 +1371,27 @@ impl PrivateCache {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Checkpointing
-    // ------------------------------------------------------------------
-
-    /// Serialize every execution-visible field. Configuration-derived
-    /// fields (`node`, `home`, geometry, latencies) and observability
-    /// state (the tracer) are not written: restore targets a cache built
-    /// from the same [`wb_kernel::config::SystemConfig`].
-    pub fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        use wb_kernel::Snap;
-        self.l1.snap(w);
-        self.l2.snap(w);
-        self.mshrs.snap(w);
-        self.evict_buf.snap(w);
-        self.pending_fills.snap(w);
-        self.outbox.snap(w);
-        self.completions.snap(w);
-        self.stats.snap(w);
-        // HashMap: serialize in sorted line order for determinism.
-        let mut locks: Vec<(LineAddr, Cycle)> =
-            self.lockdown_since.iter().map(|(&l, &c)| (l, c)).collect();
-        locks.sort_unstable_by_key(|(l, _)| l.0);
-        locks.snap(w);
-        self.hot.snap(w);
-        self.fault.snap(w);
-        // Soft-error layer (v2): undetected wounds (sorted) and the
-        // poison list. Corrupted guards live inside the L2 lines above.
-        let mut wounds: Vec<(LineAddr, Cycle)> =
-            self.wounds.iter().map(|(&l, &c)| (l, c)).collect();
-        wounds.sort_unstable_by_key(|(l, _)| l.0);
-        wounds.snap(w);
-        self.poisoned.snap(w);
-    }
-
-    /// Inverse of [`PrivateCache::snap`], in place.
-    pub fn restore(&mut self, r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<()> {
-        use wb_kernel::Snap;
-        self.l1 = SetAssocArray::unsnap(r)?;
-        self.l2 = SetAssocArray::unsnap(r)?;
-        self.mshrs = MshrFile::unsnap(r)?;
-        self.evict_buf = Vec::unsnap(r)?;
-        self.pending_fills = Vec::unsnap(r)?;
-        self.outbox = Vec::unsnap(r)?;
-        self.completions = Vec::unsnap(r)?;
-        let stats = Stats::unsnap(r)?;
-        self.stats.load(&stats);
-        let locks: Vec<(LineAddr, Cycle)> = Vec::unsnap(r)?;
-        self.lockdown_since = locks.into_iter().collect();
-        self.hot = HeavyHitters::unsnap(r)?;
-        self.fault = Option::unsnap(r)?;
-        let wounds: Vec<(LineAddr, Cycle)> = Vec::unsnap(r)?;
-        self.wounds = wounds.into_iter().collect();
-        self.poisoned = Vec::unsnap(r)?;
-        Ok(())
-    }
 }
 
-impl wb_kernel::Snap for PState {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.u8(match self {
-            PState::S => 0,
-            PState::E => 1,
-            PState::M => 2,
-            PState::SmAd => 3,
-        });
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(PState::S),
-            1 => Ok(PState::E),
-            2 => Ok(PState::M),
-            3 => Ok(PState::SmAd),
-            t => Err(wb_kernel::SnapError::new(format!("bad PState tag {t:#x}"))),
-        }
-    }
-}
+// Every execution-visible field. Configuration-derived fields (`node`,
+// `home`, geometry, latencies) and observability state (the tracer) are
+// not listed: restore targets a cache built from the same
+// [`wb_kernel::config::SystemConfig`]. `wounds` and `poisoned` are the
+// soft-error layer (v2): undetected wounds and the poison list;
+// corrupted guards live inside the L2 lines.
+wb_kernel::snap_component!(pub PrivateCache {
+    l1, l2, mshrs, evict_buf, pending_fills, outbox, completions, stats,
+    lockdown_since, hot, fault, wounds, poisoned,
+});
 
-impl wb_kernel::Snap for L2Line {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.state.snap(w);
-        self.data.snap(w);
-        // v2: the redundant tag and its guard word must round-trip
-        // verbatim — a snapshot may capture an undetected wound.
-        w.u64(self.tag);
-        w.u64(self.guard);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(L2Line {
-            state: PState::unsnap(r)?,
-            data: LineData::unsnap(r)?,
-            tag: r.u64()?,
-            guard: r.u64()?,
-        })
-    }
-}
-
-impl wb_kernel::Snap for EvictBufEntry {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.line.snap(w);
-        self.data.snap(w);
-        w.bool(self.superseded);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(EvictBufEntry {
-            line: LineAddr::unsnap(r)?,
-            data: LineData::unsnap(r)?,
-            superseded: r.bool()?,
-        })
-    }
-}
-
-impl wb_kernel::Snap for PendingFill {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.line.snap(w);
-        self.data.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(PendingFill { line: LineAddr::unsnap(r)?, data: LineData::unsnap(r)? })
-    }
-}
-
-impl wb_kernel::Snap for Completion {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match self {
-            Completion::LoadData { tags, line, data, cacheable } => {
-                w.u8(0);
-                tags.snap(w);
-                line.snap(w);
-                data.snap(w);
-                w.bool(*cacheable);
-            }
-            Completion::WriteReady { line } => {
-                w.u8(1);
-                line.snap(w);
-            }
-            Completion::WriteBlocked { line } => {
-                w.u8(2);
-                line.snap(w);
-            }
-        }
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        match r.u8()? {
-            0 => Ok(Completion::LoadData {
-                tags: Vec::unsnap(r)?,
-                line: LineAddr::unsnap(r)?,
-                data: LineData::unsnap(r)?,
-                cacheable: r.bool()?,
-            }),
-            1 => Ok(Completion::WriteReady { line: LineAddr::unsnap(r)? }),
-            2 => Ok(Completion::WriteBlocked { line: LineAddr::unsnap(r)? }),
-            t => Err(wb_kernel::SnapError::new(format!("bad Completion tag {t:#x}"))),
-        }
-    }
-}
+wb_kernel::snap_enum!(PState { 0 => S, 1 => E, 2 => M, 3 => SmAd });
+// v2: the redundant tag and its guard word must round-trip verbatim — a
+// snapshot may capture an undetected wound.
+wb_kernel::snap_struct!(L2Line { state, data, tag, guard });
+wb_kernel::snap_struct!(EvictBufEntry { line, data, superseded });
+wb_kernel::snap_struct!(PendingFill { line, data });
+wb_kernel::snap_enum!(Completion {
+    0 => LoadData { tags, line, data, cacheable },
+    1 => WriteReady { line },
+    2 => WriteBlocked { line },
+});

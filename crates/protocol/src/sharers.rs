@@ -163,14 +163,7 @@ impl IntoIterator for SharerSet {
     }
 }
 
-impl wb_kernel::Snap for SharerSet {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.words.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(SharerSet { words: <[u64; WORDS]>::unsnap(r)? })
-    }
-}
+wb_kernel::snap_struct!(SharerSet { words });
 
 impl std::fmt::Debug for SharerSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

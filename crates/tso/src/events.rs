@@ -135,62 +135,13 @@ impl Extend<MemEvent> for ExecutionLog {
     }
 }
 
-impl wb_kernel::Snap for MemOp {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        match *self {
-            MemOp::Load { value } => {
-                w.u8(0);
-                w.u64(value);
-            }
-            MemOp::Store { value, performed_at } => {
-                w.u8(1);
-                w.u64(value);
-                w.u64(performed_at);
-            }
-            MemOp::Rmw { old, new, performed_at } => {
-                w.u8(2);
-                w.u64(old);
-                w.u64(new);
-                w.u64(performed_at);
-            }
-        }
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(match r.u8()? {
-            0 => MemOp::Load { value: r.u64()? },
-            1 => MemOp::Store { value: r.u64()?, performed_at: r.u64()? },
-            2 => MemOp::Rmw { old: r.u64()?, new: r.u64()?, performed_at: r.u64()? },
-            t => return Err(wb_kernel::SnapError::new(format!("unknown MemOp tag {t}"))),
-        })
-    }
-}
-
-impl wb_kernel::Snap for MemEvent {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        w.usize(self.core);
-        w.u64(self.seq);
-        self.addr.snap(w);
-        self.op.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(MemEvent {
-            core: r.usize()?,
-            seq: r.u64()?,
-            addr: Addr::unsnap(r)?,
-            op: MemOp::unsnap(r)?,
-        })
-    }
-}
-
-impl wb_kernel::Snap for ExecutionLog {
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.events.snap(w);
-        self.init.snap(w);
-    }
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        Ok(ExecutionLog { events: Vec::unsnap(r)?, init: Vec::unsnap(r)? })
-    }
-}
+wb_kernel::snap_enum!(MemOp {
+    0 => Load { value },
+    1 => Store { value, performed_at },
+    2 => Rmw { old, new, performed_at },
+});
+wb_kernel::snap_struct!(MemEvent { core, seq, addr, op });
+wb_kernel::snap_struct!(ExecutionLog { events, init });
 
 #[cfg(test)]
 mod tests {

@@ -15,6 +15,11 @@
 //! - [`litmus`]: the litmus tests of the paper (Table 1 message passing,
 //!   Table 3 transitivity) plus the classics (SB, LB, IRIW, CoRR).
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod checker;
 pub mod events;
 pub mod interleavings;

@@ -25,6 +25,11 @@
 //! assert!(all.iter().any(|w| w.name == "fft"));
 //! ```
 
+// Output goes through `wb_kernel::trace` (a `TraceSink`) or a returned
+// value, never straight to the terminal: checked by `cargo clippy` in
+// `scripts/verify.sh`.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod codegen;
 pub mod directed;
 pub mod invariants;

@@ -46,15 +46,20 @@ fn observe(sys: &mut System, budget: u64) -> Observed {
     }
 }
 
+/// The headline arm (WritersBlock, out-of-order commit) at jitter 25.
+fn base(seed: u64) -> SystemConfig {
+    SystemConfig::new(CoreClass::Slm)
+        .with_commit(CommitMode::OutOfOrderWb)
+        .with_protocol(ProtocolKind::WritersBlock)
+        .with_seed(seed)
+        .with_jitter(25)
+}
+
 /// The cell matrix the property test draws from: litmus, plain
 /// contention, chaos timing injection, a lossy-link (ARQ-active) fault
 /// cell, and a soft-error cell (bit flips + guards + periodic audit).
 fn cell(kind: usize, seed: u64) -> (SystemConfig, Workload) {
-    let base = SystemConfig::new(CoreClass::Slm)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(seed)
-        .with_jitter(25);
+    let base = base(seed);
     match kind % 5 {
         0 => (base.with_cores(2), wb_tso::litmus::mp().workload),
         1 => (base.with_cores(4), torture::workload(4, seed, 10)),
@@ -298,4 +303,89 @@ fn warm_start_forks_are_deterministic() {
     assert_eq!(a, b, "same-seed forks diverged");
     assert_eq!(seed_a, 0xf0f0);
     assert_eq!(seed_b, 0xf0f0);
+}
+
+/// FNV-1a-64, the same function the JSON envelope's `check` field uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Six cells that between them reach every codec: litmus, plain
+/// contention, chaos, ARQ under `mixed_misery`, soft errors and 16-core
+/// ECL, each with the timeline on, run to a mid-flight cut.
+const WIRE_CELLS: [&str; 6] = ["mp", "plain", "chaos", "arq", "soft", "ecl16"];
+
+fn wire_cell(name: &str) -> System {
+    let base = base(7);
+    let four = base.clone().with_cores(4);
+    let torture = || torture::workload(4, 7, 40);
+    let (cfg, w, cut) = match name {
+        "mp" => (base.with_cores(2), wb_tso::litmus::mp().workload, 300),
+        "plain" => (four, torture(), 3000),
+        "chaos" => (four.with_chaos(ChaosPlan::delay_storm()), torture(), 3000),
+        "arq" => (four.with_fault(FaultPlan::mixed_misery()), torture(), 3000),
+        "soft" => {
+            (four.with_soft(SoftPlan::background_radiation().accelerated(20)), torture(), 3000)
+        }
+        _ => (
+            base.with_cores(16).with_commit(CommitMode::InOrderEcl),
+            wb_workloads::splash::fft(16, wb_workloads::Scale::Test),
+            2000,
+        ),
+    };
+    let mut sys = System::new(cfg, &w);
+    sys.enable_timeline(500);
+    let _ = sys.run(cut);
+    sys
+}
+
+/// The wire format itself, not just its round trip: length and digest
+/// of `System::snapshot()` on [`WIRE_CELLS`]. The constants were
+/// computed at the commit before the codecs became declarations
+/// (PR 20); a layout change bumps `SNAP_LAYOUT` and refreshes them.
+#[test]
+fn wire_format_is_pinned() {
+    let got: Vec<(&str, usize, u64)> = WIRE_CELLS
+        .iter()
+        .map(|&name| {
+            let bytes = wire_cell(name).snapshot();
+            (name, bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    let want = [
+        ("mp", 653_938, 0xc12d_646b_c423_ab76),
+        ("plain", 1_359_159, 0xd7a0_e5a3_37ee_77c3),
+        ("chaos", 1_354_240, 0xace9_87c4_e138_4127),
+        ("arq", 1_359_121, 0xaa63_7991_17c6_2b41),
+        ("soft", 1_367_428, 0x6155_0c77_b637_59a5),
+        ("ecl16", 5_366_243, 0xd5ca_7609_4769_6f8a),
+    ];
+    assert_eq!(got, want, "the wire moved");
+}
+
+wb_proptest! {
+    #![cases = 48]
+
+    /// A damaged snapshot — cut short anywhere, or with one bit flipped
+    /// anywhere — restores to a typed error or (a flip in a value no
+    /// decoder constrains) to `Ok`: never a panic, never an allocation
+    /// sized by a corrupt length. A truncation is always an error.
+    #[test]
+    fn damaged_snapshots_are_errors_not_panics(
+        cell in 0usize..WIRE_CELLS.len(),
+        at in 0u64..u64::MAX,
+        bit in 0u8..8,
+        truncate in 0u8..2,
+    ) {
+        let mut sys = wire_cell(WIRE_CELLS[cell]);
+        let mut bytes = sys.snapshot();
+        let at = (at % bytes.len() as u64) as usize;
+        if truncate == 1 {
+            bytes.truncate(at);
+            prop_assert!(sys.restore(&bytes).is_err(), "a snapshot cut at {at} restored");
+        } else {
+            bytes[at] ^= 1 << bit;
+            let _ = sys.restore(&bytes);
+        }
+    }
 }

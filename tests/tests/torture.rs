@@ -113,3 +113,44 @@ fn torture_chaos_matrix() {
 fn torture_ecl() {
     torture(CommitMode::InOrderEcl, 500..525);
 }
+
+/// ROADMAP item 1(a): the 22 programs of `benchmark/README.md` "Known
+/// failing inputs", each replayed unchanged on all five arms at the
+/// jitter it was found with (25) and at 0. Prints the classification
+/// table of EXPERIMENTS.md "Known failures by arm" — one row per
+/// program, a cell being `pass` or the first two fields of
+/// `Verdict::signature()` — and asserts nothing about which cells
+/// fail: a protocol fix changes the table, not this test.
+///
+/// `cargo test --release -p wb-integration --test torture known_failures_by_arm -- --ignored --nocapture`
+#[test]
+#[ignore = "prints a table (about 14 s in release)"]
+fn known_failures_by_arm() {
+    const AT_200_OPS: [u64; 17] = [
+        40, 8001, 9020, 9046, 24014, 45002, 48042, 54009, 56039, 67013, 84016, 84019, 88041,
+        97004, 97010, 102006, 105018,
+    ];
+    let smaller = [(25017, 100), (41140, 60), (52082, 40), (56077, 40), (177030, 40)];
+    let grid: Vec<_> = [25, 0]
+        .into_iter()
+        .flat_map(|jitter| ARMS.map(|(arm, protocol, mode)| (jitter, arm, protocol, mode)))
+        .collect();
+    let columns: Vec<String> = grid.iter().map(|(j, arm, ..)| format!("{arm} j{j}")).collect();
+    println!("| program | {} |", columns.join(" | "));
+    for (seed, ops) in AT_200_OPS.map(|s| (s, 200)).into_iter().chain(smaller) {
+        let w = torture::workload(4, seed, ops);
+        let cells: Vec<String> = grid
+            .iter()
+            .map(|&(jitter, _, protocol, mode)| {
+                let cfg = config(CoreClass::Slm, mode, seed)
+                    .with_protocol(protocol)
+                    .with_jitter(jitter);
+                match System::new(cfg, &w).verify(2_000_000).signature() {
+                    None => "pass".to_owned(),
+                    Some(s) => s.split('|').take(2).collect::<Vec<_>>().join(" "),
+                }
+            })
+            .collect();
+        println!("| torture-{seed}@{ops} | {} |", cells.join(" | "));
+    }
+}
