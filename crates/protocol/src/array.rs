@@ -7,19 +7,45 @@
 //!
 //! # Layout
 //!
-//! Storage is struct-of-arrays over flat slot arenas (slot = `set *
-//! ways + way`): a tag plane, an LRU-stamp plane and a payload plane.
-//! Tag scans — the operation every cache access performs — walk `ways`
-//! adjacent `u64`s (one cache line for typical associativities) instead
-//! of chasing a `Vec<Vec<Way<T>>>` through two pointer hops per set and
-//! dragging payload bytes through the scan. At 256 cores the simulator
-//! holds hundreds of these arrays, so tick-loop residency matters.
+//! Storage is paid per touched set, not per configured way. An L3 bank
+//! of the paper's Table 6 machine has 16,384 slots and a cell touches a
+//! few thousand lines at most, so a set gets its storage the first time a
+//! line is inserted into it, and `new`, `Drop`, `clone` and restore cost
+//! O(touched sets).
+//!
+//! - A `num_sets`-long block table holds, per set, the slot base of its
+//!   block, or [`UNTOUCHED`].
+//! - Behind it, three struct-of-arrays planes — tags, LRU stamps,
+//!   payloads — grow by one block of `ways` slots per touched set (slot =
+//!   `base + way`), in first-touch order.
+//! - A lookup is one table load and a scan of `ways` adjacent `u64` tags
+//!   (one cache line for typical associativities); payload bytes never
+//!   pass through the scan.
+//!
+//! Everything observable goes through the table in set order, so the
+//! lazy layout is indistinguishable from allocating every set up front:
+//!
+//! - [`SetAssocArray::iter`] yields ascending set, then way.
+//! - The snapshot wire is the eager layout: an untouched set is written
+//!   as `ways` free ways with zero stamps and no payload.
+//! - A set emptied by [`SetAssocArray::remove`] keeps its block and its
+//!   stale stamps; those stamps are part of the wire.
 
+use wb_kernel::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use wb_mem::LineAddr;
 
 /// Tag-plane sentinel for a free way. Line numbers are byte addresses
 /// divided by the 64-byte line size, so no real line reaches this value.
 const FREE: u64 = u64::MAX;
+
+/// Block-table sentinel for a set that has no storage yet.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Slot count of a `num_sets` x `ways` array, if that geometry is usable:
+/// both dimensions non-zero and every slot base below [`UNTOUCHED`].
+fn capacity(num_sets: usize, ways: usize) -> Option<usize> {
+    num_sets.checked_mul(ways).filter(|&n| n > 0 && n <= UNTOUCHED as usize)
+}
 
 /// Result of an [`SetAssocArray::insert`].
 #[derive(Debug, PartialEq, Eq)]
@@ -46,6 +72,8 @@ pub enum Insert<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocArray<T> {
+    /// Per set: slot base of its block in the planes, or [`UNTOUCHED`].
+    blocks: Vec<u32>,
     /// Line number per slot; [`FREE`] marks an empty way.
     tags: Vec<u64>,
     /// LRU stamp per slot, parallel to `tags`.
@@ -58,18 +86,20 @@ pub struct SetAssocArray<T> {
 }
 
 impl<T> SetAssocArray<T> {
-    /// Create an array with `num_sets` sets of `ways` ways.
+    /// Create an array with `num_sets` sets of `ways` ways. No set has
+    /// storage until a line is inserted into it.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or if the array would hold
+    /// `u32::MAX` slots or more.
     pub fn new(num_sets: usize, ways: usize) -> Self {
-        assert!(num_sets > 0 && ways > 0, "degenerate cache geometry");
-        let n = num_sets * ways;
+        assert!(capacity(num_sets, ways).is_some(), "degenerate cache geometry {num_sets}x{ways}");
         SetAssocArray {
-            tags: vec![FREE; n],
-            stamps: vec![0; n],
-            slots: (0..n).map(|_| None).collect(),
+            blocks: vec![UNTOUCHED; num_sets],
+            tags: Vec::new(),
+            stamps: Vec::new(),
+            slots: Vec::new(),
             num_sets,
             ways,
             len: 0,
@@ -84,14 +114,39 @@ impl<T> SetAssocArray<T> {
     }
 
     #[inline]
-    fn base_of(&self, line: LineAddr) -> usize {
-        ((line.0 % self.num_sets as u64) as usize) * self.ways
+    fn set_of(&self, line: LineAddr) -> usize {
+        (line.0 % self.num_sets as u64) as usize
+    }
+
+    /// Slot base of each set's block, in set order; `None` for an
+    /// untouched set.
+    fn bases(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.blocks.iter().map(|&b| (b != UNTOUCHED).then_some(b as usize))
+    }
+
+    /// Slot base of `set`'s block, appending a block of free ways to the
+    /// planes on the set's first use.
+    fn claim(&mut self, set: usize) -> usize {
+        if self.blocks[set] == UNTOUCHED {
+            let base = self.tags.len();
+            let end = base + self.ways;
+            self.tags.resize(end, FREE);
+            self.stamps.resize(end, 0);
+            self.slots.resize_with(end, || None);
+            // Below UNTOUCHED: `capacity` bounds the planes by u32::MAX.
+            self.blocks[set] = base as u32;
+        }
+        self.blocks[set] as usize
     }
 
     /// Slot index holding `line`, if resident.
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
-        let base = self.base_of(line);
+        let base = self.blocks[self.set_of(line)];
+        if base == UNTOUCHED {
+            return None;
+        }
+        let base = base as usize;
         self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == line.0)
@@ -135,7 +190,7 @@ impl<T> SetAssocArray<T> {
         evictable: impl Fn(LineAddr, &T) -> bool,
     ) -> Insert<T> {
         debug_assert!(!self.contains(line), "inserting duplicate line {line}");
-        let base = self.base_of(line);
+        let base = self.claim(self.set_of(line));
         // Free way first; otherwise the LRU evictable way (tag scan
         // only — payloads are read just for the evictability filter).
         let mut victim: Option<usize> = None;
@@ -166,7 +221,8 @@ impl<T> SetAssocArray<T> {
         }
     }
 
-    /// Remove `line`, returning its payload.
+    /// Remove `line`, returning its payload. The set keeps its block and
+    /// the way keeps its stamp.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
         let i = self.find(line)?;
         self.tags[i] = FREE;
@@ -177,13 +233,13 @@ impl<T> SetAssocArray<T> {
         old
     }
 
-    /// Iterate over `(line, payload)` for every resident entry.
+    /// Iterate over `(line, payload)` for every resident entry, in
+    /// ascending set order and way order within a set.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.tags
-            .iter()
-            .zip(&self.slots)
-            .filter(|(&t, _)| t != FREE)
-            .filter_map(|(&t, p)| p.as_ref().map(|p| (LineAddr(t), p)))
+        self.bases()
+            .flatten()
+            .flat_map(|base| base..base + self.ways)
+            .filter_map(|i| self.slots[i].as_ref().map(|p| (LineAddr(self.tags[i]), p)))
     }
 
     /// Number of resident lines.
@@ -195,39 +251,93 @@ impl<T> SetAssocArray<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Write `plane` as the eager layout's length-prefixed sequence of
+    /// `num_sets * ways` values in set order, `blank` for every way of an
+    /// untouched set.
+    fn snap_plane<P: Snap>(&self, w: &mut SnapWriter, plane: &[P], blank: &P) {
+        w.usize(self.num_sets * self.ways);
+        for base in self.bases() {
+            match base {
+                Some(b) => plane[b..b + self.ways].iter().for_each(|p| p.snap(w)),
+                None => (0..self.ways).for_each(|_| blank.snap(w)),
+            }
+        }
+    }
 }
 
-// Not a declaration: the decoder checks that the three planes agree
-// with the geometry (lookups index them by `set * ways + way`).
-impl<T: wb_kernel::Snap> wb_kernel::Snap for SetAssocArray<T> {
+/// Read one length-prefixed plane, keeping `(slot, value)` for each value
+/// `keep` maps to `Some`: storage proportional to the touched slots, not
+/// to the plane's length.
+fn read_plane<P: Snap, Q>(
+    r: &mut SnapReader,
+    keep: impl Fn(P) -> Option<Q>,
+) -> SnapResult<(usize, Vec<(usize, Q)>)> {
+    let n = r.len_for(1)?;
+    let mut kept = Vec::new();
+    for i in 0..n {
+        if let Some(v) = keep(P::unsnap(r)?) {
+            kept.push((i, v));
+        }
+    }
+    Ok((n, kept))
+}
+
+// Not a declaration: the wire is the eager layout (three full planes, then
+// the geometry), so the decoder keeps only what differs from an untouched
+// set, checks it against the geometry and the occupancy invariants, and
+// gives a block only to the sets that need one.
+impl<T: Snap> Snap for SetAssocArray<T> {
     /// All three slot planes serialize positionally: LRU stamps decide
     /// future victims and the way an entry occupies decides scan order,
     /// so slot layout is execution-visible state, not an implementation
     /// detail.
-    fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.tags.snap(w);
-        self.stamps.snap(w);
-        self.slots.snap(w);
+    fn snap(&self, w: &mut SnapWriter) {
+        self.snap_plane(w, &self.tags, &FREE);
+        self.snap_plane(w, &self.stamps, &0);
+        self.snap_plane(w, &self.slots, &None);
         w.usize(self.num_sets);
         w.usize(self.ways);
         w.usize(self.len);
     }
 
-    fn unsnap(r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<Self> {
-        let a = SetAssocArray {
-            tags: Vec::unsnap(r)?,
-            stamps: Vec::unsnap(r)?,
-            slots: Vec::unsnap(r)?,
-            num_sets: r.usize()?,
-            ways: r.usize()?,
-            len: r.usize()?,
-        };
-        let n = a.num_sets.checked_mul(a.ways).unwrap_or(0);
-        if a.tags.len() != n || a.stamps.len() != n || a.slots.len() != n {
-            return Err(wb_kernel::SnapError::new(format!(
-                "cache array planes disagree with geometry {}x{}",
-                a.num_sets, a.ways
+    fn unsnap(r: &mut SnapReader) -> SnapResult<Self> {
+        let (n, tags) = read_plane(r, |t: u64| (t != FREE).then_some(t))?;
+        let (n_stamps, stamps) = read_plane(r, |s: u64| (s != 0).then_some(s))?;
+        let (n_slots, slots) = read_plane(r, |p: Option<T>| p)?;
+        let (num_sets, ways, len) = (r.usize()?, r.usize()?, r.usize()?);
+        if capacity(num_sets, ways) != Some(n) || n_stamps != n || n_slots != n {
+            return Err(SnapError::new(format!(
+                "cache array planes disagree with geometry {num_sets}x{ways}"
             )));
+        }
+        if !tags.iter().map(|t| t.0).eq(slots.iter().map(|p| p.0)) {
+            return Err(SnapError::new(format!(
+                "cache array tags and payloads disagree on which ways are occupied \
+                 ({} tagged, {} with a payload)",
+                tags.len(),
+                slots.len()
+            )));
+        }
+        if len != slots.len() {
+            return Err(SnapError::new(format!(
+                "cache array len {len} and its {} occupied ways disagree",
+                slots.len()
+            )));
+        }
+        let mut a = SetAssocArray::new(num_sets, ways);
+        a.len = len;
+        for (i, t) in tags {
+            let base = a.claim(i / ways);
+            a.tags[base + i % ways] = t;
+        }
+        for (i, s) in stamps {
+            let base = a.claim(i / ways);
+            a.stamps[base + i % ways] = s;
+        }
+        for (i, p) in slots {
+            let base = a.claim(i / ways);
+            a.slots[base + i % ways] = Some(p);
         }
         Ok(a)
     }
@@ -325,5 +435,68 @@ mod tests {
     #[should_panic(expected = "degenerate")]
     fn zero_geometry_panics() {
         let _: SetAssocArray<()> = SetAssocArray::new(0, 1);
+    }
+
+    /// The fence against eager allocation coming back: storage follows
+    /// the touched sets, not the configured ones.
+    #[test]
+    fn storage_is_allocated_per_touched_set() {
+        let slots = |a: &SetAssocArray<u32>| (a.tags.len(), a.stamps.len(), a.slots.len());
+        let mut a: SetAssocArray<u32> = SetAssocArray::new(2048, 8);
+        assert_eq!(slots(&a), (0, 0, 0));
+        assert_eq!((a.tags.capacity(), a.stamps.capacity(), a.slots.capacity()), (0, 0, 0));
+        a.insert(LineAddr(5), 1, 1, |_, _| true);
+        assert_eq!(slots(&a), (8, 8, 8));
+        a.insert(LineAddr(5 + 2048), 2, 2, |_, _| true); // same set
+        assert_eq!(slots(&a), (8, 8, 8));
+        a.remove(LineAddr(5));
+        a.remove(LineAddr(5 + 2048));
+        assert_eq!(slots(&a), (8, 8, 8));
+        assert_ne!(a.blocks[5], UNTOUCHED);
+        assert_eq!(a.blocks.iter().filter(|&&b| b != UNTOUCHED).count(), 1);
+    }
+
+    /// Hand-built bytes for a 1x2 array: the given tags, stamps 3 and 0,
+    /// the given payloads, then the geometry and `len`.
+    fn eager_bytes(tags: [u64; 2], payloads: [Option<u32>; 2], len: usize) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        tags.to_vec().snap(&mut w);
+        vec![3u64, 0].snap(&mut w);
+        payloads.to_vec().snap(&mut w);
+        w.usize(1);
+        w.usize(2);
+        w.usize(len);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> SnapResult<SetAssocArray<u32>> {
+        let mut r = SnapReader::new(bytes);
+        let a = SetAssocArray::unsnap(&mut r)?;
+        r.finish()?;
+        Ok(a)
+    }
+
+    #[test]
+    fn inconsistent_snapshots_are_typed_errors() {
+        let ok = decode(&eager_bytes([7, FREE], [Some(70), None], 1)).expect("consistent bytes");
+        assert_eq!(ok.get(LineAddr(7)), Some(&70));
+        assert_eq!(ok.len(), 1);
+        let cases = [
+            (eager_bytes([7, FREE], [Some(70), None], 2), "len 2 and its 1 occupied ways disagree"),
+            (eager_bytes([7, FREE], [Some(70), None], 0), "len 0 and its 1 occupied ways disagree"),
+            (eager_bytes([7, FREE], [None, None], 0), "tags and payloads disagree"),
+            (eager_bytes([FREE, FREE], [Some(70), None], 1), "tags and payloads disagree"),
+            (eager_bytes([7, FREE], [None, Some(70)], 1), "tags and payloads disagree"),
+        ];
+        for (bytes, want) in cases {
+            let err = decode(&bytes).expect_err(want);
+            assert!(err.0.contains("cache array") && err.0.contains(want), "{err}");
+        }
+        // A geometry that does not match the planes' lengths.
+        let mut bytes = eager_bytes([7, FREE], [Some(70), None], 1);
+        let at = bytes.len() - 16; // the `ways` word
+        bytes[at] = 3;
+        let err = decode(&bytes).expect_err("planes of 2 under a 1x3 geometry");
+        assert!(err.0.contains("planes disagree with geometry 1x3"), "{err}");
     }
 }

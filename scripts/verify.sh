@@ -100,7 +100,9 @@ cargo check --offline --all-targets
 # panic!/unreachable! in wb-protocol (impossible states are typed
 # faults), no println!/eprintln! in any component crate (output goes
 # through wb_kernel::trace). Each is a `deny`, so clippy exits nonzero.
-cargo clippy --offline
+# `--all-targets` lints the tests, benches and examples too (the
+# wb-protocol panic lint is off under `cfg(test)`; the others apply).
+cargo clippy --offline --all-targets
 cargo test -q --offline
 
 # Trace smoke test: the protocol_trace example must emit a well-formed,
