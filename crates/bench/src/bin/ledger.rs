@@ -9,10 +9,10 @@
 //! (detection/recovery and audit overhead) — all on the sparse engine,
 //! so every simulated metric is byte-reproducible on a given revision,
 //! and the scheduler's economics (`engine_visits`, cycles jumped) gate
-//! at the tight tier beside them: a visits regression means components
+//! at the same 2% gate beside them: a visits regression means components
 //! stopped sleeping even while outcomes — pinned byte-identical by the
-//! equivalence suite — stay green. Wall-clock medians ride
-//! along as advisory rows (see [`wb_bench::ledger`] for the gating
+//! equivalence suite — stay green. Host time is not recorded: it is
+//! `benchmark/`'s to measure (see [`wb_bench::ledger`] for the gating
 //! policy).
 //!
 //! | variable         | effect                                        |
@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use wb_bench::campaign::{self, CampaignSpec};
 use wb_bench::ledger::{self, LedgerEntry};
-use wb_bench::timing::BenchResult;
 use wb_isa::Workload;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
 use wb_kernel::soft::SoftPlan;
@@ -35,13 +34,11 @@ use writersblock::{RunOutcome, System};
 
 const GROUP: &str = "ledger-smoke";
 const RUN_BUDGET: u64 = 50_000_000;
-const WALL_SAMPLES: usize = 3;
 
 /// Second metric group: the campaign farm itself. A small fixed
-/// campaign runs fresh and then resumes as a no-op, yielding
-/// throughput (cells/sec), resume overhead and checkpoint size — the
-/// knobs a farm regression would move. Simulated totals and snapshot
-/// bytes are deterministic and gated; wall rows are advisory.
+/// campaign runs to completion, yielding its cell count, total
+/// simulated cycles and the checkpoint size of a warmed cell — the
+/// counts a farm regression would move.
 const CAMPAIGN_GROUP: &str = "campaign";
 
 const CAMPAIGN_SPEC: &str = r#"{
@@ -106,32 +103,22 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// Run one cell `WALL_SAMPLES` times: deterministic metrics from the
-/// last run, wall-clock median via the timing harness's estimator.
+/// Run one cell and record its deterministic metrics.
 fn run_cell(cell: &Cell, metrics: &mut BTreeMap<String, u64>) {
-    let mut samples_ns = Vec::with_capacity(WALL_SAMPLES);
-    let mut last: Option<System> = None;
-    for _ in 0..WALL_SAMPLES {
-        let t0 = std::time::Instant::now();
-        let mut sys = System::new(cell.cfg.clone(), &cell.workload);
-        let outcome = sys.run(RUN_BUDGET);
-        samples_ns.push(t0.elapsed().as_nanos());
-        assert_eq!(
-            outcome,
-            RunOutcome::Done,
-            "ledger cell {} ended with {outcome} at cycle {}", // allow(panic): bench driver
-            cell.name,
-            sys.now()
-        );
-        last = Some(sys);
-    }
-    let mut sys = last.expect("at least one sample"); // allow(panic): bench driver
+    let mut sys = System::new(cell.cfg.clone(), &cell.workload);
+    let outcome = sys.run(RUN_BUDGET);
+    assert_eq!(
+        outcome,
+        RunOutcome::Done,
+        "ledger cell {} ended with {outcome} at cycle {}", // allow(panic): bench driver
+        cell.name,
+        sys.now()
+    );
     // Soft cells scrub latent wounds with a final audit before metrics
     // are read, so `soft_silent` gates at a hard zero.
     if cell.cfg.soft.is_some() {
         sys.run_audit(true).assert_clean(cell.name);
     }
-    let r = BenchResult { name: cell.name.to_owned(), samples_ns, stats: None };
     let report = sys.report();
     let key = |k: &str| format!("{}_{k}", cell.name);
     for (k, v) in [
@@ -143,7 +130,6 @@ fn run_cell(cell: &Cell, metrics: &mut BTreeMap<String, u64>) {
         (key("engine_visits"), sys.engine_visits()),
         (key("engine_skipped_cycles"), sys.skipped_cycles()),
         (key("engine_skip_windows"), sys.skip_windows()),
-        (key("wall_ns"), r.median_ns() as u64),
     ] {
         metrics.insert(k, v);
     }
@@ -164,32 +150,19 @@ fn run_cell(cell: &Cell, metrics: &mut BTreeMap<String, u64>) {
             metrics.insert(k, v);
         }
     }
-    eprintln!(
-        "{:<10} {:>10} cycles   {:>12} ns median",
-        cell.name,
-        sys.now(),
-        r.median_ns()
-    );
+    eprintln!("{:<10} {:>10} cycles", cell.name, sys.now());
 }
 
-/// Run the fixed ledger campaign fresh, then resume it as a no-op, and
-/// report the farm's metric group.
+/// Run the fixed ledger campaign and report the farm's metric group.
 fn campaign_metrics() -> BTreeMap<String, u64> {
     let spec = CampaignSpec::parse(CAMPAIGN_SPEC)
         .unwrap_or_else(|e| panic!("ledger campaign spec: {e}")); // allow(panic): bench driver
     let dir = std::env::temp_dir().join(format!("wb-ledger-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let threads = std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(4);
-    let run = |label: &str| {
-        let t0 = std::time::Instant::now();
-        let rep = campaign::run_campaign(&spec, &dir, threads, None)
-            .unwrap_or_else(|e| panic!("ledger campaign ({label}): {e}")); // allow(panic): bench driver
-        (rep, t0.elapsed().as_nanos() as u64)
-    };
-    let (fresh, fresh_ns) = run("fresh");
-    assert_eq!(fresh.ran, fresh.total, "fresh run executes every cell"); // allow(panic): bench driver
-    let (resumed, resume_ns) = run("resume");
-    assert_eq!(resumed.ran, 0, "no-op resume re-runs nothing"); // allow(panic): bench driver
+    let rep = campaign::run_campaign(&spec, &dir, threads, None)
+        .unwrap_or_else(|e| panic!("ledger campaign: {e}")); // allow(panic): bench driver
+    assert_eq!(rep.ran, rep.total, "fresh run executes every cell"); // allow(panic): bench driver
 
     let merged = std::fs::read_to_string(dir.join("merged.jsonl"))
         .unwrap_or_else(|e| panic!("reading merged.jsonl: {e}")); // allow(panic): bench driver
@@ -216,14 +189,10 @@ fn campaign_metrics() -> BTreeMap<String, u64> {
     let _ = sys.run(2_000);
     let snapshot_bytes = sys.snapshot().len() as u64;
 
-    let cells = fresh.total as u64;
     BTreeMap::from([
-        ("campaign_cells".to_owned(), cells),
+        ("campaign_cells".to_owned(), rep.total as u64),
         ("campaign_sim_cycles".to_owned(), sim_cycles),
         ("campaign_snapshot_bytes".to_owned(), snapshot_bytes),
-        ("campaign_wall_ns".to_owned(), fresh_ns),
-        ("campaign_resume_wall_ns".to_owned(), resume_ns),
-        ("campaign_cells_per_sec".to_owned(), cells.saturating_mul(1_000_000_000) / fresh_ns.max(1)),
     ])
 }
 
@@ -276,9 +245,6 @@ fn main() {
         }
     }
 
-    // Self-validate the emitted lines through the in-tree parser before
-    // they land in the file — a malformed line would poison every later
-    // comparison.
     if let Some(dir) = std::path::Path::new(&path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)
@@ -290,17 +256,14 @@ fn main() {
         file.push('\n');
     }
     for entry in &entries {
-        let line = entry.to_json_line();
-        LedgerEntry::parse_line(&line)
-            .unwrap_or_else(|e| panic!("emitted ledger line invalid: {e}")); // allow(panic): bench driver
-        file.push_str(&line);
+        file.push_str(&entry.to_json_line());
         file.push('\n');
     }
     std::fs::write(&path, file).unwrap_or_else(|e| panic!("writing {path}: {e}")); // allow(panic): bench driver
     eprintln!("appended {rev} to {path} ({} entries)", existing.len() + entries.len());
 
     if regressed {
-        eprintln!("ledger: REGRESSION — a deterministic metric exceeded its gate");
+        eprintln!("ledger: REGRESSION — a metric exceeded its gate");
         std::process::exit(1);
     }
 }

@@ -12,7 +12,8 @@
 //! only the missing cells, and writes `<out>/merged.jsonl` in spec
 //! order — byte-identical to an uninterrupted run, because every cell
 //! result is a pure function of the spec (no wall-clock, no host state;
-//! `scripts/verify.sh` greps this module to keep host-time reads out).
+//! the workspace `clippy.toml` disallows host-time reads outside
+//! `timing`).
 //!
 //! Two extra modes ride on the snapshot subsystem:
 //!
@@ -412,20 +413,6 @@ pub struct CellResult {
     pub reproducer: String,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl CellResult {
     /// Summarize the verdict on cell `id`.
     fn from_verdict(id: &str, v: &Verdict) -> CellResult {
@@ -452,12 +439,12 @@ impl CellResult {
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"cell\":\"{}\",\"outcome\":\"{}\",\"cycles\":{},\"retired\":{},\"sig\":\"{}\",\"repro\":\"{}\"}}",
-            json_escape(&self.id),
-            self.outcome,
+            json::escape(&self.id),
+            json::escape(&self.outcome),
             self.cycles,
             self.retired,
-            json_escape(&self.signature),
-            json_escape(&self.reproducer),
+            json::escape(&self.signature),
+            json::escape(&self.reproducer),
         )
     }
 
@@ -753,9 +740,9 @@ pub fn run_fuzz(
             if known.insert(sig.clone()) {
                 let line = format!(
                     "{{\"sig\":\"{}\",\"cell\":\"{}\",\"repro\":\"{}\"}}",
-                    json_escape(&sig),
-                    json_escape(&label),
-                    json_escape(&repro),
+                    json::escape(&sig),
+                    json::escape(&label),
+                    json::escape(&repro),
                 );
                 writeln!(wedges, "{line}")
                     .and_then(|()| wedges.sync_data())

@@ -1,40 +1,33 @@
 //! The perf-regression ledger: an append-only `results/ledger.jsonl`
-//! of benchmark runs plus the noise-aware comparison that gates CI.
+//! of simulated-count runs plus the comparison that gates CI.
 //!
 //! Each run of the `ledger` binary appends one [`LedgerEntry`] per
-//! bench group: the git revision, a digest of the exact configuration
+//! metric group: the git revision, a digest of the exact configuration
 //! swept, and a flat metric map (simulated cycles, key counters,
-//! histogram percentiles, wall-clock medians). Before appending, the
-//! run is compared against the most recent committed entry with the
-//! *same* config digest — so a config change starts a fresh baseline
-//! instead of tripping a false alarm.
+//! histogram percentiles, snapshot bytes). Before appending, the run is
+//! compared against the most recent committed entry with the *same*
+//! config digest — so a config change starts a fresh baseline instead
+//! of tripping a false alarm.
 //!
-//! The comparison is deliberately two-tier:
+//! Every metric is deterministic: byte-reproducible on a given revision
+//! (the engine-equivalence suite pins that), so each gates at
+//! [`THRESHOLD_PCT`] and any drift beyond it is a real behavioural
+//! change someone must own. Host time is not recorded here; it belongs
+//! to `benchmark/`. A metric present on one side only is shown as `new`
+//! or `gone` and never gates, so a row that stops being emitted is
+//! visible rather than silently dropped from the gate.
 //!
-//! - **Deterministic metrics** (simulated cycles, counters,
-//!   percentiles) are byte-reproducible on a given revision — the
-//!   engine-equivalence suite pins that — so they gate with a tight
-//!   threshold: any drift beyond [`DETERMINISTIC_THRESHOLD_PCT`] is a
-//!   real behavioural change someone must own.
-//! - **Wall-clock metrics** (`wall_` prefix, `_ns` / `_per_sec`
-//!   suffixes) carry scheduler and allocator noise; they are reported
-//!   as *advisory* and never fail the gate.
-//!
-//! Higher is worse for every gated metric the ledger records (cycles,
-//! stall counters, latency percentiles); improvements are reported but
-//! never fail.
+//! Higher is worse for every metric the ledger records (cycles, stall
+//! counters, latency percentiles); improvements are reported but never
+//! fail.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use wb_kernel::json::{self, Json};
 
-/// Gated (deterministic) metrics may grow this much before the verdict
-/// flips to `REGRESSED`. Nonzero to tolerate metrics that round (e.g.
-/// histogram percentiles snapping between log-2 bucket bounds).
-pub const DETERMINISTIC_THRESHOLD_PCT: f64 = 2.0;
-
-/// Advisory threshold for wall-clock metrics: exceeding it is flagged
-/// in the table (`noisy?`) but never fails the run.
-pub const WALL_CLOCK_THRESHOLD_PCT: f64 = 25.0;
+/// A metric may grow this much before the verdict flips to
+/// `REGRESSED`. Nonzero to tolerate metrics that round (e.g. histogram
+/// percentiles snapping between log-2 bucket bounds).
+pub const THRESHOLD_PCT: f64 = 2.0;
 
 /// One appended ledger record: a bench group measured at one revision
 /// under one configuration.
@@ -57,13 +50,15 @@ impl LedgerEntry {
     pub fn to_json_line(&self) -> String {
         let mut out = format!(
             "{{\"rev\":\"{}\",\"config_digest\":\"{}\",\"group\":\"{}\",\"metrics\":{{",
-            self.rev, self.config_digest, self.group
+            json::escape(&self.rev),
+            json::escape(&self.config_digest),
+            json::escape(&self.group)
         );
         for (i, (k, v)) in self.metrics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{k}\":{v}"));
+            out.push_str(&format!("\"{}\":{v}", json::escape(k)));
         }
         out.push_str("}}");
         out
@@ -121,96 +116,81 @@ pub fn baseline_for<'a>(
 pub struct Comparison {
     /// Metric name.
     pub metric: String,
-    /// Baseline value.
-    pub base: u64,
-    /// Current value.
-    pub cur: u64,
-    /// Relative change in percent (positive = grew = worse).
+    /// Baseline value (`None`: the metric is new).
+    pub base: Option<u64>,
+    /// Current value (`None`: the metric is gone).
+    pub cur: Option<u64>,
+    /// Relative change in percent (positive = grew = worse; 0 when a
+    /// side is missing).
     pub delta_pct: f64,
-    /// Threshold applied to this metric.
-    pub threshold_pct: f64,
-    /// Whether this metric can fail the gate (deterministic metrics
-    /// gate; wall-clock metrics are advisory).
-    pub gated: bool,
-    /// `true` when a gated metric exceeded its threshold.
+    /// `true` when the metric grew beyond [`THRESHOLD_PCT`].
     pub regressed: bool,
 }
 
 impl Comparison {
     /// Short verdict string for the table.
     pub fn verdict(&self) -> &'static str {
-        if self.regressed {
-            "REGRESSED"
-        } else if !self.gated && self.delta_pct.abs() > self.threshold_pct {
-            "noisy?"
-        } else if self.delta_pct < -self.threshold_pct {
-            "improved"
-        } else {
-            "ok"
+        match (self.base, self.cur) {
+            (None, _) => "new",
+            (_, None) => "gone",
+            _ if self.regressed => "REGRESSED",
+            _ if self.delta_pct < -THRESHOLD_PCT => "improved",
+            _ => "ok",
         }
     }
 }
 
-/// Is `metric` wall-clock (noisy, advisory) rather than deterministic?
-pub fn is_wall_clock(metric: &str) -> bool {
-    metric.starts_with("wall_")
-        || metric.contains("_wall_")
-        || metric.ends_with("_ns")
-        || metric.ends_with("_per_sec")
-}
-
-/// Compare `cur` against `base` metric by metric. Metrics present on
-/// only one side are skipped (a new metric has no baseline; a removed
-/// one has no current value) — renames therefore reset their history.
+/// Compare `cur` against `base` metric by metric, over the union of
+/// their metrics in name order. A metric on one side only is reported
+/// (`new` / `gone`) but cannot regress — renames therefore reset their
+/// history, visibly.
 pub fn compare(base: &LedgerEntry, cur: &LedgerEntry) -> Vec<Comparison> {
-    let mut out = Vec::new();
-    for (k, &b) in &base.metrics {
-        let Some(&c) = cur.metrics.get(k) else { continue };
-        let delta_pct = if b == 0 {
-            if c == 0 {
-                0.0
-            } else {
-                100.0
+    let names: BTreeSet<&String> = base.metrics.keys().chain(cur.metrics.keys()).collect();
+    names
+        .into_iter()
+        .map(|k| {
+            let (b, c) = (base.metrics.get(k).copied(), cur.metrics.get(k).copied());
+            let delta_pct = match (b, c) {
+                (Some(0), Some(0)) | (None, _) | (_, None) => 0.0,
+                (Some(0), Some(_)) => 100.0,
+                (Some(b), Some(c)) => (c as f64 - b as f64) * 100.0 / b as f64,
+            };
+            Comparison {
+                metric: k.clone(),
+                base: b,
+                cur: c,
+                delta_pct,
+                regressed: delta_pct > THRESHOLD_PCT,
             }
-        } else {
-            (c as f64 - b as f64) * 100.0 / b as f64
-        };
-        let gated = !is_wall_clock(k);
-        let threshold_pct =
-            if gated { DETERMINISTIC_THRESHOLD_PCT } else { WALL_CLOCK_THRESHOLD_PCT };
-        out.push(Comparison {
-            metric: k.clone(),
-            base: b,
-            cur: c,
-            delta_pct,
-            threshold_pct,
-            gated,
-            regressed: gated && delta_pct > threshold_pct,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
-/// Did any gated metric regress?
+/// Did any metric regress?
 pub fn has_regression(comparisons: &[Comparison]) -> bool {
     comparisons.iter().any(|c| c.regressed)
 }
 
 /// Fixed-width verdict table, one row per metric.
 pub fn render_comparison(base_rev: &str, cur_rev: &str, comparisons: &[Comparison]) -> String {
-    let mut out = format!("== ledger: {cur_rev} vs baseline {base_rev} ==\n");
+    let mut out =
+        format!("== ledger: {cur_rev} vs baseline {base_rev} (gate +{THRESHOLD_PCT:.1}%) ==\n");
     out.push_str(&format!(
-        "{:<36} {:>14} {:>14} {:>9} {:>7}  verdict\n",
-        "metric", "base", "current", "delta%", "gate%"
+        "{:<36} {:>14} {:>14} {:>9}  verdict\n",
+        "metric", "base", "current", "delta%"
     ));
+    let cell = |v: Option<u64>| v.map_or_else(|| "-".to_owned(), |v| v.to_string());
     for c in comparisons {
+        let delta = match (c.base, c.cur) {
+            (Some(_), Some(_)) => format!("{:+.2}", c.delta_pct),
+            _ => "-".to_owned(),
+        };
         out.push_str(&format!(
-            "{:<36} {:>14} {:>14} {:>+9.2} {:>7}  {}\n",
+            "{:<36} {:>14} {:>14} {:>9}  {}\n",
             c.metric,
-            c.base,
-            c.cur,
-            c.delta_pct,
-            if c.gated { format!("{:.1}", c.threshold_pct) } else { "adv".to_owned() },
+            cell(c.base),
+            cell(c.cur),
+            delta,
             c.verdict()
         ));
     }
@@ -232,7 +212,8 @@ mod tests {
 
     #[test]
     fn json_line_round_trips() {
-        let e = entry("abc123", &[("mp_sim_cycles", 1234), ("mp_wall_ns", 99)]);
+        let mut e = entry("abc\"123", &[("mp_sim_cycles", 1234), ("odd \\ \"key\"", 99)]);
+        e.group = "g\nroup".to_owned();
         let line = e.to_json_line();
         assert_eq!(LedgerEntry::parse_line(&line).expect("parse"), e);
         // And the emitted line is strict JSON by the in-tree parser.
@@ -253,7 +234,7 @@ mod tests {
 
     #[test]
     fn self_comparison_is_clean() {
-        let e = entry("same", &[("cycles", 5000), ("wall_ns", 777)]);
+        let e = entry("same", &[("cycles", 5000), ("retired", 777)]);
         let cmp = compare(&e, &e);
         assert_eq!(cmp.len(), 2);
         assert!(!has_regression(&cmp));
@@ -262,17 +243,15 @@ mod tests {
 
     #[test]
     fn synthetic_twenty_percent_slowdown_gates() {
-        // The acceptance scenario: a 20% jump in a deterministic metric
-        // must exit nonzero; the same jump in wall-clock must not.
-        let base = entry("old", &[("fft_sim_cycles", 1000), ("fft_wall_ns", 1000)]);
-        let cur = entry("new", &[("fft_sim_cycles", 1200), ("fft_wall_ns", 1200)]);
+        // The acceptance scenario: a 20% jump in a metric must exit
+        // nonzero.
+        let base = entry("old", &[("fft_sim_cycles", 1000), ("fft_retired", 1000)]);
+        let cur = entry("new", &[("fft_sim_cycles", 1200), ("fft_retired", 1000)]);
         let cmp = compare(&base, &cur);
         assert!(has_regression(&cmp));
         let cycles = cmp.iter().find(|c| c.metric == "fft_sim_cycles").expect("cycles row");
-        assert!(cycles.regressed && cycles.gated);
+        assert!(cycles.regressed);
         assert_eq!(cycles.verdict(), "REGRESSED");
-        let wall = cmp.iter().find(|c| c.metric == "fft_wall_ns").expect("wall row");
-        assert!(!wall.regressed && !wall.gated);
         let table = render_comparison("old", "new", &cmp);
         assert!(table.contains("REGRESSED"), "{table}");
     }
@@ -291,20 +270,27 @@ mod tests {
 
     #[test]
     fn disjoint_metrics_are_skipped_and_zero_base_guarded() {
-        let base = entry("old", &[("gone", 5), ("zero", 0)]);
+        let base = entry("old", &[("dropped", 5), ("zero", 0)]);
         let cur = entry("new", &[("fresh", 9), ("zero", 3)]);
         let cmp = compare(&base, &cur);
-        assert_eq!(cmp.len(), 1, "only the shared metric compares");
-        assert_eq!(cmp[0].metric, "zero");
-        assert!(cmp[0].regressed, "0 -> 3 counts as 100% growth");
-    }
-
-    #[test]
-    fn wall_clock_classifier() {
-        assert!(is_wall_clock("wall_ns"));
-        assert!(is_wall_clock("fft_wall_ns"));
-        assert!(is_wall_clock("sim_cycles_per_sec"));
-        assert!(!is_wall_clock("sim_cycles"));
-        assert!(!is_wall_clock("mesh_msg_p99"));
+        let rows: Vec<_> =
+            cmp.iter().map(|c| (c.metric.as_str(), c.base, c.cur, c.verdict())).collect();
+        assert_eq!(
+            rows,
+            [
+                ("dropped", Some(5), None, "gone"),
+                ("fresh", None, Some(9), "new"),
+                ("zero", Some(0), Some(3), "REGRESSED"),
+            ],
+            "one-sided metrics are shown, in name order"
+        );
+        assert!(cmp.iter().filter(|c| c.base.is_none() || c.cur.is_none()).all(|c| !c.regressed));
+        assert_eq!(cmp[2].delta_pct, 100.0, "0 -> 3 counts as 100% growth");
+        let table = render_comparison("old", "new", &cmp);
+        assert!(table.contains(" gone\n") && table.contains(" new\n"), "{table}");
+        // One-sided rows alone never gate.
+        let only_disjoint =
+            compare(&entry("old", &[("dropped", 5)]), &entry("new", &[("fresh", 9)]));
+        assert!(!has_regression(&only_disjoint));
     }
 }

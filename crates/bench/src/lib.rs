@@ -14,7 +14,7 @@ use wb_isa::Workload;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
 use writersblock::{Report, RunOutcome, System};
 
-pub use timing::{BenchGroup, BenchResult};
+pub use timing::BenchGroup;
 
 /// Default per-run cycle budget for evaluation runs.
 pub const RUN_BUDGET: u64 = 200_000_000;

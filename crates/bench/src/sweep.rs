@@ -13,8 +13,8 @@ use std::sync::Mutex;
 
 /// Run `f` over `items` on exactly `threads` worker threads (clamped to
 /// at least 1), returning results in input order. With `threads == 1`
-/// the items run inline on the calling thread — the serial baseline the
-/// scaling benchmark compares against.
+/// the items run inline on the calling thread (the serial baseline the
+/// determinism tests compare a multi-threaded run against).
 pub fn run_on<T: Send, R: Send>(
     threads: usize,
     items: Vec<T>,

@@ -9,6 +9,11 @@
 //! working directory (override with `WB_BENCH_DIR`), with per-run
 //! simulator counters embedded via [`Stats::to_json`].
 //!
+//! This module holds the workspace's only host-clock read (the
+//! `protocol` microbench uses it); the root `clippy.toml` disallows
+//! `Instant::now` / `SystemTime::now` everywhere else, so simulated
+//! results cannot come to depend on the host.
+//!
 //! # Environment knobs
 //!
 //! | variable           | effect                                    |
@@ -18,7 +23,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use wb_kernel::Stats;
+use wb_kernel::{json, Stats};
 
 /// One measured benchmark: its samples and optional attached counters.
 #[derive(Debug, Clone)]
@@ -94,6 +99,10 @@ impl BenchGroup {
         let mut samples_ns = Vec::with_capacity(self.sample_size);
         let mut stats = None;
         for _ in 0..self.sample_size {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the timing harness is the workspace's one host-clock reader"
+            )]
             let t0 = Instant::now();
             stats = f();
             samples_ns.push(t0.elapsed().as_nanos());
@@ -112,14 +121,14 @@ impl BenchGroup {
     /// Render the group's JSON report (the `BENCH_<group>.json` payload).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("{{\"group\":\"{}\",\"benches\":[", self.group));
+        out.push_str(&format!("{{\"group\":\"{}\",\"benches\":[", json::escape(&self.group)));
         for (i, r) in self.results.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"median_ns\":{},\"mean_ns\":{},\"samples_ns\":[{}]",
-                r.name,
+                json::escape(&r.name),
                 r.median_ns(),
                 r.mean_ns(),
                 r.samples_ns.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(",")
@@ -138,14 +147,9 @@ impl BenchGroup {
     ///
     /// # Panics
     ///
-    /// Panics if the rendered report is not valid JSON (a bench name
-    /// with an unescaped quote, say — caught here rather than by
-    /// whatever later tries to read the file), or if it cannot be
-    /// written.
+    /// Panics if the report cannot be written.
     pub fn finish(self) {
         let json = self.to_json();
-        wb_kernel::json::parse(&json)
-            .unwrap_or_else(|e| panic!("BENCH_{} JSON invalid: {e}", self.group));
         let dir = std::env::var("WB_BENCH_DIR").unwrap_or_else(|_| ".".to_owned());
         let path = format!("{dir}/BENCH_{}.json", self.group);
         std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -176,17 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_valid_json_and_breakage_is_detectable() {
-        let mut g = BenchGroup::new("unit");
+    fn quoted_names_round_trip_through_the_parser() {
+        let mut g = BenchGroup::new("unit \"q\"");
         g.sample_size(1);
-        g.bench("clean", || ());
-        wb_kernel::json::parse(&g.to_json()).expect("report must be strict JSON");
-        // A name that breaks the hand-rolled emitter must be *caught*:
-        // the same parse `finish()` runs rejects the rendered report.
-        let mut bad = BenchGroup::new("unit");
-        bad.sample_size(1);
-        bad.bench("evil\"name", || ());
-        assert!(wb_kernel::json::parse(&bad.to_json()).is_err());
+        g.bench("evil\"name\\", || ());
+        let doc = json::parse(&g.to_json()).expect("report must be strict JSON");
+        assert_eq!(doc.get("group").and_then(json::Json::as_str), Some("unit \"q\""));
+        let bench = &doc.get("benches").and_then(json::Json::as_arr).expect("benches")[0];
+        assert_eq!(bench.get("name").and_then(json::Json::as_str), Some("evil\"name\\"));
     }
 
     #[test]

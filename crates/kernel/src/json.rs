@@ -7,6 +7,26 @@
 //! tests and by the `protocol_trace` example to self-validate the
 //! Chrome trace it writes. It accepts strict JSON (RFC 8259) and
 //! nothing more; it is a checker, not a general-purpose library.
+//!
+//! [`escape`] is the one escaping rule for the emitters that
+//! interpolate free-form strings (bench and cell names, signatures,
+//! reproducers): whatever it returns, quoted, parses back to the input.
+
+/// Escape `s` for use between the quotes of a JSON string: `"`, `\`
+/// and control characters (`\n` as `\n`, the rest as `\u00XX`).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value. Numbers are kept as `f64` (every number the
 /// workspace emits is a u64 well inside the 2^53 exact range).
@@ -299,5 +319,16 @@ mod tests {
     #[test]
     fn unicode_passthrough() {
         assert_eq!(parse(r#""héllo→""#).unwrap().as_str(), Some("héllo→"));
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        let cases =
+            ["plain", "say \"hi\"", r"C:\dir\", "two\nlines", "tab\there", "\u{1}bell", "héllo→"];
+        for s in cases {
+            let quoted = format!("\"{}\"", escape(s));
+            assert_eq!(parse(&quoted).unwrap().as_str(), Some(s), "{quoted}");
+        }
+        assert_eq!(escape("a\"b\\c\nd\u{1f}"), r#"a\"b\\c\nd\u001f"#);
     }
 }

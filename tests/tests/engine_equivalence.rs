@@ -285,11 +285,11 @@ fn fault_cells_are_cycle_exact() {
     }
 }
 
-/// The quiescence-heavy cell the `sim_throughput` bench measures its
-/// headline speedup on: lossy links with a long fixed RTO, so most of
-/// simulated time is the machine parked on retransmission deadlines.
-/// Pinned here (with SparseVerify on the BaseMesi variant) so the bench's
-/// wall-clock win provably comes with byte-identical results.
+/// The quiescence-heavy shape the sparse engine exists for: lossy links
+/// with a long fixed RTO, so most of simulated time is the machine
+/// parked on retransmission deadlines and nearly every cycle is jumped.
+/// Pinned here (with SparseVerify on the BaseMesi variant) so jumping
+/// those windows provably leaves the results byte-identical.
 #[test]
 fn rto_bound_bench_cells_are_cycle_exact() {
     let w = torture::workload(4, 7, 30);
@@ -553,9 +553,8 @@ fn budget_exhaustion_is_cycle_exact() {
     assert_eq!(dense, sparse, "budget cell diverged under Sparse");
 }
 
-/// On the barrier kernel the wall-clock dense/sparse ratio is measured
-/// by the `sim_throughput` bench; here we only pin that skipping cycles
-/// changes nothing while dense ticking visits every one of them.
+/// On the barrier kernel (busy spinners, little to jump) skipping cycles
+/// must change nothing while dense ticking visits every one of them.
 #[test]
 fn skip_engine_reaches_the_same_done_cycle() {
     let w = splash::fft(2, Scale::Test);
