@@ -78,6 +78,16 @@ impl LqEntry {
     pub fn performed(&self) -> bool {
         self.state == LoadState::Performed
     }
+
+    /// Bind `value`: the load performs now, and consumers may use the
+    /// value from `wake_at` (the hit latency). Every way a load or
+    /// atomic obtains its value — store forwarding, a cache hit, a
+    /// fill, a tear-off, the atomic's own read — ends here.
+    pub fn perform(&mut self, value: u64, wake_at: Cycle) {
+        self.value = value;
+        self.state = LoadState::Performed;
+        self.wake_at = wake_at;
+    }
 }
 
 /// One store-queue entry (pre-commit).
@@ -218,14 +228,14 @@ impl Lsq {
         self.sq.iter_mut().find(|e| e.seq == seq)
     }
 
+    /// The LQ entry for `seq` once it has bound its value.
+    pub fn bound(&self, seq: u64) -> Option<&LqEntry> {
+        self.load(seq).filter(|e| e.performed())
+    }
+
     /// Iterate over LQ entries in program order.
     pub fn loads(&self) -> impl Iterator<Item = &LqEntry> {
         self.lq.iter()
-    }
-
-    /// Mutable iteration over LQ entries.
-    pub fn loads_mut(&mut self) -> impl Iterator<Item = &mut LqEntry> {
-        self.lq.iter_mut()
     }
 
     /// Iterate over SB entries, oldest first.
@@ -252,17 +262,17 @@ impl Lsq {
         self.sb.is_empty()
     }
 
-    /// Current LDT occupancy.
-    pub fn ldt_len(&self) -> usize {
-        self.ldt.len()
-    }
-
     // ------------------------------------------------------------- ordering
 
-    /// The sequence number of the SoS load: the oldest non-performed load
-    /// or atomic. `None` when every load has performed.
+    /// The SoS load: the oldest non-performed load or atomic. `None`
+    /// when every load has performed.
+    pub fn sos(&self) -> Option<&LqEntry> {
+        self.lq.iter().find(|e| !e.performed())
+    }
+
+    /// The sequence number of the SoS load.
     pub fn sos_seq(&self) -> Option<u64> {
-        self.lq.iter().find(|e| !e.performed()).map(|e| e.seq)
+        self.sos().map(|e| e.seq)
     }
 
     /// Is the load `seq` ordered with respect to loads (every older load
@@ -299,7 +309,7 @@ impl Lsq {
 
     /// Is the load M-speculative (performed but unordered)?
     pub fn is_mspec(&self, seq: u64) -> bool {
-        self.load(seq).is_some_and(|e| e.performed()) && !self.is_ordered(seq)
+        self.bound(seq).is_some() && !self.is_ordered(seq)
     }
 
     // ----------------------------------------------------------- forwarding
@@ -350,14 +360,8 @@ impl Lsq {
         self.sq.first().map(|e| e.seq)
     }
 
-    /// Does any older store or atomic than `seq` have an unresolved
-    /// address? (Bell-Lipasti condition 4.)
-    pub fn older_unresolved_store(&self, seq: u64) -> bool {
-        self.sq.iter().any(|e| e.seq < seq && e.addr.is_none())
-            || self.lq.iter().any(|e| e.is_amo && e.seq < seq && e.addr.is_none())
-    }
-
-    /// The oldest store (or atomic) with an unresolved address, if any.
+    /// The oldest store (or atomic) with an unresolved address, if any
+    /// (Bell-Lipasti condition 4).
     pub fn oldest_unresolved_store(&self) -> Option<u64> {
         let sq = self.sq.iter().filter(|e| e.addr.is_none()).map(|e| e.seq).min();
         let amo = self.lq.iter().filter(|e| e.is_amo && e.addr.is_none()).map(|e| e.seq).min();
@@ -590,14 +594,13 @@ mod tests {
         // Perform the youngest: M-speculative.
         let e = l.load_mut(3).unwrap();
         e.addr = Some(addr(0x40));
-        e.state = LoadState::Performed;
+        e.perform(0, 0);
         assert!(l.is_mspec(3));
         assert!(!l.is_ordered(3));
         assert!(l.is_ordered(1), "the SoS load itself is ordered");
         // Perform the older two: everything ordered.
         for s in [1, 2] {
-            let e = l.load_mut(s).unwrap();
-            e.state = LoadState::Performed;
+            l.load_mut(s).unwrap().perform(0, 0);
         }
         assert_eq!(l.sos_seq(), None);
         assert!(l.is_ordered(3));
@@ -646,7 +649,7 @@ mod tests {
         a.addr = Some(addr(0x40));
         l.alloc_load(2, false);
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::Wait);
-        l.load_mut(1).unwrap().state = LoadState::Performed;
+        l.load_mut(1).unwrap().perform(0, 0);
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::None, "performed amo wrote the cache");
     }
 
@@ -654,11 +657,12 @@ mod tests {
     fn unresolved_store_tracking() {
         let mut l = lsq();
         l.alloc_store(5);
-        assert!(l.older_unresolved_store(6));
-        assert!(!l.older_unresolved_store(5));
+        l.alloc_load(6, true); // an atomic's address counts too
         assert_eq!(l.oldest_unresolved_store(), Some(5));
         l.store_mut(5).unwrap().addr = Some(addr(0x40));
-        assert!(!l.older_unresolved_store(6));
+        assert_eq!(l.oldest_unresolved_store(), Some(6));
+        l.load_mut(6).unwrap().addr = Some(addr(0x48));
+        assert_eq!(l.oldest_unresolved_store(), None);
     }
 
     #[test]
@@ -670,7 +674,7 @@ mod tests {
         for s in [2, 3] {
             let e = l.load_mut(s).unwrap();
             e.addr = Some(addr(0x40));
-            e.state = LoadState::Performed;
+            e.perform(0, 0);
         }
         assert!(l.has_lockdown(addr(0x40).line()));
         assert_eq!(l.mspec_matches(addr(0x40).line()), vec![2, 3]);
@@ -681,7 +685,7 @@ mod tests {
         // Nothing released while the lockdown stands.
         assert!(l.collect_releases().is_empty());
         // Perform the SoS load: everything ordered, ack released.
-        l.load_mut(1).unwrap().state = LoadState::Performed;
+        l.load_mut(1).unwrap().perform(0, 0);
         assert_eq!(l.collect_releases(), vec![addr(0x40).line()]);
         assert!(!l.owes_ack(addr(0x40).line()));
     }
@@ -693,7 +697,7 @@ mod tests {
         l.alloc_load(2, false);
         let e = l.load_mut(2).unwrap();
         e.addr = Some(addr(0x40));
-        e.state = LoadState::Performed;
+        e.perform(0, 0);
         // Commit load 2 out of order: export to LDT.
         let entry = l.commit_load(2);
         assert!(l.export_to_ldt(2, entry.addr.unwrap().line(), entry.seen));
@@ -702,7 +706,7 @@ mod tests {
         assert!(l.export_to_ldt(3, addr(0x80).line(), false));
         assert!(!l.export_to_ldt(4, addr(0xc0).line(), false));
         // SoS performs: LDT entries release.
-        l.load_mut(1).unwrap().state = LoadState::Performed;
+        l.load_mut(1).unwrap().perform(0, 0);
         assert_eq!(l.release_ldt(), 2);
         assert!(!l.has_lockdown(addr(0x40).line()));
     }
@@ -729,7 +733,7 @@ mod tests {
         l.alloc_load(3, false);
         let e = l.load_mut(2).unwrap();
         e.addr = Some(addr(0x40));
-        e.state = LoadState::Performed;
+        e.perform(0, 0);
         let e = l.load_mut(3).unwrap();
         e.addr = Some(addr(0x48));
         e.state = LoadState::Requested;
@@ -744,7 +748,7 @@ mod tests {
         l.alloc_load(1, true); // non-performed atomic
         l.alloc_load(2, false);
         assert!(l.older_unperformed_amo(2));
-        l.load_mut(1).unwrap().state = LoadState::Performed;
+        l.load_mut(1).unwrap().perform(0, 0);
         assert!(!l.older_unperformed_amo(2));
     }
 

@@ -56,9 +56,7 @@ wb_proptest! {
                 }
                 LsqOp::PerformOldest => {
                     if let Some(sos) = lsq.sos_seq() {
-                        let e = lsq.load_mut(sos).unwrap();
-                        e.state = LoadState::Performed;
-                        e.value = 0;
+                        lsq.load_mut(sos).unwrap().perform(0, 0);
                     }
                 }
                 LsqOp::ResolveStore { value } => {

@@ -121,6 +121,18 @@ pub enum AmoOp {
     Cas,
 }
 
+impl AmoOp {
+    /// The value the atomic writes over `old`, or `None` when a
+    /// compare-and-swap fails and leaves memory unchanged.
+    pub fn apply(self, old: u64, src: u64, cmp: u64) -> Option<u64> {
+        match self {
+            AmoOp::Swap => Some(src),
+            AmoOp::Add => Some(old.wrapping_add(src)),
+            AmoOp::Cas => (old == cmp).then_some(src),
+        }
+    }
+}
+
 /// One instruction. Branch targets are absolute instruction indices,
 /// resolved by [`crate::ProgramBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

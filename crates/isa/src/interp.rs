@@ -5,7 +5,7 @@
 //! OoO execution must produce the same architectural result as this
 //! interpreter) and by the TSO interleaving enumerator for Table 2.
 
-use crate::inst::{AmoOp, Inst, Reg};
+use crate::inst::{Inst, Reg};
 use crate::program::Program;
 use wb_mem::{Addr, MainMemory};
 
@@ -110,12 +110,7 @@ impl ArchState {
             Inst::Amo { op, rd, base, offset, src, cmp } => {
                 let a = self.ea(base, offset);
                 let old = mem.read_word(a);
-                let new = match op {
-                    AmoOp::Swap => Some(self.reg(src)),
-                    AmoOp::Add => Some(old.wrapping_add(self.reg(src))),
-                    AmoOp::Cas => (old == self.reg(cmp)).then(|| self.reg(src)),
-                };
-                if let Some(n) = new {
+                if let Some(n) = op.apply(old, self.reg(src), self.reg(cmp)) {
                     mem.write_word(a, n);
                 }
                 self.set_reg(rd, old);
