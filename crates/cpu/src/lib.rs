@@ -18,6 +18,10 @@
 // value, never straight to the terminal: checked by `cargo clippy` in
 // `scripts/verify.sh`.
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+// Every cache answer is applied: `let _ = cache.load_access(..)` once
+// dropped an SoS load's hit and wedged the machine (`LoadAccess` is
+// `#[must_use]`; `cargo clippy` in `scripts/verify.sh` fails on this).
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod core;
 pub mod lsq;

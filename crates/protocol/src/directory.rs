@@ -31,6 +31,7 @@ use crate::array::{Insert, SetAssocArray};
 use crate::messages::{Dest, ProtoMsg, ReadKind};
 use crate::sharers::SharerSet;
 use crate::{DirWait, ProtocolError};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use wb_kernel::config::{MemoryConfig, SystemConfig};
 use wb_kernel::trace::{Category, CompId, TraceEvent, TraceFilter, Tracer};
@@ -49,10 +50,16 @@ enum DirState {
     /// A read transaction is in flight.
     BusyRead { requester: NodeId, waiting_datawb: bool, waiting_unblock: bool, grant_exclusive: bool },
     /// A write transaction is in flight. `wb` marks the WritersBlock
-    /// condition (at least one invalidation was Nacked by a lockdown).
+    /// condition: a lockdown is outstanding, so the write cannot have
+    /// performed and reads are served tear-offs of the current data.
     BusyWrite {
         writer: NodeId,
         wb: bool,
+        /// Lockdowns still holding the write: Nacks received minus
+        /// LockdownAcks redirected to the writer. `wb` clears when this
+        /// reaches 0 — the write may perform from then on, so a tear-off
+        /// of the pre-write data could be stale and reads queue instead.
+        lockdowns: u32,
         /// Option-1 ablation bookkeeping: cacheable readers admitted
         /// during WritersBlock that must be re-invalidated.
         extra_sharers: SharerSet,
@@ -70,6 +77,31 @@ enum DirState {
     /// non-superseded evict-buffer entry (possibly stale); `owner_hint`
     /// is the guard-decoded pre-flip owner used to disambiguate them.
     Poisoned { pending: u32, parked: SharerSet, owner_hint: Option<NodeId> },
+}
+
+impl DirState {
+    /// A fresh write transaction for `writer`, not (yet) blocked.
+    fn busy_write(writer: NodeId) -> Self {
+        DirState::BusyWrite {
+            writer,
+            wb: false,
+            lockdowns: 0,
+            extra_sharers: SharerSet::EMPTY,
+            extra_acks: 0,
+            deferred_redirs: 0,
+        }
+    }
+}
+
+/// `n` lockdowns holding a blocked write lifted (their acks are now
+/// redirected to the writer). When none is left the WritersBlock
+/// condition ends: reads queue behind the write again instead of being
+/// served tear-offs of data the write may already have overwritten.
+fn lift_lockdowns(wb: &mut bool, lockdowns: &mut u32, n: u32) {
+    *lockdowns = lockdowns.saturating_sub(n);
+    if *lockdowns == 0 {
+        *wb = false;
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -1112,13 +1144,7 @@ impl Directory {
         match entry.state.clone() {
             DirState::Uncached => {
                 let data = entry.data;
-                entry.state = DirState::BusyWrite {
-                    writer: requester,
-                    wb: false,
-                    extra_sharers: SharerSet::EMPTY,
-                    extra_acks: 0,
-                    deferred_redirs: 0,
-                };
+                entry.state = DirState::busy_write(requester);
                 self.l3.touch(line, now);
                 self.send(
                     requester,
@@ -1136,13 +1162,7 @@ impl Directory {
                 let invs = entry.sharers.without(requester);
                 let n = invs.count() as u32;
                 let data = entry.data;
-                entry.state = DirState::BusyWrite {
-                    writer: requester,
-                    wb: false,
-                    extra_sharers: SharerSet::EMPTY,
-                    extra_acks: 0,
-                    deferred_redirs: 0,
-                };
+                entry.state = DirState::busy_write(requester);
                 self.l3.touch(line, now);
                 self.send(
                     requester,
@@ -1163,13 +1183,7 @@ impl Directory {
             DirState::Owned => {
                 let owner = entry.owner.expect("Owned entry has an owner");
                 let data = entry.data;
-                entry.state = DirState::BusyWrite {
-                    writer: requester,
-                    wb: false,
-                    extra_sharers: SharerSet::EMPTY,
-                    extra_acks: 0,
-                    deferred_redirs: 0,
-                };
+                entry.state = DirState::busy_write(requester);
                 self.l3.touch(line, now);
                 if owner == requester {
                     // The owner's stale prefetch request: it already holds
@@ -1285,14 +1299,11 @@ impl Directory {
             entry.data = d;
         }
         let newly_blocked = match &mut entry.state {
-            DirState::BusyWrite { writer, wb, .. } => {
-                let writer = *writer;
-                if !*wb {
-                    *wb = true;
-                    Some(writer)
-                } else {
-                    None
-                }
+            DirState::BusyWrite { writer, wb, lockdowns, .. } => {
+                *lockdowns += 1;
+                let entering = !*wb;
+                *wb = true;
+                entering.then_some(*writer)
             }
             other => {
                 let detail = format!("in state {other:?}");
@@ -1328,12 +1339,21 @@ impl Directory {
         for r in hints {
             self.send(r, ProtoMsg::WbHint { line });
         }
+        // The write's first Nack blocks it: counted (Figure 8), timed
+        // until its Unblock, and hinted. A Nack that arrives after every
+        // earlier lockdown has lifted re-enters WritersBlock for the same
+        // write — the write still misses that ack, so it has not
+        // performed and the tear-offs above are current — but it is not
+        // a second blocked write: the window in `wb_since` is still open
+        // and the writer's MSHR keeps its hint.
         if let Some(writer) = newly_blocked {
-            self.stats.inc("dir_writes_blocked");
-            self.wb_since.entry(line).or_insert(now);
-            self.tracer
-                .record(now, TraceEvent::WritersBlockBegin { line: line.0, writer: writer.0 });
-            self.send(writer, ProtoMsg::WbHint { line });
+            if let Entry::Vacant(since) = self.wb_since.entry(line) {
+                since.insert(now);
+                self.stats.inc("dir_writes_blocked");
+                self.tracer
+                    .record(now, TraceEvent::WritersBlockBegin { line: line.0, writer: writer.0 });
+                self.send(writer, ProtoMsg::WbHint { line });
+            }
         }
     }
 
@@ -1356,15 +1376,20 @@ impl Directory {
             Bad(String),
         }
         let act = match &mut entry.state {
-            DirState::BusyWrite { writer, extra_sharers, extra_acks, deferred_redirs, .. } => {
+            DirState::BusyWrite {
+                writer, wb, lockdowns, extra_sharers, extra_acks, deferred_redirs, ..
+            } => {
                 if option1 && (!extra_sharers.is_empty() || *extra_acks > 0) {
                     // Option 1: new sharers were admitted; they must be
                     // re-invalidated before the write may see its acks.
+                    // The lockdown counts as held until its ack is
+                    // redirected.
                     *deferred_redirs += 1;
                     let sharers = extra_sharers.take();
                     *extra_acks += sharers.count() as u32;
                     Act::Reinvalidate(sharers)
                 } else {
+                    lift_lockdowns(wb, lockdowns, 1);
                     Act::Redir(*writer)
                 }
             }
@@ -1406,8 +1431,9 @@ impl Directory {
         let mut next_round = SharerSet::EMPTY;
         let mut handled = false;
         if let Some(entry) = self.l3.get_mut(line) {
-            if let DirState::BusyWrite { writer, extra_sharers, extra_acks, deferred_redirs, .. } =
-                &mut entry.state
+            if let DirState::BusyWrite {
+                writer, wb, lockdowns, extra_sharers, extra_acks, deferred_redirs,
+            } = &mut entry.state
             {
                 handled = true;
                 *extra_acks = extra_acks.saturating_sub(1);
@@ -1416,7 +1442,9 @@ impl Directory {
                         next_round = extra_sharers.take();
                         *extra_acks = next_round.count() as u32;
                     } else if *deferred_redirs > 0 {
-                        flush = Some((*writer, std::mem::take(deferred_redirs)));
+                        let n = std::mem::take(deferred_redirs);
+                        lift_lockdowns(wb, lockdowns, n);
+                        flush = Some((*writer, n));
                     }
                 }
             }
@@ -1727,7 +1755,7 @@ wb_kernel::snap_enum!(DirState {
     1 => Shared,
     2 => Owned,
     3 => BusyRead { requester, waiting_datawb, waiting_unblock, grant_exclusive },
-    4 => BusyWrite { writer, wb, extra_sharers, extra_acks, deferred_redirs },
+    4 => BusyWrite { writer, wb, lockdowns, extra_sharers, extra_acks, deferred_redirs },
     5 => Fetching,
     6 => Poisoned { pending, parked, owner_hint },
 });

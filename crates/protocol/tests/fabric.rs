@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 use wb_kernel::config::{MemoryConfig, ProtocolKind};
 use wb_kernel::{Cycle, NodeId};
-use wb_mem::{Addr, HomeMap, LineAddr};
+use wb_mem::{Addr, HomeMap, LineAddr, LineData};
 use wb_mesh::{Mesh, MeshMsg};
 use wb_protocol::messages::Dest;
 use wb_protocol::private::LoadAccess;
@@ -309,6 +309,76 @@ fn owner_nack_path_updates_llc_and_redirects_ack() {
     let redirs: u64 = f.dirs.iter().map(|d| d.stats().get("dir_redir_acks")).sum();
     assert_eq!(redirs, 1);
     assert_eq!(f.read(3, A), 200);
+}
+
+/// One directory bank fed protocol messages by hand, so a test controls
+/// exactly which message arrives before which.
+struct Bank {
+    dir: Directory,
+    now: Cycle,
+}
+
+impl Bank {
+    /// Deliver `msg`, run the bank long enough for any memory fetch, and
+    /// return everything it sent.
+    fn deliver(&mut self, msg: ProtoMsg) -> Vec<(Dest, ProtoMsg)> {
+        self.dir.receive(self.now, msg);
+        let mut out = Vec::new();
+        for _ in 0..400 {
+            self.dir.tick(self.now);
+            out.extend(self.dir.drain_outbox());
+            self.now += 1;
+        }
+        out
+    }
+}
+
+fn tear_off_to(out: &[(Dest, ProtoMsg)], node: u16) -> bool {
+    out.iter().any(|m| matches!(m, (Dest::Cache(NodeId(n)), ProtoMsg::Data { cacheable: false, .. }) if *n == node))
+}
+
+/// A tear-off copy is the current value only while a lockdown still
+/// holds the write (§3.4). Once the last Nacked invalidation's
+/// `LockdownAck` has been redirected to the writer, the write may
+/// perform at any moment: a read that arrives before the writer's
+/// `Unblock` must queue behind the write, never be answered with the
+/// LLC's pre-write data. Walked for a Nacking sharer (the `Inv` path)
+/// and for a Nacking owner (`Nack` with data, the `FwdGetX` path).
+#[test]
+fn read_after_last_lockdown_lifts_queues_behind_the_write() {
+    use wb_protocol::messages::ReadKind::Cacheable;
+    let line = A.line();
+    let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    for owner_nacks in [false, true] {
+        let mut b = Bank { dir: Directory::with_memory_config(n0, &small_mem(), false), now: 0 };
+        b.deliver(ProtoMsg::GetS { line, requester: n1, kind: Cacheable });
+        b.deliver(ProtoMsg::Unblock { line, from: n1 }); // core 1 owns the line (E)
+        if !owner_nacks {
+            // Core 2 reads too: both become sharers.
+            b.deliver(ProtoMsg::GetS { line, requester: n2, kind: Cacheable });
+            b.deliver(ProtoMsg::DataWb { line, from: n1, data: LineData::new() });
+            b.deliver(ProtoMsg::Unblock { line, from: n2 });
+        }
+        // Core 3 writes; core 1's lockdown Nacks its invalidation.
+        b.deliver(ProtoMsg::GetX { line, requester: n3 });
+        let data = owner_nacks.then(LineData::new);
+        let hint = b.deliver(ProtoMsg::Nack { line, from: n1, data });
+        assert!(hint.iter().any(|(_, m)| matches!(m, ProtoMsg::WbHint { .. })), "write not blocked");
+        // While the lockdown holds, reads get tear-offs.
+        let out = b.deliver(ProtoMsg::GetS { line, requester: n0, kind: Cacheable });
+        assert!(tear_off_to(&out, 0), "owner_nacks={owner_nacks}: no tear-off during the lockdown: {out:?}");
+        // The lockdown lifts: its ack goes on to the writer...
+        let out = b.deliver(ProtoMsg::LockdownAck { line, from: n1 });
+        assert!(out.iter().any(|(d, m)| *d == Dest::Cache(n3) && matches!(m, ProtoMsg::RedirAck { .. })));
+        // ...and a read before the writer's Unblock waits for the write.
+        let out = b.deliver(ProtoMsg::GetS { line, requester: n0, kind: Cacheable });
+        assert!(out.is_empty(), "owner_nacks={owner_nacks}: read answered before the write's Unblock: {out:?}");
+        let out = b.deliver(ProtoMsg::Unblock { line, from: n3 });
+        assert!(
+            out.iter().any(|m| matches!(m, (Dest::Cache(NodeId(3)), ProtoMsg::FwdGetS { requester: NodeId(0), kind: Cacheable, .. }))),
+            "owner_nacks={owner_nacks}: the queued read must go to the new owner: {out:?}"
+        );
+    }
 }
 
 #[test]

@@ -74,6 +74,44 @@ pub fn sos_bypass() -> Workload {
         .with_init(Addr::new(Z2), Y)
 }
 
+/// Figure 5.B in a two-core, two-line cross: core 0 writes `X` and
+/// then reads it, with a warm read of `Y` youngest; core 1 is the mirror
+/// image on `Y`. Each warm read performs early and locks its line down,
+/// so each write is blocked by the other core's lockdown, and each
+/// lockdown lifts only when that core's SoS load — the read of its own
+/// written line — performs.
+///
+/// The timing is set by construction, not by jitter: a chain of
+/// multiplies releases three address computations one cycle apart. An
+/// older read of the written line issues first (a Read MSHR), the store
+/// commits and requests write permission next (a Write MSHR), and the
+/// SoS load issues last, so it waits on the write's MSHR. The older
+/// read's fill then makes the line readable while the SoS load still
+/// waits on the blocked write: the SoS bypass finds the line readable
+/// and must bind that hit (§3.5.2), or neither write ever completes.
+pub fn cross_sos() -> Workload {
+    let core = |c: u64, mine: u64, other: u64| {
+        let mut p = Program::builder();
+        p.imm(Reg(1), mine).imm(Reg(2), other).imm(Reg(3), ((c + 1) << 32) | 1).imm(Reg(6), 1);
+        p.load(Reg(4), Reg(2), 0); // warm the other core's line
+        for _ in 0..80 {
+            p.alui(AluOp::Mul, Reg(6), Reg(6), 1);
+        }
+        p.alui(AluOp::Mul, Reg(6), Reg(6), 0);
+        p.alu(AluOp::Add, Reg(9), Reg(1), Reg(6)); // released first
+        p.alu(AluOp::Add, Reg(10), Reg(9), Reg(6)); // one cycle later
+        p.store(Reg(3), Reg(10), 0); // st mine.w0: blocked by the other's lockdown
+        p.load(Reg(5), Reg(9), 16); // ld mine.w2: the Read MSHR
+        p.alu(AluOp::Add, Reg(11), Reg(10), Reg(6));
+        p.alui(AluOp::Mul, Reg(11), Reg(11), 1); // released last
+        p.load(Reg(7), Reg(11), 8); // ld mine.w1: the SoS load, on the Write MSHR
+        p.load(Reg(8), Reg(2), 8); // ld other.w1: warm, locks the other's line down
+        p.halt();
+        p.build()
+    };
+    Workload::new("cross-sos", vec![core(0, X, Y), core(1, Y, X)])
+}
+
 /// The §3.4 scenario with *unbounded* spin-readers on eight cores:
 /// core 0 locks down [`X`] behind a pointer chase, core 1 writes `X`,
 /// cores 2..8 spin-read `X` forever. Under Option 1 (cacheable

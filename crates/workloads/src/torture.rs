@@ -126,11 +126,12 @@ mod tests {
         }
     }
 
-    /// `torture-40` at 4 cores x 200 ops, the livelock `benchmark/README.md`
-    /// lists and `engine_equivalence::livelock_fires_at_the_same_cycle`
-    /// pins at cycle 210 317. Lengths and digest were computed from
-    /// `tests/tests/torture.rs`'s own `random_program` before it was
-    /// deleted in favour of this module.
+    /// `torture-40` at 4 cores x 200 ops, the first of the programs
+    /// `benchmark/README.md` lists as "Known failing inputs" (all of them
+    /// pass since the SoS-bypass, tear-off and ECL-atomic fixes;
+    /// `torture::known_failures_by_arm` replays them). Lengths and digest
+    /// were computed from `tests/tests/torture.rs`'s own
+    /// `random_program` before it was deleted in favour of this module.
     #[test]
     fn digest_pin() {
         let w = workload(4, 40, 200);

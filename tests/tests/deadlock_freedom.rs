@@ -4,7 +4,7 @@
 
 use wb_isa::{AluOp, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{CommitMode, CoreClass, SystemConfig};
+use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
 use wb_kernel::trace::TraceSink;
 use wb_kernel::wedge::{WaitParty, WedgeClass};
 use wb_mem::Addr;
@@ -64,6 +64,28 @@ fn sos_load_bypasses_blocked_write() {
         sys.verify(3_000_000).assert_pass("sos bypass");
         // The load after the store must see the store's value (po-loc).
         assert_eq!(sys.arch_reg(1, Reg(7)), 1, "seed {seed}: store-to-load order broken");
+    }
+}
+
+/// Figure 5.B crossed over two cores and two lines
+/// ([`directed::cross_sos`]): each core's write is blocked by the other's
+/// lockdown, and each lockdown lifts only when that core's SoS load —
+/// waiting on its own blocked write's MSHR while an older read makes the
+/// line readable — binds the hit its bypass finds. On every WritersBlock
+/// arm, with and without network jitter, the machine must drain.
+#[test]
+fn crossed_sos_loads_bind_their_bypass_hits() {
+    let w = directed::cross_sos();
+    for (arm, protocol, mode) in ARMS.into_iter().filter(|&(_, p, _)| p == ProtocolKind::WritersBlock) {
+        for (seed, jitter) in (0..6u64).flat_map(|s| [(s, 20), (s, 0)]) {
+            let cfg = SystemConfig::new(CoreClass::Slm)
+                .with_cores(2)
+                .with_protocol(protocol)
+                .with_commit(mode)
+                .with_seed(seed)
+                .with_jitter(jitter);
+            System::new(cfg, &w).verify(3_000_000).assert_pass(&format!("cross-sos {arm}"));
+        }
     }
 }
 

@@ -22,7 +22,7 @@ use wb_mem::{HomeMap, LineAddr};
 use wb_mesh::Mesh;
 use wb_protocol::messages::Dest;
 use wb_protocol::{PrivateCache, ProtoMsg, ReadKind};
-use wb_workloads::{splash, torture, Scale};
+use wb_workloads::{directed, splash, torture, Scale};
 use writersblock::{RunOutcome, System};
 
 /// Everything observable about one finished run.
@@ -365,22 +365,24 @@ fn wedge_fires_at_the_same_cycle() {
 }
 
 /// A livelock, where messages keep flowing and the jump paths keep
-/// synthesizing retry snapshots: the known 4-core × 200-op cell
-/// `torture-40` (benchmark/README.md "Known failing inputs"), writes
-/// blocked by lockdowns that never lift.
+/// synthesizing retry snapshots: the §3.4 Option-1 cell
+/// ([`directed::option1_spin`] with cacheable reads served from a
+/// WritersBlock entry), whose spin-readers are re-invalidated round
+/// after round while the blocked write starves — a livelock by design,
+/// the reason the paper rejects Option 1.
 #[test]
 fn livelock_fires_at_the_same_cycle() {
-    let w = torture::workload(4, 40, 200);
-    let cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(4)
+    let mut cfg = SystemConfig::new(CoreClass::Slm)
+        .with_cores(8)
         .with_commit(CommitMode::OutOfOrderWb)
-        .with_seed(40)
-        .with_jitter(25)
+        .with_seed(0)
+        .with_jitter(20)
         .without_event_log();
-    let dense = assert_same_wedge("torture-40", &cfg, &w, 2_000_000);
+    cfg.wb_cacheable_reads = true;
+    let dense = assert_same_wedge("option1-spin", &cfg, &directed::option1_spin(), 2_000_000);
     let report = dense.outcome.wedge_report().expect("wedged");
-    assert_eq!(report.class, WedgeClass::Livelock, "torture-40 is a livelock:\n{report}");
-    assert_eq!(dense.final_cycle, 210_317);
+    assert_eq!(report.class, WedgeClass::Livelock, "option1-spin is a livelock:\n{report}");
+    assert_eq!(dense.final_cycle, 200_335);
 }
 
 /// The watchdog tracks each core on its own, and the sparse engine only

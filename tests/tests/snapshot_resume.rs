@@ -270,16 +270,18 @@ fn mismatched_configurations_are_rejected() {
     // Truncated payload.
     let mut d = System::new(cfg.clone(), &w);
     assert!(d.restore(&bytes[..bytes.len() / 2]).is_err(), "truncation must be rejected");
-    // A snapshot of the previous payload layout (the u16 right after
-    // the frame header): a typed error, never a misparse.
+    // A snapshot of the previous payload layout, 4 (the u16 right after
+    // the frame header; 5 added the directory's outstanding-lockdown
+    // count): a typed error, never a misparse.
     let mut old = bytes.clone();
     let at = wb_kernel::snap::MAGIC.len() + 4;
     let layout = u16::from_le_bytes([old[at], old[at + 1]]);
-    old[at..at + 2].copy_from_slice(&(layout - 1).to_le_bytes());
+    assert_eq!(layout, 5, "this build writes layout 5");
+    old[at..at + 2].copy_from_slice(&4u16.to_le_bytes());
     let mut f = System::new(cfg, &w);
     let e = f.restore(&old).expect_err("old layout must be rejected");
-    let want = format!("snapshot layout {} unsupported (this build reads {layout})", layout - 1);
-    assert!(e.to_string().contains(&want), "got: {e}");
+    let want = "snapshot layout 4 unsupported (this build reads 5)";
+    assert!(e.to_string().contains(want), "got: {e}");
 }
 
 /// Warm-start forking: restore one warmed snapshot twice, re-seed each
@@ -340,9 +342,12 @@ fn wire_cell(name: &str) -> System {
 }
 
 /// The wire format itself, not just its round trip: length and digest
-/// of `System::snapshot()` on [`WIRE_CELLS`]. The constants were
-/// computed at the commit before the codecs became declarations
-/// (PR 20); a layout change bumps `SNAP_LAYOUT` and refreshes them.
+/// of `System::snapshot()` on [`WIRE_CELLS`]. A layout change bumps
+/// `SNAP_LAYOUT` and refreshes them; so does a behaviour change, which
+/// moves the state at the cut. Last refreshed for layout 5 (the
+/// directory's outstanding-lockdown count) together with the SoS-bypass,
+/// tear-off and ECL-atomic fixes; the bypass fix alone already moved all
+/// six.
 #[test]
 fn wire_format_is_pinned() {
     let got: Vec<(&str, usize, u64)> = WIRE_CELLS
@@ -353,12 +358,12 @@ fn wire_format_is_pinned() {
         })
         .collect();
     let want = [
-        ("mp", 653_938, 0xc12d_646b_c423_ab76),
-        ("plain", 1_359_159, 0xd7a0_e5a3_37ee_77c3),
-        ("chaos", 1_354_240, 0xace9_87c4_e138_4127),
-        ("arq", 1_359_121, 0xaa63_7991_17c6_2b41),
-        ("soft", 1_367_428, 0x6155_0c77_b637_59a5),
-        ("ecl16", 5_366_243, 0xd5ca_7609_4769_6f8a),
+        ("mp", 653_942, 0xa20e_bb7b_f2d4_1c07),
+        ("plain", 1_359_109, 0x5978_97d8_73d0_f70d),
+        ("chaos", 1_347_604, 0xf22c_e291_78ee_4370),
+        ("arq", 1_358_227, 0xead9_d097_2057_8ec9),
+        ("soft", 1_367_082, 0xf6b8_0d74_6b2b_37c0),
+        ("ecl16", 5_366_259, 0x47e7_882d_36f3_6369),
     ];
     assert_eq!(got, want, "the wire moved");
 }

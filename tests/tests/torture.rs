@@ -8,7 +8,7 @@
 //! directed litmus tests.
 
 use wb_isa::Workload;
-use wb_kernel::config::{CommitMode, CoreClass, SystemConfig, ARMS};
+use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
 use wb_workloads::torture;
 use writersblock::System;
 
@@ -57,7 +57,6 @@ fn torture_ooo_wb_more_contention() {
 /// loads even though commit never reorders).
 #[test]
 fn torture_inorder_wb_protocol() {
-    use wb_kernel::config::ProtocolKind;
     for seed in 200..220u64 {
         let cfg = config(CoreClass::Slm, CommitMode::InOrder, seed)
             .with_protocol(ProtocolKind::WritersBlock);
@@ -114,43 +113,46 @@ fn torture_ecl() {
     torture(CommitMode::InOrderEcl, 500..525);
 }
 
-/// ROADMAP item 1(a): the 22 programs of `benchmark/README.md` "Known
-/// failing inputs", each replayed unchanged on all five arms at the
-/// jitter it was found with (25) and at 0. Prints the classification
-/// table of EXPERIMENTS.md "Known failures by arm" — one row per
-/// program, a cell being `pass` or the first two fields of
-/// `Verdict::signature()` — and asserts nothing about which cells
-/// fail: a protocol fix changes the table, not this test.
-///
-/// `cargo test --release -p wb-integration --test torture known_failures_by_arm -- --ignored --nocapture`
+/// Under ECL an atomic reaches the ROB head while older loads, already
+/// committed, may still wait for their data; it must not perform before
+/// they do. With that rule missing, `torture-9046` at 200 ops without
+/// jitter has a load read the value written by a later atomic of its
+/// own core (a uniprocessor violation at 0x2108): the atomic fired on
+/// "head of the ROB, store buffer empty" alone.
 #[test]
-#[ignore = "prints a table (about 14 s in release)"]
+fn ecl_atomic_waits_for_older_loads() {
+    let cfg = config(CoreClass::Slm, CommitMode::InOrderEcl, 9046)
+        .with_protocol(ProtocolKind::WritersBlock)
+        .with_jitter(0);
+    must_pass(cfg, &torture::workload(4, 9046, 200), 2_000_000);
+}
+
+/// The 22 programs that once wedged or failed the TSO check on some arm
+/// (EXPERIMENTS.md "Known failures by arm" has their history: one
+/// dropped SoS bypass hit, tear-offs served after the last lockdown
+/// lifted, and an ECL atomic that ran ahead of older loads), each
+/// replayed unchanged on all five arms at the jitter it was found with
+/// (25) and at 0. Every cell must pass.
+#[test]
 fn known_failures_by_arm() {
     const AT_200_OPS: [u64; 17] = [
         40, 8001, 9020, 9046, 24014, 45002, 48042, 54009, 56039, 67013, 84016, 84019, 88041,
         97004, 97010, 102006, 105018,
     ];
     let smaller = [(25017, 100), (41140, 60), (52082, 40), (56077, 40), (177030, 40)];
-    let grid: Vec<_> = [25, 0]
+    let jobs: Vec<_> = AT_200_OPS
+        .map(|s| (s, 200))
         .into_iter()
-        .flat_map(|jitter| ARMS.map(|(arm, protocol, mode)| (jitter, arm, protocol, mode)))
-        .collect();
-    let columns: Vec<String> = grid.iter().map(|(j, arm, ..)| format!("{arm} j{j}")).collect();
-    println!("| program | {} |", columns.join(" | "));
-    for (seed, ops) in AT_200_OPS.map(|s| (s, 200)).into_iter().chain(smaller) {
-        let w = torture::workload(4, seed, ops);
-        let cells: Vec<String> = grid
-            .iter()
-            .map(|&(jitter, _, protocol, mode)| {
-                let cfg = config(CoreClass::Slm, mode, seed)
-                    .with_protocol(protocol)
-                    .with_jitter(jitter);
-                match System::new(cfg, &w).verify(2_000_000).signature() {
-                    None => "pass".to_owned(),
-                    Some(s) => s.split('|').take(2).collect::<Vec<_>>().join(" "),
-                }
+        .chain(smaller)
+        .flat_map(|(seed, ops)| {
+            [25, 0].into_iter().flat_map(move |jitter| {
+                ARMS.map(|(_, protocol, mode)| (seed, ops, jitter, protocol, mode))
             })
-            .collect();
-        println!("| torture-{seed}@{ops} | {} |", cells.join(" | "));
-    }
+        })
+        .collect();
+    assert_eq!(jobs.len(), 22 * 2 * ARMS.len());
+    wb_bench::sweep::run(jobs, |(seed, ops, jitter, protocol, mode)| {
+        let cfg = config(CoreClass::Slm, mode, seed).with_protocol(protocol).with_jitter(jitter);
+        must_pass(cfg, &torture::workload(4, seed, ops), 2_000_000);
+    });
 }
