@@ -11,16 +11,14 @@ use wb_kernel::config::{CommitMode, CoreClass};
 use wb_workloads::{suite, Scale};
 
 fn main() {
-    let scale =
-        if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
     println!("Collapsible vs FIFO LQ (OoO+WB, SLM-class), speedup over in-order:\n");
     let mut base = Vec::new();
-    for w in suite(16, scale) {
+    for w in suite(16, Scale::Test) {
         base.push(run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrder, false)).report.cycles);
     }
     for collapsible in [true, false] {
         let mut speedups = Vec::new();
-        for (i, w) in suite(16, scale).into_iter().enumerate() {
+        for (i, w) in suite(16, Scale::Test).into_iter().enumerate() {
             let mut cfg = eval_config(CoreClass::Slm, CommitMode::OutOfOrderWb, false);
             cfg.core.collapsible_lq = collapsible;
             let r = run_one(&w, cfg);

@@ -6,16 +6,14 @@ use wb_kernel::config::{CommitMode, CoreClass};
 use wb_workloads::{suite, Scale};
 
 fn main() {
-    let scale =
-        if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
     let mut base = Vec::new();
-    for w in suite(16, scale) {
+    for w in suite(16, Scale::Test) {
         base.push(run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrder, false)).report.cycles);
     }
     println!("Commit-depth sweep (OoO+WB, SLM-class, width 4), speedup over in-order:\n");
     for depth in [1usize, 4, 8, 16, 32] {
         let mut speedups = Vec::new();
-        for (i, w) in suite(16, scale).into_iter().enumerate() {
+        for (i, w) in suite(16, Scale::Test).into_iter().enumerate() {
             let mut cfg = eval_config(CoreClass::Slm, CommitMode::OutOfOrderWb, false);
             cfg.core.commit_depth = depth;
             let r = run_one(&w, cfg);
@@ -26,7 +24,7 @@ fn main() {
     println!("\nWrite-permission prefetch timing (OoO+WB):\n");
     for at_resolve in [false, true] {
         let mut speedups = Vec::new();
-        for (i, w) in suite(16, scale).into_iter().enumerate() {
+        for (i, w) in suite(16, Scale::Test).into_iter().enumerate() {
             let mut cfg = eval_config(CoreClass::Slm, CommitMode::OutOfOrderWb, false);
             cfg.core.write_prefetch_at_resolve = at_resolve;
             let r = run_one(&w, cfg);
@@ -42,7 +40,7 @@ fn main() {
     println!("\nCommit-width sweep (depth = ROB):\n");
     for width in [1usize, 2, 4, 8] {
         let mut speedups = Vec::new();
-        for (i, w) in suite(16, scale).into_iter().enumerate() {
+        for (i, w) in suite(16, Scale::Test).into_iter().enumerate() {
             let mut cfg = eval_config(CoreClass::Slm, CommitMode::OutOfOrderWb, false);
             cfg.core.width = width;
             let r = run_one(&w, cfg);

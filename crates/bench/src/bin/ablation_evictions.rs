@@ -7,13 +7,11 @@ use wb_kernel::config::{CommitMode, CoreClass};
 use wb_workloads::{suite, Scale};
 
 fn main() {
-    let scale =
-        if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
     println!("Eviction policy ablation (in-order commit, base MESI).");
     println!("The private caches are shrunk (L2 = 2 KiB) so shared lines actually evict\n");
     println!("{:<14} {:>12} {:>12} {:>9}", "bench", "silent", "non-silent", "traffic");
     let mut ratios = Vec::new();
-    for w in suite(16, scale) {
+    for w in suite(16, Scale::Test) {
         let mut cfg = eval_config(CoreClass::Slm, CommitMode::InOrder, false);
         cfg.memory.l2_bytes = 2 * 1024;
         cfg.memory.l1_bytes = 1024;

@@ -10,18 +10,16 @@ use wb_kernel::config::{CommitMode, CoreClass};
 use wb_workloads::{suite, Scale};
 
 fn main() {
-    let scale =
-        if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
     println!("LDT capacity sweep, OoO+WB on SLM-class, speedup over in-order commit\n");
     // Baseline: in-order.
     let mut base = Vec::new();
-    for w in suite(16, scale) {
+    for w in suite(16, Scale::Test) {
         base.push(run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrder, false)).report.cycles);
     }
     for ldt in [1usize, 2, 4, 8, 16, 32, 64] {
         let mut speedups = Vec::new();
         let mut exports = 0u64;
-        for (i, w) in suite(16, scale).into_iter().enumerate() {
+        for (i, w) in suite(16, Scale::Test).into_iter().enumerate() {
             let mut cfg = eval_config(CoreClass::Slm, CommitMode::OutOfOrderWb, false);
             cfg.core.ldt_entries = ldt;
             let r = run_one(&w, cfg);

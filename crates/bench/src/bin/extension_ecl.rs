@@ -8,12 +8,10 @@ use wb_kernel::config::{CommitMode, CoreClass};
 use wb_workloads::{suite, Scale};
 
 fn main() {
-    let scale =
-        if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
     println!("ECL extension (SLM-class, 16 cores): speedup over plain in-order commit\n");
     println!("{:<14} {:>9} {:>9} {:>8} {:>10}", "bench", "inorder", "ecl+wb", "speedup", "early-cmts");
     let mut speedups = Vec::new();
-    for w in suite(16, scale) {
+    for w in suite(16, Scale::Test) {
         let base = run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrder, false));
         let ecl = run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrderEcl, false));
         let sp = base.report.cycles as f64 / ecl.report.cycles as f64;

@@ -60,7 +60,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            "Figure 10 (top): stall cycles %% of total, rob/lq/sq",
+            "Figure 10 (top): stall cycles % of total, rob/lq/sq",
             &["InOrder", "OoO", "OoO+WB"],
             &stall_rows
         )

@@ -11,15 +11,12 @@ use wb_kernel::config::{CommitMode, CoreClass};
 use wb_workloads::{suite, Scale};
 
 fn main() {
-    let scale =
-        if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
-
     let mut time_rows = Vec::new();
     let mut traffic_rows = Vec::new();
     let mut time_ratio = Vec::new();
     let mut traffic_ratio = Vec::new();
 
-    for w in suite(16, scale) {
+    for w in suite(16, Scale::Test) {
         let base = run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrder, false));
         let wb = run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrder, true));
         let t = wb.report.cycles as f64 / base.report.cycles as f64;

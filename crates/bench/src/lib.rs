@@ -6,7 +6,6 @@
 //! index and EXPERIMENTS.md for paper-vs-measured results.
 
 pub mod campaign;
-pub mod ledger;
 pub mod sweep;
 pub mod timing;
 

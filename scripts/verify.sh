@@ -95,42 +95,31 @@ cargo check --offline --all-targets
 # A fourth is workspace-wide: the root clippy.toml disallows
 # `Instant::now` / `SystemTime::now`, and `-D` makes a host-clock read
 # anywhere but the one `#[allow]` in wb_bench::timing an error — so
-# simulated results (snapshots, campaign cells, the ledger, the figure
-# binaries) stay pure functions of their inputs. Host time is measured
-# by benchmark/, which this workspace does not build.
+# simulated results (snapshots, campaign cells, the tables in results/)
+# stay pure functions of their inputs. Host time is measured by
+# benchmark/, which this workspace does not build.
 cargo clippy --offline --all-targets -- -D clippy::disallowed_methods
 cargo test -q --offline
+
+# Golden results: every deterministic table in results/ (the figures,
+# the anchor cells and the three labs, which assert internally) is
+# regenerated from this build and must match the committed set byte for
+# byte. A behaviour change arrives with its regenerated tables: run
+# `scripts/results.sh results` and commit the diff.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+scripts/results.sh "$tmp/results"
+if ! diff -ru results "$tmp/results"; then
+    echo "ERROR: results/ differs from this build's output (refresh with scripts/results.sh results and commit the diff)" >&2
+    exit 1
+fi
 
 # Trace smoke test: the protocol_trace example must emit a well-formed,
 # self-validated Chrome trace (it parses its own output before printing
 # the OK line).
-tracedir="$(mktemp -d)"
-trap 'rm -rf "$tracedir"' EXIT
 cargo run -q --release --offline -p wb-examples --bin protocol_trace -- \
-    --chrome "$tracedir/trace.json" | grep -q 'chrome trace OK:'
-test -s "$tracedir/trace.json"
-
-# Chaos smoke test: every plan in the standard matrix plus the directed
-# §3.5 scenarios must drain TSO-green, and the §3.4 Option-1 ablation
-# must produce a livelock WedgeReport (chaos_lab asserts all of this
-# internally and prints one OK line per scenario).
-cargo run -q --release --offline -p wb-examples --bin chaos_lab \
-    | grep -q 'chaos lab: all scenarios OK'
-
-# Fault smoke test: the full fault matrix (drops, dups, corruption,
-# mixed misery), combined chaos+fault cells, and the loss-rate sweep up
-# to 10% drop must all drain TSO-green (fault_lab asserts all of this
-# internally and prints one OK line per scenario).
-cargo run -q --release --offline -p wb-examples --bin fault_lab \
-    | grep -q 'fault lab: all scenarios OK'
-
-# Soft-error smoke test: the full stored-state bit-flip matrix, the
-# soft+fault / soft+chaos cross products, and the strike-rate sweep
-# must all drain with a clean final coherence audit, zero silent flips
-# and TSO-green (soft_lab asserts all of this internally and prints one
-# OK line per scenario).
-cargo run -q --release --offline -p wb-examples --bin soft_lab \
-    | grep -q 'soft lab: all scenarios OK'
+    --chrome "$tmp/trace.json" | grep -q 'chrome trace OK:'
+test -s "$tmp/trace.json"
 
 # Engine-equivalence smoke: the sparse engine must stay cycle-exact
 # against dense ticking — one litmus cell and one RTO-bound fault cell
@@ -150,18 +139,16 @@ cargo test -q --release --offline -p wb-integration --test engine_equivalence --
 # JSON with the per-bank occupancy instrumentation.
 cargo test -q --release --offline -p wb-integration --test scale \
     | grep -q 'test result: ok'
-scalingdir="$(mktemp -d)"
-trap 'rm -rf "$tracedir" "$scalingdir"' EXIT
-WB_BENCH_DIR="$scalingdir" cargo run -q --release --offline -p wb-bench --bin scaling -- --smoke
-grep -q 'dir_bank_occupancy' "$scalingdir/BENCH_scaling.json"
+WB_BENCH_DIR="$tmp" cargo run -q --release --offline -p wb-bench --bin scaling -- --smoke
+grep -q 'dir_bank_occupancy' "$tmp/BENCH_scaling.json"
 
 # Campaign smoke: the crash-resume contract end to end. Run a tiny
 # campaign to completion for reference, run the same spec with the
 # kill-after-3-cells hook (the process dies as abruptly as a kill -9),
 # resume it, and require a complete manifest plus a merged.jsonl that is
 # byte-identical to the uninterrupted run.
-campdir="$(mktemp -d)"
-trap 'rm -rf "$tracedir" "$scalingdir" "$campdir"' EXIT
+campdir="$tmp/campaign"
+mkdir "$campdir"
 cat > "$campdir/spec.json" <<'EOF'
 { "name": "smoke", "cores": 2, "engine": "sparse", "budget": 20000000,
   "workloads": ["mp", "sb"], "arms": ["wb-ooo"],
@@ -180,26 +167,6 @@ cargo run -q --release --offline -p wb-bench --bin campaign -- \
 test "$(wc -l < "$campdir/cut/manifest")" -eq 8
 cmp "$campdir/ref/merged.jsonl" "$campdir/cut/merged.jsonl"
 
-# Ledger smoke: the perf-regression gate run twice at the same revision
-# must produce two parseable JSONL entries per run (smoke + campaign)
-# and a clean second verdict —
-# every metric is deterministic, so any nonzero exit here means
-# either real nondeterminism or a broken comparison. The synthetic
-# must-fail direction (a 20% slowdown exits nonzero) is pinned by the
-# wb_bench::ledger unit tests above.
-ledgerdir="$(mktemp -d)"
-trap 'rm -rf "$tracedir" "$scalingdir" "$campdir" "$ledgerdir"' EXIT
-WB_LEDGER_PATH="$ledgerdir/ledger.jsonl" cargo run -q --release --offline -p wb-bench --bin ledger
-WB_LEDGER_PATH="$ledgerdir/ledger.jsonl" cargo run -q --release --offline -p wb-bench --bin ledger
-test "$(wc -l < "$ledgerdir/ledger.jsonl")" -eq 4
-# And the real gate: current build vs the committed baseline (copied
-# aside so verification never mutates the tracked ledger). A nonzero
-# exit means a deterministic metric regressed — either fix it, or
-# re-run `ledger` against results/ledger.jsonl and commit the refreshed
-# baseline with an explanation.
-cp results/ledger.jsonl "$ledgerdir/baseline.jsonl"
-WB_LEDGER_PATH="$ledgerdir/baseline.jsonl" cargo run -q --release --offline -p wb-bench --bin ledger
-
 # Benchmark smoke: benchmark/ is a package of its own that builds
 # against the public API of crates/* (the layer rig assembles the
 # machine from the component constructors and must equal `System`
@@ -209,4 +176,4 @@ WB_LEDGER_PATH="$ledgerdir/baseline.jsonl" cargo run -q --release --offline -p w
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke > /dev/null
 
-echo "tier-1 verify: OK (offline build + full test suite + trace + chaos + fault + soft + engine-equivalence + scaling + campaign crash-resume + ledger + benchmark smoke tests)"
+echo "tier-1 verify: OK (offline build + full test suite + golden results + trace + engine-equivalence + scaling + campaign crash-resume + benchmark smoke tests)"
