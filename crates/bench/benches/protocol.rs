@@ -1,6 +1,6 @@
 //! Micro-benches of the simulator's substrates: mesh throughput,
 //! TSO checker, and the operational oracle — on the in-tree
-//! [`wb_bench::timing`] harness (emits `BENCH_protocol.json`).
+//! [`wb_bench::timing`] harness, which prints each median to stderr.
 
 use wb_bench::BenchGroup;
 use wb_kernel::NodeId;
@@ -9,9 +9,7 @@ use wb_mesh::{Mesh, MeshMsg, VNet};
 use wb_tso::{ExecutionLog, MemEvent, MemOp, TsoChecker};
 
 fn bench_mesh(g: &mut BenchGroup) {
-    // `bench_with_stats` embeds the mesh counters — including the
-    // `mesh_msg_cycles` latency histogram — in `BENCH_protocol.json`.
-    g.bench_with_stats("mesh_1k_messages", || {
+    g.bench("mesh_1k_messages", || {
         let mut m: Mesh<u32> = Mesh::new(4, 4, 16, 6, 0, 1);
         for i in 0..1000u32 {
             m.send(
@@ -36,7 +34,6 @@ fn bench_mesh(g: &mut BenchGroup) {
             }
         }
         assert_eq!(delivered, 1000);
-        m.stats().clone()
     });
 }
 
@@ -79,5 +76,4 @@ fn main() {
     bench_mesh(&mut g);
     bench_checker(&mut g);
     bench_oracle(&mut g);
-    g.finish();
 }

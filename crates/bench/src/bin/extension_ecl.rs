@@ -26,6 +26,6 @@ fn main() {
         );
     }
     println!("\ngeomean speedup: {:+.2}%", (geomean(&speedups) - 1.0) * 100.0);
-    println!("(the paper's OoO-commit result generalizes: early irrevocable binding of loads");
-    println!("helps any core that would otherwise stall — Section 1's ECL/DeSC cases)");
+    println!("(WritersBlock makes early binding safe, not faster: the speedup column says per");
+    println!("kernel whether it paid off on this machine — Section 1's ECL/DeSC cases)");
 }

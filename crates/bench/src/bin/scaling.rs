@@ -9,31 +9,22 @@
 //!
 //! Two workloads anchor the sweep: `fft` (the barrier-heavy fig-8
 //! flagship) and `barrier-storm` (nothing but serialized fetch-adds —
-//! the worst case for the barrier counter's home bank). Each cell's
-//! stats embed, besides the usual run counters:
-//!
-//! - `sim_cycles` and the engine's `engine_visits` /
-//!   `engine_skipped_cycles` / `engine_skip_windows`;
-//! - the merged `dir_bank_occupancy` histogram plus per-bank re-keyed
-//!   copies (`dir_bank007_occupancy`) and per-bank request counts
-//!   (`dir_bank007_requests`), so bank imbalance is visible per size.
-//!
-//! Writes `BENCH_scaling.json` (`WB_BENCH_DIR` redirects). `--full`
-//! adds radix and streamcluster; `--smoke` runs only the 64-core fft
-//! cell `scripts/verify.sh` gates on.
+//! the worst case for the barrier counter's home bank). Two tables go
+//! to stdout (`results/scaling.txt`): protocol traffic per cell, with
+//! the directory-occupancy percentiles and the two busiest banks'
+//! request counts, and the sparse engine's work per cell. `--full` adds
+//! radix and streamcluster.
 
 use wb_bench::sweep;
 use wb_isa::Workload;
 use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
-use wb_kernel::{json, Stats};
 use wb_workloads::{barrier_storm, Scale};
-use writersblock::{RunOutcome, System};
+use writersblock::{Report, RunOutcome, System};
 
 const RUN_BUDGET: u64 = 200_000_000;
 /// The `--full` kernels converge slower at 256 cores; cap them tighter
 /// so a wedged cell fails fast instead of burning the whole budget.
 const FULL_BUDGET: u64 = 400_000_000;
-const MAX_BANKS: usize = wb_kernel::MAX_NODES * 2;
 
 #[derive(Clone, Copy)]
 struct Cell {
@@ -41,6 +32,15 @@ struct Cell {
     cores: usize,
     banks_per_node: usize,
     budget: u64,
+}
+
+/// One finished cell: its report plus what the engine and the banks saw.
+struct Row {
+    name: String,
+    report: Report,
+    engine_visits: u64,
+    /// Requests (GetS + GetX) per bank, busiest first.
+    bank_requests: Vec<u64>,
 }
 
 /// `barrier` is the one-round barrier storm; any other name is a
@@ -53,8 +53,7 @@ fn workload_for(cell: Cell) -> Workload {
         .unwrap_or_else(|| panic!("unknown scaling workload {}", cell.workload)) // allow(panic): bench driver
 }
 
-/// Run one cell; returns its name and annotated stats.
-fn run_cell(cell: Cell, bank_keys: &BankKeys) -> (String, Stats) {
+fn run_cell(cell: Cell) -> Row {
     let w = workload_for(cell);
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(cell.cores)
@@ -66,98 +65,85 @@ fn run_cell(cell: Cell, bank_keys: &BankKeys) -> (String, Stats) {
     let mut sys = System::new(cfg, &w);
     let outcome = sys.run(cell.budget);
     assert_eq!(outcome, RunOutcome::Done, "{name} ended with {outcome} at cycle {}", sys.now());
-
-    let mut stats = sys.report().stats;
-    stats.set("sim_cycles", sys.now());
-    stats.set("engine_skipped_cycles", sys.skipped_cycles());
-    stats.set("engine_skip_windows", sys.skip_windows());
-    stats.set("engine_visits", sys.engine_visits());
-    for (bank, s) in sys.dir_stats() {
-        let requests = s.get("dir_gets") + s.get("dir_getx");
-        if requests > 0 {
-            stats.set(bank_keys.requests[bank], requests);
-        }
-        if let Some(h) = s.hist("dir_bank_occupancy") {
-            stats.merge_hist(bank_keys.occupancy[bank], h);
-        }
-    }
-    (name, stats)
-}
-
-/// Per-bank counter names. `Stats` keys are `&'static str`, so the
-/// names for every possible bank index are leaked once up front.
-struct BankKeys {
-    occupancy: Vec<&'static str>,
-    requests: Vec<&'static str>,
-}
-
-impl BankKeys {
-    fn new() -> Self {
-        let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
-        BankKeys {
-            occupancy: (0..MAX_BANKS).map(|b| leak(format!("dir_bank{b:03}_occupancy"))).collect(),
-            requests: (0..MAX_BANKS).map(|b| leak(format!("dir_bank{b:03}_requests"))).collect(),
-        }
-    }
+    let mut bank_requests: Vec<u64> =
+        sys.dir_stats().map(|(_, s)| s.get("dir_gets") + s.get("dir_getx")).collect();
+    bank_requests.sort_unstable_by(|a, b| b.cmp(a));
+    Row { name, report: sys.report(), engine_visits: sys.engine_visits(), bank_requests }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let full = std::env::args().any(|a| a == "--full");
     let cell =
         |workload, cores, banks_per_node, budget| Cell { workload, cores, banks_per_node, budget };
-    let cells: Vec<Cell> = if smoke {
-        vec![cell("fft", 64, 2, RUN_BUDGET)]
-    } else {
-        let mut v = Vec::new();
-        for workload in ["fft", "barrier"] {
+    let mut cells = Vec::new();
+    for workload in ["fft", "barrier"] {
+        for cores in [16usize, 64, 256] {
+            cells.push(cell(workload, cores, 1, RUN_BUDGET));
+        }
+    }
+    // Two sharded points: does splitting each home node into two banks
+    // relieve the hot line's port pressure?
+    cells.push(cell("fft", 64, 2, RUN_BUDGET));
+    cells.push(cell("barrier", 256, 2, RUN_BUDGET));
+    if full {
+        // Two more kernel shapes: radix (all-to-all permutation
+        // traffic) and streamcluster (read-mostly sharing with hot
+        // medoid lines).
+        for workload in ["radix", "streamcluster"] {
             for cores in [16usize, 64, 256] {
-                v.push(cell(workload, cores, 1, RUN_BUDGET));
+                cells.push(cell(workload, cores, 1, FULL_BUDGET));
             }
         }
-        // One sharded point: does splitting each home node into two
-        // banks relieve the barrier line's port pressure at 256 cores?
-        v.push(cell("barrier", 256, 2, RUN_BUDGET));
-        if full {
-            // Two more kernel shapes: radix (all-to-all permutation
-            // traffic) and streamcluster (read-mostly sharing with hot
-            // medoid lines).
-            for workload in ["radix", "streamcluster"] {
-                for cores in [16usize, 64, 256] {
-                    v.push(cell(workload, cores, 1, FULL_BUDGET));
-                }
-            }
-        }
-        v
-    };
+    }
 
-    let bank_keys = BankKeys::new();
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    let results = sweep::run_on(threads, cells, |cell| run_cell(cell, &bank_keys));
+    let rows = sweep::run_on(threads, cells, run_cell);
 
-    let mut out = String::from("{\"group\":\"scaling\",\"benches\":[");
-    for (i, (name, s)) in results.iter().enumerate() {
+    println!("== Machine scaling: SLM-class OoO+WB cores on the sparse engine ==");
+    println!(
+        "{:<20}{:>9}{:>8}{:>8}{:>9}{:>10}{:>7}{:>5}{:>5}{:>10}{:>10}",
+        "traffic", "cycles", "stores", "blocked", "blk/kst", "tear-offs", "nacks", "p99", "max",
+        "bank-1st", "bank-2nd",
+    );
+    for r in &rows {
+        let s = &r.report.stats;
         let occ = s.hist("dir_bank_occupancy");
-        eprintln!(
-            "{:<24} {:>10} cycles  nack_retries={:<6} occ_p99={} occ_max={}",
-            name,
-            s.get("sim_cycles"),
+        let bank = |i: usize| r.bank_requests.get(i).copied().unwrap_or(0);
+        println!(
+            "{:<20}{:>9}{:>8}{:>8}{:>9.3}{:>10}{:>7}{:>5}{:>5}{:>10}{:>10}",
+            r.name,
+            r.report.cycles,
+            s.get("core_stores_committed") + s.get("core_amos_committed"),
+            s.get("dir_writes_blocked"),
+            r.report.blocked_writes_per_kilostore(),
+            s.get("dir_tearoff_replies"),
             s.get("dir_nack_retries"),
             occ.map_or(0, |h| h.p99()),
             occ.map_or(0, |h| h.max()),
+            bank(0),
+            bank(1),
         );
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"stats\":{}}}",
-            json::escape(name),
-            s.to_json()
-        ));
     }
-    out.push_str("]}");
-    let dir = std::env::var("WB_BENCH_DIR").unwrap_or_else(|_| ".".to_owned());
-    let path = format!("{dir}/BENCH_scaling.json");
-    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("writing {path}: {e}")); // allow(panic): bench driver
-    eprintln!("wrote {path}");
+    println!("(p99/max: directory-bank occupancy; bank-1st/2nd: requests at the two busiest banks)");
+    println!();
+    println!(
+        "{:<20}{:>9}{:>9}{:>8}{:>10}{:>10}{:>12}",
+        "engine", "cycles", "jumped", "jumped%", "executed", "visits", "visits/exec"
+    );
+    for r in &rows {
+        let cycles = r.report.cycles;
+        let jumped = r.report.skipped_cycles;
+        let executed = cycles - jumped;
+        println!(
+            "{:<20}{:>9}{:>9}{:>7.1}%{:>10}{:>10}{:>12.2}",
+            r.name,
+            cycles,
+            jumped,
+            jumped as f64 * 100.0 / cycles as f64,
+            executed,
+            r.engine_visits,
+            r.engine_visits as f64 / executed.max(1) as f64,
+        );
+    }
+    println!("(a dense tick visits 2n+b+1 units at n cores and b banks: pairs, drains, banks, the mesh)");
 }

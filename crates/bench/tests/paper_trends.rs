@@ -63,3 +63,48 @@ fn ldt_gain_saturates_by_32_entries() {
     let (ldt32, ldt64) = (percents(&t, "LDT=32 ")[0], percents(&t, "LDT=64 ")[0]);
     assert!((ldt64 - ldt32).abs() < 1.0, "LDT=32 {ldt32}% vs LDT=64 {ldt64}%");
 }
+
+/// Fig 8 (top) as `(bench, [SLM, NHM, HSW])` rows: the lines after the
+/// header up to the first blank line.
+fn fig8_blocked_rows(text: &str) -> Vec<(String, Vec<f64>)> {
+    text.lines()
+        .skip_while(|l| !l.starts_with("== Figure 8 (top)"))
+        .skip(2)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            let mut words = l.split_whitespace();
+            let bench = words.next().expect("bench name").to_owned();
+            let vals = words.map(|w| w.parse().unwrap_or_else(|e| panic!("{w:?}: {e}"))).collect();
+            (bench, vals)
+        })
+        .collect()
+}
+
+/// The number after the colon on the `<class> mean blocked` line.
+fn fig8_mean(text: &str, class: &str) -> f64 {
+    let prefix = format!("{class} mean blocked writes/kstore:");
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no line starting with {prefix:?}"));
+    let n = line[prefix.len()..].split_whitespace().next().expect("a number");
+    n.parse().unwrap_or_else(|e| panic!("{n:?} in {line:?}: {e}"))
+}
+
+#[test]
+fn fig8_streamcluster_blocks_most_and_slm_blocks_least() {
+    for name in ["fig8_wb_rates.txt", "fig8_small.txt"] {
+        let t = table(name);
+        let rows = fig8_blocked_rows(&t);
+        assert_eq!(rows.len(), 12, "{name}: fig 8 (top) rows");
+        for (class, col) in ["SLM", "NHM", "HSW"].into_iter().zip(0..) {
+            let (worst, _) = rows
+                .iter()
+                .max_by(|a, b| a.1[col].total_cmp(&b.1[col]))
+                .expect("rows");
+            assert_eq!(worst, "streamcluster", "{name}: most blocked writes on {class}");
+        }
+        let (slm, nhm, hsw) = (fig8_mean(&t, "SLM"), fig8_mean(&t, "NHM"), fig8_mean(&t, "HSW"));
+        assert!(slm < nhm && slm < hsw, "{name}: SLM mean {slm} vs NHM {nhm}, HSW {hsw}");
+    }
+}

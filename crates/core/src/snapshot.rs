@@ -109,13 +109,6 @@ impl System {
         })
     }
 
-    /// The snapshot as a self-validating JSON envelope (see
-    /// [`wb_kernel::snap::to_json`]): hex payload plus length and
-    /// checksum, parseable by `wb_kernel::json`.
-    pub fn snapshot_json(&self) -> String {
-        wb_kernel::snap::to_json(&self.snapshot())
-    }
-
     /// Restore state captured by [`System::snapshot`] into this system.
     /// The receiver must have been built from the same workload and
     /// configuration; structural mismatches are rejected, not patched.
@@ -203,17 +196,6 @@ impl System {
             self.sched = table;
         }
         r.finish()
-    }
-
-    /// Restore from a JSON envelope produced by [`System::snapshot_json`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on a bad envelope (format, length or checksum) or on any
-    /// error [`System::restore`] reports for the decoded payload.
-    pub fn restore_json(&mut self, src: &str) -> wb_kernel::SnapResult<()> {
-        let bytes = wb_kernel::snap::from_json(src)?;
-        self.restore(&bytes)
     }
 
     /// Re-seed every random stream (mesh jitter, chaos, link faults)

@@ -284,16 +284,6 @@ impl System {
         }
     }
 
-    /// Enable (or retime) the periodic online audit: every `every`
-    /// cycles the auditor scrubs wounds and checks the coherence
-    /// invariants. `0` disables periodic runs. Scheduled like the
-    /// timeline sampler — a system deadline the sparse jump never
-    /// crosses, so audits land on identical cycles in every engine mode.
-    pub fn enable_audit(&mut self, every: u64) {
-        self.audit_every = every;
-        self.next_audit_at = (every > 0).then(|| self.now + every);
-    }
-
     /// Cycles the engine fast-forwarded instead of ticking (0 in dense
     /// mode). Diagnostic: not part of [`Report`] stats, which stay
     /// byte-identical across engine modes.

@@ -15,9 +15,10 @@
 //! the sketch feeds `Report` leaderboards and wedge reports that the
 //! engine-equivalence suite compares byte-for-byte across engines, so
 //! every tie (minimum-entry eviction, leaderboard ordering) is broken by
-//! key. `scripts/verify.sh` greps this file to keep unbounded maps out:
-//! the entry table is a plain `Vec` scanned linearly — at the `k` this
-//! repo uses (tens) that beats a heap on real workloads anyway.
+//! key. The entry table is a plain `Vec` scanned linearly — at the `k`
+//! this repo uses (tens) that beats a heap on real workloads anyway —
+//! and `tests/tests/no_alloc.rs` holds [`HeavyHitters::add`] to zero
+//! allocations however many distinct keys it sees.
 
 /// One tracked key: its estimated weight and the overestimation bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

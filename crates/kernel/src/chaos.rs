@@ -402,7 +402,7 @@ impl ChaosEngine {
     /// perturbation is recorded into `stats` — the total under
     /// `mesh_chaos_msgs`/`mesh_chaos_cycles` and a per-effect
     /// breakdown under `mesh_chaos_<effect>_msgs` — so chaos runs are
-    /// auditable from `BENCH_*.json` and wedge reports, not just via
+    /// auditable from the run's stats and wedge reports, not just via
     /// [`crate::chaos::ChaosEngine`] accessors.
     pub fn delay(&mut self, now: Cycle, src: u16, dst: u16, vnet: u8, stats: &mut Stats) -> u64 {
         let mut extra = 0u64;

@@ -10,7 +10,8 @@
 //!
 //! Histograms live inside [`Stats`](crate::stats::Stats) next to the
 //! flat counters and are serialised into the same JSON object, so every
-//! `BENCH_*.json` gains p50/p90/p99 columns for free.
+//! [`Stats::to_json`](crate::stats::Stats::to_json) record gains
+//! p50/p90/p99 columns for free.
 
 /// Number of buckets: bucket 0 holds the value 0, bucket `i >= 1` holds
 /// values in `[2^(i-1), 2^i - 1]`, and bucket 64 holds `>= 2^63`.

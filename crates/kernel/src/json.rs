@@ -1,12 +1,12 @@
 //! A minimal JSON parser for in-tree validation.
 //!
 //! The workspace *emits* JSON in several places (`Stats::to_json`,
-//! `Hist::to_json`, the Chrome-trace exporter, `BENCH_*.json`) but has
-//! no external dependency to *read* it back. This module closes the
-//! loop: a ~150-line recursive-descent parser, used by round-trip
-//! tests and by the `protocol_trace` example to self-validate the
-//! Chrome trace it writes. It accepts strict JSON (RFC 8259) and
-//! nothing more; it is a checker, not a general-purpose library.
+//! `Hist::to_json`, the Chrome-trace exporter, the campaign farm's
+//! records) but has no external dependency to *read* it back. This
+//! module closes the loop: a ~150-line recursive-descent parser, used
+//! by round-trip tests and by the campaign farm to read its specs and
+//! records. It accepts strict JSON (RFC 8259) and nothing more; it is a
+//! checker, not a general-purpose library.
 //!
 //! [`escape`] is the one escaping rule for the emitters that
 //! interpolate free-form strings (bench and cell names, signatures,

@@ -27,8 +27,7 @@
 //! - [`sched`], the calendar-wheel activity scheduler the sparse engine
 //!   uses to visit only the components with work due each cycle,
 //! - [`snap`], the versioned binary snapshot codec behind deterministic
-//!   checkpoint/restore (with a strict-JSON hex envelope validated
-//!   through [`json`]),
+//!   checkpoint/restore,
 //! - [`soft`], seeded soft-error (bit-flip) injection into stored
 //!   protocol state plus the guard-hash parity/ECC model that detects it,
 //! - [`audit`], the typed violation reports of the online coherence

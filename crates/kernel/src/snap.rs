@@ -27,11 +27,6 @@
 //!   lengths; [`SnapReader`] bounds-checks every read, so a truncated or
 //!   corrupt snapshot surfaces as a [`SnapError`], never a panic in
 //!   component code.
-//! - **JSON envelope.** [`to_json`]/[`from_json`] wrap the binary image
-//!   in a strict-JSON envelope with a hex payload (the in-tree parser
-//!   keeps numbers as `f64`, so raw 64-bit values cannot ride as JSON
-//!   numbers) and a FNV-1a checksum; the envelope self-validates through
-//!   [`crate::json::parse`] before it is handed out.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -614,102 +609,6 @@ pub fn open(bytes: &[u8]) -> SnapResult<SnapReader<'_>> {
     Ok(r)
 }
 
-// ---------------------------------------------------------------------------
-// JSON envelope
-// ---------------------------------------------------------------------------
-
-/// FNV-1a over the snapshot bytes: the envelope's integrity check.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Wrap a framed snapshot in a strict-JSON envelope with a hex payload.
-///
-/// The in-tree parser stores numbers as `f64` (exact only to 2^53), so
-/// the binary image travels hex-encoded; `bytes` and `check` let a
-/// reader reject truncation before decoding a single component. The
-/// envelope is self-validated through [`crate::json::parse`] before it
-/// is returned.
-///
-/// # Panics
-///
-/// Panics if the emitted envelope fails to re-parse — that would mean
-/// this function and the parser disagree about JSON, a bug to fix, not
-/// an input error to report.
-pub fn to_json(snapshot: &[u8]) -> String {
-    let mut hex = String::with_capacity(snapshot.len() * 2);
-    for &b in snapshot {
-        hex.push_str(&format!("{b:02x}"));
-    }
-    let out = format!(
-        "{{\"format\":\"wb-snap\",\"version\":{FORMAT_VERSION},\"bytes\":{},\"check\":\"{:016x}\",\"payload\":\"{hex}\"}}",
-        snapshot.len(),
-        fnv1a(snapshot),
-    );
-    crate::json::parse(&out)
-        .unwrap_or_else(|e| panic!("emitted snapshot envelope is not valid JSON: {e}"));
-    out
-}
-
-/// Decode a JSON envelope back into the framed snapshot bytes,
-/// validating format, version, length and checksum.
-pub fn from_json(src: &str) -> SnapResult<Vec<u8>> {
-    let doc = crate::json::parse(src).map_err(|e| SnapError::new(format!("bad JSON: {e}")))?;
-    if doc.get("format").and_then(crate::json::Json::as_str) != Some("wb-snap") {
-        return Err(SnapError::new("envelope is not format \"wb-snap\""));
-    }
-    let version = doc
-        .get("version")
-        .and_then(crate::json::Json::as_u64)
-        .ok_or_else(|| SnapError::new("envelope missing version"))?;
-    if version != FORMAT_VERSION as u64 {
-        return Err(SnapError::new(format!("envelope version {version} unsupported")));
-    }
-    let hex = doc
-        .get("payload")
-        .and_then(crate::json::Json::as_str)
-        .ok_or_else(|| SnapError::new("envelope missing payload"))?;
-    if hex.len() % 2 != 0 {
-        return Err(SnapError::new("odd-length hex payload"));
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    let h = hex.as_bytes();
-    for i in (0..h.len()).step_by(2) {
-        let nib = |c: u8| -> SnapResult<u8> {
-            match c {
-                b'0'..=b'9' => Ok(c - b'0'),
-                b'a'..=b'f' => Ok(c - b'a' + 10),
-                _ => Err(SnapError::new(format!("bad hex byte {:#x}", c))),
-            }
-        };
-        bytes.push(nib(h[i])? << 4 | nib(h[i + 1])?);
-    }
-    let declared = doc
-        .get("bytes")
-        .and_then(crate::json::Json::as_u64)
-        .ok_or_else(|| SnapError::new("envelope missing bytes"))?;
-    if declared != bytes.len() as u64 {
-        return Err(SnapError::new(format!(
-            "envelope declares {declared} bytes, payload has {}",
-            bytes.len()
-        )));
-    }
-    let check = doc
-        .get("check")
-        .and_then(crate::json::Json::as_str)
-        .ok_or_else(|| SnapError::new("envelope missing check"))?;
-    let want = format!("{:016x}", fnv1a(&bytes));
-    if check != want {
-        return Err(SnapError::new("envelope checksum mismatch (corrupt payload)"));
-    }
-    Ok(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,31 +816,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(Vec::<u64>::unsnap(&mut r).is_err());
-    }
-
-    #[test]
-    fn json_envelope_round_trips_and_rejects_corruption() {
-        let bytes = snapshot(|w| {
-            w.str("campaign");
-            w.u64(0xfeed_f00d_dead_beef);
-        });
-        let envelope = to_json(&bytes);
-        // The envelope is strict JSON by the in-tree parser.
-        crate::json::parse(&envelope).expect("valid JSON");
-        assert_eq!(from_json(&envelope).expect("round trip"), bytes);
-
-        // Grow the payload by two hex digits: still valid JSON and an
-        // even-length hex string, but the declared byte count no longer
-        // matches — the envelope must reject it.
-        let corrupt = envelope.replacen("\"payload\":\"", "\"payload\":\"0000", 1);
-        assert!(from_json(&corrupt).is_err());
-        // Same length, different first byte: the checksum must catch it.
-        let first_two = &envelope[envelope.find("\"payload\":\"").unwrap() + 11..][..2];
-        let flipped = if first_two == "00" { "11" } else { "00" };
-        let corrupt =
-            envelope.replacen(&format!("\"payload\":\"{first_two}"), &format!("\"payload\":\"{flipped}"), 1);
-        assert!(from_json(&corrupt).is_err());
-        assert!(from_json("{\"format\":\"other\"}").is_err());
-        assert!(from_json("not json").is_err());
     }
 }

@@ -200,8 +200,7 @@ impl Stats {
     /// output is byte-identical to the counters-only format.
     ///
     /// Counter names are `&'static str` identifiers (no quotes or control
-    /// characters), so plain escaping-free emission is sufficient; this
-    /// is what `BENCH_*.json` files embed per run.
+    /// characters), so plain escaping-free emission is sufficient.
     ///
     /// # Example
     ///

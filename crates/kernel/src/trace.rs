@@ -129,11 +129,6 @@ impl TraceFilter {
         TraceFilter { mask, level: Level::Debug, line: None }
     }
 
-    /// Record every category at `Info` severity (drops mesh hops).
-    pub fn info() -> Self {
-        TraceFilter { level: Level::Info, ..TraceFilter::all() }
-    }
-
     /// Record only the given categories (at `Debug` severity).
     pub fn only(cats: &[Category]) -> Self {
         let mut mask = 0;

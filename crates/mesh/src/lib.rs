@@ -146,7 +146,6 @@ wb_kernel::snap_struct!(Flight<T> {
 #[derive(Debug)]
 pub struct Mesh<T> {
     width: usize,
-    height: usize,
     hop_cycles: u64,
     jitter: u64,
     rng: SimRng,
@@ -179,8 +178,7 @@ pub struct Mesh<T> {
     /// Indexed by `VNet::index()`.
     h_flits_vnet: [CounterHandle; 3],
     /// Scratch buffers reused across `tick` calls so the per-cycle hot
-    /// path performs no allocation once warm (see scripts/verify.sh's
-    /// grep guard).
+    /// path performs no allocation once warm (`tests/tests/no_alloc.rs`).
     scratch_removals: Vec<(usize, bool)>,
     scratch_dups: Vec<Flight<T>>,
     scratch_flow_keys: Vec<FlowKey>,
@@ -213,7 +211,6 @@ impl<T> Mesh<T> {
         ];
         Mesh {
             width,
-            height,
             hop_cycles,
             jitter,
             rng: SimRng::new(seed ^ 0x4e74_776b),
@@ -288,11 +285,6 @@ impl<T> Mesh<T> {
         self.reliable = Some(ReliableLink::new(cfg));
     }
 
-    /// True when the reliable sublayer is active.
-    pub fn reliable_enabled(&self) -> bool {
-        self.reliable.is_some()
-    }
-
     /// Install (or clear) link fault injection.
     ///
     /// # Panics
@@ -344,11 +336,6 @@ impl<T> Mesh<T> {
 
     fn coords(&self, n: NodeId) -> (usize, usize) {
         (n.index() % self.width, n.index() / self.width)
-    }
-
-    /// Mesh dimensions `(width, height)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.width, self.height)
     }
 
     /// Number of X-Y hops between two nodes (Manhattan distance).

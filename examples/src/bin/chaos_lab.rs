@@ -15,8 +15,8 @@
 //! 3. The §3.4 Option-1 ablation under spin-readers: the run *must*
 //!    wedge, and the watchdog must render an actionable livelock report.
 //!
-//! Each passing scenario prints a `chaos smoke OK:` line; the script
-//! `scripts/verify.sh` greps for them.
+//! Each passing scenario prints a `chaos smoke OK:` line; stdout is the
+//! golden `results/chaos_lab.txt`.
 
 use wb_workloads::directed;
 use writersblock::prelude::*;

@@ -19,8 +19,8 @@
 //!    retransmission counts and recovery-latency percentiles from the
 //!    `link_retx_cycles` histogram (the table in EXPERIMENTS.md).
 //!
-//! Each passing scenario prints a `fault smoke OK:` line; the script
-//! `scripts/verify.sh` greps for the final summary line.
+//! Each passing scenario prints a `fault smoke OK:` line; stdout is the
+//! golden `results/fault_lab.txt`.
 
 use wb_workloads::directed;
 use writersblock::prelude::*;

@@ -6,30 +6,15 @@
 //! Nack that parks the directory in WritersBlock, and the deferred,
 //! directory-redirected acknowledgement that finally releases the write.
 //!
-//! With `--chrome PATH` the run is also recorded through the full event
-//! tracer and exported as Chrome trace-event JSON — open the file in
-//! `chrome://tracing` or <https://ui.perfetto.dev> to see lockdown and
-//! WritersBlock windows as spans on per-component timelines.
-//!
-//! ```text
-//! cargo run -p wb-examples --bin protocol_trace --release -- --chrome out.json
-//! ```
+//! The trace goes through a capturing sink and is printed to stdout, so
+//! the whole output is deterministic (`results/protocol_trace.txt`).
+//! For the same run as a Chrome trace-event timeline, enable
+//! `System::set_trace` and export `System::chrome_trace`.
 
 use writersblock::prelude::*;
 use writersblock::System;
 
-fn chrome_path() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--chrome" {
-            return Some(args.next().expect("--chrome needs a file path"));
-        }
-    }
-    None
-}
-
 fn main() {
-    let chrome = chrome_path();
     // Find a seed whose timing triggers the lockdown, then re-run it
     // with tracing enabled.
     let t = wb_tso::litmus::mp_warm();
@@ -57,12 +42,12 @@ fn main() {
         .with_seed(seed)
         .with_jitter(30);
     let mut sys = System::new(cfg, &t.workload);
+    sys.set_trace_sink(TraceSink::Capture(Vec::new()));
     sys.trace_line(Some(line));
-    if chrome.is_some() {
-        sys.set_trace(TraceFilter::all());
-    }
     assert_eq!(sys.run(300_000), RunOutcome::Done);
-    sys.trace_line(None);
+    for l in sys.take_sink_lines() {
+        println!("{l}");
+    }
 
     let r = sys.report();
     println!("\nwrites blocked {}, lockdowns seen {}, redirected acks {}",
@@ -72,16 +57,5 @@ fn main() {
     println!("observed (ra, rb) = ({}, {}) — never the forbidden (1, 0)",
         sys.arch_reg(0, Reg(1)), sys.arch_reg(0, Reg(2)));
 
-    if let Some(path) = chrome {
-        let json = sys.chrome_trace();
-        let parsed = wb_kernel::json::parse(&json).expect("exporter must emit well-formed JSON");
-        let n = parsed
-            .get("traceEvents")
-            .and_then(|v| v.as_arr())
-            .map(|a| a.len())
-            .expect("traceEvents array");
-        std::fs::write(&path, &json).expect("write chrome trace");
-        println!("chrome trace OK: {n} events -> {path}");
-    }
     sys.check_tso().expect("TSO");
 }

@@ -23,8 +23,8 @@
 //!    and detection-latency percentiles from the `soft_detect_latency`
 //!    histogram (the table in EXPERIMENTS.md).
 //!
-//! Each passing scenario prints a `soft smoke OK:` line; the script
-//! `scripts/verify.sh` greps for the final summary line.
+//! Each passing scenario prints a `soft smoke OK:` line; stdout is the
+//! golden `results/soft_lab.txt`.
 
 use wb_workloads::directed;
 use writersblock::prelude::*;

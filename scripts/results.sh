@@ -42,7 +42,9 @@ table1_litmus table1_litmus
 table2_interleavings table2_interleavings
 table6_config table6_config
 anchors anchors
+scaling scaling
 chaos_lab chaos_lab
 fault_lab fault_lab
 soft_lab soft_lab
+protocol_trace protocol_trace
 EOF

@@ -1,0 +1,166 @@
+//! The per-cycle hot paths do not allocate once warm.
+//!
+//! A counting global allocator tallies every allocation (and growing
+//! reallocation) made by the current thread, and each test asserts the
+//! tally stays at zero across a steady-state loop:
+//!
+//! - `Mesh::tick` + `Mesh::drain_arrived_into`, which run every
+//!   simulated cycle, reuse scratch buffers owned by the mesh;
+//! - `ActivitySched::{take_due, wake_at, set, earliest}`, which run on
+//!   every message delivery and every sparse tick, reuse the wheel's
+//!   bucket, `far` and `overdue` storage once a periodic schedule has
+//!   run one period (an irregular schedule may still grow a bucket);
+//! - `HeavyHitters::add` stays a fixed-size table however many distinct
+//!   keys it sees.
+//!
+//! The count is per thread, so the test harness's other threads do not
+//! disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use wb_kernel::{ActivitySched, Cycle, HeavyHitters, NodeId};
+use wb_mesh::{Mesh, MeshMsg, VNet};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// only addition is a thread-local counter that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            bump();
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread made while running `f`.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn mesh_tick_and_drain_do_not_allocate_under_steady_traffic() {
+    const NODES: u16 = 16;
+    let mut mesh: Mesh<u32> = Mesh::new(4, 4, NODES as usize, 6, 0, 1);
+    let mut out = Vec::new();
+    // Every cycle two nodes inject (one control, one data message) on a
+    // pattern that repeats every 48 cycles; sends are outside the count.
+    let mut cycle = |now: Cycle| -> u64 {
+        for k in 0..2u64 {
+            let src = ((now + 5 * k) % NODES as u64) as u16;
+            let dst = ((now * 7 + 3 * k + 1) % NODES as u64) as u16;
+            mesh.send(
+                now,
+                MeshMsg {
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                    vnet: VNet::ALL[(now % 3) as usize],
+                    flits: if k == 0 { 1 } else { 5 },
+                    payload: now as u32,
+                },
+            );
+        }
+        allocations(|| {
+            mesh.tick(now);
+            for node in 0..NODES {
+                out.clear();
+                mesh.drain_arrived_into(NodeId(node), &mut out);
+            }
+        })
+    };
+    for now in 0..2_000 {
+        cycle(now);
+    }
+    let n: u64 = (2_000..6_000).map(cycle).sum();
+    assert_eq!(n, 0, "Mesh::tick/drain_arrived_into allocated {n} times in 4000 warm cycles");
+}
+
+#[test]
+fn activity_sched_does_not_allocate_after_one_period() {
+    // One period spans eight 512-cycle wheel windows, so strides up to
+    // 2048 land in `far` and migrate back; every stride divides it.
+    const PERIOD: Cycle = 4096;
+    const STRIDES: [Cycle; 12] = [1, 2, 4, 8, 16, 32, 64, 256, 512, 1024, 2048, 4096];
+    // Unit `u` wakes on every cycle `c` with `c % stride == u % stride`.
+    let next_wake = |u: usize, after: Cycle| {
+        let s = STRIDES[u];
+        let phase = u as Cycle % s;
+        after + 1 + (phase + s - (after + 1) % s) % s
+    };
+    let mut sched = ActivitySched::new(STRIDES.len());
+    for u in 0..STRIDES.len() {
+        sched.set(u, Some(next_wake(u, 0)));
+    }
+    let mut due = Vec::new();
+    let mut cycle = |now: Cycle| {
+        due.clear();
+        sched.take_due(now, &mut due);
+        for &u in &due {
+            sched.set(u as usize, Some(next_wake(u as usize, now)));
+        }
+        // A message lands on a far-scheduled unit at a drained cycle:
+        // the wake goes to `overdue` and the far entry goes stale.
+        if now % 128 == 7 {
+            sched.wake_at(STRIDES.len() - 1, now);
+        }
+        // An early reschedule that leaves a stale near entry behind.
+        if now % 32 == 11 {
+            sched.set(6, Some(now + 30));
+        }
+        let _ = sched.earliest();
+    };
+    // The first period settles every unit into its orbit; the second
+    // reaches every bucket's high-water mark.
+    for now in 1..=2 * PERIOD {
+        cycle(now);
+    }
+    let n = allocations(|| {
+        for now in 2 * PERIOD + 1..=4 * PERIOD {
+            cycle(now);
+        }
+    });
+    assert_eq!(n, 0, "ActivitySched allocated {n} times over two periods of a periodic schedule");
+}
+
+#[test]
+fn heavy_hitters_add_does_not_allocate_past_capacity() {
+    let mut hh = HeavyHitters::new(16);
+    // Counted from the empty table: filling it and evicting past it.
+    let n = allocations(|| {
+        for k in 0..10_000u64 {
+            hh.add((k * 0x9e37_79b9) % 4099, 1 + k % 7);
+        }
+    });
+    assert_eq!(hh.len(), 16);
+    assert_eq!(n, 0, "HeavyHitters::add allocated {n} times");
+}

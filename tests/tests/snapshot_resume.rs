@@ -218,39 +218,6 @@ fn timeline_state_survives_restore() {
     assert_eq!(rest_a, rest_b, "timeline diverged after resume");
 }
 
-/// The JSON envelope round-trips through `wb_kernel::json` and restores
-/// to the same state as the binary form; tampering is rejected.
-#[test]
-fn json_envelope_roundtrips_and_self_validates() {
-    let (cfg, w) = cell(0, 3);
-    let mut a = System::new(cfg.clone(), &w);
-    let _ = a.run(2_000);
-    let bytes = a.snapshot();
-    let json = a.snapshot_json();
-    // The envelope is strict wb_kernel::json-parseable and self-describing.
-    let doc = wb_kernel::json::parse(&json).expect("envelope parses");
-    assert_eq!(
-        doc.get("format").and_then(wb_kernel::json::Json::as_str),
-        Some("wb-snap")
-    );
-    assert_eq!(wb_kernel::snap::from_json(&json).expect("envelope decodes"), bytes);
-    let mut b = System::new(cfg.clone(), &w);
-    b.restore_json(&json).expect("JSON restore");
-    let mut c = System::new(cfg, &w);
-    c.restore(&bytes).expect("binary restore");
-    assert_eq!(
-        observe(&mut b, BUDGET),
-        observe(&mut c, BUDGET),
-        "JSON and binary restores diverged"
-    );
-    // Corrupt one payload nibble: the checksum must catch it.
-    let tampered = json.replacen("\"payload\":\"", "\"payload\":\"00", 1);
-    assert!(
-        wb_kernel::snap::from_json(&tampered).is_err(),
-        "tampered envelope must be rejected"
-    );
-}
-
 /// Restoring into a system built from a different configuration or
 /// workload is a typed error, not silent corruption.
 #[test]
