@@ -115,6 +115,9 @@ fn run_cell(cell: &Cell, metrics: &mut BTreeMap<String, u64>) {
 fn campaign_metrics(metrics: &mut BTreeMap<String, u64>) {
     let spec = CampaignSpec::parse(CAMPAIGN_SPEC)
         .unwrap_or_else(|e| panic!("anchor campaign spec: {e}")); // allow(panic): bench binary
+    // The farm writes its results and manifest to disk; this scratch
+    // directory is removed below and no metric depends on its path.
+    #[allow(clippy::disallowed_methods, reason = "campaign scratch dir, removed after the run")]
     let dir = std::env::temp_dir().join(format!("wb-anchors-campaign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let threads = std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(4);
@@ -134,8 +137,8 @@ fn campaign_metrics(metrics: &mut BTreeMap<String, u64>) {
         .sum();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Checkpoint size of a warmed 4-core fft — the representative
-    // mid-run snapshot a warm-start farm would fork.
+    // Checkpoint size of a 4-core fft 2,000 cycles in — a
+    // representative mid-run snapshot.
     let mut sys = System::new(smoke_cfg(4), &splash::fft(4, Scale::Test));
     let _ = sys.run(2_000);
 

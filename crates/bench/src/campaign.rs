@@ -15,18 +15,11 @@
 //! the workspace `clippy.toml` disallows host-time reads outside
 //! `timing`).
 //!
-//! Two extra modes ride on the snapshot subsystem:
-//!
-//! * **Warm-start forking** (`"warmup": N` in the spec): each
-//!   (workload, arm, chaos, fault) group is run once for `N` cycles
-//!   under a fixed warm seed, snapshotted, and every seed cell restores
-//!   that one snapshot and [`writersblock::System::reseed`]s itself —
-//!   thousands of seeds for the price of one warm-up.
-//! * **Fuzzing** ([`run_fuzz`]): mines torture/litmus cells under the
-//!   chaos, fault and soft-error matrices with a tightened watchdog,
-//!   and dedupes every failing [`Verdict`] by its signature into
-//!   `<out>/wedges.jsonl` — each line a distinct failure mode with its
-//!   one-command reproducer.
+//! **Fuzzing** ([`run_fuzz`]) mines torture/litmus cells under the
+//! chaos, fault and soft-error matrices with a tightened watchdog, and
+//! dedupes every failing [`Verdict`] by its signature into
+//! `<out>/wedges.jsonl` — each line a distinct failure mode with its
+//! one-command reproducer.
 //!
 //! Farm and fuzz cells alike are judged by [`System::verify`], so a
 //! cell that *completes* still passes through the final coherence audit
@@ -51,10 +44,6 @@ use wb_kernel::soft::SoftPlan;
 use wb_workloads::torture;
 use writersblock::{Failure, System, Verdict};
 
-/// Fixed seed every warm-start snapshot is taken under; forks restore
-/// it and immediately reseed to their own cell seed.
-pub const WARM_SEED: u64 = 0x5eed_0001;
-
 /// Per-cell budget for fuzz-mined cells: long enough for the tightened
 /// watchdog (stall window 2500) to classify a wedge, short enough to
 /// mine hundreds of cells per round.
@@ -78,8 +67,6 @@ pub struct CampaignSpec {
     pub budget: u64,
     /// Per-workload budget overrides (e.g. radix/streamcluster need 2x).
     pub budgets: BTreeMap<String, u64>,
-    /// Warm-start cycles (0 = run every cell from reset).
-    pub warmup: u64,
     pub workloads: Vec<String>,
     pub arms: Vec<String>,
     pub chaos: Vec<String>,
@@ -119,7 +106,6 @@ impl CampaignSpec {
             jitter: 0,
             budget: crate::RUN_BUDGET,
             budgets: BTreeMap::new(),
-            warmup: 0,
             workloads: vec![],
             arms: vec!["wb-ooo".to_owned()],
             chaos: vec!["off".to_owned()],
@@ -148,7 +134,6 @@ impl CampaignSpec {
                         spec.budgets.insert(w.clone(), want_u64(b, "budgets")?);
                     }
                 }
-                "warmup" => spec.warmup = want_u64(v, k)?,
                 "workloads" => spec.workloads = want_str_list(v, k)?,
                 "arms" => spec.arms = want_str_list(v, k)?,
                 "chaos" => spec.chaos = want_str_list(v, k)?,
@@ -156,7 +141,7 @@ impl CampaignSpec {
                 "softs" => spec.softs = want_str_list(v, k)?,
                 "seeds" => {
                     // Either an explicit list, or {"first": F, "count": N}
-                    // for warm-start fleets of thousands.
+                    // for fleets of thousands.
                     if let Some(arr) = v.as_arr() {
                         spec.seeds = arr.iter().map(|e| want_u64(e, k)).collect::<Result<_, _>>()?;
                         if spec.seeds.is_empty() {
@@ -327,13 +312,6 @@ pub struct Cell {
     pub budget: u64,
 }
 
-impl Cell {
-    /// Warm-start group key: everything but the seed.
-    fn group(&self) -> String {
-        format!("{}+{}+{}+{}+{}", self.workload, self.arm, self.chaos, self.fault, self.soft)
-    }
-}
-
 /// Expand the spec into its cell matrix, in spec order (workload
 /// outermost, seed innermost). Ids are stable across runs — they key
 /// the resume manifest.
@@ -365,8 +343,8 @@ pub fn cells(spec: &CampaignSpec) -> Vec<Cell> {
     out
 }
 
-/// Build the system configuration for one cell (machine sized to the
-/// workload's own core count; `seed` may be overridden for warm-starts).
+/// Build the system configuration for one cell under `seed` (machine
+/// sized to the workload's own core count).
 pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) -> SystemConfig {
     // Names were validated at parse time; resolution cannot fail here.
     let (protocol, commit) = arm_by_name(&cell.arm).expect("arm validated at parse");
@@ -470,30 +448,11 @@ impl CellResult {
     }
 }
 
-/// Run one cell from reset (or from a warm snapshot) and summarize.
-fn run_cell(spec: &CampaignSpec, cell: &Cell, warm: Option<&[u8]>) -> CellResult {
+/// Run one cell from reset and summarize.
+fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
     let w = workload_by_name(&cell.workload, spec.cores).expect("workload validated at parse");
-    let cores = w.cores();
-    let mut sys = match warm {
-        Some(bytes) => {
-            let mut sys = System::new(cell_config(spec, cell, cores, WARM_SEED), &w);
-            sys.restore(bytes).expect("warm snapshot restores into its own configuration");
-            sys.reseed(cell.seed);
-            sys
-        }
-        None => System::new(cell_config(spec, cell, cores, cell.seed), &w),
-    };
+    let mut sys = System::new(cell_config(spec, cell, w.cores(), cell.seed), &w);
     CellResult::from_verdict(&cell.id, &sys.verify(cell.budget))
-}
-
-/// Compute the warm snapshot for one cell group: run the group's
-/// configuration for `spec.warmup` cycles under [`WARM_SEED`].
-fn warm_snapshot(spec: &CampaignSpec, cell: &Cell) -> Vec<u8> {
-    let w = workload_by_name(&cell.workload, spec.cores).expect("workload validated at parse");
-    let cores = w.cores();
-    let mut sys = System::new(cell_config(spec, cell, cores, WARM_SEED), &w);
-    let _ = sys.run(spec.warmup);
-    sys.snapshot()
 }
 
 // ---------------------------------------------------------------------------
@@ -565,21 +524,6 @@ pub fn run_campaign(
     let todo: Vec<Cell> = all.iter().filter(|c| !by_id.contains_key(&c.id)).cloned().collect();
     let resumed = all.len() - todo.len();
 
-    // Warm-start: one snapshot per (workload, arm, chaos, fault) group,
-    // computed up front on the same worker pool. Deterministic, so a
-    // resumed campaign recomputes byte-identical snapshots.
-    let warm: BTreeMap<String, Vec<u8>> = if spec.warmup > 0 {
-        let groups: Vec<Cell> = {
-            let mut seen = BTreeSet::new();
-            todo.iter().filter(|c| seen.insert(c.group())).cloned().collect()
-        };
-        let keys: Vec<String> = groups.iter().map(Cell::group).collect();
-        let snaps = sweep::run_on(threads, groups, |c| warm_snapshot(spec, &c));
-        keys.into_iter().zip(snaps).collect()
-    } else {
-        BTreeMap::new()
-    };
-
     let open_append = |name: &str| {
         OpenOptions::new()
             .create(true)
@@ -599,7 +543,7 @@ pub fn run_campaign(
     let sink = Mutex::new((results_file, open_append("manifest")?, 0usize));
 
     let fresh: Vec<CellResult> = sweep::run_on(threads, todo, |cell| {
-        let r = run_cell(spec, &cell, warm.get(&cell.group()).map(Vec::as_slice));
+        let r = run_cell(spec, &cell);
         let line = r.to_json_line();
         let mut s = sink.lock().expect("campaign sink");
         let (results, manifest, completed) = &mut *s;
@@ -762,7 +706,10 @@ pub fn run_fuzz(
 mod tests {
     use super::*;
 
+    // The farm's tests exercise its files on disk; each gets its own
+    // scratch directory, keyed by process id and tag.
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        #[allow(clippy::disallowed_methods, reason = "campaign test scratch dir")]
         let d = std::env::temp_dir()
             .join(format!("wb-campaign-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
@@ -789,6 +736,7 @@ mod tests {
             (r#"{"workloads":["mp"],"softs":["x"]}"#, "unknown soft plan"),
             (r#"{"workloads":["mp"],"softs":["tag-flips-x0"]}"#, "zero acceleration"),
             (r#"{"workloads":["mp"],"frobnicate":1}"#, "unknown spec key"),
+            (r#"{"workloads":["mp"],"warmup":2000}"#, "unknown spec key"),
             (r#"{"workloads":["mp"],"budgets":{"fft":1}}"#, "not in `workloads`"),
             (r#"{}"#, "`workloads` is required"),
         ] {
@@ -845,7 +793,7 @@ mod tests {
         assert!(soft_by_name("off").expect("off").is_none());
         // Both cells pass every oracle, so the farm still calls them done.
         for c in &cs {
-            let r = run_cell(&spec, c, None);
+            let r = run_cell(&spec, c);
             assert_eq!((r.outcome.as_str(), r.signature.as_str()), ("done", ""), "{}", c.id);
         }
     }
@@ -969,27 +917,23 @@ mod tests {
         let _ = fs::remove_dir_all(&crashed);
     }
 
-    /// Warm-start campaigns are deterministic across independent runs
-    /// and record post-warmup cycles (warm cycles included in `cycles`).
+    /// A campaign's merged output is a function of its spec alone: a
+    /// 2-thread and a 1-thread run write byte-identical `merged.jsonl`.
     #[test]
-    fn warm_start_campaign_is_deterministic() {
+    fn campaign_output_is_thread_count_independent() {
         let spec = CampaignSpec::parse(
-            r#"{"name":"warm","cores":2,"budget":20000000,"warmup":2000,"jitter":25,
+            r#"{"name":"threads","cores":2,"budget":20000000,"jitter":25,
                 "workloads":["fft"],"arms":["wb-ooo"],
                 "seeds":{"first":1,"count":4}}"#,
         )
         .expect("parses");
-        let a = tmp_dir("warm-a");
-        let b = tmp_dir("warm-b");
+        let a = tmp_dir("threads-a");
+        let b = tmp_dir("threads-b");
         run_campaign(&spec, &a, 2, None).expect("run a");
         run_campaign(&spec, &b, 1, None).expect("run b");
-        let ma = fs::read(a.join("merged.jsonl")).expect("a merged");
-        assert_eq!(ma, fs::read(b.join("merged.jsonl")).expect("b merged"));
-        let first = CellResult::parse_line(
-            String::from_utf8(ma).expect("utf8").lines().next().expect("one line"),
-        )
-        .expect("parses");
-        assert!(first.cycles >= 2000, "cycles include the warm-up prefix");
+        let ma = fs::read_to_string(a.join("merged.jsonl")).expect("a merged");
+        assert_eq!(ma, fs::read_to_string(b.join("merged.jsonl")).expect("b merged"));
+        assert_eq!(ma.lines().count(), 4, "one line per seed");
         let _ = fs::remove_dir_all(&a);
         let _ = fs::remove_dir_all(&b);
     }

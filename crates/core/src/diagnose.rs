@@ -1,7 +1,7 @@
 //! Wedge diagnosis: the replayable reproducer line, the wait-for graph
 //! extracted from live machine state, and the rendered report.
 
-use crate::system::System;
+use crate::system::{System, DUMP_LAST};
 use wb_kernel::wedge::{self, WaitEdge, WaitParty, WedgeClass, WedgeReport};
 use wb_protocol::ProtocolError;
 
@@ -247,30 +247,26 @@ impl System {
         report
     }
 
-    /// Render `report` through the trace sink and, when event tracing
-    /// is on, dump a chrome trace of the run next to it.
+    /// Render `report` through the trace sink, then — when event
+    /// tracing is on — each participant line's last traced events.
     fn emit_wedge(&mut self, report: &mut WedgeReport) {
-        if self.tracer.filter().enabled() {
-            let stem: String = self
-                .workload_name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            let path =
-                std::env::temp_dir().join(format!("wb-wedge-{stem}-{:#x}.json", self.cfg.seed));
-            match std::fs::write(&path, self.chrome_trace()) {
-                Ok(()) => report.notes.push(format!("chrome trace dumped to {}", path.display())),
-                Err(e) => report.notes.push(format!("chrome trace dump failed: {e}")),
-            }
-        } else {
+        let traced = self.tracer.filter().enabled();
+        if !traced {
             report.notes.push(
-                "event tracing off; call System::set_trace before the run for a chrome trace dump"
+                "event tracing off; call System::set_trace before the run for each \
+                 participant line's last events"
                     .to_string(),
             );
         }
-        let text = report.to_string();
-        for line in text.lines() {
+        for line in report.to_string().lines() {
             self.sink.emit(line);
+        }
+        if traced {
+            for p in &report.participants {
+                if let WaitParty::Line(l) = *p {
+                    self.dump_trace_for_line(Some(l), DUMP_LAST);
+                }
+            }
         }
     }
 }

@@ -301,9 +301,6 @@ impl System {
         let released = arrivals.len();
         for m in arrivals.drain(..) {
             let (dest, msg) = m.payload;
-            if self.trace_line == Some(msg.line()) {
-                self.sink.emit(&format!("[{:>8}] {} -> {:?}: {:?}", t, m.src, dest, msg));
-            }
             if self.tracer.wants(Category::Protocol) {
                 self.tracer.record(
                     t,

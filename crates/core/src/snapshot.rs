@@ -197,17 +197,4 @@ impl System {
         }
         r.finish()
     }
-
-    /// Re-seed every random stream (mesh jitter, chaos, link faults)
-    /// and the recorded configuration seed — the warm-start forking
-    /// primitive: restore one warmed snapshot, then fork it into many
-    /// distinct runs by re-seeding each. Accumulated counters and
-    /// architectural state are kept; only future randomness changes.
-    pub fn reseed(&mut self, seed: u64) {
-        self.cfg.seed = seed;
-        self.mesh.reseed(seed);
-        if let Some(eng) = &mut self.soft {
-            eng.reseed(seed, self.now);
-        }
-    }
 }

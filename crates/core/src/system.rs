@@ -59,6 +59,9 @@ impl std::fmt::Display for RunOutcome {
     }
 }
 
+/// Traced events a red checker or a wedge report dumps per line.
+pub(crate) const DUMP_LAST: usize = 64;
+
 /// The trace identity of a message destination.
 pub(crate) fn comp_of(dest: Dest) -> CompId {
     match dest {
@@ -83,9 +86,6 @@ pub struct System {
     pub(crate) home: HomeMap,
     init_mem: Vec<(Addr, u64)>,
     pub(crate) workload_name: String,
-    /// When set, every delivered protocol message for this line is
-    /// emitted through the sink (see [`System::trace_line`]).
-    pub(crate) trace_line: Option<wb_mem::LineAddr>,
     /// System-glue event ring (message delivery and injection).
     pub(crate) tracer: Tracer,
     /// Where human-readable trace lines go (stderr by default).
@@ -256,7 +256,6 @@ impl System {
             home,
             init_mem: workload.init_mem.clone(),
             workload_name: workload.name.clone(),
-            trace_line: None,
             tracer: Tracer::new(CompId::System),
             sink: TraceSink::default(),
             chaos_wants_signal,
@@ -350,13 +349,6 @@ impl System {
         }
     }
 
-    /// Emit every delivered protocol message touching `line` through the
-    /// trace sink (stderr by default) — the protocol debugging tool
-    /// behind the `protocol_trace` example.
-    pub fn trace_line(&mut self, line: Option<wb_mem::LineAddr>) {
-        self.trace_line = line;
-    }
-
     /// Enable event tracing on every component (cores, caches,
     /// directory banks, mesh, and the system glue) with `filter`.
     /// `TraceFilter::OFF` turns it back off; recorded events are kept.
@@ -405,33 +397,15 @@ impl System {
         sources
     }
 
-    /// Chrome trace-event JSON of everything recorded so far — loads
-    /// in `chrome://tracing` or <https://ui.perfetto.dev>. When the
-    /// timeline sampler is enabled its windows ride along as counter
-    /// tracks (`"ph":"C"`), plotting per-window deltas over time.
-    pub fn chrome_trace(&self) -> String {
-        let counters = match &self.timeline {
-            None => Vec::new(),
-            Some(tl) => {
-                let mut tl = tl.clone();
-                tl.flush(self.now, &self.aggregate_stats());
-                tl.counter_tracks()
-            }
-        };
-        let samples: Vec<trace::CounterSample> = counters
-            .iter()
-            .map(|(cycle, track, value)| trace::CounterSample {
-                cycle: *cycle,
-                track,
-                value: *value,
-            })
-            .collect();
-        trace::chrome_trace_json_ext(&self.collect_trace(), &samples)
-    }
-
-    /// Emit the last `n` recorded events touching cache line `line`
-    /// (every event when `line` is `None`) through the trace sink.
+    /// Emit a header and the last `n` recorded events touching cache
+    /// line `line` (every event when `line` is `None`) through the
+    /// trace sink — the history a red checker or a wedge report comes
+    /// with (64 events per line).
     pub fn dump_trace_for_line(&mut self, line: Option<u64>, n: usize) {
+        match line {
+            Some(l) => self.sink.emit(&format!("last {n} traced events for line {l:#x}:")),
+            None => self.sink.emit(&format!("last {n} traced events:")),
+        }
         // Filter while merging: re-sorting every recorded event just to
         // print the last few matching ones is wasted work on big traces.
         let matching =
@@ -540,7 +514,6 @@ impl System {
 
     /// Emit the failing line's recent trace history through the sink.
     fn dump_check_failure(&mut self, e: &CheckError) {
-        const DUMP_LAST: usize = 64;
         // A ppo cycle has no single offending line: dump everything.
         let (_, line) = crate::verdict::variant_and_line(e);
         self.sink.emit(&format!("TSO check FAILED: {e}"));
@@ -554,10 +527,6 @@ impl System {
         if !self.tracer.filter().enabled() {
             self.sink.emit("(event tracing was off; call System::set_trace before the run for protocol history)");
             return;
-        }
-        match line {
-            Some(l) => self.sink.emit(&format!("last {DUMP_LAST} traced events for line {l:#x}:")),
-            None => self.sink.emit(&format!("last {DUMP_LAST} traced events:")),
         }
         self.dump_trace_for_line(line, DUMP_LAST);
     }

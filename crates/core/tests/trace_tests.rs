@@ -1,8 +1,9 @@
-//! Observability integration tests: Chrome-trace determinism and
-//! well-formedness, sink capture for `trace_line`, the ring-buffer dump
-//! on a TSO-checker failure, and the tracing-off-by-default guarantee.
+//! Observability integration tests: trace determinism and balanced
+//! lockdown / WritersBlock windows, the ring-buffer dump on a
+//! TSO-checker failure, and the tracing-off-by-default guarantee.
 
 use writersblock::prelude::*;
+use wb_kernel::TraceEvent;
 use writersblock::{RunOutcome, System};
 
 fn mp_cfg(seed: u64) -> SystemConfig {
@@ -23,42 +24,29 @@ fn traced_mp_run(seed: u64) -> System {
 }
 
 #[test]
-fn chrome_trace_is_deterministic() {
-    let a = traced_mp_run(3).chrome_trace();
-    let b = traced_mp_run(3).chrome_trace();
-    assert_eq!(a, b, "same seed must give byte-identical Chrome JSON");
+fn trace_is_deterministic() {
+    let a = traced_mp_run(3).collect_trace();
+    let b = traced_mp_run(3).collect_trace();
+    assert_eq!(a, b, "same seed must give identical records");
 }
 
 #[test]
-fn chrome_trace_parses_and_is_busy() {
-    let sys = traced_mp_run(1);
-    let json = sys.chrome_trace();
-    let parsed = wb_kernel::json::parse(&json).expect("Chrome trace must be well-formed JSON");
-    assert_eq!(parsed.get("displayTimeUnit").and_then(|v| v.as_str()), Some("ns"));
-    let events = parsed.get("traceEvents").and_then(|v| v.as_arr()).expect("traceEvents array");
-    assert!(events.len() > 20, "expected a busy trace, got {} events", events.len());
-    // Async spans (lockdown / WritersBlock windows) must pair up: a
-    // drained run releases everything it began.
-    let phase = |e: &wb_kernel::json::Json| e.get("ph").and_then(|v| v.as_str()).map(String::from);
-    let begins = events.iter().filter(|e| phase(e).as_deref() == Some("b")).count();
-    let ends = events.iter().filter(|e| phase(e).as_deref() == Some("e")).count();
-    assert_eq!(begins, ends, "unbalanced async spans");
-    // Every event sits on a named track.
-    assert!(events.iter().any(|e| phase(e).as_deref() == Some("M")), "missing metadata events");
-}
-
-#[test]
-fn trace_line_routes_through_capture_sink() {
-    let litmus = wb_tso::litmus::mp();
-    let mut sys = System::new(mp_cfg(7), &litmus.workload);
-    sys.set_trace_sink(TraceSink::Capture(Vec::new()));
-    sys.trace_line(Some(wb_tso::litmus::X.line()));
-    assert_eq!(sys.run(200_000), RunOutcome::Done);
-    let lines = sys.take_sink_lines();
-    assert!(!lines.is_empty(), "no protocol messages captured for x's line");
-    assert!(lines.iter().all(|l| l.contains("->")), "unexpected line shape: {lines:?}");
-    // Nothing leaked to a second take.
-    assert!(sys.take_sink_lines().is_empty());
+fn traced_run_is_busy_and_balanced() {
+    let records = traced_mp_run(1).collect_trace();
+    assert!(records.len() > 20, "expected a busy trace, got {} records", records.len());
+    // A drained run releases every lockdown and WritersBlock window it
+    // began.
+    let count = |want: fn(&TraceEvent) -> bool| records.iter().filter(|r| want(&r.event)).count();
+    assert_eq!(
+        count(|e| matches!(e, TraceEvent::LockdownBegin { .. })),
+        count(|e| matches!(e, TraceEvent::LockdownEnd { .. })),
+        "unbalanced lockdowns"
+    );
+    assert_eq!(
+        count(|e| matches!(e, TraceEvent::WritersBlockBegin { .. })),
+        count(|e| matches!(e, TraceEvent::WritersBlockEnd { .. })),
+        "unbalanced WritersBlock windows"
+    );
 }
 
 #[test]
@@ -93,5 +81,4 @@ fn tracing_is_off_by_default() {
     let mut sys = System::new(mp_cfg(2), &litmus.workload);
     assert_eq!(sys.run(200_000), RunOutcome::Done);
     assert!(sys.collect_trace().is_empty(), "untraced run must record nothing");
-    assert_eq!(sys.chrome_trace(), r#"{"displayTimeUnit":"ns","traceEvents":[]}"#);
 }

@@ -387,15 +387,6 @@ impl ChaosEngine {
         self.signal = live;
     }
 
-    /// Re-seed the rng stream (same salt as construction) and zero the
-    /// audit counters — warm-start forking: one warmed snapshot, many
-    /// divergent futures, each deterministic in its new seed.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = SimRng::new(seed ^ 0xc4a0_5f1a_11ed_7707);
-        self.touched = 0;
-        self.injected = 0;
-    }
-
     /// Extra injection delay for a message entering the mesh now.
     ///
     /// Besides the engine's own `touched`/`injected` counters, every

@@ -297,15 +297,6 @@ impl FaultEngine {
     pub fn injected(&self) -> (u64, u64, u64) {
         (self.dropped, self.duplicated, self.corrupted)
     }
-
-    /// Re-seed the rng stream (same salt as construction) and zero the
-    /// audit counters, for warm-start forking.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = SimRng::new(seed ^ 0xfa_01_7b_ad_11_4c_70_55);
-        self.dropped = 0;
-        self.duplicated = 0;
-        self.corrupted = 0;
-    }
 }
 
 // The plan is config, rebuilt on restore: only the rng cursor and the

@@ -1,8 +1,8 @@
 //! A minimal JSON parser for in-tree validation.
 //!
 //! The workspace *emits* JSON in several places (`Stats::to_json`,
-//! `Hist::to_json`, the Chrome-trace exporter, the campaign farm's
-//! records) but has no external dependency to *read* it back. This
+//! `Hist::to_json`, the timeline's JSONL, the campaign farm's records)
+//! but has no external dependency to *read* it back. This
 //! module closes the loop: a ~150-line recursive-descent parser, used
 //! by round-trip tests and by the campaign farm to read its specs and
 //! records. It accepts strict JSON (RFC 8259) and nothing more; it is a

@@ -15,13 +15,11 @@
 //!   [`Stats`] (p50/p90/p99 for miss latency, blocked-write stalls,
 //!   lockdown and mesh latency),
 //! - [`trace`], the cycle-stamped event tracer: per-component ring
-//!   buffers of typed [`trace::TraceEvent`]s with a human-readable dump
-//!   and a Chrome trace-event (Perfetto) exporter,
-//! - [`json`], a minimal JSON parser so emitted JSON (stats, benches,
-//!   Chrome traces) can be validated in-tree,
+//!   buffers of typed [`trace::TraceEvent`]s, rendered as text,
+//! - [`json`], a minimal JSON parser so emitted JSON (stats, timeline
+//!   windows, campaign specs and records) can be validated in-tree,
 //! - [`timeline`], the periodic interval sampler turning end-of-run
-//!   [`Stats`] totals into per-window deltas (JSONL + Perfetto counter
-//!   tracks),
+//!   [`Stats`] totals into per-window deltas (JSONL),
 //! - [`attr`], the bounded space-saving heavy-hitters sketch used for
 //!   cycle attribution (top-K contended lines / directory banks),
 //! - [`sched`], the calendar-wheel activity scheduler the sparse engine

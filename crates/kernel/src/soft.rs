@@ -292,17 +292,6 @@ impl SoftEngine {
     pub fn note_missed(&mut self) {
         self.missed += 1;
     }
-
-    /// Re-seed the stream (same salt as construction), re-roll the
-    /// schedule from `now`, and zero the counters — warm-start forking.
-    pub fn reseed(&mut self, seed: u64, now: Cycle) {
-        self.rng = SimRng::new(seed ^ SOFT_SALT);
-        let rng = &mut self.rng;
-        self.next_at =
-            self.plan.clauses.iter().map(|c| now + 1 + rng.below(2 * c.mean_gap)).collect();
-        self.injected = 0;
-        self.missed = 0;
-    }
 }
 
 // The plan is config, rebuilt on restore: the rng cursor, the
@@ -415,18 +404,5 @@ mod tests {
         );
         assert_eq!(SoftPlan::matrix().len(), 8);
         assert!(SoftPlan::matrix().iter().filter(|p| !p.is_none()).count() >= 6);
-    }
-
-    #[test]
-    fn reseed_restarts_the_schedule() {
-        let mut e = SoftEngine::new(SoftPlan::mshr_fields(), 5);
-        let first = e.next_fire();
-        while e.next_fire().is_some_and(|c| c < 50_000) {
-            let at = e.next_fire().expect("checked");
-            e.fire(at);
-        }
-        e.reseed(5, 0);
-        assert_eq!(e.next_fire(), first, "same seed, same schedule");
-        assert_eq!((e.injected, e.missed), (0, 0));
     }
 }

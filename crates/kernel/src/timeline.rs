@@ -5,15 +5,9 @@
 //! a time series: every `sample_every` cycles the owner snapshots the
 //! current totals, the timeline takes [`Stats::delta_since`] against
 //! the previous snapshot, and the per-window delta lands in a bounded
-//! ring of [`TimelineWindow`]s. Two exports:
-//!
-//! * [`Timeline::to_jsonl`] — one JSON object per window, validated by
-//!   the in-tree [`json`](crate::json) parser in tests;
-//! * [`Timeline::counter_tracks`] — flattened `(cycle, track, value)`
-//!   samples that [`chrome_trace_json_ext`](crate::trace::chrome_trace_json_ext)
-//!   renders as Perfetto counter tracks (`"ph":"C"`), so blocked-write
-//!   cycles, lockdown windows and link retransmits plot as area charts
-//!   next to the event swim lanes.
+//! ring of [`TimelineWindow`]s. [`Timeline::to_jsonl`] exports it as
+//! one JSON object per window, validated by the in-tree
+//! [`json`](crate::json) parser in tests.
 //!
 //! # Interaction with the sparse engine
 //!
@@ -201,45 +195,6 @@ impl Timeline {
         }
         out
     }
-
-    /// Flatten the ring into Perfetto counter-track samples: for every
-    /// counter (and histogram, as `<key>.count`/`<key>.sum` tracks)
-    /// that appears in *any* window, one `(end_cycle, track, value)`
-    /// sample per window — explicit zeros included, so quiet windows
-    /// pull the plotted track back to the baseline instead of holding
-    /// the last value. Feed the result (borrowed) to
-    /// [`chrome_trace_json_ext`](crate::trace::chrome_trace_json_ext).
-    pub fn counter_tracks(&self) -> Vec<(Cycle, String, u64)> {
-        use std::collections::BTreeSet;
-        let mut tracks: BTreeSet<String> = BTreeSet::new();
-        for w in &self.windows {
-            for (k, _) in w.delta.iter() {
-                tracks.insert(k.to_string());
-            }
-            for (k, _) in w.delta.hists() {
-                tracks.insert(format!("{k}.count"));
-                tracks.insert(format!("{k}.sum"));
-            }
-        }
-        let mut out = Vec::with_capacity(tracks.len() * self.windows.len());
-        for w in &self.windows {
-            for t in &tracks {
-                let v = match t.strip_suffix(".count") {
-                    Some(base) if w.delta.hist(base).is_some() => {
-                        w.delta.hist(base).map(|h| h.count()).unwrap_or(0)
-                    }
-                    _ => match t.strip_suffix(".sum") {
-                        Some(base) if w.delta.hist(base).is_some() => {
-                            w.delta.hist(base).map(|h| h.sum()).unwrap_or(0)
-                        }
-                        _ => w.delta.get(t),
-                    },
-                };
-                out.push((w.end, t.clone(), v));
-            }
-        }
-        out
-    }
 }
 
 crate::snap_struct!(TimelineWindow { seq, start, end, delta });
@@ -254,7 +209,6 @@ crate::snap_struct!(Timeline { sample_every, cap, next_at, last_at, seq, prev, w
 mod tests {
     use super::*;
     use crate::check::prelude::*;
-    use crate::trace::{chrome_trace_json_ext, CounterSample};
 
     fn totals(pairs: &[(&'static str, u64)]) -> Stats {
         pairs.iter().copied().collect()
@@ -346,31 +300,6 @@ mod tests {
             assert!(v.get("seq").is_some() && v.get("delta").is_some());
         }
         assert_eq!(jsonl, tl.clone().to_jsonl(), "export is pure");
-    }
-
-    #[test]
-    fn counter_tracks_emit_explicit_zeros() {
-        let mut tl = Timeline::new(10);
-        let mut s = Stats::new();
-        s.add("x", 5);
-        s.record("lat", 7);
-        tl.sample(10, &s);
-        tl.sample(20, &s); // quiet window
-        let tracks = tl.counter_tracks();
-        // 3 tracks (x, lat.count, lat.sum) × 2 windows.
-        assert_eq!(tracks.len(), 6);
-        assert!(tracks.contains(&(10, "x".to_string(), 5)));
-        assert!(tracks.contains(&(20, "x".to_string(), 0)), "quiet window zeroes the track");
-        assert!(tracks.contains(&(10, "lat.count".to_string(), 1)));
-        assert!(tracks.contains(&(10, "lat.sum".to_string(), 7)));
-        assert!(tracks.contains(&(20, "lat.sum".to_string(), 0)));
-        // And the flattened samples render as valid Chrome JSON.
-        let samples: Vec<CounterSample> = tracks
-            .iter()
-            .map(|(c, t, v)| CounterSample { cycle: *c, track: t, value: *v })
-            .collect();
-        let json = chrome_trace_json_ext(&[], &samples);
-        crate::json::parse(&json).expect("well-formed");
     }
 
     wb_proptest! {

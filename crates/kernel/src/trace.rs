@@ -8,17 +8,11 @@
 //! compare, touches no heap, and bumps no counters — so the simulation
 //! hot path pays nothing unless a run opts in.
 //!
-//! Two sinks turn recorded events back into bytes:
-//!
-//! * [`render_text`] / the [`Record`] `Display` impl — the
-//!   human-readable dump (what the old `System::trace_line`
-//!   `eprintln!` produced, now routed through a swappable
-//!   [`TraceSink`] so tests can capture it);
-//! * [`chrome_trace_json`] — a Chrome trace-event JSON exporter whose
-//!   output loads directly in `chrome://tracing` or
-//!   <https://ui.perfetto.dev>, rendering a litmus run as a
-//!   per-core/per-directory timeline (lockdowns and WritersBlock
-//!   windows as spans, messages and MSHR traffic as instants).
+//! Records have one output: text. [`render_text`] / the [`Record`]
+//! `Display` impl render them one line each, and a [`TraceSink`]
+//! (stderr by default, in-memory `Capture` for tests) carries the
+//! lines — the checker's failure dump, a wedge's participant dump and
+//! the `protocol_trace` example all go this way.
 //!
 //! This module deliberately speaks only primitive types (`u64` line
 //! numbers, `u16` node indices, `&'static str` mnemonics): `wb_kernel`
@@ -70,18 +64,6 @@ impl Category {
     #[inline]
     pub fn bit(self) -> u32 {
         1 << (self as u32)
-    }
-
-    /// Short lowercase label (used as the Chrome-trace `cat` field).
-    pub fn label(self) -> &'static str {
-        match self {
-            Category::Protocol => "protocol",
-            Category::Directory => "directory",
-            Category::Mshr => "mshr",
-            Category::Lockdown => "lockdown",
-            Category::Lsq => "lsq",
-            Category::Mesh => "mesh",
-        }
     }
 }
 
@@ -589,13 +571,12 @@ impl Tracer {
 // Sinks
 // ---------------------------------------------------------------------------
 
-/// Where human-readable trace lines go. `Stderr` preserves the old
-/// `System::trace_line` behaviour; `Capture` makes output testable.
+/// Where human-readable trace lines go: stderr by default; `Capture`
+/// makes output testable.
 #[derive(Debug, Default)]
 pub enum TraceSink {
-    /// Print each line to stderr (the default, matching the historic
-    /// `eprintln!` behaviour). This arm is the one sanctioned
-    /// `eprintln!` call site in `crates/*/src`.
+    /// Print each line to stderr (the default). This arm is the one
+    /// sanctioned `eprintln!` call site in `crates/*/src`.
     #[default]
     Stderr,
     /// Collect lines in memory; retrieve with [`TraceSink::take_lines`].
@@ -631,302 +612,6 @@ pub fn render_text(records: &[Record]) -> String {
         out.push_str(&r.to_string());
         out.push('\n');
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Chrome trace-event export
-// ---------------------------------------------------------------------------
-
-/// `(pid, tid)` for a component: one process row per component class,
-/// one thread row per node — the shape Perfetto renders as grouped
-/// per-class swim lanes.
-fn pid_tid(comp: CompId) -> (u32, u32) {
-    match comp {
-        CompId::Core(i) => (1, i as u32),
-        CompId::Cache(i) => (2, i as u32),
-        CompId::Dir(i) => (3, i as u32),
-        CompId::Mesh => (4, 0),
-        CompId::System => (5, 0),
-    }
-}
-
-fn push_meta(out: &mut String, pid: u32, tid: Option<u32>, name: &str) {
-    match tid {
-        None => out.push_str(&format!(
-            r#"{{"ph":"M","pid":{pid},"name":"process_name","args":{{"name":"{name}"}}}}"#
-        )),
-        Some(tid) => out.push_str(&format!(
-            r#"{{"ph":"M","pid":{pid},"tid":{tid},"name":"thread_name","args":{{"name":"{name}"}}}}"#
-        )),
-    }
-}
-
-/// One Chrome trace event object. `ph` is the phase; span events
-/// (`"b"`/`"e"`, async nestable) carry an `id` so overlapping windows
-/// on one track pair up correctly.
-fn push_event(
-    out: &mut String,
-    ph: char,
-    name: &str,
-    cat: &str,
-    comp: CompId,
-    ts: Cycle,
-    id: Option<u64>,
-    args: &str,
-) {
-    let (pid, tid) = pid_tid(comp);
-    out.push_str(&format!(
-        r#"{{"ph":"{ph}","name":"{name}","cat":"{cat}","pid":{pid},"tid":{tid},"ts":{ts}"#
-    ));
-    if let Some(id) = id {
-        out.push_str(&format!(r#","id":"{id:#x}""#));
-    }
-    if ph == 'i' {
-        out.push_str(r#","s":"t""#);
-    }
-    if !args.is_empty() {
-        out.push_str(&format!(r#","args":{{{args}}}"#));
-    }
-    out.push('}');
-}
-
-/// One point on a Perfetto counter track: at `cycle`, counter `track`
-/// had `value`. Produced by the timeline sampler (one sample per
-/// counter per window) and rendered as a `"ph":"C"` event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSample<'a> {
-    /// Simulation cycle of the sample (the window's end cycle).
-    pub cycle: Cycle,
-    /// Counter name; becomes the Perfetto track name. Must be a plain
-    /// identifier (no quotes/control characters) — counter keys are.
-    pub track: &'a str,
-    /// The counter's per-window delta (or gauge value) at `cycle`.
-    pub value: u64,
-}
-
-/// Export records as Chrome trace-event JSON (the `traceEvents` array
-/// format), loadable in `chrome://tracing` and Perfetto.
-///
-/// Timestamps are simulation cycles used directly as the `ts`
-/// microsecond field — absolute units don't matter for inspection.
-/// Lockdown and WritersBlock windows become async nestable spans
-/// (`ph:"b"`/`"e"`, id = line number) so overlapping windows on one
-/// component render as parallel slices; everything else is an instant.
-/// Output is deterministic: records are emitted in slice order with no
-/// floats, timestamps or randomness.
-pub fn chrome_trace_json(records: &[Record]) -> String {
-    chrome_trace_json_ext(records, &[])
-}
-
-/// [`chrome_trace_json`] plus counter tracks: each [`CounterSample`]
-/// becomes a `"ph":"C"` event under a dedicated "timeline" process row
-/// (pid 6), so Perfetto plots per-window counter deltas as stacked
-/// area charts alongside the event swim lanes. Samples are emitted in
-/// slice order — pass them time-ordered (the timeline sampler does).
-pub fn chrome_trace_json_ext(records: &[Record], counters: &[CounterSample<'_>]) -> String {
-    let mut out = String::from(r#"{"displayTimeUnit":"ns","traceEvents":["#);
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push(',');
-        }
-    };
-
-    // Name the process/thread rows for every component that appears.
-    let mut comps: Vec<CompId> = records.iter().map(|r| r.comp).collect();
-    comps.sort_unstable();
-    comps.dedup();
-    for &(pid, name) in
-        &[(1u32, "cores"), (2, "caches"), (3, "directories"), (4, "mesh"), (5, "system")]
-    {
-        if comps.iter().any(|c| pid_tid(*c).0 == pid) {
-            sep(&mut out);
-            push_meta(&mut out, pid, None, name);
-        }
-    }
-    for c in &comps {
-        let (pid, tid) = pid_tid(*c);
-        sep(&mut out);
-        push_meta(&mut out, pid, Some(tid), &c.to_string());
-    }
-    if !counters.is_empty() {
-        sep(&mut out);
-        push_meta(&mut out, 6, None, "timeline");
-    }
-
-    for r in records {
-        sep(&mut out);
-        let cat = r.event.category().label();
-        match &r.event {
-            TraceEvent::MsgSend { msg, from, to, line, vnet, flits } => push_event(
-                &mut out,
-                'i',
-                &format!("send {msg}"),
-                cat,
-                *from,
-                r.cycle,
-                None,
-                &format!(
-                    r#""line":"{line:#x}","to":"{to}","vnet":{vnet},"flits":{flits}"#
-                ),
-            ),
-            TraceEvent::MsgRecv { msg, src, to, line } => push_event(
-                &mut out,
-                'i',
-                &format!("recv {msg}"),
-                cat,
-                *to,
-                r.cycle,
-                None,
-                &format!(r#""line":"{line:#x}","src":"n{src}""#),
-            ),
-            TraceEvent::DirTransition { line, from, to } => push_event(
-                &mut out,
-                'i',
-                &format!("{from}->{to}"),
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(r#""line":"{line:#x}""#),
-            ),
-            TraceEvent::WritersBlockBegin { line, writer } => push_event(
-                &mut out,
-                'b',
-                &format!("writersblock {line:#x}"),
-                cat,
-                r.comp,
-                r.cycle,
-                Some(*line),
-                &format!(r#""writer":"n{writer}""#),
-            ),
-            TraceEvent::WritersBlockEnd { line } => push_event(
-                &mut out,
-                'e',
-                &format!("writersblock {line:#x}"),
-                cat,
-                r.comp,
-                r.cycle,
-                Some(*line),
-                "",
-            ),
-            TraceEvent::MshrAlloc { line, kind } => push_event(
-                &mut out,
-                'i',
-                &format!("mshr+ {kind}"),
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(r#""line":"{line:#x}""#),
-            ),
-            TraceEvent::MshrFree { line, kind, latency } => push_event(
-                &mut out,
-                'i',
-                &format!("mshr- {kind}"),
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(r#""line":"{line:#x}","latency":{latency}"#),
-            ),
-            TraceEvent::LockdownBegin { line } => push_event(
-                &mut out,
-                'b',
-                &format!("lockdown {line:#x}"),
-                cat,
-                r.comp,
-                r.cycle,
-                Some(*line),
-                "",
-            ),
-            TraceEvent::LockdownEnd { line, held } => push_event(
-                &mut out,
-                'e',
-                &format!("lockdown {line:#x}"),
-                cat,
-                r.comp,
-                r.cycle,
-                Some(*line),
-                &format!(r#""held":{held}"#),
-            ),
-            TraceEvent::LoadBind { seq, line, reordered } => push_event(
-                &mut out,
-                'i',
-                "load bind",
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(r#""seq":{seq},"line":"{line:#x}","reordered":{reordered}"#),
-            ),
-            TraceEvent::LoadCommit { seq, line, reordered } => push_event(
-                &mut out,
-                'i',
-                "load commit",
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(r#""seq":{seq},"line":"{line:#x}","reordered":{reordered}"#),
-            ),
-            TraceEvent::MeshHop { src, dst, hops_left, vnet } => push_event(
-                &mut out,
-                'i',
-                "hop",
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(r#""src":"n{src}","dst":"n{dst}","hops_left":{hops_left},"vnet":{vnet}"#),
-            ),
-            TraceEvent::LinkDrop { src, dst, vnet, seq, corrupt } => push_event(
-                &mut out,
-                'i',
-                "link drop",
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(
-                    r#""src":"n{src}","dst":"n{dst}","vnet":{vnet},"seq":{seq},"corrupt":{corrupt}"#
-                ),
-            ),
-            TraceEvent::LinkRetx { src, dst, vnet, seq, attempt } => push_event(
-                &mut out,
-                'i',
-                "link retx",
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(
-                    r#""src":"n{src}","dst":"n{dst}","vnet":{vnet},"seq":{seq},"attempt":{attempt}"#
-                ),
-            ),
-            TraceEvent::LinkDupSquashed { src, dst, vnet, seq } => push_event(
-                &mut out,
-                'i',
-                "link dup-squash",
-                cat,
-                r.comp,
-                r.cycle,
-                None,
-                &format!(r#""src":"n{src}","dst":"n{dst}","vnet":{vnet},"seq":{seq}"#),
-            ),
-        }
-    }
-    for c in counters {
-        sep(&mut out);
-        out.push_str(&format!(
-            r#"{{"ph":"C","name":"{}","pid":6,"tid":0,"ts":{},"args":{{"value":{}}}}}"#,
-            c.track, c.cycle, c.value
-        ));
-    }
-    out.push_str("]}");
     out
 }
 
@@ -1045,42 +730,5 @@ mod tests {
         // Same cycle: source order (a before b) is preserved.
         assert_eq!(merged[1].comp, CompId::Core(0));
         assert_eq!(merged[2].comp, CompId::Core(1));
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let mut t = Tracer::new(CompId::Cache(2));
-        t.set_filter(TraceFilter::all());
-        t.record(10, TraceEvent::LockdownBegin { line: 0x40 });
-        t.record(25, TraceEvent::LockdownEnd { line: 0x40, held: 15 });
-        let json = chrome_trace_json(&merge_records([&t]));
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains(r#""traceEvents":["#));
-        assert!(json.contains(r#""ph":"b""#) && json.contains(r#""ph":"e""#));
-        assert!(json.contains(r#""ph":"M""#));
-        assert!(json.contains("cache2"));
-        // Balanced span ids.
-        assert_eq!(json.matches(r#""id":"0x40""#).count(), 2);
-    }
-
-    #[test]
-    fn chrome_trace_empty_is_wellformed() {
-        assert_eq!(chrome_trace_json(&[]), r#"{"displayTimeUnit":"ns","traceEvents":[]}"#);
-    }
-
-    #[test]
-    fn counter_tracks_render_as_counter_events() {
-        let samples = [
-            CounterSample { cycle: 100, track: "dir_writes_blocked", value: 3 },
-            CounterSample { cycle: 200, track: "dir_writes_blocked", value: 0 },
-        ];
-        let json = chrome_trace_json_ext(&[], &samples);
-        assert!(json.contains(r#""ph":"C""#), "{json}");
-        assert!(json.contains(r#""name":"dir_writes_blocked""#));
-        assert!(json.contains(r#""ts":100"#) && json.contains(r#""ts":200"#));
-        assert!(json.contains(r#""name":"timeline""#), "pid 6 must be named");
-        crate::json::parse(&json).expect("well-formed");
-        // No counters → byte-identical to the plain exporter.
-        assert_eq!(chrome_trace_json_ext(&[], &[]), chrome_trace_json(&[]));
     }
 }

@@ -163,7 +163,8 @@ pub struct WedgeReport {
     pub participants: Vec<WaitParty>,
     /// Rendered `ProtocolError`, when `class == ProtocolFault`.
     pub error: Option<String>,
-    /// Free-form context: in-flight message counts, trace-dump paths…
+    /// Free-form context: in-flight message counts, link and soft-error
+    /// tallies, audit findings…
     pub notes: Vec<String>,
 }
 

@@ -545,20 +545,6 @@ impl<T> Mesh<T> {
     pub fn has_arrivals_at(&self, n: NodeId) -> bool {
         !self.arrived[n.index()].is_empty()
     }
-
-    /// Re-seed every random stream in this mesh (routing jitter, chaos,
-    /// faults) as if it had been built with `seed` — the warm-start
-    /// forking primitive: restore one warmed snapshot, then `reseed`
-    /// per derived cell.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = SimRng::new(seed ^ 0x4e74_776b);
-        if let Some(ch) = &mut self.chaos {
-            ch.reseed(seed);
-        }
-        if let Some(fe) = &mut self.fault {
-            fe.reseed(seed);
-        }
-    }
 }
 
 // Not a declaration: the three optional layers restore in place into

@@ -1,15 +1,16 @@
 //! Protocol trace: watch the WritersBlock mechanism work, message by
 //! message, on the Table 1 litmus.
 //!
-//! Prints every coherence message touching the contended line `x`: the
-//! writer's GetX, the invalidation hitting the reader's lockdown, the
-//! Nack that parks the directory in WritersBlock, and the deferred,
-//! directory-redirected acknowledgement that finally releases the write.
+//! Prints the run's traced records for the contended line `x`: every
+//! coherence message sent and delivered (the writer's GetX, the
+//! invalidation hitting the reader's lockdown, the Nack that parks the
+//! directory in WritersBlock, the deferred, directory-redirected
+//! acknowledgement that finally releases the write), the directory's
+//! state transitions, and the lockdown and WritersBlock windows.
 //!
-//! The trace goes through a capturing sink and is printed to stdout, so
-//! the whole output is deterministic (`results/protocol_trace.txt`).
-//! For the same run as a Chrome trace-event timeline, enable
-//! `System::set_trace` and export `System::chrome_trace`.
+//! The records are the same typed `System::set_trace` events every
+//! component keeps, rendered as text on stdout, so the whole output is
+//! deterministic (`results/protocol_trace.txt`).
 
 use writersblock::prelude::*;
 use writersblock::System;
@@ -42,12 +43,12 @@ fn main() {
         .with_seed(seed)
         .with_jitter(30);
     let mut sys = System::new(cfg, &t.workload);
-    sys.set_trace_sink(TraceSink::Capture(Vec::new()));
-    sys.trace_line(Some(line));
+    sys.set_trace(
+        TraceFilter::only(&[Category::Protocol, Category::Directory, Category::Lockdown])
+            .with_line(line.0),
+    );
     assert_eq!(sys.run(300_000), RunOutcome::Done);
-    for l in sys.take_sink_lines() {
-        println!("{l}");
-    }
+    print!("{}", wb_kernel::trace::render_text(&sys.collect_trace()));
 
     let r = sys.report();
     println!("\nwrites blocked {}, lockdowns seen {}, redirected acks {}",

@@ -5,7 +5,7 @@
 use wb_isa::{AluOp, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
-use wb_kernel::trace::TraceSink;
+use wb_kernel::trace::{TraceFilter, TraceSink};
 use wb_kernel::wedge::{WaitParty, WedgeClass};
 use wb_mem::Addr;
 use wb_workloads::directed;
@@ -265,6 +265,37 @@ fn option1_livelock_is_diagnosed() {
         sink_lines.iter().any(|l| l.contains("livelock")),
         "report not emitted: {sink_lines:?}"
     );
+}
+
+/// A traced wedge comes with each participant line's last events as
+/// text through the sink, as a red checker does, and writes no file:
+/// no note in the report names a host path.
+#[test]
+fn traced_wedge_dumps_participant_lines() {
+    let (seed, _, _) = first_wedging_seed();
+    let mut sys = System::new(option1_spin_cfg(seed), &directed::option1_spin());
+    sys.set_trace(TraceFilter::all());
+    sys.set_trace_sink(TraceSink::Capture(Vec::new()));
+    let out = sys.run_watchdog(150_000, 50_000);
+    let verdict = sys.judge(out);
+    let Some(Failure::Wedge(rep)) = verdict.failure() else {
+        panic!("seed {seed}: traced run returned {verdict}");
+    };
+    let lines = sys.take_sink_lines();
+    let x = Addr::new(directed::X).line().0;
+    let header = format!("last 64 traced events for line {x:#x}:");
+    let at = lines
+        .iter()
+        .position(|l| *l == header)
+        .unwrap_or_else(|| panic!("seed {seed}: no dump for the hot line: {lines:?}"));
+    let tag = format!("line {x:#x}");
+    assert!(
+        lines.get(at + 1).is_some_and(|l| l.contains(&tag)),
+        "seed {seed}: dump header not followed by a record on {tag}: {lines:?}"
+    );
+    for n in &rep.notes {
+        assert!(!n.contains('/') && !n.contains(".json"), "note names a path: {n}");
+    }
 }
 
 /// The per-line retry pressure behind a wedge must land in the stats

@@ -60,13 +60,13 @@ fn run_with(engine: EngineMode, cfg: &SystemConfig, w: &Workload, budget: u64, t
         // it must pass in every engine and count identically in stats.
         sys.run_audit(true).assert_clean(&format!("{engine:?} final audit"));
     }
-    let trace_lines = sys.collect_trace().iter().map(ToString::to_string).collect();
+    let trace = sys.collect_trace().iter().map(ToString::to_string).collect();
     Observed {
         outcome,
         final_cycle: sys.now(),
         retired: sys.total_retired(),
         stats_json: sys.report().stats.to_json(),
-        trace: trace_lines,
+        trace,
     }
 }
 
@@ -571,9 +571,9 @@ fn skip_engine_reaches_the_same_done_cycle() {
 /// Timeline sampling is part of the equivalence contract: the periodic
 /// sampler's next deadline is one the sparse jump never crosses, so the
 /// engine lands every sample on exactly the dense cycle and the
-/// exported window deltas — and the Perfetto counter tracks derived
-/// from them — are byte-identical. Pinned on a traced chaos cell, the
-/// adversarial shape for deadline bookkeeping.
+/// exported window deltas are byte-identical, as are the traced
+/// records. Pinned on a traced chaos cell, the adversarial shape for
+/// deadline bookkeeping.
 #[test]
 fn timeline_sampling_is_cycle_exact() {
     let w = torture::workload(4, 7, 60);
@@ -589,14 +589,14 @@ fn timeline_sampling_is_cycle_exact() {
         sys.set_trace(TraceFilter::all());
         sys.enable_timeline(500);
         let outcome = sys.run(8_000_000);
-        (outcome, sys.now(), sys.timeline_jsonl(), sys.chrome_trace())
+        (outcome, sys.now(), sys.timeline_jsonl(), sys.collect_trace())
     };
     let (d_out, d_cycle, d_jsonl, d_trace) = run(EngineMode::Dense);
     assert!(
         d_jsonl.lines().count() >= 4,
         "cell must actually emit timeline windows, got:\n{d_jsonl}"
     );
-    assert!(d_trace.contains("\"ph\":\"C\""), "chrome trace must carry counter tracks");
+    assert!(!d_trace.is_empty(), "cell must actually record trace events");
     // The sparse engine must land every sample on the dense cycle with
     // fully charged idle counters, even for cores asleep at the sample;
     // the verify engine visits everything while checking every sleep
@@ -606,6 +606,6 @@ fn timeline_sampling_is_cycle_exact() {
         assert_eq!(d_out, out, "{engine:?} timeline chaos cell outcome diverged");
         assert_eq!(d_cycle, cycle, "{engine:?} timeline chaos cell final cycle diverged");
         assert_eq!(d_jsonl, jsonl, "{engine:?} timeline JSONL diverged from Dense");
-        assert_eq!(d_trace, trace, "{engine:?} chrome trace (with counter tracks) diverged");
+        assert_eq!(d_trace, trace, "{engine:?} traced records diverged from Dense");
     }
 }

@@ -251,30 +251,7 @@ fn mismatched_configurations_are_rejected() {
     assert!(e.to_string().contains(want), "got: {e}");
 }
 
-/// Warm-start forking: restore one warmed snapshot twice, re-seed each
-/// fork identically, and the forks agree byte for byte; the recorded
-/// seed follows the fork so reproducer lines stay truthful.
-#[test]
-fn warm_start_forks_are_deterministic() {
-    let (cfg, w) = cell(3, 21);
-    let mut warm = System::new(cfg.clone(), &w);
-    let _ = warm.run(2_000);
-    let bytes = warm.snapshot();
-    let fork = |seed: u64| {
-        let mut s = System::new(cfg.clone(), &w);
-        s.restore(&bytes).expect("restores");
-        s.reseed(seed);
-        let o = observe(&mut s, BUDGET);
-        (o, s.config().seed)
-    };
-    let (a, seed_a) = fork(0xf0f0);
-    let (b, seed_b) = fork(0xf0f0);
-    assert_eq!(a, b, "same-seed forks diverged");
-    assert_eq!(seed_a, 0xf0f0);
-    assert_eq!(seed_b, 0xf0f0);
-}
-
-/// FNV-1a-64, the same function the JSON envelope's `check` field uses.
+/// FNV-1a-64 of a snapshot: the fingerprint `wire_format_is_pinned` pins.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
