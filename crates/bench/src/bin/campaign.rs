@@ -2,16 +2,17 @@
 //!
 //! ```text
 //! campaign <spec.json> --out DIR [--threads N]     run/resume a campaign
-//! campaign --fuzz --out DIR [--rounds N] [--seed0 S] [--threads N]
 //! ```
 //!
 //! A campaign run streams per-cell results to `<out>/results.jsonl`
 //! and appends each completed cell id to `<out>/manifest`; re-running
 //! the same spec into the same directory executes only the missing
 //! cells and rewrites `<out>/merged.jsonl` (spec order, byte-identical
-//! to an uninterrupted run). Fuzz mode mines chaos/fault/soft/litmus
-//! cells and dedupes failures by verdict signature into
-//! `<out>/wedges.jsonl`.
+//! to an uninterrupted run) and `<out>/wedges.jsonl` (one line per
+//! distinct failure signature, the first failing cell in spec order,
+//! with its reproducer). To mine for failures, run a spec that does:
+//! `campaigns/torture.json` (seeded random programs on all five arms)
+//! or any spec listing chaos, fault or soft-error plans.
 //!
 //! | variable                 | effect                                  |
 //! |--------------------------|-----------------------------------------|
@@ -25,20 +26,8 @@ use std::process::exit;
 use wb_bench::campaign::{self, CampaignSpec};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: campaign <spec.json> --out DIR [--threads N]\n\
-         \x20      campaign --fuzz --out DIR [--rounds N] [--seed0 S] [--threads N]"
-    );
+    eprintln!("usage: campaign <spec.json> --out DIR [--threads N]");
     exit(2);
-}
-
-fn parse_num<T: std::str::FromStr>(args: &mut std::slice::Iter<String>, flag: &str) -> T {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("{flag} needs a numeric argument");
-            exit(2);
-        })
 }
 
 fn main() {
@@ -47,17 +36,16 @@ fn main() {
     let mut out: Option<PathBuf> = None;
     let mut threads =
         std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(4);
-    let mut fuzz = false;
-    let mut rounds = 4usize;
-    let mut seed0 = 1u64;
     let mut args = argv.iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--threads" => threads = parse_num(&mut args, "--threads"),
-            "--fuzz" => fuzz = true,
-            "--rounds" => rounds = parse_num(&mut args, "--rounds"),
-            "--seed0" => seed0 = parse_num(&mut args, "--seed0"),
+            "--threads" => {
+                threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--threads needs a numeric argument");
+                    exit(2);
+                });
+            }
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') && spec_path.is_none() => {
                 spec_path = Some(PathBuf::from(other));
@@ -68,37 +56,11 @@ fn main() {
             }
         }
     }
-    let Some(out) = out else { usage() };
+    let (Some(spec_path), Some(out)) = (spec_path, out) else { usage() };
     let kill_after = std::env::var("WB_CAMPAIGN_KILL_AFTER")
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
 
-    if fuzz {
-        if spec_path.is_some() {
-            usage();
-        }
-        match campaign::run_fuzz(&out, threads, rounds, seed0) {
-            Ok(rep) => {
-                for sig in &rep.fresh {
-                    println!("new signature: {sig}");
-                }
-                println!(
-                    "fuzz: {} cells, {} hits, {} new signatures -> {}",
-                    rep.cells,
-                    rep.hits,
-                    rep.fresh.len(),
-                    out.join("wedges.jsonl").display()
-                );
-            }
-            Err(e) => {
-                eprintln!("fuzz: {e}");
-                exit(2);
-            }
-        }
-        return;
-    }
-
-    let Some(spec_path) = spec_path else { usage() };
     let src = std::fs::read_to_string(&spec_path).unwrap_or_else(|e| {
         eprintln!("reading {}: {e}", spec_path.display());
         exit(2);

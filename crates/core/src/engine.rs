@@ -543,37 +543,35 @@ impl System {
     // The run loop and the jump
     // ------------------------------------------------------------------
 
-    /// Run until [`System::done`], a wedge, or `max_cycles`. The stall
-    /// window comes from [`WatchdogConfig`](wb_kernel::config::WatchdogConfig)
-    /// and is automatically widened while a fault plan is active, so
-    /// retransmission delays are not misread as wedges.
-    pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
-        self.run_watchdog(max_cycles, self.cfg.effective_stall_window())
-    }
-
-    /// Run with an explicit per-core stall window.
+    /// Run until [`System::done`], a wedge, or `max_cycles`.
     ///
     /// The watchdog tracks the last cycle at which *each* core retired
     /// an instruction (not a global sum: one spinning core retiring
     /// forever must not mask a permanently wedged neighbour). It trips
     /// when the worst per-core stall — or, once every core has drained,
     /// the time the memory system has failed to go idle — exceeds
-    /// `stall_window`, and then diagnoses the wedge from live state.
-    /// Typed protocol faults abort the run as soon as they are raised.
+    /// the configuration's `effective_stall_window()`, and then
+    /// diagnoses the wedge from live state. That window is the
+    /// configured `watchdog.stall_window`, widened with the mesh
+    /// diameter and while a fault plan is active, so long flights and
+    /// retransmission delays are not misread as wedges. Typed protocol
+    /// faults abort the run as soon as they are raised.
     ///
     /// The bookkeeping after each executed cycle costs O(units that
     /// cycle visited), not O(cores): see `watchdog.rs` for the invariant.
-    pub fn run_watchdog(&mut self, max_cycles: u64, stall_window: u64) -> RunOutcome {
+    pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
+        // The watchdog's buffers live in `System` for reuse across runs;
+        // take them out so the loop can lend `self` and `wd` separately.
         let mut wd = std::mem::take(&mut self.watchdog);
-        let outcome = self.run_loop(&mut wd, max_cycles, stall_window);
+        let outcome = self.run_loop(&mut wd, max_cycles);
         self.watchdog = wd;
         outcome
     }
 
-    fn run_loop(&mut self, wd: &mut Watchdog, max_cycles: u64, stall_window: u64) -> RunOutcome {
+    fn run_loop(&mut self, wd: &mut Watchdog, max_cycles: u64) -> RunOutcome {
         wd.start(
             self.now,
-            stall_window,
+            self.cfg.effective_stall_window(),
             self.retry_activity(),
             self.cores.iter().map(|c| (c.retired(), c.drained())),
         );

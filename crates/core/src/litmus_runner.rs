@@ -1,15 +1,17 @@
 //! Run litmus tests on the simulator across many seeds.
 //!
 //! Each seed perturbs message timing (network jitter), steering the
-//! execution into different interleavings. Every run is validated three
-//! ways: it must finish (deadlock freedom — Section 3.5), its observed
-//! outcome must not be in the test's forbidden set, and its memory-event
-//! log must pass the axiomatic TSO checker.
+//! execution into different interleavings. Every run is judged by
+//! [`System::verify`], like any other cell — it must finish (deadlock
+//! freedom, Section 3.5), pass the final coherence audit and, with the
+//! event log on, the axiomatic TSO check — and then its observed
+//! outcome must not be in the test's forbidden set.
 
-use crate::system::{RunOutcome, System};
+use crate::system::System;
+use crate::verdict::Verdict;
 use std::collections::BTreeMap;
 use wb_kernel::config::SystemConfig;
-use wb_tso::{CheckError, LitmusTest};
+use wb_tso::LitmusTest;
 
 /// Aggregated result of a litmus campaign.
 #[derive(Debug, Clone, Default)]
@@ -32,10 +34,9 @@ impl LitmusReport {
 pub enum LitmusFailure {
     /// A forbidden outcome was observed — the consistency model broke.
     Forbidden { seed: u64, outcome: Vec<u64> },
-    /// The TSO checker rejected an execution.
-    Tso { seed: u64, error: CheckError },
-    /// A run deadlocked or exceeded its budget.
-    NotDone { seed: u64, outcome: RunOutcome },
+    /// The run's [`Verdict`] failed: it did not finish, or an oracle
+    /// rejected the machine it left behind.
+    Failed { seed: u64, verdict: Verdict },
 }
 
 impl std::fmt::Display for LitmusFailure {
@@ -44,10 +45,7 @@ impl std::fmt::Display for LitmusFailure {
             LitmusFailure::Forbidden { seed, outcome } => {
                 write!(f, "seed {seed}: forbidden outcome {outcome:?} observed")
             }
-            LitmusFailure::Tso { seed, error } => write!(f, "seed {seed}: TSO check failed: {error}"),
-            LitmusFailure::NotDone { seed, outcome } => {
-                write!(f, "seed {seed}: run ended with {outcome:?}")
-            }
+            LitmusFailure::Failed { seed, verdict } => write!(f, "seed {seed}: {verdict}"),
         }
     }
 }
@@ -70,17 +68,14 @@ pub fn run_litmus(
     for seed in seeds {
         let cfg = base.clone().with_seed(seed).with_jitter(30);
         let mut sys = System::new(cfg, &test.workload);
-        match sys.run(max_cycles) {
-            RunOutcome::Done => {}
-            other => return Err(LitmusFailure::NotDone { seed, outcome: other }),
+        let verdict = sys.verify(max_cycles);
+        if !verdict.passed() {
+            return Err(LitmusFailure::Failed { seed, verdict });
         }
         let outcome: Vec<u64> =
             test.observed.iter().map(|&(c, r)| sys.arch_reg(c, r)).collect();
         if test.is_forbidden(&outcome) {
             return Err(LitmusFailure::Forbidden { seed, outcome });
-        }
-        if let Err(error) = sys.check_tso() {
-            return Err(LitmusFailure::Tso { seed, error });
         }
         *report.outcomes.entry(outcome).or_insert(0) += 1;
         report.runs += 1;

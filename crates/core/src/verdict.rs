@@ -147,8 +147,8 @@ impl System {
     }
 
     /// Pass judgement on a run that ended with `outcome` — public for
-    /// callers that drive the run themselves (`run_watchdog` with an
-    /// explicit window, a run resumed from a snapshot).
+    /// callers that drive the run themselves (a run split around a
+    /// snapshot, or resumed from one).
     ///
     /// Anything but `Done` fails as it stands. A completed run goes
     /// through every oracle in one order: the final coherence audit
@@ -224,9 +224,9 @@ mod tests {
 
     /// Every failure kind has a signature, each its own, and the strings
     /// are stable: wedges and faults keep `WedgeReport::signature`,
-    /// corruption keeps the key `campaign --fuzz` has always written
-    /// (plan, then the sorted violation classes), a TSO failure is keyed
-    /// by variant and line — not by core, seq or value.
+    /// corruption keeps the key the farm's `wedges.jsonl` has always
+    /// carried (plan, then the sorted violation classes), a TSO failure
+    /// is keyed by variant and line — not by core, seq or value.
     #[test]
     fn every_failure_kind_has_its_own_stable_signature() {
         assert!(verdict(None).passed());

@@ -230,7 +230,7 @@ mod tests {
     use wb_kernel::check::prelude::*;
     use wb_kernel::SimRng;
 
-    /// The full-scan watchdog `System::run_watchdog` used to carry
+    /// The full-scan watchdog `System::run` used to carry
     /// inline, kept as the reference: every step walks every core.
     struct Naive {
         stall_window: u64,

@@ -6,8 +6,8 @@
 //! to maintain: SWMR (at most one writer per line), directory–cache
 //! agreement, MSHR/eviction-buffer leak bounds, and ARQ window sanity.
 //! This module holds the *vocabulary*: a violation is typed so wedge
-//! diagnosis and the campaign fuzzer can use the auditor as a
-//! corruption oracle and dedup failures by kind, not by prose.
+//! diagnosis and the campaign farm can use the auditor as a corruption
+//! oracle and dedup failures by kind, not by prose.
 
 use std::fmt;
 

@@ -291,37 +291,32 @@ impl Default for NetworkConfig {
     }
 }
 
-/// Wedge-watchdog thresholds. Scaled up automatically while a fault
-/// plan is active, so loss-induced retransmission stalls are not
-/// misclassified as deadlock/livelock.
+/// Multiplier on both watchdog thresholds while a fault plan is
+/// installed: retransmission round trips (`rto_min`, doubled per retry)
+/// legitimately stretch every protocol interaction.
+pub const FAULT_SCALE: u64 = 4;
+
+/// Retry-class events accumulating across one stall window that make
+/// the diagnosis Livelock rather than Deadlock/Starvation (before the
+/// topology and fault scaling of [`SystemConfig::effective_livelock_retries`]).
+pub const LIVELOCK_RETRIES: u64 = 16;
+
+/// The wedge watchdog's one knob. The window in force is
+/// [`SystemConfig::effective_stall_window`]: this one, scaled up with
+/// the mesh diameter and by [`FAULT_SCALE`] while a fault plan is
+/// active, so neither long flights nor loss-induced retransmission
+/// stalls are misclassified as deadlock/livelock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Cycles a core may go without retiring (or the drained memory
-    /// system without going idle) before the watchdog trips.
+    /// system without going idle) before the watchdog trips, on the
+    /// 4x4 machine without a fault plan.
     pub stall_window: u64,
-    /// Retry-class events accumulating across one stall window that
-    /// make the diagnosis Livelock rather than Deadlock/Starvation.
-    pub livelock_retries: u64,
-    /// Multiplier applied to both thresholds while a fault plan is
-    /// installed: retransmission round trips (rto_min, doubled per
-    /// retry) legitimately stretch every protocol interaction.
-    pub fault_scale: u64,
-    /// Scale both thresholds with the mesh diameter as well: the
-    /// configured windows are tuned for a 4x4/6-cycle-hop machine, and
-    /// every protocol interaction stretches with the diameter in hop
-    /// cycles. Without this a legal 16x16 barrier run trips the
-    /// watchdog. Disable only to pin the false-positive in a test.
-    pub scale_with_topology: bool,
 }
 
 impl Default for WatchdogConfig {
     fn default() -> Self {
-        WatchdogConfig {
-            stall_window: 200_000,
-            livelock_retries: 16,
-            fault_scale: 4,
-            scale_with_topology: true,
-        }
+        WatchdogConfig { stall_window: 200_000 }
     }
 }
 
@@ -563,40 +558,35 @@ impl SystemConfig {
     /// windows were tuned on (diameter 6 hops x 6 cycles = 36). A
     /// 16x16 mesh at the same hop latency yields 5: serialized line
     /// transfers behind a hot barrier line legitimately take that much
-    /// longer end to end.
+    /// longer end to end, and an unscaled window calls a legal 16x16
+    /// barrier run wedged.
     pub fn topology_scale(&self) -> u64 {
-        if !self.watchdog.scale_with_topology {
-            return 1;
-        }
         const REF_DIAMETER_CYCLES: u64 = 36;
         let hops = (self.network.mesh_width - 1 + self.network.mesh_height - 1) as u64;
         (hops.saturating_mul(self.network.hop_cycles) / REF_DIAMETER_CYCLES).max(1)
     }
 
-    /// The stall window the watchdog should actually use: the
-    /// configured window, scaled by the mesh diameter (see
-    /// [`SystemConfig::topology_scale`]) and by `fault_scale` while a
-    /// fault plan is installed (retransmission round trips stretch
-    /// every protocol interaction without anything being wedged).
-    pub fn effective_stall_window(&self) -> u64 {
-        let w = self.watchdog.stall_window.saturating_mul(self.topology_scale());
-        if self.fault.is_some() {
-            w.saturating_mul(self.watchdog.fault_scale)
-        } else {
-            w
-        }
+    /// Scale a 4x4, fault-free watchdog threshold to this machine: by
+    /// [`SystemConfig::topology_scale`], and by [`FAULT_SCALE`] while a
+    /// fault plan is installed.
+    fn watchdog_scaled(&self, threshold: u64) -> u64 {
+        let fault = if self.fault.is_some() { FAULT_SCALE } else { 1 };
+        threshold.saturating_mul(self.topology_scale()).saturating_mul(fault)
     }
 
-    /// The livelock-classification threshold in force (scaled like the
-    /// stall window: retransmissions and longer flight times inflate
-    /// retry-shaped activity).
+    /// The stall window the watchdog uses: the configured one, scaled
+    /// by the mesh diameter and while a fault plan is installed
+    /// (retransmission round trips stretch every protocol interaction
+    /// without anything being wedged).
+    pub fn effective_stall_window(&self) -> u64 {
+        self.watchdog_scaled(self.watchdog.stall_window)
+    }
+
+    /// The livelock-classification threshold in force:
+    /// [`LIVELOCK_RETRIES`] scaled like the stall window (retransmissions
+    /// and longer flight times inflate retry-shaped activity).
     pub fn effective_livelock_retries(&self) -> u64 {
-        let r = self.watchdog.livelock_retries.saturating_mul(self.topology_scale());
-        if self.fault.is_some() {
-            r.saturating_mul(self.watchdog.fault_scale)
-        } else {
-            r
-        }
+        self.watchdog_scaled(LIVELOCK_RETRIES)
     }
 
     /// Panics if the configuration is internally inconsistent.
@@ -655,7 +645,6 @@ impl SystemConfig {
         assert!(link.window >= 1, "reliable link needs a window of at least one frame");
         assert!(link.rto_min >= 1 && link.rto_max >= link.rto_min, "rto_min..rto_max malformed");
         assert!(self.watchdog.stall_window >= 1, "zero stall window would trip immediately");
-        assert!(self.watchdog.fault_scale >= 1, "fault_scale shrinking the window is unsound");
     }
 }
 
@@ -794,10 +783,6 @@ mod tests {
         // Fault and topology scaling compose.
         let cfg = cfg.with_fault(crate::fault::FaultPlan::drop_everywhere(1, 10));
         assert_eq!(cfg.effective_stall_window(), 4_000_000);
-        // The test escape hatch pins the unscaled window.
-        let mut cfg = SystemConfig::new(CoreClass::Slm).with_cores(256);
-        cfg.watchdog.scale_with_topology = false;
-        assert_eq!(cfg.effective_stall_window(), 200_000);
     }
 
     #[test]

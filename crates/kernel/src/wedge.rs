@@ -173,13 +173,13 @@ impl WedgeReport {
         self.participants.contains(&p)
     }
 
-    /// A stable dedup key for campaign fuzzing: two wedges with the
-    /// same signature are the same underlying bug. The signature keeps
-    /// what characterises the failure — the class, the (sorted)
-    /// participant set, the (sorted, deduplicated) edge causes and the
-    /// protocol-fault text — and normalises out everything that varies
-    /// per encounter: the cycle it fired at, the seed baked into the
-    /// reproducer, per-core stall counts, the retry tally, and the
+    /// A stable dedup key for the campaign farm's `wedges.jsonl`: two
+    /// wedges with the same signature are the same underlying bug. The
+    /// signature keeps what characterises the failure — the class, the
+    /// (sorted) participant set, the (sorted, deduplicated) edge causes
+    /// and the protocol-fault text — and normalises out everything that
+    /// varies per encounter: the cycle it fired at, the seed baked into
+    /// the reproducer, per-core stall counts, the retry tally, and the
     /// volatile `since cycle N` / `(seq N)` suffixes inside edge
     /// causes. A million-cell sweep thus surfaces each distinct wedge
     /// once.

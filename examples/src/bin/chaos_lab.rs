@@ -75,9 +75,9 @@ fn main() {
         .with_jitter(20)
         .without_event_log();
     cfg.wb_cacheable_reads = true; // Option 1: the rejected design
+    cfg.watchdog.stall_window = 50_000;
     let mut sys = System::new(cfg, &directed::option1_spin());
-    let out = sys.run_watchdog(150_000, 50_000);
-    let verdict = sys.judge(out);
+    let verdict = sys.verify(150_000);
     let Some(Failure::Wedge(rep)) = verdict.failure() else {
         panic!("Option 1 under spin-readers must wedge, got: {verdict}");
     };

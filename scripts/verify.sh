@@ -78,8 +78,8 @@ cargo test -q --release --offline -p wb-integration --test scale \
 # Campaign smoke: the crash-resume contract end to end. Run a tiny
 # campaign to completion for reference, run the same spec with the
 # kill-after-3-cells hook (the process dies as abruptly as a kill -9),
-# resume it, and require a complete manifest plus a merged.jsonl that is
-# byte-identical to the uninterrupted run.
+# resume it, and require a complete manifest plus a merged.jsonl and a
+# wedges.jsonl that are byte-identical to the uninterrupted run's.
 campdir="$tmp/campaign"
 mkdir "$campdir"
 cat > "$campdir/spec.json" <<'EOF'
@@ -99,6 +99,7 @@ cargo run -q --release --offline -p wb-bench --bin campaign -- \
     "$campdir/spec.json" --out "$campdir/cut" --threads 2
 test "$(wc -l < "$campdir/cut/manifest")" -eq 8
 cmp "$campdir/ref/merged.jsonl" "$campdir/cut/merged.jsonl"
+cmp "$campdir/ref/wedges.jsonl" "$campdir/cut/wedges.jsonl"
 
 # Benchmark smoke: benchmark/ is a package of its own that builds
 # against the public API of crates/* (the layer rig assembles the

@@ -212,14 +212,14 @@ fn option1_spin_cfg(seed: u64) -> SystemConfig {
         .with_jitter(20)
         .without_event_log();
     cfg.wb_cacheable_reads = true; // Option 1: the rejected design
+    cfg.watchdog.stall_window = 50_000;
     cfg
 }
 
 fn run_option1_livelock(seed: u64) -> (Verdict, Vec<String>) {
     let mut sys = System::new(option1_spin_cfg(seed), &directed::option1_spin());
     sys.set_trace_sink(TraceSink::Capture(Vec::new()));
-    let out = sys.run_watchdog(150_000, 50_000);
-    let verdict = sys.judge(out);
+    let verdict = sys.verify(150_000);
     (verdict, sys.take_sink_lines())
 }
 
@@ -276,8 +276,7 @@ fn traced_wedge_dumps_participant_lines() {
     let mut sys = System::new(option1_spin_cfg(seed), &directed::option1_spin());
     sys.set_trace(TraceFilter::all());
     sys.set_trace_sink(TraceSink::Capture(Vec::new()));
-    let out = sys.run_watchdog(150_000, 50_000);
-    let verdict = sys.judge(out);
+    let verdict = sys.verify(150_000);
     let Some(Failure::Wedge(rep)) = verdict.failure() else {
         panic!("seed {seed}: traced run returned {verdict}");
     };
@@ -304,7 +303,7 @@ fn traced_wedge_dumps_participant_lines() {
 #[test]
 fn wedge_pressure_lands_in_histograms() {
     let mut sys = System::new(option1_spin_cfg(0), &directed::option1_spin());
-    let _ = sys.run_watchdog(150_000, 50_000);
+    let _ = sys.verify(150_000);
     let r = sys.report();
     let nacks = r.stats.hist("nack_retries").expect("nack_retries histogram missing");
     assert!(nacks.max() >= 16, "livelock retry storm not visible per line: max {}", nacks.max());

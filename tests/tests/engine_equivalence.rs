@@ -342,8 +342,8 @@ fn assert_same_wedge(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64)
 
 /// The watchdog's wedge decision — and the diagnosis report it renders —
 /// must land on exactly the dense cycle. This is the near-miss scenario:
-/// a 4000-cycle RTO against a raw 2500-cycle stall window, with the
-/// fault-scale widening disabled so the run *must* trip the watchdog.
+/// a 4000-cycle RTO against a 2500-cycle stall window (625 before the
+/// fault-plan widening), so the run *must* trip the watchdog.
 #[test]
 fn wedge_fires_at_the_same_cycle() {
     let w = torture::workload(2, 11, 15);
@@ -356,11 +356,12 @@ fn wedge_fires_at_the_same_cycle() {
         .with_fault(FaultPlan::drop_everywhere(1, 12));
     cfg.network.link.rto_min = 4000;
     cfg.network.link.rto_max = 4000;
-    cfg.watchdog.stall_window = 2500;
-    cfg.watchdog.fault_scale = 1;
+    cfg.watchdog.stall_window = 625;
+    assert_eq!(cfg.effective_stall_window(), 2500);
     assert_same_wedge("near-miss", &cfg, &w, 8_000_000);
     // And with scaling restored the same cell completes — identically.
-    cfg.watchdog.fault_scale = 4;
+    cfg.watchdog.stall_window = 2500;
+    assert_eq!(cfg.effective_stall_window(), 10_000);
     assert_equivalent("near-miss scaled", &cfg, &w, 8_000_000, false);
 }
 
@@ -436,8 +437,8 @@ fn a_sleeping_wedged_core_trips_beside_a_spinning_one() {
         .without_event_log();
     cfg.network.link.rto_min = 40_000;
     cfg.network.link.rto_max = 40_000;
-    cfg.watchdog.stall_window = 2500;
-    cfg.watchdog.fault_scale = 1;
+    cfg.watchdog.stall_window = 625;
+    assert_eq!(cfg.effective_stall_window(), 2500);
     let dense = assert_same_wedge("spin beside wedge", &cfg, &w, 8_000_000);
     let report = dense.outcome.wedge_report().expect("wedged");
     let stalled: Vec<u16> = report.stalled_cores.iter().map(|&(c, _)| c).collect();

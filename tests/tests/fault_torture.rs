@@ -87,18 +87,18 @@ fn fault_torture_ten_percent_drop() {
     assert!(stats.hist("link_retx_cycles").map_or(false, |h| h.count() > 0));
 }
 
-/// The watchdog near-miss (satellite regression): a retransmission RTO
-/// *longer* than the raw stall window must not be misread as a wedge.
-/// With the default `fault_scale` the window is widened while a fault
-/// plan is installed and the run completes (with real retransmissions);
-/// with scaling disabled (`fault_scale = 1`) the very same run trips
-/// the watchdog — proving the auto-scaling is what prevents the
+/// The watchdog near-miss: a retransmission RTO *longer* than the
+/// fault-free stall window must not be misread as a wedge. The window
+/// is widened 4x while a fault plan is installed, and the run completes
+/// (with real retransmissions); a configured window a quarter the size,
+/// whose widened value is that raw 2500 cycles, trips the watchdog on
+/// the very same run — proving the widening is what prevents the
 /// misclassification.
 #[test]
 fn watchdog_near_miss_scaled_window_rides_out_retransmissions() {
     let seed = 11u64;
     let w = torture::workload(2, seed, 15);
-    let build = |fault_scale: u64| {
+    let build = |stall_window: u64| {
         let mut cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(2)
             .with_commit(CommitMode::OutOfOrderWb)
@@ -109,28 +109,27 @@ fn watchdog_near_miss_scaled_window_rides_out_retransmissions() {
         // One lost frame costs a 4000-cycle retransmission round trip —
         // longer than the raw 2500-cycle stall window. No backoff
         // (rto_max == rto_min) so consecutive losses stay under the
-        // scaled window.
+        // widened window.
         cfg.network.link.rto_min = 4000;
         cfg.network.link.rto_max = 4000;
-        cfg.watchdog.stall_window = 2500;
-        cfg.watchdog.fault_scale = fault_scale;
+        cfg.watchdog.stall_window = stall_window;
         System::new(cfg, &w)
     };
 
-    // Default-style scaling (x4 -> effective 10_000): rides out the RTO.
-    let mut sys = build(4);
+    // 2500 widened x4 -> effective 10_000: rides out the RTO.
+    let mut sys = build(2500);
     assert_eq!(sys.config().effective_stall_window(), 10_000);
     sys.verify(8_000_000).assert_pass("scaled window must ride out retransmissions");
     let stats = sys.report().stats;
     assert!(stats.get("link_retx") > 0, "the near-miss needs a real retransmission stall");
 
-    // Scaling off: the same seed, plan and workload is misread as a wedge.
-    let mut sys = build(1);
+    // An effective 2500: the same seed, plan and workload is misread as a wedge.
+    let mut sys = build(625);
     assert_eq!(sys.config().effective_stall_window(), 2500);
     let v = sys.verify(8_000_000);
     assert!(
         matches!(v.failure(), Some(Failure::Wedge(_))),
-        "without fault-aware scaling the RTO must trip the 2500-cycle watchdog, got: {v}"
+        "a 2500-cycle effective window must be tripped by the 4000-cycle RTO, got: {v}"
     );
 }
 

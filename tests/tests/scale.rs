@@ -3,9 +3,11 @@
 //!
 //! - The watchdog's stall window is tuned against the 4x4 machine; on a
 //!   16x16 mesh a *legal* 256-core barrier keeps one core waiting for
-//!   its serialized fetch-add far longer than that, so the unscaled
-//!   watchdog calls a healthy machine wedged. `scale_with_topology`
-//!   widens the window by mesh diameter x hop latency.
+//!   its serialized fetch-add far longer than that, so an unscaled
+//!   window calls a healthy machine wedged. `SystemConfig::topology_scale`
+//!   widens the window by mesh diameter x hop latency; the unscaled
+//!   cell configures a window the scale divides, so the window in
+//!   force is the raw one.
 //! - Directory banks are sharded (`dir_banks_per_node`); runs stay
 //!   TSO-correct with multiple banks per node and the per-bank
 //!   occupancy instrumentation actually records.
@@ -19,24 +21,24 @@ use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
 use wb_workloads::{barrier_storm, torture};
 use writersblock::{RunOutcome, System};
 
-/// The machine/raw-window pair for the watchdog regression: sized down
-/// in debug builds (same shape, same failure mode, ~7s instead of ~80s).
-fn watchdog_cell() -> (usize, u64) {
+/// The machine, its topology scale and the raw window for the watchdog
+/// regression: sized down in debug builds (same shape, same failure
+/// mode, ~7s instead of ~80s).
+fn watchdog_cell() -> (usize, u64, u64) {
     if cfg!(debug_assertions) {
-        (100, 12_000) // 10x10, topology scale 3
+        (100, 3, 12_000) // 10x10
     } else {
-        (256, 25_000) // 16x16, topology scale 5
+        (256, 5, 25_000) // 16x16
     }
 }
 
-fn storm_config(cores: usize, window: u64, scale_with_topology: bool) -> SystemConfig {
+fn storm_config(cores: usize, window: u64) -> SystemConfig {
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(cores)
         .with_commit(CommitMode::OutOfOrderWb)
         .with_engine(EngineMode::Sparse)
         .without_event_log();
     cfg.watchdog.stall_window = window;
-    cfg.watchdog.scale_with_topology = scale_with_topology;
     cfg
 }
 
@@ -44,9 +46,11 @@ fn storm_config(cores: usize, window: u64, scale_with_topology: bool) -> SystemC
 /// perfectly legal big-machine barrier as wedged.
 #[test]
 fn unscaled_watchdog_false_positives_on_legal_barrier() {
-    let (cores, window) = watchdog_cell();
+    let (cores, scale, window) = watchdog_cell();
     let w = barrier_storm(cores, 1);
-    let mut sys = System::new(storm_config(cores, window, false), &w);
+    let cfg = storm_config(cores, window / scale);
+    assert_eq!(cfg.effective_stall_window(), window, "the raw window is in force");
+    let mut sys = System::new(cfg, &w);
     let out = sys.run(100_000_000);
     assert!(
         matches!(out, RunOutcome::Wedge(_)),
@@ -54,13 +58,15 @@ fn unscaled_watchdog_false_positives_on_legal_barrier() {
     );
 }
 
-/// With `scale_with_topology` (the default) the same cell completes:
-/// the regression this PR fixes.
+/// With topology scaling the same cell completes: the regression this
+/// file pins.
 #[test]
 fn scaled_watchdog_lets_legal_barrier_finish() {
-    let (cores, window) = watchdog_cell();
+    let (cores, scale, window) = watchdog_cell();
     let w = barrier_storm(cores, 1);
-    let mut sys = System::new(storm_config(cores, window, true), &w);
+    let cfg = storm_config(cores, window);
+    assert_eq!(cfg.effective_stall_window(), window * scale);
+    let mut sys = System::new(cfg, &w);
     let out = sys.run(100_000_000);
     assert_eq!(out, RunOutcome::Done, "legal {cores}-core barrier must not wedge");
 

@@ -10,9 +10,9 @@
 //! scheduler itself: a snapshot cut while most components sleep must
 //! resume without spuriously waking (or losing) any of them.
 //!
-//! One subtlety: `run_watchdog` keeps its progress baseline in locals,
-//! so calling `run` twice restarts the stall window at the split point.
-//! Restoring a snapshot restarts it the same way, so the fair baseline
+//! One subtlety: every `run` call starts the watchdog's progress
+//! baseline afresh, so calling `run` twice restarts the stall window at
+//! the split point. Restoring a snapshot restarts it the same way, so the fair baseline
 //! for a resumed run is the *split* original (run-to-cut, then run-on),
 //! which these tests use throughout.
 
@@ -183,8 +183,8 @@ fn wedge_cells_resume_to_the_same_report() {
         .with_fault(FaultPlan::drop_everywhere(1, 12));
     cfg.network.link.rto_min = 4000;
     cfg.network.link.rto_max = 4000;
-    cfg.watchdog.stall_window = 2500;
-    cfg.watchdog.fault_scale = 1;
+    cfg.watchdog.stall_window = 625;
+    assert_eq!(cfg.effective_stall_window(), 2500);
     let mut a = System::new(cfg.clone(), &w);
     let _ = a.run(1_000);
     let bytes = a.snapshot();
