@@ -5,30 +5,27 @@
 //! (Section 4.2). This sweep shows performance saturating well below the
 //! paper's 32 entries — the design point is conservative.
 
-use wb_bench::{eval_config, geomean, run_one};
-use wb_kernel::config::{CommitMode, CoreClass};
-use wb_workloads::{suite, Scale};
+use wb_bench::{eval_config, run_suite, speedup_pct};
+use wb_kernel::config::CoreClass;
+use wb_workloads::Scale;
+
+const LDTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 fn main() {
     println!("LDT capacity sweep, OoO+WB on SLM-class, speedup over in-order commit\n");
-    // Baseline: in-order.
-    let mut base = Vec::new();
-    for w in suite(16, Scale::Test) {
-        base.push(run_one(&w, eval_config(CoreClass::Slm, CommitMode::InOrder, false)).report.cycles);
-    }
-    for ldt in [1usize, 2, 4, 8, 16, 32, 64] {
-        let mut speedups = Vec::new();
-        let mut exports = 0u64;
-        for (i, w) in suite(16, Scale::Test).into_iter().enumerate() {
-            let mut cfg = eval_config(CoreClass::Slm, CommitMode::OutOfOrderWb, false);
-            cfg.core.ldt_entries = ldt;
-            let r = run_one(&w, cfg);
-            speedups.push(base[i] as f64 / r.report.cycles as f64);
-            exports += r.report.ooo_load_commits();
-        }
+    // Column 0 is the in-order baseline, then one column per LDT size.
+    let mut configs = vec![eval_config(CoreClass::Slm, "mesi-inorder")];
+    configs.extend(LDTS.map(|ldt| {
+        let mut cfg = eval_config(CoreClass::Slm, "wb-ooo");
+        cfg.core.ldt_entries = ldt;
+        cfg
+    }));
+    let rows = run_suite(Scale::Test, &configs);
+    for (i, ldt) in LDTS.into_iter().enumerate() {
+        let exports: u64 = rows.iter().map(|row| row[i + 1].ooo_load_commits()).sum();
         println!(
             "LDT={ldt:<3} geomean speedup {:+.2}%   ooo-committed loads {exports}",
-            (geomean(&speedups) - 1.0) * 100.0
+            speedup_pct(&rows, 0, i + 1)
         );
     }
 }

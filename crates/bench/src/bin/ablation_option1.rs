@@ -6,95 +6,45 @@
 //! starving the write. This binary constructs the scenario — a lockdown
 //! over a pointer-chased (two dependent misses) load delays a write
 //! while other cores spin-read the same line — and compares both
-//! options across seeds.
+//! options across seeds. The workload is `directed::option1_bounded`,
+//! the bounded-spin sibling of the chaos lab's `option1_spin`.
 
-use wb_isa::{AluOp, Cond, Program, Reg, Workload};
+use wb_bench::run_all;
 use wb_kernel::config::{CommitMode, CoreClass, SystemConfig};
-use wb_mem::Addr;
-use writersblock::System;
-
-const X: u64 = 0x1000;
-const Y: u64 = 0x2040;
-const Z1: u64 = 0x3080; // start of the pointer chain ending at &y
-const Z2: u64 = 0x4100;
-const Z3: u64 = 0x5140;
-
-/// Core 0 reorders `ld x` (warm hit, lockdown) over a pointer-chased
-/// load that stays non-performed for four dependent miss latencies;
-/// core 1 writes `x` then `y` after a delay; cores 2..n spin-read `x`.
-fn workload(cores: usize, spin_iters: u64) -> Workload {
-    let mut progs = Vec::new();
-
-    let mut p0 = Program::builder();
-    p0.imm(Reg(1), X).imm(Reg(2), Z1).imm(Reg(6), 1);
-    p0.load(Reg(5), Reg(1), 0); // warm x (~memory latency)
-    // Let the warm-up settle: a dependent chain of ~70 multiplies.
-    for _ in 0..70 {
-        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p0.load(Reg(9), Reg(2), 0); // chase: z1 -> z2 -> z3 -> &y (4 misses)
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(3), Reg(9), 0); // ld y, non-performed for ~4 miss latencies
-    p0.load(Reg(4), Reg(1), 0); // ld x: warm hit; long-lived lockdown
-    p0.halt();
-    progs.push(p0.build());
-
-    // The writer delays so its invalidation lands inside the window.
-    let mut p1 = Program::builder();
-    p1.imm(Reg(1), X).imm(Reg(2), Y).imm(Reg(3), 1).imm(Reg(6), 1);
-    for _ in 0..110 {
-        p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p1.alu(AluOp::Add, Reg(3), Reg(3), Reg(6)); // data depends on the delay
-    p1.store(Reg(3), Reg(1), 0).store(Reg(3), Reg(2), 0).halt();
-    progs.push(p1.build());
-
-    for _ in 2..cores {
-        let mut p = Program::builder();
-        p.imm(Reg(1), X).imm(Reg(2), 0).imm(Reg(3), spin_iters);
-        let top = p.here();
-        p.load(Reg(4), Reg(1), 0);
-        p.alui(AluOp::Add, Reg(2), Reg(2), 1);
-        p.branch(Cond::Lt, Reg(2), Reg(3), top);
-        p.halt();
-        progs.push(p.build());
-    }
-    Workload::new("option1_livelock", progs)
-        .with_init(Addr::new(Z1), Z2)
-        .with_init(Addr::new(Z2), Z3)
-        .with_init(Addr::new(Z3), Y)
-}
+use wb_workloads::directed;
 
 fn main() {
     let cores = 8;
     let seeds = 0..24u64;
-    let w = workload(cores, 4_000);
+    let w = directed::option1_bounded(cores, 4_000);
     println!(
         "Option 1 vs Option 2 under a blocked write with {} spin-readers, {} seeds\n",
         cores - 2,
         seeds.end
     );
     for option1 in [false, true] {
+        let cells = seeds
+            .clone()
+            .map(|seed| {
+                let mut cfg = SystemConfig::new(CoreClass::Slm)
+                    .with_cores(cores)
+                    .with_commit(CommitMode::OutOfOrderWb)
+                    .with_seed(seed)
+                    .with_jitter(20)
+                    .without_event_log();
+                cfg.wb_cacheable_reads = option1;
+                (w.clone(), cfg)
+            })
+            .collect();
+        let runs = run_all(3_000_000, cells, |sys| (sys.now(), sys.report().stats));
         let (mut blocked_runs, mut cycles_sum, mut reinv, mut cacheable) = (0u64, 0u64, 0u64, 0u64);
-        for seed in seeds.clone() {
-            let mut cfg = SystemConfig::new(CoreClass::Slm)
-                .with_cores(cores)
-                .with_commit(CommitMode::OutOfOrderWb)
-                .with_seed(seed)
-                .with_jitter(20)
-                .without_event_log();
-            cfg.wb_cacheable_reads = option1;
-            let mut sys = System::new(cfg, &w);
-            let out = sys.run(3_000_000);
-            let r = sys.report();
-            if r.stats.get("dir_writes_blocked") > 0 {
+        for (cycles, stats) in runs {
+            if stats.get("dir_writes_blocked") > 0 {
                 blocked_runs += 1;
-                cycles_sum += sys.now();
+                cycles_sum += cycles;
             }
-            reinv += r.stats.get("dir_option1_reinvalidations");
-            cacheable += r.stats.get("dir_option1_cacheable_reads");
-            assert!(out == writersblock::RunOutcome::Done, "seed {seed} option1={option1}: {out:?}");
+            reinv += stats.get("dir_option1_reinvalidations");
+            cacheable += stats.get("dir_option1_cacheable_reads");
         }
         let total = seeds.end;
         println!(

@@ -14,11 +14,12 @@
 
 use std::collections::BTreeMap;
 use wb_bench::campaign::{self, CampaignSpec};
+use wb_bench::{eval_config, run_all};
 use wb_isa::Workload;
-use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
+use wb_kernel::config::{CoreClass, SystemConfig};
 use wb_kernel::soft::SoftPlan;
 use wb_workloads::{barrier_storm, splash, Scale};
-use writersblock::{RunOutcome, System};
+use writersblock::System;
 
 const RUN_BUDGET: u64 = 50_000_000;
 
@@ -31,84 +32,62 @@ const CAMPAIGN_SPEC: &str = r#"{
   "chaos": ["off"], "faults": ["off"], "seeds": [1, 2]
 }"#;
 
-struct Cell {
-    name: &'static str,
-    workload: Workload,
-    cfg: SystemConfig,
-}
-
 fn smoke_cfg(cores: usize) -> SystemConfig {
-    SystemConfig::new(CoreClass::Slm)
-        .with_cores(cores)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_engine(EngineMode::Sparse)
-        .without_event_log()
+    eval_config(CoreClass::Slm, "wb-ooo").with_cores(cores)
 }
 
-fn cells() -> Vec<Cell> {
+/// The anchor cells, each under the name that prefixes its metrics.
+fn cells() -> Vec<(&'static str, (Workload, SystemConfig))> {
     vec![
-        Cell { name: "mp", workload: wb_tso::litmus::mp().workload, cfg: smoke_cfg(2) },
-        Cell { name: "fft4", workload: splash::fft(4, Scale::Test), cfg: smoke_cfg(4) },
-        Cell { name: "barrier4", workload: barrier_storm(4, 2), cfg: smoke_cfg(4) },
+        ("mp", (wb_tso::litmus::mp().workload, smoke_cfg(2))),
+        ("fft4", (splash::fft(4, Scale::Test), smoke_cfg(4))),
+        ("barrier4", (barrier_storm(4, 2), smoke_cfg(4))),
         // Soft-error anchor: fft under accelerated background radiation.
         // Records the detection/recovery counters and the audit overhead —
         // a change here means flips started escaping or the scrub got
         // slower.
-        Cell {
-            name: "soft4",
-            workload: splash::fft(4, Scale::Test),
-            cfg: smoke_cfg(4).with_soft(SoftPlan::background_radiation().accelerated(10)),
-        },
+        (
+            "soft4",
+            (
+                splash::fft(4, Scale::Test),
+                smoke_cfg(4).with_soft(SoftPlan::background_radiation().accelerated(10)),
+            ),
+        ),
     ]
 }
 
-/// Run one cell and record its deterministic metrics.
-fn run_cell(cell: &Cell, metrics: &mut BTreeMap<String, u64>) {
-    let mut sys = System::new(cell.cfg.clone(), &cell.workload);
-    let outcome = sys.run(RUN_BUDGET);
-    assert_eq!(
-        outcome,
-        RunOutcome::Done,
-        "anchor cell {} ended with {outcome} at cycle {}", // allow(panic): bench binary
-        cell.name,
-        sys.now()
-    );
+/// The deterministic metrics of one finished anchor cell, unprefixed.
+fn cell_metrics(mut sys: System) -> Vec<(&'static str, u64)> {
+    let soft = sys.config().soft.is_some();
     // Soft cells scrub latent wounds with a final audit before metrics
     // are read, so `soft_silent` reads a hard zero.
-    if cell.cfg.soft.is_some() {
-        sys.run_audit(true).assert_clean(cell.name);
+    if soft {
+        sys.run_audit(true).assert_clean("soft anchor cell");
     }
     let report = sys.report();
-    let key = |k: &str| format!("{}_{k}", cell.name);
-    for (k, v) in [
-        (key("sim_cycles"), sys.now()),
-        (key("retired"), sys.total_retired()),
-        (key("mesh_flits"), report.stats.get("mesh_flits")),
-        (key("mesh_msg_p99"), report.stats.hist("mesh_msg_cycles").map_or(0, |h| h.p99())),
-        (key("read_miss_p90"), report.stats.hist("cache_read_miss_cycles").map_or(0, |h| h.p90())),
-        (key("engine_visits"), sys.engine_visits()),
-        (key("engine_skipped_cycles"), sys.skipped_cycles()),
-        (key("engine_skip_windows"), sys.skip_windows()),
-    ] {
-        metrics.insert(k, v);
-    }
-    if cell.cfg.soft.is_some() {
+    let mut metrics = vec![
+        ("sim_cycles", sys.now()),
+        ("retired", sys.total_retired()),
+        ("mesh_flits", report.stats.get("mesh_flits")),
+        ("mesh_msg_p99", report.stats.hist("mesh_msg_cycles").map_or(0, |h| h.p99())),
+        ("read_miss_p90", report.stats.hist("cache_read_miss_cycles").map_or(0, |h| h.p90())),
+        ("engine_visits", sys.engine_visits()),
+        ("engine_skipped_cycles", sys.skipped_cycles()),
+        ("engine_skip_windows", sys.skip_windows()),
+    ];
+    if soft {
         let (injected, _) = sys.soft_injected();
-        for (k, v) in [
-            (key("soft_injected"), injected),
-            (key("soft_detected"), report.stats.get("soft_detected")),
-            (key("soft_recovered"), report.stats.get("soft_recovered")),
-            (key("soft_silent"), sys.soft_silent()),
-            (key("audit_runs"), report.stats.get("audit_runs")),
-            (key("audit_violations"), report.stats.get("audit_violations")),
-            (
-                key("soft_detect_p90"),
-                report.stats.hist("soft_detect_latency").map_or(0, |h| h.p90()),
-            ),
-        ] {
-            metrics.insert(k, v);
-        }
+        metrics.extend([
+            ("soft_injected", injected),
+            ("soft_detected", report.stats.get("soft_detected")),
+            ("soft_recovered", report.stats.get("soft_recovered")),
+            ("soft_silent", sys.soft_silent()),
+            ("audit_runs", report.stats.get("audit_runs")),
+            ("audit_violations", report.stats.get("audit_violations")),
+            ("soft_detect_p90", report.stats.hist("soft_detect_latency").map_or(0, |h| h.p90())),
+        ]);
     }
+    metrics
 }
 
 /// Run the fixed campaign and record the farm's metrics.
@@ -148,9 +127,10 @@ fn campaign_metrics(metrics: &mut BTreeMap<String, u64>) {
 }
 
 fn main() {
+    let (names, cells): (Vec<_>, Vec<_>) = cells().into_iter().unzip();
     let mut metrics = BTreeMap::new();
-    for cell in &cells() {
-        run_cell(cell, &mut metrics);
+    for (name, cell) in names.into_iter().zip(run_all(RUN_BUDGET, cells, cell_metrics)) {
+        metrics.extend(cell.into_iter().map(|(k, v)| (format!("{name}_{k}"), v)));
     }
     campaign_metrics(&mut metrics);
     for (name, value) in &metrics {

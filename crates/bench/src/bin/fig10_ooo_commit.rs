@@ -7,53 +7,40 @@
 //! in-order and over plain OoO).
 //!
 //! Run with `--small` for the full evaluation size (slower); default is
-//! the quick Test scale. `--class NHM` / `--class HSW` switch the core
-//! class (the paper's Figure 10 uses SLM).
+//! the quick Test scale. `--class NHM` / `--class HSW` (any case) switch
+//! the core class (the paper's Figure 10 uses SLM); any other class name
+//! is an error.
 
-use wb_bench::{eval_config, geomean, render_table, run_one};
-use wb_kernel::config::{CommitMode, CoreClass};
-use wb_workloads::{suite, Scale};
+use wb_bench::{eval_config, render_table, run_suite, speedup_pct};
+use wb_kernel::config::CoreClass;
+use wb_workloads::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = if args.iter().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
-    let class = match args.iter().position(|a| a == "--class").and_then(|i| args.get(i + 1)) {
-        Some(c) if c.eq_ignore_ascii_case("nhm") => CoreClass::Nhm,
-        Some(c) if c.eq_ignore_ascii_case("hsw") => CoreClass::Hsw,
-        _ => CoreClass::Slm,
+    let class = match args.iter().position(|a| a == "--class") {
+        None => CoreClass::Slm,
+        Some(i) => CoreClass::parse(args.get(i + 1).map_or("", String::as_str)).unwrap_or_else(|e| {
+            eprintln!("fig10_ooo_commit: {e} (expected SLM, NHM or HSW)");
+            std::process::exit(2);
+        }),
     };
     println!("core class: {}\n", class.label());
-    let modes = [CommitMode::InOrder, CommitMode::OutOfOrder, CommitMode::OutOfOrderWb];
+    let configs = ["mesi-inorder", "mesi-ooo", "wb-ooo"].map(|arm| eval_config(class, arm));
+    let rows = run_suite(scale, &configs);
 
     let mut stall_rows = Vec::new();
     let mut time_rows = Vec::new();
-    let mut sp_ooo = Vec::new();
-    let mut sp_wb = Vec::new();
-    let mut sp_wb_over_ooo = Vec::new();
-
-    // One independent simulation per (workload, mode): run in parallel.
-    let jobs: Vec<(wb_isa::Workload, CommitMode)> = suite(16, scale)
-        .into_iter()
-        .flat_map(|w| modes.into_iter().map(move |m| (w.clone(), m)))
-        .collect();
-    let results = wb_bench::sweep::run(jobs, |(w, mode)| run_one(&w, eval_config(class, mode, false)));
-    for chunk in results.chunks(modes.len()) {
-        let w_name = chunk[0].bench.clone();
-        let mut cycles = Vec::new();
-        let mut stalls = Vec::new();
-        for r in chunk {
-            let (rob, lq, sq) = r.report.stall_fractions();
-            stalls.push(format!("{:.0}/{:.0}/{:.0}", rob * 100.0, lq * 100.0, sq * 100.0));
-            cycles.push(r.report.cycles);
-        }
-        let base = cycles[0] as f64;
-        sp_ooo.push(base / cycles[1] as f64);
-        sp_wb.push(base / cycles[2] as f64);
-        sp_wb_over_ooo.push(cycles[1] as f64 / cycles[2] as f64);
-        stall_rows.push((w_name.clone(), stalls));
+    for row in &rows {
+        let stalls = row.iter().map(|r| {
+            let (rob, lq, sq) = r.stall_fractions();
+            format!("{:.0}/{:.0}/{:.0}", rob * 100.0, lq * 100.0, sq * 100.0)
+        });
+        let base = row[0].cycles as f64;
+        stall_rows.push((row[0].name.clone(), stalls.collect()));
         time_rows.push((
-            w_name,
-            cycles.iter().map(|c| format!("{:.3}", *c as f64 / base)).collect(),
+            row[0].name.clone(),
+            row.iter().map(|r| format!("{:.3}", r.cycles as f64 / base)).collect(),
         ));
     }
 
@@ -74,21 +61,21 @@ fn main() {
         )
     );
 
-    let max_wb = sp_wb.iter().cloned().fold(f64::MIN, f64::max);
-    let max_over_ooo = sp_wb_over_ooo.iter().cloned().fold(f64::MIN, f64::max);
+    let max_pct = |base: usize, col: usize| {
+        let speedups = rows.iter().map(|r| r[base].cycles as f64 / r[col].cycles as f64);
+        let max = speedups.fold(f64::MIN, f64::max);
+        (max - 1.0) * 100.0
+    };
     println!("== Headline (paper: 15.4% avg / 41.9% max over in-order; 10.2% avg / 28.3% max over OoO) ==");
     println!(
         "OoO+WB over InOrder : {:+.1}% avg, {:+.1}% max",
-        (geomean(&sp_wb) - 1.0) * 100.0,
-        (max_wb - 1.0) * 100.0
+        speedup_pct(&rows, 0, 2),
+        max_pct(0, 2)
     );
-    println!(
-        "OoO    over InOrder : {:+.1}% avg",
-        (geomean(&sp_ooo) - 1.0) * 100.0
-    );
+    println!("OoO    over InOrder : {:+.1}% avg", speedup_pct(&rows, 0, 1));
     println!(
         "OoO+WB over OoO     : {:+.1}% avg, {:+.1}% max",
-        (geomean(&sp_wb_over_ooo) - 1.0) * 100.0,
-        (max_over_ooo - 1.0) * 100.0
+        speedup_pct(&rows, 1, 2),
+        max_pct(1, 2)
     );
 }

@@ -6,46 +6,28 @@
 //! and HSW-class cores (bigger LQs hold more lockdowns, so rates grow
 //! with core aggressiveness — but stay well below 1 per kilo-op).
 
-use wb_bench::{eval_config, render_table, run_one, sweep};
-use wb_kernel::config::{CommitMode, CoreClass};
-use wb_workloads::{suite, Scale};
+use wb_bench::{eval_config, render_table, run_suite};
+use wb_kernel::config::CoreClass;
+use wb_workloads::Scale;
+use writersblock::Report;
 
 fn main() {
     let scale =
         if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Test };
+    let configs = CoreClass::ALL.map(|class| eval_config(class, "wb-ooo"));
+    let rows = run_suite(scale, &configs);
 
-    let mut blocked_rows = Vec::new();
-    let mut tearoff_rows = Vec::new();
-    let mut totals = [(0.0, 0usize); 3];
-
-    let jobs: Vec<(wb_isa::Workload, CoreClass)> = suite(16, scale)
-        .into_iter()
-        .flat_map(|w| CoreClass::ALL.into_iter().map(move |c| (w.clone(), c)))
-        .collect();
-    let results =
-        sweep::run(jobs, |(w, class)| run_one(&w, eval_config(class, CommitMode::OutOfOrderWb, false)));
-    for chunk in results.chunks(CoreClass::ALL.len()) {
-        let mut blocked = Vec::new();
-        let mut tearoff = Vec::new();
-        for (i, r) in chunk.iter().enumerate() {
-            let b = r.report.blocked_writes_per_kilostore();
-            let t = r.report.uncacheable_reads_per_kiloload();
-            blocked.push(format!("{b:.3}"));
-            tearoff.push(format!("{t:.3}"));
-            totals[i].0 += b;
-            totals[i].1 += 1;
-        }
-        blocked_rows.push((chunk[0].bench.clone(), blocked));
-        tearoff_rows.push((chunk[0].bench.clone(), tearoff));
-    }
-
+    let table = |rate: fn(&Report) -> f64| -> Vec<(String, Vec<String>)> {
+        let cells = |row: &[Report]| row.iter().map(|r| format!("{:.3}", rate(r))).collect();
+        rows.iter().map(|row| (row[0].name.clone(), cells(row))).collect()
+    };
     let headers: Vec<&str> = CoreClass::ALL.iter().map(|c| c.label()).collect();
     println!(
         "{}",
         render_table(
             "Figure 8 (top): writes blocked in WritersBlock per kilo-store",
             &headers,
-            &blocked_rows
+            &table(Report::blocked_writes_per_kilostore)
         )
     );
     println!(
@@ -53,14 +35,15 @@ fn main() {
         render_table(
             "Figure 8 (bottom): uncacheable tear-off reads per kilo-load",
             &headers,
-            &tearoff_rows
+            &table(Report::uncacheable_reads_per_kiloload)
         )
     );
     for (i, class) in CoreClass::ALL.into_iter().enumerate() {
+        let blocked: f64 = rows.iter().map(|row| row[i].blocked_writes_per_kilostore()).sum();
         println!(
             "{} mean blocked writes/kstore: {:.3} (paper: well under 1, growing with LQ size)",
             class.label(),
-            totals[i].0 / totals[i].1 as f64
+            blocked / rows.len() as f64
         );
     }
 }

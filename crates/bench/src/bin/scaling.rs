@@ -15,15 +15,14 @@
 //! request counts, and the sparse engine's work per cell. `--full` adds
 //! radix and streamcluster.
 
-use wb_bench::sweep;
+use wb_bench::{eval_config, run_all, RUN_BUDGET};
 use wb_isa::Workload;
-use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
+use wb_kernel::config::CoreClass;
 use wb_workloads::{barrier_storm, Scale};
-use writersblock::{Report, RunOutcome, System};
+use writersblock::{Report, System};
 
-const RUN_BUDGET: u64 = 200_000_000;
-/// The `--full` kernels converge slower at 256 cores; cap them tighter
-/// so a wedged cell fails fast instead of burning the whole budget.
+/// The `--full` kernels converge slower at 256 cores, so a `--full`
+/// sweep runs every cell on twice [`RUN_BUDGET`].
 const FULL_BUDGET: u64 = 400_000_000;
 
 #[derive(Clone, Copy)]
@@ -31,12 +30,10 @@ struct Cell {
     workload: &'static str,
     cores: usize,
     banks_per_node: usize,
-    budget: u64,
 }
 
 /// One finished cell: its report plus what the engine and the banks saw.
 struct Row {
-    name: String,
     report: Report,
     engine_visits: u64,
     /// Requests (GetS + GetX) per bank, busiest first.
@@ -53,51 +50,47 @@ fn workload_for(cell: Cell) -> Workload {
         .unwrap_or_else(|| panic!("unknown scaling workload {}", cell.workload)) // allow(panic): bench driver
 }
 
-fn run_cell(cell: Cell) -> Row {
-    let w = workload_for(cell);
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(cell.cores)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_engine(EngineMode::Sparse)
-        .without_event_log();
-    cfg.memory.dir_banks_per_node = cell.banks_per_node;
-    let name = format!("{}/c{:03}/b{}", cell.workload, cell.cores, cell.banks_per_node);
-    let mut sys = System::new(cfg, &w);
-    let outcome = sys.run(cell.budget);
-    assert_eq!(outcome, RunOutcome::Done, "{name} ended with {outcome} at cycle {}", sys.now());
+fn summarize(sys: System) -> Row {
     let mut bank_requests: Vec<u64> =
         sys.dir_stats().map(|(_, s)| s.get("dir_gets") + s.get("dir_getx")).collect();
     bank_requests.sort_unstable_by(|a, b| b.cmp(a));
-    Row { name, report: sys.report(), engine_visits: sys.engine_visits(), bank_requests }
+    Row { report: sys.report(), engine_visits: sys.engine_visits(), bank_requests }
 }
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let cell =
-        |workload, cores, banks_per_node, budget| Cell { workload, cores, banks_per_node, budget };
+    let cell = |workload, cores, banks_per_node| Cell { workload, cores, banks_per_node };
     let mut cells = Vec::new();
     for workload in ["fft", "barrier"] {
         for cores in [16usize, 64, 256] {
-            cells.push(cell(workload, cores, 1, RUN_BUDGET));
+            cells.push(cell(workload, cores, 1));
         }
     }
     // Two sharded points: does splitting each home node into two banks
     // relieve the hot line's port pressure?
-    cells.push(cell("fft", 64, 2, RUN_BUDGET));
-    cells.push(cell("barrier", 256, 2, RUN_BUDGET));
+    cells.push(cell("fft", 64, 2));
+    cells.push(cell("barrier", 256, 2));
     if full {
         // Two more kernel shapes: radix (all-to-all permutation
         // traffic) and streamcluster (read-mostly sharing with hot
         // medoid lines).
         for workload in ["radix", "streamcluster"] {
             for cores in [16usize, 64, 256] {
-                cells.push(cell(workload, cores, 1, FULL_BUDGET));
+                cells.push(cell(workload, cores, 1));
             }
         }
     }
 
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    let rows = sweep::run_on(threads, cells, run_cell);
+    let budget = if full { FULL_BUDGET } else { RUN_BUDGET };
+    let runs = cells.iter().map(|&c| {
+        let mut cfg = eval_config(CoreClass::Slm, "wb-ooo").with_cores(c.cores);
+        cfg.memory.dir_banks_per_node = c.banks_per_node;
+        (workload_for(c), cfg)
+    });
+    let rows = run_all(budget, runs.collect(), summarize);
+    let names =
+        cells.iter().map(|c| format!("{}/c{:03}/b{}", c.workload, c.cores, c.banks_per_node));
+    let rows: Vec<(String, Row)> = names.zip(rows).collect();
 
     println!("== Machine scaling: SLM-class OoO+WB cores on the sparse engine ==");
     println!(
@@ -105,13 +98,13 @@ fn main() {
         "traffic", "cycles", "stores", "blocked", "blk/kst", "tear-offs", "nacks", "p99", "max",
         "bank-1st", "bank-2nd",
     );
-    for r in &rows {
+    for (name, r) in &rows {
         let s = &r.report.stats;
         let occ = s.hist("dir_bank_occupancy");
         let bank = |i: usize| r.bank_requests.get(i).copied().unwrap_or(0);
         println!(
             "{:<20}{:>9}{:>8}{:>8}{:>9.3}{:>10}{:>7}{:>5}{:>5}{:>10}{:>10}",
-            r.name,
+            name,
             r.report.cycles,
             s.get("core_stores_committed") + s.get("core_amos_committed"),
             s.get("dir_writes_blocked"),
@@ -130,13 +123,13 @@ fn main() {
         "{:<20}{:>9}{:>9}{:>8}{:>10}{:>10}{:>12}",
         "engine", "cycles", "jumped", "jumped%", "executed", "visits", "visits/exec"
     );
-    for r in &rows {
+    for (name, r) in &rows {
         let cycles = r.report.cycles;
         let jumped = r.report.skipped_cycles;
         let executed = cycles - jumped;
         println!(
             "{:<20}{:>9}{:>9}{:>7.1}%{:>10}{:>10}{:>12.2}",
-            r.name,
+            name,
             cycles,
             jumped,
             jumped as f64 * 100.0 / cycles as f64,

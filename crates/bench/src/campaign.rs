@@ -120,14 +120,7 @@ impl CampaignSpec {
             match k.as_str() {
                 "name" => spec.name = want_str(v, k)?,
                 "cores" => spec.cores = want_u64(v, k)? as usize,
-                "class" => {
-                    spec.class = match want_str(v, k)?.as_str() {
-                        "slm" => CoreClass::Slm,
-                        "nhm" => CoreClass::Nhm,
-                        "hsw" => CoreClass::Hsw,
-                        other => return Err(format!("unknown core class `{other}`")),
-                    }
-                }
+                "class" => spec.class = CoreClass::parse(&want_str(v, k)?)?,
                 "engine" => spec.engine = EngineMode::parse(&want_str(v, k)?)?,
                 "jitter" => spec.jitter = want_u64(v, k)?,
                 "budget" => spec.budget = want_u64(v, k)?,
@@ -467,8 +460,8 @@ impl CellResult {
     }
 }
 
-/// Run one cell from reset and summarize.
-fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
+/// Run one cell from reset through `System::verify` and summarize.
+fn verify_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
     let w = cell_workload(spec, cell);
     let mut sys = System::new(cell_config(spec, cell, w.cores(), cell.seed), &w);
     CellResult::from_verdict(&cell.id, &sys.verify(cell.budget))
@@ -562,7 +555,7 @@ pub fn run_campaign(
     let sink = Mutex::new((results_file, open_append("manifest")?, 0usize));
 
     let fresh: Vec<CellResult> = sweep::run_on(threads, todo, |cell| {
-        let r = run_cell(spec, &cell);
+        let r = verify_cell(spec, &cell);
         let line = r.to_json_line();
         let mut s = sink.lock().expect("campaign sink");
         let (results, manifest, completed) = &mut *s;
@@ -650,6 +643,7 @@ mod tests {
         for (src, needle) in [
             (r#"{"workloads":["nope"]}"#, "unknown workload"),
             (r#"{"workloads":["mp"],"arms":["x"]}"#, "unknown arm"),
+            (r#"{"workloads":["mp"],"class":"xyz"}"#, "unknown core class"),
             (r#"{"workloads":["mp"],"chaos":["x"]}"#, "unknown chaos"),
             (r#"{"workloads":["mp"],"faults":["drop-1-0"]}"#, "bad drop rate"),
             (r#"{"workloads":["mp"],"softs":["x"]}"#, "unknown soft plan"),
@@ -712,7 +706,7 @@ mod tests {
         assert!(soft_by_name("off").expect("off").is_none());
         // Both cells pass every oracle, so the farm still calls them done.
         for c in &cs {
-            let r = run_cell(&spec, c);
+            let r = verify_cell(&spec, c);
             assert_eq!((r.outcome.as_str(), r.signature.as_str()), ("done", ""), "{}", c.id);
         }
     }

@@ -14,7 +14,8 @@ use std::sync::Mutex;
 /// Run `f` over `items` on exactly `threads` worker threads (clamped to
 /// at least 1), returning results in input order. With `threads == 1`
 /// the items run inline on the calling thread (the serial baseline the
-/// determinism tests compare a multi-threaded run against).
+/// determinism tests compare a multi-threaded run against). A panic in
+/// `f` reaches the caller with its own payload either way.
 pub fn run_on<T: Send, R: Send>(
     threads: usize,
     items: Vec<T>,
@@ -26,13 +27,22 @@ pub fn run_on<T: Send, R: Send>(
     let work: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = work.lock().expect("work queue").pop_front();
-                let Some((i, item)) = job else { break };
-                let r = f(item);
-                results.lock().expect("results").push((i, r));
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let job = work.lock().expect("work queue").pop_front();
+                    let Some((i, item)) = job else { break };
+                    let r = f(item);
+                    results.lock().expect("results").push((i, r));
+                })
+            })
+            .collect();
+        // Re-raise a worker's panic with its own message, as the
+        // inline path would.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let mut out = results.into_inner().expect("results");
@@ -64,6 +74,12 @@ mod tests {
         let tid = std::thread::current().id();
         let seen = run_on(1, vec![(), ()], |()| std::thread::current().id());
         assert!(seen.iter().all(|&t| t == tid));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 is bad")]
+    fn a_worker_panic_keeps_its_message() {
+        run_on(2, (0..8).collect(), |x: u32| assert!(x != 3, "item {x} is bad"));
     }
 
     #[test]

@@ -28,6 +28,18 @@ impl CoreClass {
             CoreClass::Hsw => "HSW",
         }
     }
+
+    /// Inverse of [`CoreClass::label`], in any case (`"slm"`, `"NHM"`).
+    ///
+    /// # Errors
+    ///
+    /// Fails on any other name.
+    pub fn parse(name: &str) -> Result<CoreClass, String> {
+        CoreClass::ALL
+            .into_iter()
+            .find(|c| c.label().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown core class `{name}`"))
+    }
 }
 
 impl std::fmt::Display for CoreClass {
@@ -836,5 +848,16 @@ mod tests {
         assert_eq!(ProtocolKind::WritersBlock.label(), "WritersBlock");
         assert_eq!(format!("{}", CoreClass::Hsw), "HSW");
         assert_eq!(format!("{}", CommitMode::InOrder), "InOrder");
+    }
+
+    #[test]
+    fn core_class_parse_round_trips_labels_in_any_case() {
+        for class in CoreClass::ALL {
+            assert_eq!(CoreClass::parse(class.label()), Ok(class));
+            assert_eq!(CoreClass::parse(&class.label().to_lowercase()), Ok(class));
+        }
+        for junk in ["xyz", "", "slm2", " slm"] {
+            assert_eq!(CoreClass::parse(junk), Err(format!("unknown core class `{junk}`")));
+        }
     }
 }

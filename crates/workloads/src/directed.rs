@@ -112,6 +112,35 @@ pub fn cross_sos() -> Workload {
     Workload::new("cross-sos", vec![core(0, X, Y), core(1, Y, X)])
 }
 
+/// Core 0 of both §3.4 workloads: warm [`X`], then commit `ld x` (a warm
+/// hit, so a long-lived lockdown) over a pointer-chased `ld y` that stays
+/// non-performed for four dependent miss latencies.
+fn option1_holder() -> Program {
+    let mut p0 = Program::builder();
+    p0.imm(Reg(1), X).imm(Reg(2), Z1).imm(Reg(6), 1);
+    p0.load(Reg(5), Reg(1), 0); // warm x
+    for _ in 0..70 {
+        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
+    }
+    p0.load(Reg(9), Reg(2), 0); // chase: z1 -> z2 -> z3 -> &y
+    p0.load(Reg(9), Reg(9), 0);
+    p0.load(Reg(9), Reg(9), 0);
+    p0.load(Reg(3), Reg(9), 0); // ld y: non-performed for ~4 miss latencies
+    p0.load(Reg(4), Reg(1), 0); // ld x: warm hit, long-lived lockdown
+    p0.halt();
+    p0.build()
+}
+
+/// A §3.4 workload: [`option1_holder`] on core 0, then `others`, over
+/// the pointer chain `Z1 -> Z2 -> Z3 -> Y`.
+fn option1_workload(name: &str, others: impl IntoIterator<Item = Program>) -> Workload {
+    let progs = std::iter::once(option1_holder()).chain(others).collect();
+    Workload::new(name, progs)
+        .with_init(Addr::new(Z1), Z2)
+        .with_init(Addr::new(Z2), Z3)
+        .with_init(Addr::new(Z3), Y)
+}
+
 /// The §3.4 scenario with *unbounded* spin-readers on eight cores:
 /// core 0 locks down [`X`] behind a pointer chase, core 1 writes `X`,
 /// cores 2..8 spin-read `X` forever. Under Option 1 (cacheable
@@ -130,22 +159,6 @@ pub fn cross_sos() -> Workload {
 /// forces a fresh cacheable GetS: dropped-out readers re-enter within
 /// one loop iteration and the rounds chain indefinitely.
 pub fn option1_spin() -> Workload {
-    let mut progs = Vec::new();
-
-    let mut p0 = Program::builder();
-    p0.imm(Reg(1), X).imm(Reg(2), Z1).imm(Reg(6), 1);
-    p0.load(Reg(5), Reg(1), 0); // warm x
-    for _ in 0..70 {
-        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-    }
-    p0.load(Reg(9), Reg(2), 0); // chase: z1 -> z2 -> z3 -> &y
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(9), Reg(9), 0);
-    p0.load(Reg(3), Reg(9), 0); // ld y: non-performed for ~4 miss latencies
-    p0.load(Reg(4), Reg(1), 0); // ld x: warm hit, long-lived lockdown
-    p0.halt();
-    progs.push(p0.build());
-
     let mut p1 = Program::builder();
     p1.imm(Reg(1), X).imm(Reg(3), 1).imm(Reg(6), 1);
     for _ in 0..110 {
@@ -154,9 +167,8 @@ pub fn option1_spin() -> Workload {
     p1.alu(AluOp::Add, Reg(3), Reg(3), Reg(6));
     p1.store(Reg(3), Reg(1), 0); // the write that starves
     p1.halt();
-    progs.push(p1.build());
 
-    for _ in 2..8 {
+    let spinner = || {
         let mut p = Program::builder();
         p.imm(Reg(2), 0).imm(Reg(3), u64::MAX);
         let top = p.here();
@@ -167,10 +179,37 @@ pub fn option1_spin() -> Workload {
         p.alui(AluOp::Add, Reg(2), Reg(2), 1);
         p.branch(Cond::Lt, Reg(2), Reg(3), top); // spin forever
         p.halt();
-        progs.push(p.build());
+        p.build()
+    };
+    option1_workload("option1-spin", std::iter::once(p1.build()).chain((2..8).map(|_| spinner())))
+}
+
+/// The §3.4 scenario with *bounded* spin-readers on `cores` cores, for
+/// the Option 1 vs Option 2 ablation: core 0 as in [`option1_spin`];
+/// core 1 writes `X` then `Y` after a delay, so its invalidation lands
+/// inside core 0's lockdown window; cores 2.. spin-read `X`
+/// `spin_iters` times and halt, so both options finish.
+pub fn option1_bounded(cores: usize, spin_iters: u64) -> Workload {
+    let mut p1 = Program::builder();
+    p1.imm(Reg(1), X).imm(Reg(2), Y).imm(Reg(3), 1).imm(Reg(6), 1);
+    for _ in 0..110 {
+        p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
     }
-    Workload::new("option1-spin", progs)
-        .with_init(Addr::new(Z1), Z2)
-        .with_init(Addr::new(Z2), Z3)
-        .with_init(Addr::new(Z3), Y)
+    p1.alu(AluOp::Add, Reg(3), Reg(3), Reg(6)); // data depends on the delay
+    p1.store(Reg(3), Reg(1), 0).store(Reg(3), Reg(2), 0).halt();
+
+    let spinner = || {
+        let mut p = Program::builder();
+        p.imm(Reg(1), X).imm(Reg(2), 0).imm(Reg(3), spin_iters);
+        let top = p.here();
+        p.load(Reg(4), Reg(1), 0);
+        p.alui(AluOp::Add, Reg(2), Reg(2), 1);
+        p.branch(Cond::Lt, Reg(2), Reg(3), top);
+        p.halt();
+        p.build()
+    };
+    option1_workload(
+        "option1_livelock",
+        std::iter::once(p1.build()).chain((2..cores).map(|_| spinner())),
+    )
 }

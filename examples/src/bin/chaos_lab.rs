@@ -18,6 +18,7 @@
 //! Each passing scenario prints a `chaos smoke OK:` line; stdout is the
 //! golden `results/chaos_lab.txt`.
 
+use wb_examples::base_cfg;
 use wb_workloads::directed;
 use writersblock::prelude::*;
 
@@ -34,23 +35,12 @@ fn main() {
     // 1. The whole standard matrix over the Figure 5.A racing workload.
     let racing = directed::racing(9);
     for plan in ChaosPlan::matrix() {
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(3)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_seed(11)
-            .with_jitter(20)
-            .with_chaos(plan);
-        smoke("matrix", &racing, cfg);
+        smoke("matrix", &racing, base_cfg(11).with_chaos(plan));
     }
 
     // 2a. §3.5.1: eviction-buffer pressure (tiny LLC) while the
     //     wb_entry_squeeze plan stretches the parked-entry window.
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(3)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_seed(3)
-        .with_jitter(20)
-        .with_chaos(ChaosPlan::wb_entry_squeeze());
+    let mut cfg = base_cfg(3).with_chaos(ChaosPlan::wb_entry_squeeze());
     cfg.memory.l3_bank_bytes = 4 * 64;
     cfg.memory.l3_ways = 2;
     cfg.memory.dir_evict_buffer = 2;
@@ -58,12 +48,7 @@ fn main() {
 
     // 2b. §3.5.2: the SoS tear-off escape hatch while the response
     //     network stalls whenever a lockdown is live (directed mode).
-    let cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(2)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_seed(5)
-        .with_jitter(20)
-        .with_chaos(ChaosPlan::lockdown_vnet_stall(2));
+    let cfg = base_cfg(5).with_cores(2).with_chaos(ChaosPlan::lockdown_vnet_stall(2));
     smoke("sos bypass under lockdown stall", &directed::sos_bypass(), cfg);
 
     // 3. The §3.4 Option-1 ablation must wedge — and the watchdog must

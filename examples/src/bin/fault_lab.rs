@@ -22,28 +22,8 @@
 //! Each passing scenario prints a `fault smoke OK:` line; stdout is the
 //! golden `results/fault_lab.txt`.
 
-use wb_workloads::directed;
+use wb_examples::{base_cfg, verified};
 use writersblock::prelude::*;
-
-fn base_cfg(seed: u64) -> SystemConfig {
-    SystemConfig::new(CoreClass::Slm)
-        .with_cores(3)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(seed)
-        .with_jitter(20)
-}
-
-/// Run one cell of the Figure 5.A racing workload — the same mixture
-/// chaos_lab uses: it exercises all three vnets and every commit-side
-/// window while staying small enough to sweep — through
-/// `System::verify` (drained, audit clean, TSO-green) and return the
-/// finished system for stat reporting.
-fn verified(what: &str, cfg: SystemConfig) -> System {
-    let mut sys = System::new(cfg, &directed::racing(9));
-    sys.verify(8_000_000).assert_pass(what);
-    sys
-}
 
 fn smoke(label: &str, cfg: SystemConfig) {
     let plan = cfg.fault.as_ref().map(ToString::to_string).unwrap_or_else(|| "off".into());

@@ -29,22 +29,22 @@ fig8_small fig8_wb_rates --small
 fig10_small fig10_ooo_commit --small
 ablation_commit ablation_commit
 ablation_ldt ablation_ldt
-fig8_wb_rates fig8_wb_rates
 fig10_nhm fig10_ooo_commit --class nhm
+fig8_wb_rates fig8_wb_rates
+fig10_ooo_commit fig10_ooo_commit
 ablation_collapsible_lq ablation_collapsible_lq
 fig9_overheads fig9_overheads
-extension_ecl extension_ecl
 ablation_evictions ablation_evictions
-fig10_ooo_commit fig10_ooo_commit
+scaling scaling
+extension_ecl extension_ecl
 ablation_option1 ablation_option1
 table3_transitive table3_transitive
 table1_litmus table1_litmus
-table2_interleavings table2_interleavings
-table6_config table6_config
-anchors anchors
-scaling scaling
 chaos_lab chaos_lab
 fault_lab fault_lab
+table2_interleavings table2_interleavings
 soft_lab soft_lab
+anchors anchors
+table6_config table6_config
 protocol_trace protocol_trace
 EOF
