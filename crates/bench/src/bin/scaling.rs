@@ -12,18 +12,13 @@
 //! the worst case for the barrier counter's home bank). Two tables go
 //! to stdout (`results/scaling.txt`): protocol traffic per cell, with
 //! the directory-occupancy percentiles and the two busiest banks'
-//! request counts, and the sparse engine's work per cell. `--full` adds
-//! radix and streamcluster.
+//! request counts, and the sparse engine's work per cell.
 
 use wb_bench::{eval_config, run_all, RUN_BUDGET};
 use wb_isa::Workload;
 use wb_kernel::config::CoreClass;
 use wb_workloads::{barrier_storm, Scale};
 use writersblock::{Report, System};
-
-/// The `--full` kernels converge slower at 256 cores, so a `--full`
-/// sweep runs every cell on twice [`RUN_BUDGET`].
-const FULL_BUDGET: u64 = 400_000_000;
 
 #[derive(Clone, Copy)]
 struct Cell {
@@ -58,7 +53,6 @@ fn summarize(sys: System) -> Row {
 }
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
     let cell = |workload, cores, banks_per_node| Cell { workload, cores, banks_per_node };
     let mut cells = Vec::new();
     for workload in ["fft", "barrier"] {
@@ -70,24 +64,13 @@ fn main() {
     // relieve the hot line's port pressure?
     cells.push(cell("fft", 64, 2));
     cells.push(cell("barrier", 256, 2));
-    if full {
-        // Two more kernel shapes: radix (all-to-all permutation
-        // traffic) and streamcluster (read-mostly sharing with hot
-        // medoid lines).
-        for workload in ["radix", "streamcluster"] {
-            for cores in [16usize, 64, 256] {
-                cells.push(cell(workload, cores, 1));
-            }
-        }
-    }
 
-    let budget = if full { FULL_BUDGET } else { RUN_BUDGET };
     let runs = cells.iter().map(|&c| {
         let mut cfg = eval_config(CoreClass::Slm, "wb-ooo").with_cores(c.cores);
         cfg.memory.dir_banks_per_node = c.banks_per_node;
         (workload_for(c), cfg)
     });
-    let rows = run_all(budget, runs.collect(), summarize);
+    let rows = run_all(RUN_BUDGET, runs.collect(), summarize);
     let names =
         cells.iter().map(|c| format!("{}/c{:03}/b{}", c.workload, c.cores, c.banks_per_node));
     let rows: Vec<(String, Row)> = names.zip(rows).collect();

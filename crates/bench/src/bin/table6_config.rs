@@ -1,7 +1,9 @@
 //! Table 6: the simulated system configuration.
 
 use wb_bench::render_table;
-use wb_kernel::config::{CoreClass, CoreConfig, MemoryConfig, NetworkConfig};
+use wb_kernel::config::{
+    CoreClass, CoreConfig, MemoryConfig, NetworkConfig, L1_HIT_CYCLES, L2_HIT_CYCLES, L3_HIT_CYCLES, MEM_CYCLES,
+};
 
 fn main() {
     let rows: Vec<(String, Vec<String>)> = vec![
@@ -17,10 +19,10 @@ fn main() {
 
     let m = MemoryConfig::default();
     let mem_rows = vec![
-        ("L1".to_string(), vec![format!("{}KB/{}-way/{}cyc", m.l1_bytes / 1024, m.l1_ways, m.l1_hit_cycles)]),
-        ("L2".to_string(), vec![format!("{}KB/{}-way/{}cyc", m.l2_bytes / 1024, m.l2_ways, m.l2_hit_cycles)]),
-        ("L3 per bank".to_string(), vec![format!("{}MB/{}-way/{}cyc", m.l3_bank_bytes / (1024 * 1024), m.l3_ways, m.l3_hit_cycles)]),
-        ("memory".to_string(), vec![format!("{} cycles", m.mem_cycles)]),
+        ("L1".to_string(), vec![format!("{}KB/{}-way/{}cyc", m.l1_bytes / 1024, m.l1_ways, L1_HIT_CYCLES)]),
+        ("L2".to_string(), vec![format!("{}KB/{}-way/{}cyc", m.l2_bytes / 1024, m.l2_ways, L2_HIT_CYCLES)]),
+        ("L3 per bank".to_string(), vec![format!("{}MB/{}-way/{}cyc", m.l3_bank_bytes / (1024 * 1024), m.l3_ways, L3_HIT_CYCLES)]),
+        ("memory".to_string(), vec![format!("{} cycles", MEM_CYCLES)]),
     ];
     println!("{}", render_table("Table 6: memory", &["value"], &mem_rows));
 

@@ -119,7 +119,12 @@ impl CampaignSpec {
         for (k, v) in obj {
             match k.as_str() {
                 "name" => spec.name = want_str(v, k)?,
-                "cores" => spec.cores = want_u64(v, k)? as usize,
+                "cores" => {
+                    spec.cores = want_u64(v, k)? as usize;
+                    if !(1..=wb_kernel::MAX_NODES).contains(&spec.cores) {
+                        return Err(format!("spec key `cores` must be in 1..={}", wb_kernel::MAX_NODES));
+                    }
+                }
                 "class" => spec.class = CoreClass::parse(&want_str(v, k)?)?,
                 "engine" => spec.engine = EngineMode::parse(&want_str(v, k)?)?,
                 "jitter" => spec.jitter = want_u64(v, k)?,
@@ -644,6 +649,8 @@ mod tests {
             (r#"{"workloads":["nope"]}"#, "unknown workload"),
             (r#"{"workloads":["mp"],"arms":["x"]}"#, "unknown arm"),
             (r#"{"workloads":["mp"],"class":"xyz"}"#, "unknown core class"),
+            (r#"{"workloads":["torture"],"arms":["wb-ooo"],"cores":0}"#, "`cores` must be in 1..=256"),
+            (r#"{"workloads":["torture"],"arms":["wb-ooo"],"cores":300}"#, "`cores` must be in 1..=256"),
             (r#"{"workloads":["mp"],"chaos":["x"]}"#, "unknown chaos"),
             (r#"{"workloads":["mp"],"faults":["drop-1-0"]}"#, "bad drop rate"),
             (r#"{"workloads":["mp"],"softs":["x"]}"#, "unknown soft plan"),

@@ -349,7 +349,7 @@ impl System {
             if V == CHECKED && !self.active_dir[b] {
                 let claim = self.dirs[b].next_event(t);
                 assert!(
-                    claim.map_or(true, |c| c > t),
+                    claim.is_none_or(|c| c > t),
                     "SparseVerify: bank {b} slept through its own event at cycle {t} ({claim:?})"
                 );
                 let pre = self.dirs[b].stats().clone();
@@ -371,7 +371,7 @@ impl System {
             if V == CHECKED && !self.active_pair[i] {
                 let claim = self.pair_next_event(i, t);
                 assert!(
-                    claim.map_or(true, |c| c > t),
+                    claim.is_none_or(|c| c > t),
                     "SparseVerify: pair {i} slept through its own event at cycle {t} ({claim:?})"
                 );
                 let pre = self.caches[i].stats().clone();
@@ -471,7 +471,7 @@ impl System {
         let t = self.now;
         let claim = self.mesh.next_internal_event(t);
         assert!(
-            claim.map_or(true, |c| c > t),
+            claim.is_none_or(|c| c > t),
             "SparseVerify: mesh slept through its own event at cycle {t} ({claim:?})"
         );
         let pre = self.mesh.stats().clone();
@@ -552,7 +552,7 @@ impl System {
     /// the time the memory system has failed to go idle — exceeds
     /// the configuration's `effective_stall_window()`, and then
     /// diagnoses the wedge from live state. That window is the
-    /// configured `watchdog.stall_window`, widened with the mesh
+    /// configured `stall_window`, widened with the mesh
     /// diameter and while a fault plan is active, so long flights and
     /// retransmission delays are not misread as wedges. Typed protocol
     /// faults abort the run as soon as they are raised.

@@ -68,11 +68,11 @@ pub mod prelude {
     pub use crate::{Failure, Report, RunOutcome, System, Verdict};
     pub use wb_isa::{AluOp, AmoOp, Cond, Inst, Program, ProgramBuilder, Reg, Workload};
     pub use wb_kernel::chaos::{ChaosClause, ChaosEffect, ChaosPlan, FlowMatch};
-    pub use wb_kernel::config::{CommitMode, CoreClass, LinkConfig, ProtocolKind, SystemConfig, WatchdogConfig};
+    pub use wb_kernel::config::{CommitMode, CoreClass, LinkConfig, ProtocolKind, SystemConfig};
     pub use wb_kernel::audit::{AuditKind, AuditReport, AuditViolation};
     pub use wb_kernel::fault::{FaultClause, FaultEffect, FaultPlan};
     pub use wb_kernel::soft::{SoftClause, SoftPlan, SoftTarget};
-    pub use wb_kernel::trace::{Category, Level, TraceFilter, TraceSink};
+    pub use wb_kernel::trace::{Category, TraceFilter, TraceSink};
     pub use wb_kernel::wedge::{WaitParty, WedgeClass, WedgeReport};
     pub use wb_mem::{Addr, LineAddr};
 }

@@ -27,7 +27,7 @@
 use crate::lsq::{ForwardResult, LoadState, LqEntry, Lsq};
 use crate::predictor::Bimodal;
 use wb_isa::{AmoOp, Inst, Program, Reg};
-use wb_kernel::config::{CommitMode, CoreConfig, ProtocolKind};
+use wb_kernel::config::{CommitMode, CoreConfig, ProtocolKind, PREDICTOR_ENTRIES, SQUASH_PENALTY};
 use wb_kernel::trace::{Category, CompId, TraceEvent, TraceFilter, Tracer};
 use wb_kernel::{CounterHandle, Cycle, NodeId, Stats};
 use wb_mem::{Addr, LineAddr};
@@ -231,8 +231,8 @@ impl Core {
         let h_loads_forwarded = stats.handle("core_loads_forwarded");
         Core {
             id,
-            predictor: Bimodal::new(cfg.predictor_entries),
-            lsq: Lsq::new(cfg.lq_entries, cfg.sq_entries, cfg.sb_entries, cfg.ldt_entries),
+            predictor: Bimodal::new(PREDICTOR_ENTRIES),
+            lsq: Lsq::new(cfg.lq_entries, cfg.sq_entries, cfg.ldt_entries),
             cfg,
             protocol,
             program,
@@ -814,7 +814,7 @@ impl Core {
             }
         }
         self.pc = redirect;
-        self.fetch_stall_until = now + self.cfg.squash_penalty;
+        self.fetch_stall_until = now + SQUASH_PENALTY;
         self.fetch_halted = false;
         self.stats.inc("core_squashes");
     }

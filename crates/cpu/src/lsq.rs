@@ -134,8 +134,9 @@ pub struct Lsq {
     sb: Vec<SbEntry>,
     ldt: Vec<LdtEntry>,
     lq_cap: usize,
+    /// Capacity of the store queue and of the post-commit store buffer
+    /// alike (Table 6's "SQ/SB" column).
     sq_cap: usize,
-    sb_cap: usize,
     ldt_cap: usize,
     /// Lines whose invalidation we Nacked and still owe an Ack for.
     /// Ordered so release traffic is deterministic.
@@ -143,8 +144,9 @@ pub struct Lsq {
 }
 
 impl Lsq {
-    /// Build with the Table 6 capacities.
-    pub fn new(lq_cap: usize, sq_cap: usize, sb_cap: usize, ldt_cap: usize) -> Self {
+    /// Build with the Table 6 capacities; the store buffer holds as many
+    /// stores as the store queue.
+    pub fn new(lq_cap: usize, sq_cap: usize, ldt_cap: usize) -> Self {
         Lsq {
             lq: Vec::new(),
             sq: Vec::new(),
@@ -152,7 +154,6 @@ impl Lsq {
             ldt: Vec::new(),
             lq_cap,
             sq_cap,
-            sb_cap,
             ldt_cap,
             pending_acks: BTreeSet::new(),
         }
@@ -172,7 +173,7 @@ impl Lsq {
 
     /// Room in the post-commit store buffer?
     pub fn sb_full(&self) -> bool {
-        self.sb.len() >= self.sb_cap
+        self.sb.len() >= self.sq_cap
     }
 
     /// Room in the lockdown table?
@@ -571,12 +572,12 @@ mod tests {
     }
 
     fn lsq() -> Lsq {
-        Lsq::new(8, 8, 8, 4)
+        Lsq::new(8, 8, 4)
     }
 
     #[test]
     fn capacity_checks() {
-        let mut l = Lsq::new(2, 1, 1, 1);
+        let mut l = Lsq::new(2, 1, 1);
         l.alloc_load(1, false);
         l.alloc_load(2, false);
         assert!(l.lq_full());
@@ -692,7 +693,7 @@ mod tests {
 
     #[test]
     fn ldt_export_and_release() {
-        let mut l = Lsq::new(8, 8, 8, 2);
+        let mut l = Lsq::new(8, 8, 2);
         l.alloc_load(1, false); // SoS
         l.alloc_load(2, false);
         let e = l.load_mut(2).unwrap();

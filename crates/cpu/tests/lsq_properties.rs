@@ -34,7 +34,7 @@ wb_proptest! {
     /// - squash never removes older entries.
     #[test]
     fn ordering_invariants(ops in vec_of(op_strategy(), 1..120)) {
-        let mut lsq = Lsq::new(16, 16, 16, 8);
+        let mut lsq = Lsq::new(16, 16, 8);
         let mut next_seq = 1u64;
         let addr = Addr::new(0x40);
         for op in ops {
@@ -69,11 +69,9 @@ wb_proptest! {
                         st.data = Some(value);
                     }
                 }
-                LsqOp::SquashTail => {
-                    if next_seq > 1 {
-                        let from = next_seq - 1;
-                        lsq.squash(from);
-                    }
+                LsqOp::SquashTail if next_seq > 1 => {
+                    let from = next_seq - 1;
+                    lsq.squash(from);
                 }
                 _ => {}
             }
@@ -105,7 +103,7 @@ wb_proptest! {
     /// Forwarding returns the *youngest* older matching store's value.
     #[test]
     fn forwarding_youngest_wins(values in vec_of(1u64..1000, 1..8)) {
-        let mut lsq = Lsq::new(16, 16, 16, 8);
+        let mut lsq = Lsq::new(16, 16, 8);
         let addr = Addr::new(0x80);
         let mut seq = 1u64;
         for v in &values {
@@ -127,7 +125,7 @@ wb_proptest! {
     /// SB never exceeds capacity.
     #[test]
     fn store_buffer_fifo(count in 1usize..12) {
-        let mut lsq = Lsq::new(16, 16, 16, 8);
+        let mut lsq = Lsq::new(16, 16, 8);
         for s in 1..=count as u64 {
             lsq.alloc_store(s);
             let st = lsq.store_mut(s).unwrap();

@@ -31,11 +31,6 @@ impl Workload {
     pub fn cores(&self) -> usize {
         self.programs.len()
     }
-
-    /// Total static instructions across all cores.
-    pub fn static_insts(&self) -> usize {
-        self.programs.iter().map(|p| p.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -48,7 +43,6 @@ mod tests {
         let w = Workload::new("t", vec![Program::from_insts(vec![Inst::Halt]); 2])
             .with_init(Addr::new(0x40), 1);
         assert_eq!(w.cores(), 2);
-        assert_eq!(w.static_insts(), 2);
         assert_eq!(w.init_mem.len(), 1);
         assert_eq!(w.name, "t");
     }

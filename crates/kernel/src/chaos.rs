@@ -69,10 +69,10 @@ impl FlowMatch {
     }
 
     pub fn matches(&self, src: u16, dst: u16, vnet: u8) -> bool {
-        self.src.map_or(true, |s| s == src)
-            && self.dst.map_or(true, |d| d == dst)
-            && self.touching.map_or(true, |t| t == src || t == dst)
-            && self.vnet.map_or(true, |v| v == vnet)
+        self.src.is_none_or(|s| s == src)
+            && self.dst.is_none_or(|d| d == dst)
+            && self.touching.is_none_or(|t| t == src || t == dst)
+            && self.vnet.is_none_or(|v| v == vnet)
     }
 }
 
@@ -426,11 +426,7 @@ impl ChaosEngine {
                     let window = hold + release;
                     let pos = if window > 0 { now % window } else { 0 };
                     // Held until the freeze phase of this window ends.
-                    if pos < hold {
-                        hold - pos
-                    } else {
-                        0
-                    }
+                    hold.saturating_sub(pos)
                 }
                 ChaosEffect::StallWhileSignal { cycles } => {
                     if self.signal {

@@ -121,10 +121,9 @@ pub struct CoreConfig {
     pub rob_entries: usize,
     /// Load queue entries (collapsible under out-of-order commit).
     pub lq_entries: usize,
-    /// Store queue entries (FIFO).
+    /// Store queue entries (FIFO). The post-commit store buffer has as
+    /// many (Table 6's "SQ/SB" column).
     pub sq_entries: usize,
-    /// Post-commit store buffer entries (FIFO).
-    pub sb_entries: usize,
     /// Lockdown table entries for loads committed out of order (32 in the
     /// paper).
     pub ldt_entries: usize,
@@ -133,11 +132,6 @@ pub struct CoreConfig {
     /// How far past the ROB head commit may search for committable
     /// instructions. The paper uses a commit depth equal to the ROB size.
     pub commit_depth: usize,
-    /// Entries in the bimodal branch predictor table.
-    pub predictor_entries: usize,
-    /// Extra cycles of front-end refill after a squash (mispredict or
-    /// memory-order violation) before fetch resumes.
-    pub squash_penalty: u64,
     /// Request write permission as soon as a store *resolves its
     /// address* (Section 3.1.2: "as early as the store resolves its
     /// address"), instead of waiting for the store to commit into the
@@ -166,52 +160,69 @@ impl CoreConfig {
             rob_entries: rob,
             lq_entries: lq,
             sq_entries: sq,
-            sb_entries: sq,
             ldt_entries: 32,
             commit_mode: CommitMode::InOrder,
             commit_depth: rob,
-            predictor_entries: 512,
-            squash_penalty: 5,
             write_prefetch_at_resolve: false,
             collapsible_lq: true,
         }
     }
 }
 
-/// Cache and memory hierarchy parameters (Table 6, middle block).
+/// Entries in the bimodal branch predictor table.
+pub const PREDICTOR_ENTRIES: usize = 512;
+
+/// Extra cycles of front-end refill after a squash (mispredict or
+/// memory-order violation) before fetch resumes.
+pub const SQUASH_PENALTY: u64 = 5;
+
+/// Private L1 data cache hit latency in cycles (Table 6).
+pub const L1_HIT_CYCLES: u64 = 4;
+
+/// Private L2 hit latency in cycles (Table 6).
+pub const L2_HIT_CYCLES: u64 = 12;
+
+/// Shared L3 (directory bank) access latency in cycles (Table 6).
+pub const L3_HIT_CYCLES: u64 = 35;
+
+/// Main memory access latency in cycles (Table 6).
+pub const MEM_CYCLES: u64 = 160;
+
+/// MSHRs at the private cache. One is reserved for SoS loads
+/// (Section 3.5.2: resource partitioning), so there must be at least
+/// two.
+pub const MSHRS: usize = 16;
+const _: () = assert!(MSHRS >= 2, "need at least 2 MSHRs (1 reserved for SoS loads)");
+
+/// Requests one directory bank accepts per cycle. Arrivals beyond this
+/// wait in the bank's occupancy queue: contention is modeled rather
+/// than infinite-bandwidth.
+pub const DIR_BANK_PORTS: usize = 4;
+const _: () = assert!(DIR_BANK_PORTS >= 1, "a directory bank needs at least one port");
+
+/// Cache and memory hierarchy parameters (Table 6, middle block). The
+/// latencies, the MSHR count and the bank ports are the constants
+/// above; the 64-byte line is `wb_mem::LINE_BYTES`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryConfig {
-    /// Cache line size in bytes (64 throughout).
-    pub line_bytes: usize,
-    /// Private L1 data cache: total bytes, associativity, hit latency.
+    /// Private L1 data cache: total bytes, associativity.
     pub l1_bytes: usize,
     pub l1_ways: usize,
-    pub l1_hit_cycles: u64,
-    /// Private L2: total bytes, associativity, hit latency.
+    /// Private L2: total bytes, associativity.
     pub l2_bytes: usize,
     pub l2_ways: usize,
-    pub l2_hit_cycles: u64,
-    /// Shared L3: bytes *per bank*, associativity, hit latency.
+    /// Shared L3: bytes *per bank*, associativity.
     pub l3_bank_bytes: usize,
     pub l3_ways: usize,
-    pub l3_hit_cycles: u64,
-    /// Main memory access latency in cycles.
-    pub mem_cycles: u64,
-    /// MSHRs at the private cache. One is reserved for SoS loads
-    /// (Section 3.5.2: resource partitioning).
-    pub mshrs: usize,
     /// Entries in the directory eviction buffer that parks WritersBlock
     /// entries under eviction (Section 3.5.1).
     pub dir_evict_buffer: usize,
     /// Directory banks hosted per home node. Lines interleave across
     /// `num_cores * dir_banks_per_node` banks; each bank has its own
-    /// request ports, occupancy queue and `next_event` hook, so
-    /// directory bandwidth scales independently of core count.
+    /// [`DIR_BANK_PORTS`] request ports, occupancy queue and
+    /// `next_event` hook, so directory bandwidth scales independently
+    /// of core count.
     pub dir_banks_per_node: usize,
-    /// Requests one directory bank accepts per cycle. Arrivals beyond
-    /// this wait in the bank's occupancy queue — contention is modeled
-    /// rather than infinite-bandwidth.
-    pub dir_bank_ports: usize,
     /// Evict shared lines silently (the paper's chosen baseline, Section
     /// 3.8). When false, shared-line evictions notify the directory, and in
     /// the base protocol squash M-speculative loads.
@@ -221,21 +232,14 @@ pub struct MemoryConfig {
 impl Default for MemoryConfig {
     fn default() -> Self {
         MemoryConfig {
-            line_bytes: 64,
             l1_bytes: 32 * 1024,
             l1_ways: 8,
-            l1_hit_cycles: 4,
             l2_bytes: 128 * 1024,
             l2_ways: 8,
-            l2_hit_cycles: 12,
             l3_bank_bytes: 1024 * 1024,
             l3_ways: 8,
-            l3_hit_cycles: 35,
-            mem_cycles: 160,
-            mshrs: 16,
             dir_evict_buffer: 8,
             dir_banks_per_node: 1,
-            dir_bank_ports: 4,
             silent_shared_evictions: true,
         }
     }
@@ -312,25 +316,6 @@ pub const FAULT_SCALE: u64 = 4;
 /// the diagnosis Livelock rather than Deadlock/Starvation (before the
 /// topology and fault scaling of [`SystemConfig::effective_livelock_retries`]).
 pub const LIVELOCK_RETRIES: u64 = 16;
-
-/// The wedge watchdog's one knob. The window in force is
-/// [`SystemConfig::effective_stall_window`]: this one, scaled up with
-/// the mesh diameter and by [`FAULT_SCALE`] while a fault plan is
-/// active, so neither long flights nor loss-induced retransmission
-/// stalls are misclassified as deadlock/livelock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Cycles a core may go without retiring (or the drained memory
-    /// system without going idle) before the watchdog trips, on the
-    /// 4x4 machine without a fault plan.
-    pub stall_window: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig { stall_window: 200_000 }
-    }
-}
 
 /// Which simulation engine drives `System::run`.
 ///
@@ -458,8 +443,15 @@ pub struct SystemConfig {
     /// `None` *and* the empty [`crate::soft::SoftPlan::none`] both leave
     /// runs byte-identical to a soft-error-free build.
     pub soft: Option<crate::soft::SoftPlan>,
-    /// Wedge-watchdog thresholds (see [`WatchdogConfig`]).
-    pub watchdog: WatchdogConfig,
+    /// The wedge watchdog's one knob: cycles a core may go without
+    /// retiring (or the drained memory system without going idle)
+    /// before the watchdog trips, on the 4x4 machine without a fault
+    /// plan. The window in force is
+    /// [`SystemConfig::effective_stall_window`]: this one, scaled up
+    /// with the mesh diameter and by [`FAULT_SCALE`] while a fault plan
+    /// is active, so neither long flights nor loss-induced
+    /// retransmission stalls are misclassified as deadlock/livelock.
+    pub stall_window: u64,
     /// Simulation engine (see [`EngineMode`]). Cycle-exact either way.
     pub engine: EngineMode,
 }
@@ -480,7 +472,7 @@ impl SystemConfig {
             chaos: None,
             fault: None,
             soft: None,
-            watchdog: WatchdogConfig::default(),
+            stall_window: 200_000,
             engine: EngineMode::Dense,
         }
     }
@@ -501,7 +493,7 @@ impl SystemConfig {
         let mut h = 1;
         let mut d = 1;
         while d * d <= n {
-            if n % d == 0 {
+            if n.is_multiple_of(d) {
                 h = d;
             }
             d += 1;
@@ -591,7 +583,7 @@ impl SystemConfig {
     /// (retransmission round trips stretch every protocol interaction
     /// without anything being wedged).
     pub fn effective_stall_window(&self) -> u64 {
-        self.watchdog_scaled(self.watchdog.stall_window)
+        self.watchdog_scaled(self.stall_window)
     }
 
     /// The livelock-classification threshold in force:
@@ -611,8 +603,7 @@ impl SystemConfig {
     ///   unmapped (`mesh_width * mesh_height != num_cores`);
     /// - more than [`crate::MAX_NODES`] cores (sharer bitsets are
     ///   fixed-width);
-    /// - zero directory banks per node or zero bank ports;
-    /// - fewer than two MSHRs (one must stay reserved for SoS loads).
+    /// - zero directory banks per node.
     pub fn validate(&self) {
         if matches!(self.core.commit_mode, CommitMode::OutOfOrderWb | CommitMode::InOrderEcl) {
             assert_eq!(
@@ -643,10 +634,7 @@ impl SystemConfig {
             crate::MAX_NODES
         );
         assert!(self.memory.dir_banks_per_node >= 1, "need at least one directory bank per node");
-        assert!(self.memory.dir_bank_ports >= 1, "a directory bank needs at least one port");
-        assert!(self.memory.mshrs >= 2, "need at least 2 MSHRs (1 reserved for SoS loads)");
         assert!(self.core.width >= 1);
-        assert!(self.memory.line_bytes.is_power_of_two());
         if let Some(p) = &self.fault {
             p.validate();
         }
@@ -656,7 +644,7 @@ impl SystemConfig {
         let link = &self.network.link;
         assert!(link.window >= 1, "reliable link needs a window of at least one frame");
         assert!(link.rto_min >= 1 && link.rto_max >= link.rto_min, "rto_min..rto_max malformed");
-        assert!(self.watchdog.stall_window >= 1, "zero stall window would trip immediately");
+        assert!(self.stall_window >= 1, "zero stall window would trip immediately");
     }
 }
 
@@ -688,10 +676,7 @@ mod tests {
     fn table6_memory_values() {
         let m = MemoryConfig::default();
         assert_eq!(m.l1_bytes, 32 * 1024);
-        assert_eq!(m.l1_hit_cycles, 4);
-        assert_eq!(m.l2_hit_cycles, 12);
-        assert_eq!(m.l3_hit_cycles, 35);
-        assert_eq!(m.mem_cycles, 160);
+        assert_eq!((L1_HIT_CYCLES, L2_HIT_CYCLES, L3_HIT_CYCLES, MEM_CYCLES), (4, 12, 35, 160));
     }
 
     #[test]
@@ -801,7 +786,6 @@ mod tests {
     fn bank_knobs_default_sane() {
         let m = MemoryConfig::default();
         assert_eq!(m.dir_banks_per_node, 1);
-        assert!(m.dir_bank_ports >= 1);
     }
 
     #[test]

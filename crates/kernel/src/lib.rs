@@ -66,7 +66,7 @@ pub mod wedge;
 pub use attr::{HeavyHitters, HotEntry};
 pub use audit::{AuditKind, AuditReport, AuditViolation};
 pub use chaos::{ChaosClause, ChaosEffect, ChaosEngine, ChaosPlan, FlowMatch};
-pub use config::{CommitMode, CoreClass, LinkConfig, ProtocolKind, SystemConfig, WatchdogConfig};
+pub use config::{CommitMode, CoreClass, LinkConfig, ProtocolKind, SystemConfig};
 pub use fault::{FaultClause, FaultEffect, FaultEngine, FaultPlan, HopFate};
 pub use soft::{SoftClause, SoftEngine, SoftPlan, SoftTarget};
 pub use hist::Hist;
@@ -75,7 +75,7 @@ pub use sched::ActivitySched;
 pub use snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 pub use stats::{CounterHandle, Stats};
 pub use timeline::{Timeline, TimelineWindow};
-pub use trace::{Category, CompId, Level, Record, TraceEvent, TraceFilter, TraceSink, Tracer};
+pub use trace::{Category, CompId, Record, TraceEvent, TraceFilter, TraceSink, Tracer};
 pub use wedge::{WaitEdge, WaitParty, WedgeClass, WedgeReport};
 
 /// A point in simulated time, measured in core clock cycles.

@@ -81,11 +81,6 @@ impl SimRng {
         self.below(den) < num
     }
 
-    /// Uniform f64 in [0,1).
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Fisher-Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -174,15 +169,6 @@ mod tests {
         for _ in 0..100 {
             assert!(!r.chance(0, 10));
             assert!(r.chance(10, 10));
-        }
-    }
-
-    #[test]
-    fn unit_f64_in_range() {
-        let mut r = SimRng::new(13);
-        for _ in 0..1000 {
-            let v = r.unit_f64();
-            assert!((0.0..1.0).contains(&v));
         }
     }
 

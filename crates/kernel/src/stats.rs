@@ -178,12 +178,6 @@ impl Stats {
         }
     }
 
-    /// `num / den * 1000` — the "per kilo-X" rates the paper plots in
-    /// Figure 8; `None` when the denominator is zero.
-    pub fn per_kilo(&self, num: &str, den: &str) -> Option<f64> {
-        self.ratio(num, den).map(|r| r * 1000.0)
-    }
-
     /// Number of distinct counters.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -370,7 +364,7 @@ mod tests {
         s.add("y", 0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.get("y"), 0);
-        assert!(s.is_empty() == false);
+        assert!(!s.is_empty());
     }
 
     #[test]
@@ -429,7 +423,6 @@ mod tests {
         s.add("n", 3);
         s.add("d", 6);
         assert_eq!(s.ratio("n", "d"), Some(0.5));
-        assert_eq!(s.per_kilo("n", "d"), Some(500.0));
         assert_eq!(s.ratio("n", "zero"), None);
     }
 

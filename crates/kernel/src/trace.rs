@@ -45,7 +45,7 @@ pub enum Category {
     Lockdown,
     /// LSQ load bind/commit (with the reordered flag).
     Lsq,
-    /// Mesh per-hop forwarding (high volume; `Level::Debug`).
+    /// Mesh per-hop forwarding (high volume).
     Mesh,
 }
 
@@ -67,25 +67,12 @@ impl Category {
     }
 }
 
-/// Event severity. `Debug` marks high-volume events (per-hop mesh
-/// forwarding) that an `Info` filter drops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// High-volume detail.
-    Debug,
-    /// Protocol-level milestones.
-    Info,
-}
-
-/// What a [`Tracer`] records: a category mask, a minimum severity and
-/// an optional cache-line filter. `TraceFilter::OFF` (the default)
-/// records nothing.
+/// What a [`Tracer`] records: a category mask and an optional
+/// cache-line filter. `TraceFilter::OFF` (the default) records nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceFilter {
     /// Bitmask of enabled [`Category`] bits; 0 disables the tracer.
     pub mask: u32,
-    /// Minimum severity recorded.
-    pub level: Level,
     /// When set, only events touching this line (see
     /// [`TraceEvent::line`]) are recorded; events with no line
     /// association (e.g. mesh hops) are dropped.
@@ -100,34 +87,29 @@ impl Default for TraceFilter {
 
 impl TraceFilter {
     /// Record nothing (the default).
-    pub const OFF: TraceFilter = TraceFilter { mask: 0, level: Level::Info, line: None };
+    pub const OFF: TraceFilter = TraceFilter { mask: 0, line: None };
 
-    /// Record every category at every severity.
+    /// Record every category.
     pub fn all() -> Self {
         let mut mask = 0;
         for c in Category::ALL {
             mask |= c.bit();
         }
-        TraceFilter { mask, level: Level::Debug, line: None }
+        TraceFilter { mask, line: None }
     }
 
-    /// Record only the given categories (at `Debug` severity).
+    /// Record only the given categories.
     pub fn only(cats: &[Category]) -> Self {
         let mut mask = 0;
         for c in cats {
             mask |= c.bit();
         }
-        TraceFilter { mask, level: Level::Debug, line: None }
+        TraceFilter { mask, line: None }
     }
 
     /// Restrict to events touching cache line `line`.
     pub fn with_line(self, line: u64) -> Self {
         TraceFilter { line: Some(line), ..self }
-    }
-
-    /// Raise the minimum severity.
-    pub fn with_level(self, level: Level) -> Self {
-        TraceFilter { level, ..self }
     }
 
     /// True when this filter can record anything at all.
@@ -138,7 +120,7 @@ impl TraceFilter {
 
     /// Does `event` pass this filter?
     pub fn admits(&self, event: &TraceEvent) -> bool {
-        if self.mask & event.category().bit() == 0 || event.level() < self.level {
+        if self.mask & event.category().bit() == 0 {
             return false;
         }
         match self.line {
@@ -278,7 +260,7 @@ pub enum TraceEvent {
         /// paper's terms — committed non-speculatively under WB).
         reordered: bool,
     },
-    /// A mesh message advanced one hop (`Level::Debug`).
+    /// A mesh message advanced one hop.
     MeshHop {
         /// Source node index.
         src: u16,
@@ -347,14 +329,6 @@ impl TraceEvent {
             | TraceEvent::LinkDrop { .. }
             | TraceEvent::LinkRetx { .. }
             | TraceEvent::LinkDupSquashed { .. } => Category::Mesh,
-        }
-    }
-
-    /// This event's severity ([`Level::Debug`] only for mesh hops).
-    pub fn level(&self) -> Level {
-        match self {
-            TraceEvent::MeshHop { .. } => Level::Debug,
-            _ => Level::Info,
         }
     }
 
@@ -659,12 +633,8 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_category_and_level() {
+    fn filter_by_category() {
         let mut t = Tracer::new(CompId::Mesh);
-        t.set_filter(TraceFilter::only(&[Category::Mesh]).with_level(Level::Info));
-        // Mesh hops are Debug, so an Info filter drops them.
-        t.record(1, TraceEvent::MeshHop { src: 0, dst: 1, hops_left: 2, vnet: 0 });
-        assert!(t.is_empty());
         t.set_filter(TraceFilter::only(&[Category::Mesh]));
         t.record(2, TraceEvent::MeshHop { src: 0, dst: 1, hops_left: 2, vnet: 0 });
         assert_eq!(t.len(), 1);

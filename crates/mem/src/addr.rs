@@ -4,7 +4,10 @@
 pub const WORD_BYTES: u64 = 8;
 /// Words per 64-byte cache line.
 pub const WORDS_PER_LINE: usize = 8;
-const LINE_BYTES: u64 = WORD_BYTES * WORDS_PER_LINE as u64;
+/// Bytes per cache line (64, Table 6): the one definition every cache
+/// array is sized by and every [`LineAddr`] is numbered in.
+pub const LINE_BYTES: u64 = WORD_BYTES * WORDS_PER_LINE as u64;
+const _: () = assert!(LINE_BYTES.is_power_of_two());
 
 /// A byte address of a word-aligned memory location.
 ///

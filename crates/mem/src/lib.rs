@@ -15,7 +15,7 @@ pub mod home;
 pub mod line;
 pub mod memory;
 
-pub use addr::{Addr, LineAddr, WORDS_PER_LINE, WORD_BYTES};
+pub use addr::{Addr, LineAddr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use home::HomeMap;
 pub use line::LineData;
 pub use memory::MainMemory;

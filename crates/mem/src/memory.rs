@@ -49,11 +49,6 @@ impl MainMemory {
         let entry = self.lines.entry(addr.line()).or_default();
         entry.set_word(addr.word_index(), value);
     }
-
-    /// Number of lines ever written.
-    pub fn touched_lines(&self) -> usize {
-        self.lines.len()
-    }
 }
 
 wb_kernel::snap_struct!(MainMemory { lines });
@@ -76,7 +71,6 @@ mod tests {
         m.write_word(Addr::new(0x108), 2);
         assert_eq!(m.read_word(Addr::new(0x100)), 1);
         assert_eq!(m.read_word(Addr::new(0x108)), 2);
-        assert_eq!(m.touched_lines(), 1);
     }
 
     #[test]

@@ -324,7 +324,7 @@ impl<T> Mesh<T> {
         self.chaos.as_ref().map_or((0, 0), |c| (c.touched, c.injected))
     }
 
-    /// Enable/disable event tracing (per-hop events are `Level::Debug`).
+    /// Enable/disable event tracing (per-hop events are [`Category::Mesh`]).
     pub fn set_trace(&mut self, filter: TraceFilter) {
         self.tracer.set_filter(filter);
     }
@@ -494,7 +494,7 @@ impl<T> Mesh<T> {
     pub fn is_idle(&self) -> bool {
         self.in_flight.is_empty()
             && self.arrived.iter().all(|q| q.is_empty())
-            && self.reliable.as_ref().map_or(true, ReliableLink::is_idle)
+            && self.reliable.as_ref().is_none_or(ReliableLink::is_idle)
     }
 
     /// Traffic statistics (flit and message counts).
@@ -648,7 +648,7 @@ impl<T: Clone + Hash> Mesh<T> {
                 sf.pending.push_back(Pending { payload, flits, seq: flow_seq, queued_at: now });
                 self.stats.inc("link_backpressure_msgs");
             } else {
-                self.transmit_data(&mut rl, now, key, payload, flits, flow_seq, now);
+                self.transmit_data(&mut rl, now, key, Pending { payload, flits, seq: flow_seq, queued_at: now });
             }
             self.reliable = Some(rl);
             return;
@@ -682,18 +682,11 @@ impl<T: Clone + Hash> Mesh<T> {
 
     /// First transmission of a data frame on flow `key` (either straight
     /// from [`Mesh::send`] or a backpressured message leaving `pending`).
-    /// `origin` is the protocol's injection cycle, preserved through
-    /// queueing and retransmission for honest latency accounting.
-    fn transmit_data(
-        &mut self,
-        rl: &mut ReliableLink<T>,
-        now: Cycle,
-        key: FlowKey,
-        payload: T,
-        flits: u32,
-        seq: u64,
-        origin: Cycle,
-    ) {
+    /// The frame's `queued_at` is the protocol's injection cycle,
+    /// preserved through queueing and retransmission for honest latency
+    /// accounting.
+    fn transmit_data(&mut self, rl: &mut ReliableLink<T>, now: Cycle, key: FlowKey, frame: Pending<T>) {
+        let Pending { payload, flits, seq, queued_at: origin } = frame;
         let (src, dst, vi) = key;
         let ack = rl.take_piggyback_ack((dst, src, vi));
         let check = frame_check(src, dst, vi, flits, Some(seq), ack, Some(&payload));
@@ -899,7 +892,7 @@ impl<T: Clone + Hash> Mesh<T> {
                 return;
             }
             let Some(p) = sf.pending.pop_front() else { return };
-            self.transmit_data(rl, now, key, p.payload, p.flits, p.seq, p.queued_at);
+            self.transmit_data(rl, now, key, p);
         }
     }
 

@@ -107,9 +107,9 @@ impl<T> SetAssocArray<T> {
     }
 
     /// Geometry helper: sets needed for `capacity_bytes` at `ways`
-    /// associativity and `line_bytes` lines.
-    pub fn geometry(capacity_bytes: usize, ways: usize, line_bytes: usize) -> usize {
-        let lines = capacity_bytes / line_bytes;
+    /// associativity in [`wb_mem::LINE_BYTES`] lines.
+    pub fn geometry(capacity_bytes: usize, ways: usize) -> usize {
+        let lines = capacity_bytes / wb_mem::LINE_BYTES as usize;
         (lines / ways).max(1)
     }
 
@@ -350,8 +350,8 @@ mod tests {
     #[test]
     fn geometry_math() {
         // 32 KiB, 8-way, 64 B lines -> 64 sets.
-        assert_eq!(SetAssocArray::<()>::geometry(32 * 1024, 8, 64), 64);
-        assert_eq!(SetAssocArray::<()>::geometry(64, 8, 64), 1);
+        assert_eq!(SetAssocArray::<()>::geometry(32 * 1024, 8), 64);
+        assert_eq!(SetAssocArray::<()>::geometry(64, 8), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::sharers::SharerSet;
 use crate::{DirWait, ProtocolError};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use wb_kernel::config::{MemoryConfig, SystemConfig};
+use wb_kernel::config::{MemoryConfig, SystemConfig, DIR_BANK_PORTS, L3_HIT_CYCLES, MEM_CYCLES};
 use wb_kernel::trace::{Category, CompId, TraceEvent, TraceFilter, Tracer};
 use wb_kernel::{CounterHandle, Cycle, HeavyHitters, NodeId, Stats};
 use wb_mem::{HomeMap, LineAddr, LineData, MainMemory};
@@ -182,15 +182,11 @@ pub struct Directory {
     evict_cap: usize,
     memory: MainMemory,
     /// Network arrivals waiting for a request port, in arrival order.
-    /// The bank accepts at most `ports` per cycle; the queue depth is
-    /// the bank-occupancy contention signal.
+    /// The bank accepts at most [`DIR_BANK_PORTS`] per cycle; the queue
+    /// depth is the bank-occupancy contention signal.
     ingress: VecDeque<(Cycle, ProtoMsg)>,
-    /// Request ports: messages accepted from `ingress` per cycle.
-    ports: usize,
     events: VecDeque<(Cycle, Event)>,
     outbox: Vec<(Dest, ProtoMsg)>,
-    l3_latency: u64,
-    mem_latency: u64,
     retry_delay: u64,
     option1_cacheable_reads: bool,
     /// Option-1 ablation: cacheable copies handed out from a WritersBlock
@@ -259,7 +255,7 @@ impl Directory {
     /// Build a single bank at `node` (bank index == node index, the
     /// one-bank-per-tile machine) from a memory configuration directly.
     pub fn with_memory_config(node: NodeId, mem: &MemoryConfig, option1: bool) -> Self {
-        let sets = SetAssocArray::<DirEntry>::geometry(mem.l3_bank_bytes, mem.l3_ways, mem.line_bytes);
+        let sets = SetAssocArray::<DirEntry>::geometry(mem.l3_bank_bytes, mem.l3_ways);
         let mut stats = Stats::new();
         let h_gets = stats.handle("dir_gets");
         let h_getx = stats.handle("dir_getx");
@@ -274,11 +270,8 @@ impl Directory {
             evict_cap: mem.dir_evict_buffer,
             memory: MainMemory::new(),
             ingress: VecDeque::new(),
-            ports: mem.dir_bank_ports,
             events: VecDeque::new(),
             outbox: Vec::new(),
-            l3_latency: mem.l3_hit_cycles,
-            mem_latency: mem.mem_cycles,
             retry_delay: 25,
             option1_cacheable_reads: option1,
             stray_unblocks: std::collections::HashMap::new(),
@@ -446,7 +439,7 @@ impl Directory {
 
     /// The current architectural value of `addr` *as far as this bank
     /// knows*: LLC copy if fresh, else backing memory. Lines owned by a
-    /// private cache must be resolved there instead (see `owner_of`).
+    /// private cache must be resolved there instead.
     pub fn memory_value(&self, addr: wb_mem::Addr) -> u64 {
         let line = addr.line();
         if let Some(e) = self.l3.get(line) {
@@ -458,14 +451,6 @@ impl Directory {
             return p.data.word(addr.word_index());
         }
         self.memory.read_word(addr)
-    }
-
-    /// Who owns `line` exclusively right now, if anyone.
-    pub fn owner_of(&self, line: LineAddr) -> Option<NodeId> {
-        match self.l3.get(line) {
-            Some(e) if matches!(e.state, DirState::Owned) => e.owner,
-            _ => None,
-        }
     }
 
     /// Debug: describe the directory entry for `line`.
@@ -484,7 +469,7 @@ impl Directory {
     }
 
     /// Accept a message from the network. The message waits for one of
-    /// the bank's request ports (at most `dir_bank_ports` acceptances
+    /// the bank's request ports (at most [`DIR_BANK_PORTS`] acceptances
     /// per cycle); once accepted, processing happens after the bank's
     /// access latency.
     pub fn receive(&mut self, now: Cycle, msg: ProtoMsg) {
@@ -846,10 +831,10 @@ impl Directory {
             // One occupancy sample per busy cycle: how deep the request
             // queue is when the ports start accepting.
             self.stats.record("dir_bank_occupancy", self.ingress.len() as u64);
-            for _ in 0..self.ports {
+            for _ in 0..DIR_BANK_PORTS {
                 match self.ingress.pop_front() {
                     Some((_, msg)) => {
-                        self.events.push_back((now + self.l3_latency, Event::Process(msg)));
+                        self.events.push_back((now + L3_HIT_CYCLES, Event::Process(msg)));
                     }
                     None => break,
                 }
@@ -1612,7 +1597,7 @@ impl Directory {
         if self.try_allocate(now, line) {
             let entry = self.l3.get_mut(line).expect("just allocated");
             entry.queued.push_back(msg);
-            self.events.push_back((now + self.mem_latency, Event::MemReady { line }));
+            self.events.push_back((now + MEM_CYCLES, Event::MemReady { line }));
             return;
         }
         self.stats.inc("dir_alloc_fallbacks");
@@ -1621,7 +1606,7 @@ impl Directory {
                 // Uncacheable memory read: the SoS load can always make
                 // progress even with every way and buffer slot tied up.
                 self.events
-                    .push_back((now + self.mem_latency, Event::UncachedMemRead { line, requester }));
+                    .push_back((now + MEM_CYCLES, Event::UncachedMemRead { line, requester }));
             }
             ProtoMsg::GetX { .. } => {
                 // Writes may wait (TSO allows it): retry after a delay.
@@ -1742,7 +1727,7 @@ impl Directory {
 }
 
 // Every execution-visible field. Configuration-derived fields (`node`,
-// `bank`, latencies, port/buffer capacities, the Option-1 flag) and
+// `bank`, the eviction-buffer capacity, the Option-1 flag) and
 // observability state (the tracer) are not listed: restore targets a
 // bank built from the same [`SystemConfig`].
 wb_kernel::snap_component!(pub Directory {

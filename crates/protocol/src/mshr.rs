@@ -128,17 +128,6 @@ impl MshrFile {
         self.entries.iter_mut().find(|m| m.line == line && m.kind == kind)
     }
 
-    /// Any MSHR for `line`, preferring Write then Read then TearOff (the
-    /// piggyback order for loads).
-    pub fn find_any_mut(&mut self, line: LineAddr) -> Option<&mut Mshr> {
-        for kind in [MshrKind::Write, MshrKind::Read, MshrKind::TearOff] {
-            if self.entries.iter().any(|m| m.line == line && m.kind == kind) {
-                return self.find_mut(line, kind);
-            }
-        }
-        None
-    }
-
     /// Allocate a new register. Non-SoS allocations keep one register
     /// free; `sos` allocations may take the last one. Returns `None` when
     /// the file is exhausted for this class.
@@ -276,8 +265,6 @@ mod tests {
         f.alloc(LineAddr(1), MshrKind::Write, false, 0).unwrap();
         f.alloc(LineAddr(1), MshrKind::TearOff, true, 0).unwrap();
         assert_eq!(f.in_use(), 2);
-        // find_any prefers the write MSHR.
-        assert_eq!(f.find_any_mut(LineAddr(1)).unwrap().kind, MshrKind::Write);
     }
 
     #[test]

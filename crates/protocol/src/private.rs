@@ -22,7 +22,7 @@ use crate::messages::{Dest, ProtoMsg, ReadKind};
 use crate::mshr::{Mshr, MshrFile, MshrKind};
 use crate::{CoreSide, InvalResponse, MshrWait, ProtocolError};
 use std::collections::HashMap;
-use wb_kernel::config::{MemoryConfig, ProtocolKind};
+use wb_kernel::config::{MemoryConfig, ProtocolKind, L1_HIT_CYCLES, L2_HIT_CYCLES, MSHRS};
 use wb_kernel::trace::{CompId, TraceEvent, TraceFilter, Tracer};
 use wb_kernel::{CounterHandle, Cycle, HeavyHitters, NodeId, Stats};
 use wb_mem::{Addr, HomeMap, LineAddr, LineData};
@@ -147,8 +147,6 @@ pub struct PrivateCache {
     home: HomeMap,
     protocol: ProtocolKind,
     silent_shared_evictions: bool,
-    l1_hit: u64,
-    l2_hit: u64,
     l1: SetAssocArray<()>,
     l2: SetAssocArray<L2Line>,
     mshrs: MshrFile,
@@ -202,8 +200,8 @@ impl PrivateCache {
     /// banks are laid out by `home`, from the Table 6 memory
     /// configuration.
     pub fn new(node: NodeId, home: HomeMap, mem: &MemoryConfig, protocol: ProtocolKind) -> Self {
-        let l1_sets = SetAssocArray::<()>::geometry(mem.l1_bytes, mem.l1_ways, mem.line_bytes);
-        let l2_sets = SetAssocArray::<L2Line>::geometry(mem.l2_bytes, mem.l2_ways, mem.line_bytes);
+        let l1_sets = SetAssocArray::<()>::geometry(mem.l1_bytes, mem.l1_ways);
+        let l2_sets = SetAssocArray::<L2Line>::geometry(mem.l2_bytes, mem.l2_ways);
         let mut stats = Stats::new();
         let h_load_accesses = stats.handle("cache_load_accesses");
         let h_l1_hits = stats.handle("cache_l1_hits");
@@ -215,11 +213,9 @@ impl PrivateCache {
             home,
             protocol,
             silent_shared_evictions: mem.silent_shared_evictions,
-            l1_hit: mem.l1_hit_cycles,
-            l2_hit: mem.l2_hit_cycles,
             l1: SetAssocArray::new(l1_sets, mem.l1_ways),
             l2: SetAssocArray::new(l2_sets, mem.l2_ways),
-            mshrs: MshrFile::new(mem.mshrs),
+            mshrs: MshrFile::new(MSHRS),
             evict_buf: Vec::new(),
             pending_fills: Vec::new(),
             outbox: Vec::new(),
@@ -774,11 +770,11 @@ impl PrivateCache {
                 let value = l2.data.word(addr.word_index());
                 let latency = if self.l1.contains(line) {
                     self.stats.inc_h(self.h_l1_hits);
-                    self.l1_hit
+                    L1_HIT_CYCLES
                 } else {
                     self.stats.inc_h(self.h_l2_hits);
                     self.fill_l1(line, now);
-                    self.l2_hit
+                    L2_HIT_CYCLES
                 };
                 self.l2.touch(line, now);
                 return LoadAccess::Hit { value, latency };
@@ -1379,8 +1375,8 @@ impl PrivateCache {
 }
 
 // Every execution-visible field. Configuration-derived fields (`node`,
-// `home`, geometry, latencies) and observability state (the tracer) are
-// not listed: restore targets a cache built from the same
+// `home`, geometry) and observability state (the tracer) are not
+// listed: restore targets a cache built from the same
 // [`wb_kernel::config::SystemConfig`]. `wounds` and `poisoned` are the
 // soft-error layer (v2): undetected wounds and the poison list;
 // corrupted guards live inside the L2 lines.

@@ -96,14 +96,6 @@ impl SharerSet {
         self
     }
 
-    /// Add every member of `other` to this set.
-    #[inline]
-    pub fn union_with(&mut self, other: SharerSet) {
-        for (w, o) in self.words.iter_mut().zip(other.words) {
-            *w |= o;
-        }
-    }
-
     /// Replace the set with the empty set, returning the old contents.
     #[inline]
     pub fn take(&mut self) -> SharerSet {
@@ -240,14 +232,6 @@ mod tests {
         let mut t = SharerSet::solo(NodeId(9));
         t.toggle(NodeId(9));
         assert_ne!(before, t.guard_words());
-    }
-
-    #[test]
-    fn union_accumulates() {
-        let mut a = SharerSet::solo(NodeId(1));
-        a.union_with(SharerSet::solo(NodeId(200)));
-        assert_eq!(a.count(), 2);
-        assert!(a.contains(NodeId(200)));
     }
 
     #[test]

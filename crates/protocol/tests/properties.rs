@@ -194,7 +194,7 @@ wb_proptest! {
                 }
             }
             prop_assert!(f.in_use() <= cap);
-            prop_assert!(normal_live <= cap - 1 || normal_live <= f.in_use());
+            prop_assert!(normal_live < cap || normal_live <= f.in_use());
         }
         for line in live {
             prop_assert!(f.free(LineAddr(line), MshrKind::Read).is_some());

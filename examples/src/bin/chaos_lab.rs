@@ -60,7 +60,7 @@ fn main() {
         .with_jitter(20)
         .without_event_log();
     cfg.wb_cacheable_reads = true; // Option 1: the rejected design
-    cfg.watchdog.stall_window = 50_000;
+    cfg.stall_window = 50_000;
     let mut sys = System::new(cfg, &directed::option1_spin());
     let verdict = sys.verify(150_000);
     let Some(Failure::Wedge(rep)) = verdict.failure() else {

@@ -40,8 +40,10 @@ cargo check --offline --all-targets
 # anywhere but the one `#[allow]` in wb_bench::timing an error — so
 # simulated results (snapshots, campaign cells, the tables in results/)
 # stay pure functions of their inputs. Host time is measured by
-# benchmark/, which this workspace does not build.
-cargo clippy --offline --all-targets -- -D clippy::disallowed_methods
+# benchmark/, which this workspace does not build. `-D warnings` makes
+# every default-level lint an error too, so a new warning fails here
+# instead of piling up.
+cargo clippy --offline --all-targets -- -D warnings -D clippy::disallowed_methods
 cargo test -q --offline
 
 # Golden results: every deterministic table in results/ (the figures,

@@ -212,7 +212,7 @@ fn option1_spin_cfg(seed: u64) -> SystemConfig {
         .with_jitter(20)
         .without_event_log();
     cfg.wb_cacheable_reads = true; // Option 1: the rejected design
-    cfg.watchdog.stall_window = 50_000;
+    cfg.stall_window = 50_000;
     cfg
 }
 

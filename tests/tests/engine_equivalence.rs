@@ -356,11 +356,11 @@ fn wedge_fires_at_the_same_cycle() {
         .with_fault(FaultPlan::drop_everywhere(1, 12));
     cfg.network.link.rto_min = 4000;
     cfg.network.link.rto_max = 4000;
-    cfg.watchdog.stall_window = 625;
+    cfg.stall_window = 625;
     assert_eq!(cfg.effective_stall_window(), 2500);
     assert_same_wedge("near-miss", &cfg, &w, 8_000_000);
     // And with scaling restored the same cell completes — identically.
-    cfg.watchdog.stall_window = 2500;
+    cfg.stall_window = 2500;
     assert_eq!(cfg.effective_stall_window(), 10_000);
     assert_equivalent("near-miss scaled", &cfg, &w, 8_000_000, false);
 }
@@ -437,7 +437,7 @@ fn a_sleeping_wedged_core_trips_beside_a_spinning_one() {
         .without_event_log();
     cfg.network.link.rto_min = 40_000;
     cfg.network.link.rto_max = 40_000;
-    cfg.watchdog.stall_window = 625;
+    cfg.stall_window = 625;
     assert_eq!(cfg.effective_stall_window(), 2500);
     let dense = assert_same_wedge("spin beside wedge", &cfg, &w, 8_000_000);
     let report = dense.outcome.wedge_report().expect("wedged");

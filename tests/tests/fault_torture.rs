@@ -60,8 +60,8 @@ fn fault_torture_matrix() {
     let mut retx_hist_cells = 0usize;
     for ((plan, protocol, mode), stats) in jobs.iter().zip(&results) {
         retx_seen += stats.get("link_retx");
-        let cycles_populated = stats.hist("link_retx_cycles").map_or(false, |h| h.count() > 0);
-        let count_populated = stats.hist("link_retx_count").map_or(false, |h| h.count() > 0);
+        let cycles_populated = stats.hist("link_retx_cycles").is_some_and(|h| h.count() > 0);
+        let count_populated = stats.hist("link_retx_count").is_some_and(|h| h.count() > 0);
         assert_eq!(
             cycles_populated, count_populated,
             "plan {plan} {protocol:?} {mode:?}: retx histograms out of sync"
@@ -84,7 +84,7 @@ fn fault_torture_ten_percent_drop() {
         run_cell(&plan, None, ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 30);
     assert!(stats.get("link_drops") > 0, "1/10 drop never fired");
     assert!(stats.get("link_retx") > 0, "drops at 10% must force retransmissions");
-    assert!(stats.hist("link_retx_cycles").map_or(false, |h| h.count() > 0));
+    assert!(stats.hist("link_retx_cycles").is_some_and(|h| h.count() > 0));
 }
 
 /// The watchdog near-miss: a retransmission RTO *longer* than the
@@ -112,7 +112,7 @@ fn watchdog_near_miss_scaled_window_rides_out_retransmissions() {
         // widened window.
         cfg.network.link.rto_min = 4000;
         cfg.network.link.rto_max = 4000;
-        cfg.watchdog.stall_window = stall_window;
+        cfg.stall_window = stall_window;
         System::new(cfg, &w)
     };
 

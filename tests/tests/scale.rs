@@ -38,7 +38,7 @@ fn storm_config(cores: usize, window: u64) -> SystemConfig {
         .with_commit(CommitMode::OutOfOrderWb)
         .with_engine(EngineMode::Sparse)
         .without_event_log();
-    cfg.watchdog.stall_window = window;
+    cfg.stall_window = window;
     cfg
 }
 

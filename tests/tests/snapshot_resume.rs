@@ -183,7 +183,7 @@ fn wedge_cells_resume_to_the_same_report() {
         .with_fault(FaultPlan::drop_everywhere(1, 12));
     cfg.network.link.rto_min = 4000;
     cfg.network.link.rto_max = 4000;
-    cfg.watchdog.stall_window = 625;
+    cfg.stall_window = 625;
     assert_eq!(cfg.effective_stall_window(), 2500);
     let mut a = System::new(cfg.clone(), &w);
     let _ = a.run(1_000);

@@ -65,7 +65,7 @@ fn soft_torture_matrix() {
     for ((plan, protocol, mode), (stats, injected)) in jobs.iter().zip(&results) {
         injected_total += injected;
         detected_total += stats.get("soft_detected");
-        if stats.hist("soft_detect_latency").map_or(false, |h| h.count() > 0) {
+        if stats.hist("soft_detect_latency").is_some_and(|h| h.count() > 0) {
             latency_cells += 1;
         }
         if !plan.is_none() {
