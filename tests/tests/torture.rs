@@ -127,6 +127,26 @@ fn ecl_atomic_waits_for_older_loads() {
     must_pass(cfg, &torture::workload(4, 9046, 200), 2_000_000);
 }
 
+/// A parked `Owned` LLC eviction once answered reads with the LLC's own
+/// copy before the owner's writeback arrived: a stale tear-off, mostly
+/// read as a `UniprocViolation`. One such program per arm, at the
+/// tiny-LLC geometry of `deadlock_freedom`'s eviction tests (four lines
+/// per bank, two ways, a two-slot eviction buffer) over 24 spread lines,
+/// jitter 25. Every cell must pass.
+#[test]
+fn tiny_llc_known_failures_by_arm() {
+    const SEEDS: [(&str, u64); 5] =
+        [("mesi-inorder", 11), ("mesi-ooo", 19), ("wb-inorder", 52), ("wb-ooo", 57), ("wb-ecl", 63)];
+    wb_bench::sweep::run(SEEDS.to_vec(), |(arm, seed)| {
+        let (protocol, mode) = wb_kernel::config::arm(arm).expect("a config::ARMS name");
+        let mut cfg = config(CoreClass::Slm, mode, seed).with_protocol(protocol);
+        cfg.memory.l3_bank_bytes = 4 * 64;
+        cfg.memory.l3_ways = 2;
+        cfg.memory.dir_evict_buffer = 2;
+        must_pass(cfg, &torture::workload_on(4, seed, 200, &torture::spread_lines(24)), 8_000_000);
+    });
+}
+
 /// The 22 programs that once wedged or failed the TSO check on some arm
 /// (EXPERIMENTS.md "Known failures by arm" has their history: one
 /// dropped SoS bypass hit, tear-offs served after the last lockdown
