@@ -347,7 +347,10 @@ pub fn cells(spec: &CampaignSpec) -> Vec<Cell> {
 }
 
 /// Build the system configuration for one cell under `seed` (machine
-/// sized to the workload's own core count).
+/// sized to the workload's own core count). A [`TORTURE`] cell keeps the
+/// event log, so its verdict includes the TSO check: only its programs
+/// store globally unique values, which the checker needs to tell writes
+/// apart.
 pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) -> SystemConfig {
     // Names were validated at parse time; resolution cannot fail here.
     let (protocol, commit) = arm_by_name(&cell.arm).expect("arm validated at parse");
@@ -357,8 +360,10 @@ pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) ->
         .with_protocol(protocol)
         .with_engine(spec.engine)
         .with_seed(seed)
-        .with_jitter(spec.jitter)
-        .without_event_log();
+        .with_jitter(spec.jitter);
+    if cell.workload != TORTURE {
+        cfg = cfg.without_event_log();
+    }
     if let Some(p) = chaos_by_name(&cell.chaos).expect("chaos validated at parse") {
         cfg = cfg.with_chaos(p);
     }
@@ -795,6 +800,35 @@ mod tests {
         assert_eq!((spec.jitter, spec.budget), (25, 2_000_000));
         assert!(spec.seeds.len() > 1, "a seed range");
         assert_eq!(cells(&spec).len(), config::ARMS.len() * spec.seeds.len());
+    }
+
+    /// The soft-error torture recipe: `torture` on all five arms under
+    /// background radiation at 20x and 5x, with the budget the tier-1
+    /// soft cells use.
+    #[test]
+    fn soft_torture_spec_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns/soft_torture.json");
+        let src = fs::read_to_string(path).expect("campaigns/soft_torture.json exists");
+        let spec = CampaignSpec::parse(&src).expect("soft_torture spec parses");
+        assert_eq!(spec.workloads, [TORTURE]);
+        assert_eq!(spec.arms.len(), config::ARMS.len(), "all five arms");
+        assert_eq!(spec.softs, ["background-radiation-x20", "background-radiation-x5"]);
+        assert_eq!((spec.jitter, spec.budget), (25, 8_000_000));
+        assert_eq!(spec.seeds, (0..400).collect::<Vec<u64>>());
+        assert_eq!(cells(&spec).len(), 4000);
+    }
+
+    /// Only torture cells keep the event log (and so get the TSO check):
+    /// the other workloads do not store unique values.
+    #[test]
+    fn only_torture_cells_keep_the_event_log() {
+        let spec = CampaignSpec::parse(r#"{"workloads":["torture","mp"],"seeds":[1]}"#)
+            .expect("parses");
+        let logs: Vec<(String, bool)> = cells(&spec)
+            .iter()
+            .map(|c| (c.workload.clone(), cell_config(&spec, c, 4, c.seed).record_events))
+            .collect();
+        assert_eq!(logs, [("torture".to_owned(), true), ("mp".to_owned(), false)]);
     }
 
     /// A `torture` cell's program comes from its seed: two seeds, two

@@ -3,19 +3,17 @@
 use crate::system::System;
 use wb_kernel::audit::{AuditKind, AuditReport, AuditViolation};
 use wb_kernel::NodeId;
-use wb_protocol::SharerSet;
 
 impl System {
     /// One pass of the online coherence invariant auditor.
     ///
     /// Phase 1 (soft plan active only) scrubs: every cache detects and
     /// repairs its outstanding wounds synchronously, and every wounded
-    /// directory entry is rebuilt from direct cache probes (the same
-    /// `(present, excl)` encoding the async [`ProtoMsg::AuditProbe`]
-    /// path uses). Phase 2 checks the global invariants — SWMR,
-    /// directory–cache agreement on quiet lines, MSHR / eviction-buffer
-    /// occupancy bounds, ARQ window sanity. `final_run` additionally
-    /// requires every transient structure to have drained.
+    /// directory entry starts the same purge a detection on access does
+    /// (`wb_protocol::ProtoMsg::Purge`). Phase 2 checks the global
+    /// invariants — SWMR, directory–cache agreement on quiet lines, MSHR
+    /// / eviction-buffer occupancy bounds, ARQ window sanity. `final_run`
+    /// additionally requires every transient structure to have drained.
     ///
     /// Scrub repairs are the recovery path doing its job, not
     /// violations; a non-clean report means the machine reached a state
@@ -29,42 +27,16 @@ impl System {
             for i in 0..self.cores.len() {
                 scrub_repairs += self.caches[i].audit_scrub(now, &mut self.cores[i]);
             }
-            for b in 0..self.dirs.len() {
-                for line in self.dirs[b].audit_wounds() {
-                    let mut owner: Option<NodeId> = None;
-                    let mut sharers = SharerSet::EMPTY;
-                    let mut parked = SharerSet::EMPTY;
-                    for (i, c) in self.caches.iter().enumerate() {
-                        let node = NodeId(i as u16);
-                        match c.probe_line(line) {
-                            (true, true) => {
-                                if let Some(prev) = owner {
-                                    violations.push(AuditViolation {
-                                        kind: AuditKind::MultipleWriters,
-                                        detail: format!(
-                                            "line {line}: exclusive at {prev} and {node} \
-                                             during wound rebuild"
-                                        ),
-                                    });
-                                }
-                                owner = Some(node);
-                            }
-                            (true, false) => sharers.insert(node),
-                            (false, true) => parked.insert(node),
-                            (false, false) => {}
-                        }
-                    }
-                    if self.dirs[b].audit_repair(now, line, owner, sharers, parked) {
-                        scrub_repairs += 1;
-                    }
-                }
+            for d in &mut self.dirs {
+                scrub_repairs += d.scrub_wounds(now);
             }
             if final_run {
-                // Repairing a dirty line resynchronises it with the home
-                // through the ordinary eviction path (PutM/PutAck), so a
-                // final scrub leaves real protocol traffic in flight.
-                // Drain it — with further strikes and periodic audits
-                // suspended — before passing the verdict below.
+                // A repaired dirty cache line goes home through the
+                // ordinary eviction path (PutM/PutAck) and a purge waits
+                // for every core's answer, so a final scrub leaves real
+                // protocol traffic in flight. Drain it — with further
+                // strikes and periodic audits suspended — before passing
+                // the verdict below.
                 let eng = self.soft.take();
                 let next_audit = self.next_audit_at.take();
                 let mut fuel = 100_000u64;

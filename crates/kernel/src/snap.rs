@@ -35,8 +35,10 @@ pub const MAGIC: &[u8; 6] = b"WBSNAP";
 
 /// Current snapshot layout version. Bump on any layout change.
 /// v2: soft-error layer (guard/tag words in cache lines and directory
-/// entries, MSHR ECC shadows, `DirState::Poisoned`, the `AuditProbe`/
-/// `AuditReply` messages, and the engine/auditor state in `System`).
+/// entries, MSHR ECC shadows, and the engine/auditor state in `System`).
+/// Later layout changes inside the components — the directory's purge
+/// state (`DirState::Purging`) and `ProtoMsg::Purge` among them — are
+/// versioned by `System`'s own `SNAP_LAYOUT`, which follows this header.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot failed to decode.

@@ -13,7 +13,7 @@
 //! legitimate write. A flip leaves the guard stale and is caught at the
 //! next access; detected state is poisoned, requesters are refused, and
 //! the owner of the structure recovers (caches re-fetch from the home,
-//! directory banks rebuild the sharer set by probing every core).
+//! directory banks purge the line from every core).
 //!
 //! Determinism: the engine's only randomness is a [`SimRng`] stream
 //! distinct from the mesh jitter, chaos and fault streams. The firing

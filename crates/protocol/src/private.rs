@@ -657,22 +657,6 @@ impl PrivateCache {
         }
     }
 
-    /// Answer an [`ProtoMsg::AuditProbe`]: does this cache hold `line`,
-    /// and exclusively? The `(present, excl)` pair encodes three cases:
-    /// `(true, excl)` for a resident copy, `(false, true)` for a
-    /// *parked* ownership claim (a non-superseded evict-buffer entry
-    /// whose PutM/PutAck handshake is still in flight — possibly already
-    /// stale at the directory), `(false, false)` for no copy.
-    pub fn probe_line(&self, line: LineAddr) -> (bool, bool) {
-        if let Some(l2) = self.l2.get(line) {
-            return (true, l2.state.exclusive());
-        }
-        if self.evict_buf.iter().any(|e| e.line == line && !e.superseded) {
-            return (false, true);
-        }
-        (false, false)
-    }
-
     /// Residency of `line` for the auditor: `Some(exclusive)` when
     /// resident, `None` otherwise.
     pub fn resident_excl(&self, line: LineAddr) -> Option<bool> {
@@ -1163,10 +1147,17 @@ impl PrivateCache {
                     self.evict_buf.swap_remove(i);
                 }
             }
-            ProtoMsg::AuditProbe { line } => {
-                let (present, excl) = self.probe_line(line);
-                let home = self.home(line);
-                self.send_dir(home, ProtoMsg::AuditReply { line, from: self.node, present, excl });
+            ProtoMsg::Purge { line } => {
+                // A write with no requester: the owner (resident E/M, or a
+                // PutM still in flight) gives the line back as to a Recall,
+                // anyone else invalidates as for an eviction's Inv.
+                let owner = self.is_writable(line)
+                    || self.evict_buf.iter().any(|e| e.line == line && !e.superseded);
+                if owner {
+                    self.on_recall(now, line, core);
+                } else {
+                    self.on_inv(now, line, None, core);
+                }
             }
             other => {
                 let line = other.line();

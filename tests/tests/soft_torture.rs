@@ -80,6 +80,25 @@ fn soft_torture_matrix() {
     assert!(latency_cells > 0, "soft_detect_latency never populated");
 }
 
+/// A corrupted directory entry was once rebuilt from which caches still
+/// held a copy. A cache that had silently dropped its copy while its
+/// core still held a load bound to the line then missed the next
+/// invalidation, and the load committed a stale value. The purge that
+/// replaced the rebuild invalidates every core. One such 200-op program
+/// per arm, under background radiation at 20x: each must pass.
+#[test]
+fn purge_known_failures_by_arm() {
+    const SEEDS: [(&str, u64); 5] =
+        [("mesi-inorder", 321), ("mesi-ooo", 47), ("wb-inorder", 22), ("wb-ooo", 26), ("wb-ecl", 73)];
+    wb_bench::sweep::run(SEEDS.to_vec(), |(arm, seed)| {
+        let (protocol, mode) = wb_kernel::config::arm(arm).expect("a config::ARMS name");
+        let cfg = config(protocol, mode, seed)
+            .with_soft(SoftPlan::background_radiation().accelerated(20));
+        let w = torture::workload(4, seed, 200);
+        System::new(cfg, &w).verify(8_000_000).assert_pass(&format!("{} on {arm}", w.name));
+    });
+}
+
 /// Heavy radiation on the paper's own configuration — the WritersBlock
 /// protocol with out-of-order commit — must still audit clean and stay
 /// TSO-green, with both cache-side and directory-side recovery visible.
