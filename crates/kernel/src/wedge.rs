@@ -174,15 +174,15 @@ impl WedgeReport {
     }
 
     /// A stable dedup key for the campaign farm's `wedges.jsonl`: two
-    /// wedges with the same signature are the same underlying bug. The
-    /// signature keeps what characterises the failure — the class, the
-    /// (sorted) participant set, the (sorted, deduplicated) edge causes
-    /// and the protocol-fault text — and normalises out everything that
-    /// varies per encounter: the cycle it fired at, the seed baked into
-    /// the reproducer, per-core stall counts, the retry tally, and the
-    /// volatile `since cycle N` / `(seq N)` suffixes inside edge
-    /// causes. A million-cell sweep thus surfaces each distinct wedge
-    /// once.
+    /// wedges with the same signature are the same underlying bug. It has
+    /// four parts: the class, the sorted set of stalled cores, the set of
+    /// wait-for edge causes without their endpoints, and the first clause
+    /// of the protocol-fault text with its numbers stripped. Everything
+    /// that varies per encounter normalises out: the cycle it fired at,
+    /// the seed baked into the reproducer, stall lengths, the retry
+    /// tally, which lines, caches and directory banks the edges name, and
+    /// the volatile `since cycle N` / `(seq N)` / `bit N` suffixes of edge
+    /// causes. A million-cell sweep thus files each distinct wedge once.
     pub fn signature(&self) -> String {
         fn normalise(why: &str) -> &str {
             let mut w = why;
@@ -200,16 +200,47 @@ impl WedgeReport {
             WedgeClass::ProtocolFault => "fault",
             WedgeClass::SilentCorruption => "silent-corruption",
         };
-        let mut parties: Vec<String> = self.participants.iter().map(|p| p.to_string()).collect();
-        parties.sort();
-        parties.dedup();
-        let mut causes: Vec<String> =
-            self.edges.iter().map(|e| format!("{}->{}:{}", e.from, e.to, normalise(&e.why))).collect();
-        causes.sort();
+        let mut cores: Vec<u16> = self.stalled_cores.iter().map(|&(c, _)| c).collect();
+        cores.sort_unstable();
+        cores.dedup();
+        let cores: Vec<String> = cores.iter().map(|c| format!("core{c}")).collect();
+        let mut causes: Vec<&str> = self.edges.iter().map(|e| normalise(&e.why)).collect();
+        causes.sort_unstable();
         causes.dedup();
-        let error = self.error.as_deref().unwrap_or("");
-        format!("{class}|{}|{}|{error}", parties.join(","), causes.join(";"))
+        let error = first_clause_without_numbers(self.error.as_deref().unwrap_or(""));
+        format!("{class}|{}|{}|{error}", cores.join(","), causes.join(";"))
     }
+}
+
+/// The text of `error` up to its first `,` or `;` outside brackets, with
+/// every number (decimal or `0x` hex) replaced by `#`: "dir3: rebuild
+/// for line 0x73: owner n2 with residual sharers {1, 3}" becomes
+/// "dir#: rebuild for line #: owner n# with residual sharers {#, #}".
+fn first_clause_without_numbers(error: &str) -> String {
+    let mut out = String::new();
+    let mut depth = 0u32;
+    let mut chars = error.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            ',' | ';' if depth == 0 => break,
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+        if c.is_ascii_digit() {
+            let hex = c == '0' && chars.peek() == Some(&'x');
+            if hex {
+                chars.next();
+            }
+            while chars.peek().is_some_and(|d| if hex { d.is_ascii_hexdigit() } else { d.is_ascii_digit() }) {
+                chars.next();
+            }
+            out.push('#');
+        } else {
+            out.push(c);
+        }
+    }
+    out
 }
 
 impl fmt::Display for WedgeReport {
@@ -390,6 +421,46 @@ mod tests {
         let mut e = mk(100, 1, 5, 2);
         e.class = WedgeClass::Deadlock;
         assert_ne!(a.signature(), e.signature());
+    }
+
+    #[test]
+    fn signature_groups_by_cause_not_by_endpoint() {
+        let mk = |class: WedgeClass, line: u64, cache: u16| WedgeReport {
+            class,
+            at_cycle: 1_000,
+            reproducer: "workload=t seed=0x1 cores=4".to_string(),
+            stalled_cores: vec![(2, 500), (0, 900)],
+            retries_in_window: 40,
+            edges: vec![
+                WaitEdge { from: Core(0), to: Line(line), why: "rob-head-load (seq 7)".to_string() },
+                WaitEdge {
+                    from: Cache(cache),
+                    to: Line(line + 0x40),
+                    why: format!("MSHR Write since cycle {line}"),
+                },
+                WaitEdge {
+                    from: Line(line + 0x40),
+                    to: Cache(cache),
+                    why: "lockdown held, invalidation ack deferred".to_string(),
+                },
+            ],
+            participants: vec![Core(0), Line(line), Cache(cache)],
+            error: Some(format!(
+                "dir{cache}: rebuild for line {line:#x}: owner n{cache} with residual \
+                 sharers {{1, {cache}}}; then, more"
+            )),
+            notes: vec![],
+        };
+        let a = mk(WedgeClass::Livelock, 0x84, 1);
+        let b = mk(WedgeClass::Livelock, 0x1a5, 3);
+        assert_eq!(a.signature(), b.signature(), "lines and caches must not split one bug");
+        assert_eq!(
+            a.signature(),
+            "livelock|core0,core2|MSHR Write;lockdown held, invalidation ack deferred;\
+             rob-head-load|dir#: rebuild for line #: owner n# with residual sharers {#, #}"
+        );
+        let c = mk(WedgeClass::Deadlock, 0x84, 1);
+        assert_ne!(a.signature(), c.signature(), "a different class is a different bug");
     }
 
     #[test]

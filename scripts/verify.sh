@@ -103,6 +103,29 @@ test "$(wc -l < "$campdir/cut/manifest")" -eq 8
 cmp "$campdir/ref/merged.jsonl" "$campdir/cut/merged.jsonl"
 cmp "$campdir/ref/wedges.jsonl" "$campdir/cut/wedges.jsonl"
 
+# Soft-error gate: seeds 0-99 of campaigns/soft_torture.json, 1000
+# torture cells under background radiation at 20x and 5x. Torture cells
+# keep the event log, so each one must drain, audit clean and pass the
+# TSO checker; the summary line must count no failure of any kind.
+cat > "$campdir/soft.json" <<'EOF'
+{ "name": "soft_torture_0_99", "cores": 4, "class": "slm", "engine": "sparse",
+  "budget": 8000000, "jitter": 25, "workloads": ["torture"],
+  "arms": ["mesi-inorder", "mesi-ooo", "wb-inorder", "wb-ooo", "wb-ecl"],
+  "softs": ["background-radiation-x20", "background-radiation-x5"],
+  "seeds": { "first": 0, "count": 100 } }
+EOF
+soft_summary="$(cargo run -q --release --offline -p wb-bench --bin campaign -- \
+    "$campdir/soft.json" --out "$campdir/soft" --threads 2)"
+echo "$soft_summary"
+case "$soft_summary" in
+    *", 0 wedges, 0 faults, 0 corrupt -> "*) ;;
+    *)
+        echo "ERROR: soft-error torture cells failed; first cell per signature:" >&2
+        cat "$campdir/soft/wedges.jsonl" >&2
+        exit 1
+        ;;
+esac
+
 # Benchmark smoke: benchmark/ is a package of its own that builds
 # against the public API of crates/* (the layer rig assembles the
 # machine from the component constructors and must equal `System`
@@ -112,4 +135,4 @@ cmp "$campdir/ref/wedges.jsonl" "$campdir/cut/wedges.jsonl"
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke > /dev/null
 
-echo "tier-1 verify: OK (offline build + clippy + full test suite + golden results + engine-equivalence + scale + campaign crash-resume + benchmark smoke tests)"
+echo "tier-1 verify: OK (offline build + clippy + full test suite + golden results + engine-equivalence + scale + campaign crash-resume + soft-error torture cells + benchmark smoke tests)"
