@@ -12,8 +12,7 @@
 //! only the missing cells, and writes `<out>/merged.jsonl` in spec
 //! order — byte-identical to an uninterrupted run, because every cell
 //! result is a pure function of the spec (no wall-clock, no host state;
-//! the workspace `clippy.toml` disallows host-time reads outside
-//! `timing`).
+//! the workspace `clippy.toml` disallows host-time reads).
 //!
 //! Every run also rewrites `<out>/wedges.jsonl` from the merged results:
 //! the first failing cell in spec order of each distinct signature, in

@@ -12,14 +12,11 @@
 
 pub mod campaign;
 pub mod sweep;
-pub mod timing;
 
 use wb_isa::Workload;
 use wb_kernel::config::{self, CoreClass, EngineMode, SystemConfig};
 use wb_workloads::{suite, Scale};
 use writersblock::{Report, RunOutcome, System};
-
-pub use timing::BenchGroup;
 
 /// Default per-run cycle budget for evaluation runs.
 pub const RUN_BUDGET: u64 = 200_000_000;

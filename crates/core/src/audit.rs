@@ -24,17 +24,16 @@ impl System {
         let mut scrub_repairs: u64 = 0;
         let mut violations: Vec<AuditViolation> = Vec::new();
         if self.soft.is_some() {
-            for i in 0..self.cores.len() {
-                scrub_repairs += self.caches[i].audit_scrub(now, &mut self.cores[i]);
+            for c in &mut self.caches {
+                scrub_repairs += c.audit_scrub(now);
             }
             for d in &mut self.dirs {
                 scrub_repairs += d.scrub_wounds(now);
             }
             if final_run {
-                // A repaired dirty cache line goes home through the
-                // ordinary eviction path (PutM/PutAck) and a purge waits
-                // for every core's answer, so a final scrub leaves real
-                // protocol traffic in flight. Drain it — with further
+                // A cache repairs its lines in place, but a directory
+                // purge waits for every core's answer, so a final scrub
+                // leaves real protocol traffic in flight. Drain it — with further
                 // strikes and periodic audits suspended — before passing
                 // the verdict below.
                 let eng = self.soft.take();

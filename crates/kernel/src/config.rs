@@ -439,7 +439,8 @@ pub struct SystemConfig {
     pub fault: Option<crate::fault::FaultPlan>,
     /// Soft-error schedule: seeded bit flips into stored protocol state
     /// (cache line state/tags, directory entries, sharer sets, MSHRs),
-    /// detected by guard hashes and recovered via poison/re-fetch.
+    /// detected by guard hashes and repaired (a cache line in place, a
+    /// directory entry by purging the line from every core).
     /// `None` *and* the empty [`crate::soft::SoftPlan::none`] both leave
     /// runs byte-identical to a soft-error-free build.
     pub soft: Option<crate::soft::SoftPlan>,
@@ -545,7 +546,7 @@ impl SystemConfig {
     }
 
     /// Builder-style: install a soft-error (stored-state bit-flip)
-    /// schedule with guard-hash detection and poison/recovery.
+    /// schedule with guard-hash detection and repair.
     pub fn with_soft(mut self, plan: crate::soft::SoftPlan) -> Self {
         self.soft = Some(plan);
         self

@@ -11,9 +11,10 @@
 //! Detection is a parity/ECC model: protected structures carry a
 //! [`guard_hash`] over their protected words, refreshed on every
 //! legitimate write. A flip leaves the guard stale and is caught at the
-//! next access; detected state is poisoned, requesters are refused, and
-//! the owner of the structure recovers (caches re-fetch from the home,
-//! directory banks purge the line from every core).
+//! next access, and the owner of the structure recovers: a cache
+//! decodes the true state from the guard and restores the line in
+//! place, an MSHR is corrected from its ECC shadow, and a directory
+//! bank purges the line from every core.
 //!
 //! Determinism: the engine's only randomness is a [`SimRng`] stream
 //! distinct from the mesh jitter, chaos and fault streams. The firing

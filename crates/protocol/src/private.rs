@@ -173,9 +173,6 @@ pub struct PrivateCache {
     /// Cycle each still-undetected soft flip landed, keyed by line —
     /// feeds the `soft_detect_latency` histogram at detection time.
     wounds: HashMap<LineAddr, Cycle>,
-    /// Lines whose guard mismatch has been detected (and counted) but
-    /// not yet repaired; accesses NACK until the next repair pass.
-    poisoned: Vec<LineAddr>,
     /// Pre-resolved handles for the per-access hot-path counters
     /// (PR 5's `CounterHandle` pattern: no BTreeMap lookup per bump).
     h_load_accesses: CounterHandle,
@@ -227,7 +224,6 @@ impl PrivateCache {
             fault: None,
             soft_on: false,
             wounds: HashMap::new(),
-            poisoned: Vec::new(),
             h_load_accesses,
             h_l1_hits,
             h_l2_hits,
@@ -375,8 +371,8 @@ impl PrivateCache {
 
     /// True when [`PrivateCache::ensure_writable`] would change nothing
     /// for `line`: it is writable or its `GetX` is in flight, and its
-    /// stored state passes the soft-error guard check (a failing check
-    /// poisons the line and counts a Nack).
+    /// stored state passes the soft-error guard check (a wounded line is
+    /// not settled: `ensure_writable` would repair it).
     pub fn write_settled(&self, line: LineAddr) -> bool {
         (self.is_writable(line) || self.mshrs.find(line, MshrKind::Write).is_some())
             && (!self.soft_on || self.l2.get(line).is_none_or(|pl| Self::guard_ok(line, pl)))
@@ -398,7 +394,6 @@ impl PrivateCache {
         if !self.outbox.is_empty()
             || !self.completions.is_empty()
             || !self.pending_fills.is_empty()
-            || !self.poisoned.is_empty()
         {
             Some(now)
         } else {
@@ -444,14 +439,11 @@ impl PrivateCache {
     /// True when no transaction, parked eviction or deferred fill is
     /// outstanding.
     pub fn is_idle(&self) -> bool {
-        self.mshrs.is_empty()
-            && self.evict_buf.is_empty()
-            && self.pending_fills.is_empty()
-            && self.poisoned.is_empty()
+        self.mshrs.is_empty() && self.evict_buf.is_empty() && self.pending_fills.is_empty()
     }
 
     // ------------------------------------------------------------------
-    // Soft errors: guards, poison, repair
+    // Soft errors: guards and in-place repair
     // ------------------------------------------------------------------
 
     /// Enable or disable the soft-error guard machinery. Called by the
@@ -485,27 +477,40 @@ impl PrivateCache {
         }
     }
 
-    /// Check the guard of `line` before acting on its stored state.
-    /// Returns `true` when healthy (or soft errors are off / the line is
-    /// not resident). On a mismatch the flip is counted as detected, the
-    /// line enters the poison list, and the access must NACK (`false`).
-    fn check_guard(&mut self, now: Cycle, line: LineAddr) -> bool {
+    /// Check the guard of `line` before acting on its stored state, and
+    /// repair a mismatch in place: detection and recovery are one step.
+    /// The array key is the true tag and no flip hits the guard word, so
+    /// hashing the key against each candidate state finds the state the
+    /// guard was sealed over; restoring it (and the tag) leaves the line
+    /// exactly as it was before the flip. Its data words are never
+    /// flipped, so nothing is written back or re-fetched, and a line
+    /// pinned by a lockdown or an M-speculative load stays put.
+    fn check_guard(&mut self, now: Cycle, line: LineAddr) {
         if !self.soft_on {
-            return true;
+            return;
         }
-        let Some(pl) = self.l2.get(line) else { return true };
+        let Some(pl) = self.l2.get(line) else { return };
         if Self::guard_ok(line, pl) {
-            return true;
+            return;
         }
-        if !self.poisoned.contains(&line) {
-            if let Some(t0) = self.wounds.remove(&line) {
-                self.stats.record("soft_detect_latency", now.saturating_sub(t0));
-            }
-            self.stats.inc("soft_detected");
-            self.poisoned.push(line);
+        let guard = pl.guard;
+        if let Some(t0) = self.wounds.remove(&line) {
+            self.stats.record("soft_detect_latency", now.saturating_sub(t0));
         }
-        self.stats.inc("soft_poison_nacks");
-        false
+        self.stats.inc("soft_detected");
+        let decoded = [PState::S, PState::E, PState::M, PState::SmAd]
+            .into_iter()
+            .find(|s| guard == line_guard(line.0, *s));
+        let Some(state) = decoded else {
+            // Outside the single-flip model: no state matches the guard.
+            self.record_fault(line, "soft", "guard decodes to no state".to_string());
+            return;
+        };
+        if let Some(l2) = self.l2.get_mut(line) {
+            l2.state = state;
+            l2.tag = line.0;
+        }
+        self.stats.inc("soft_recovered");
     }
 
     /// Scrub the MSHR file against its ECC shadows; every corrected
@@ -521,78 +526,6 @@ impl PrivateCache {
             self.stats.inc("soft_recovered");
         }
         n
-    }
-
-    /// Repair every poisoned line; returns how many were repaired.
-    fn repair_poisoned(&mut self, now: Cycle, core: &mut dyn CoreSide) -> u64 {
-        if self.poisoned.is_empty() {
-            return 0;
-        }
-        let lines = std::mem::take(&mut self.poisoned);
-        let n = lines.len() as u64;
-        for line in lines {
-            self.repair_line(now, line, core);
-        }
-        n
-    }
-
-    /// Repair one poisoned line by guard decoding: the array key is the
-    /// true tag, so re-hashing it against each candidate state finds the
-    /// pre-flip state. Tag-only flips are fixed in place; a true-S line
-    /// is silently dropped (re-fetched from the home on demand); a true
-    /// E/M line is written back through the normal PutM eviction path so
-    /// no dirty data is lost.
-    fn repair_line(&mut self, now: Cycle, line: LineAddr, core: &mut dyn CoreSide) {
-        self.stats.inc("soft_recovered");
-        let Some((stored, guard)) = self.l2.get(line).map(|l| (l.state, l.guard)) else {
-            // Dropped by an invalidation between detect and repair: the
-            // corrupted copy is already gone.
-            return;
-        };
-        let decoded = [PState::S, PState::E, PState::M, PState::SmAd]
-            .into_iter()
-            .find(|s| guard == line_guard(line.0, *s));
-        match decoded {
-            Some(s) if s == stored => {
-                // Tag-only flip: the state is intact; restore the tag.
-                if let Some(l2) = self.l2.get_mut(line) {
-                    l2.tag = line.0;
-                }
-            }
-            Some(PState::S) => {
-                // True state S: silent drop; we stay in the directory's
-                // sharer list, the next access re-fetches from the home.
-                self.drop_line(line);
-            }
-            Some(s @ (PState::E | PState::M)) => {
-                // True state E/M: the data words were never flipped, so
-                // write the line back through the ordinary eviction path
-                // (evict buffer + PutM) to resynchronise with the home.
-                let v = {
-                    let l2 = self.l2.get_mut(line).expect("resident");
-                    l2.state = s;
-                    l2.tag = line.0;
-                    l2.guard = line_guard(line.0, s);
-                    *l2
-                };
-                self.drop_line(line);
-                self.handle_victim(now, line, v, core);
-            }
-            Some(PState::SmAd) => {
-                // Transient upgrade in flight: repair in place.
-                if let Some(l2) = self.l2.get_mut(line) {
-                    l2.state = PState::SmAd;
-                    l2.tag = line.0;
-                    l2.guard = line_guard(line.0, PState::SmAd);
-                }
-            }
-            None => {
-                // Undecodable (outside the single-flip model): drop the
-                // line defensively and count it.
-                self.stats.inc("soft_undecodable");
-                self.drop_line(line);
-            }
-        }
     }
 
     /// Apply one soft flip of `target` kind to this cache's stored
@@ -694,9 +627,6 @@ impl PrivateCache {
         for l in self.lockdown_since.keys() {
             mark(*l);
         }
-        for l in &self.poisoned {
-            mark(*l);
-        }
         for l in self.wounds.keys() {
             mark(*l);
         }
@@ -715,24 +645,22 @@ impl PrivateCache {
     }
 
     /// Synchronous scrub for the online auditor: detect and repair every
-    /// outstanding wound (guard scan + MSHR ECC scrub + poison repair).
-    /// Returns the number of repairs performed.
-    pub fn audit_scrub(&mut self, now: Cycle, core: &mut dyn CoreSide) -> u64 {
+    /// outstanding wound (guard scan + MSHR ECC scrub). Returns the
+    /// number of repairs performed.
+    pub fn audit_scrub(&mut self, now: Cycle) -> u64 {
         if !self.soft_on {
             return 0;
         }
-        let mut n = self.scrub_mshrs(now);
         let wounded: Vec<LineAddr> = self
             .l2
             .iter()
             .filter(|(l, pl)| !Self::guard_ok(*l, pl))
             .map(|(l, _)| l)
             .collect();
-        for line in wounded {
-            let _ = self.check_guard(now, line);
+        for &line in &wounded {
+            self.check_guard(now, line);
         }
-        n += self.repair_poisoned(now, core);
-        n
+        self.scrub_mshrs(now) + wounded.len() as u64
     }
 
     // ------------------------------------------------------------------
@@ -745,10 +673,7 @@ impl PrivateCache {
     pub fn load_access(&mut self, now: Cycle, tag: ReadTag, addr: Addr, sos: bool) -> LoadAccess {
         let line = addr.line();
         self.stats.inc_h(self.h_load_accesses);
-        if !self.check_guard(now, line) {
-            // Poisoned: NACK the access until the next repair pass.
-            return LoadAccess::Blocked;
-        }
+        self.check_guard(now, line);
         if let Some(l2) = self.l2.get(line) {
             if l2.state.readable() {
                 let value = l2.data.word(addr.word_index());
@@ -825,9 +750,7 @@ impl PrivateCache {
     /// it already is; otherwise issues a GetX (write-permission prefetch)
     /// if none is outstanding and returns `false`.
     pub fn ensure_writable(&mut self, now: Cycle, line: LineAddr) -> bool {
-        if !self.check_guard(now, line) {
-            return false;
-        }
+        self.check_guard(now, line);
         if self.is_writable(line) {
             return true;
         }
@@ -855,9 +778,7 @@ impl PrivateCache {
     /// On success the line is M and the store is globally visible.
     pub fn store_perform(&mut self, now: Cycle, addr: Addr, value: u64) -> bool {
         let line = addr.line();
-        if !self.check_guard(now, line) {
-            return false;
-        }
+        self.check_guard(now, line);
         let Some(l2) = self.l2.get_mut(line) else { return false };
         if !l2.state.exclusive() {
             return false;
@@ -874,9 +795,7 @@ impl PrivateCache {
     /// value if write permission is held, applying `new` as replacement.
     pub fn rmw_perform(&mut self, now: Cycle, addr: Addr, new: impl FnOnce(u64) -> u64) -> Option<u64> {
         let line = addr.line();
-        if !self.check_guard(now, line) {
-            return None;
-        }
+        self.check_guard(now, line);
         let l2 = self.l2.get_mut(line)?;
         if !l2.state.exclusive() {
             return None;
@@ -955,7 +874,6 @@ impl PrivateCache {
                 // before detection: count the wound as masked, not
                 // silent (it can no longer corrupt anything).
                 self.stats.inc("soft_masked");
-                self.poisoned.retain(|l| *l != line);
             }
             self.l2.touch(line, now);
             self.fill_l1(line, now);
@@ -964,7 +882,8 @@ impl PrivateCache {
         // Choose a victim: stable lines only; under WritersBlock, lines
         // protecting a lockdown are pinned (Section 3.8 — no squash, and a
         // dirty line cannot leave silently); wounded lines are pinned
-        // until repaired (evicting on flipped state could lose data).
+        // until an access repairs them (evicting on flipped state could
+        // lose data).
         let protocol = self.protocol;
         let soft_on = self.soft_on;
         let pinned: Vec<LineAddr> = self
@@ -1077,11 +996,10 @@ impl PrivateCache {
     }
 
     /// Retry deferred fills (and, under soft errors, scrub the MSHR
-    /// shadows and repair poisoned lines); call once per cycle.
+    /// shadows); call once per cycle.
     pub fn tick(&mut self, now: Cycle, core: &mut dyn CoreSide) {
         if self.soft_on {
             self.scrub_mshrs(now);
-            self.repair_poisoned(now, core);
         }
         if self.pending_fills.is_empty() {
             return;
@@ -1110,9 +1028,7 @@ impl PrivateCache {
             // Scrub the MSHR shadows and repair any wound on the line
             // this message touches before interpreting stored state.
             self.scrub_mshrs(now);
-            if !self.check_guard(now, msg.line()) {
-                self.repair_poisoned(now, core);
-            }
+            self.check_guard(now, msg.line());
         }
         match msg {
             ProtoMsg::Data { line, data, acks_expected, exclusive, cacheable, for_write } => {
@@ -1368,12 +1284,12 @@ impl PrivateCache {
 // Every execution-visible field. Configuration-derived fields (`node`,
 // `home`, geometry) and observability state (the tracer) are not
 // listed: restore targets a cache built from the same
-// [`wb_kernel::config::SystemConfig`]. `wounds` and `poisoned` are the
-// soft-error layer (v2): undetected wounds and the poison list;
-// corrupted guards live inside the L2 lines.
+// [`wb_kernel::config::SystemConfig`]. `wounds` is the soft-error
+// layer: the cycle each undetected wound landed; the corrupted state
+// itself lives inside the L2 lines.
 wb_kernel::snap_component!(pub PrivateCache {
     l1, l2, mshrs, evict_buf, pending_fills, outbox, completions, stats,
-    lockdown_since, hot, fault, wounds, poisoned,
+    lockdown_since, hot, fault, wounds,
 });
 
 wb_kernel::snap_enum!(PState { 0 => S, 1 => E, 2 => M, 3 => SmAd });

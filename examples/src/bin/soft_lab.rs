@@ -1,7 +1,8 @@
 //! Soft-error lab: flip bits inside the coherence protocol's own stored
 //! state — cache line states and tags, directory states and sharer
 //! sets, MSHR bookkeeping — and show that the guard-hash detectors plus
-//! the poison/recovery path catch every strike before it becomes
+//! the repair path (a cache line restored in place, a directory entry
+//! purged from every core) catch every strike before it becomes
 //! architecturally visible.
 //!
 //! ```text
@@ -17,7 +18,7 @@
 //!    coherence audit, account for every injected flip
 //!    (`soft_silent == 0`) and stay TSO-green.
 //! 2. Soft errors *and* a lossy interconnect at the same time — the
-//!    recovery path re-fetches over links that are themselves dropping.
+//!    directory's purge travels over links that are themselves dropping.
 //! 3. A strike-rate sweep — acceleration x1..x50 over background
 //!    radiation x 3 seeds — printing injected/detected/recovered counts
 //!    and detection-latency percentiles from the `soft_detect_latency`
@@ -55,7 +56,7 @@ fn main() {
     }
 
     // 2. Bit flips in the books while the links drop packets under
-    //    them: recovery re-fetches must survive a lossy mesh.
+    //    them: the directory's purges must survive a lossy mesh.
     smoke(
         "soft+fault",
         base_cfg(13)

@@ -24,22 +24,17 @@ if grep -rn --include=Cargo.toml -E '^[[:space:]]*(rand|serde|proptest|criterion
 fi
 
 cargo build --release --offline
-# `cargo build` and `cargo test` never compile the `harness = false`
-# bench target (protocol); without this a bench that stops compiling
-# rots until someone runs it.
-cargo check --offline --all-targets
 # Three disciplines are lints at the crate roots, not greps here: no
 # unwrap/expect in wb-mesh (it sits under a fault injector), no bare
 # panic!/unreachable! in wb-protocol (impossible states are typed
 # faults), no println!/eprintln! in any component crate (output goes
 # through wb_kernel::trace). Each is a `deny`, so clippy exits nonzero.
-# `--all-targets` lints the tests, benches and examples too (the
-# wb-protocol panic lint is off under `cfg(test)`; the others apply).
-# A fourth is workspace-wide: the root clippy.toml disallows
+# `--all-targets` checks and lints every target, tests and examples
+# too (the wb-protocol panic lint is off under `cfg(test)`; the others
+# apply). A fourth is workspace-wide: the root clippy.toml disallows
 # `Instant::now` / `SystemTime::now`, and `-D` makes a host-clock read
-# anywhere but the one `#[allow]` in wb_bench::timing an error — so
-# simulated results (snapshots, campaign cells, the tables in results/)
-# stay pure functions of their inputs. Host time is measured by
+# anywhere an error — so simulated results (snapshots, campaign cells,
+# the tables in results/) stay pure functions of their inputs. Host time is measured by
 # benchmark/, which this workspace does not build. `-D warnings` makes
 # every default-level lint an error too, so a new warning fails here
 # instead of piling up.
@@ -103,15 +98,17 @@ test "$(wc -l < "$campdir/cut/manifest")" -eq 8
 cmp "$campdir/ref/merged.jsonl" "$campdir/cut/merged.jsonl"
 cmp "$campdir/ref/wedges.jsonl" "$campdir/cut/wedges.jsonl"
 
-# Soft-error gate: seeds 0-99 of campaigns/soft_torture.json, 1000
-# torture cells under background radiation at 20x and 5x. Torture cells
+# Soft-error gate: seeds 0-99 of campaigns/soft_torture.json (torture
+# cells under background radiation at 20x and 5x) plus the same seeds
+# under a cache-state storm at 100x, 1500 cells in all. Torture cells
 # keep the event log, so each one must drain, audit clean and pass the
 # TSO checker; the summary line must count no failure of any kind.
 cat > "$campdir/soft.json" <<'EOF'
 { "name": "soft_torture_0_99", "cores": 4, "class": "slm", "engine": "sparse",
   "budget": 8000000, "jitter": 25, "workloads": ["torture"],
   "arms": ["mesi-inorder", "mesi-ooo", "wb-inorder", "wb-ooo", "wb-ecl"],
-  "softs": ["background-radiation-x20", "background-radiation-x5"],
+  "softs": ["background-radiation-x20", "background-radiation-x5",
+            "cache-state-storm-x100"],
   "seeds": { "first": 0, "count": 100 } }
 EOF
 soft_summary="$(cargo run -q --release --offline -p wb-bench --bin campaign -- \

@@ -237,17 +237,17 @@ fn mismatched_configurations_are_rejected() {
     // Truncated payload.
     let mut d = System::new(cfg.clone(), &w);
     assert!(d.restore(&bytes[..bytes.len() / 2]).is_err(), "truncation must be rejected");
-    // A snapshot of the previous payload layout, 6 (the u16 right after
-    // the frame header; 7 replaced the soft-error probe-and-rebuild with
-    // the purge): a typed error, never a misparse.
+    // A snapshot of the previous payload layout, 7 (the u16 right after
+    // the frame header; 8 dropped the private cache's poison list): a
+    // typed error, never a misparse.
     let mut old = bytes.clone();
     let at = wb_kernel::snap::MAGIC.len() + 4;
     let layout = u16::from_le_bytes([old[at], old[at + 1]]);
-    assert_eq!(layout, 7, "this build writes layout 7");
-    old[at..at + 2].copy_from_slice(&6u16.to_le_bytes());
+    assert_eq!(layout, 8, "this build writes layout 8");
+    old[at..at + 2].copy_from_slice(&7u16.to_le_bytes());
     let mut f = System::new(cfg, &w);
     let e = f.restore(&old).expect_err("old layout must be rejected");
-    let want = "snapshot layout 6 unsupported (this build reads 7)";
+    let want = "snapshot layout 7 unsupported (this build reads 8)";
     assert!(e.to_string().contains(want), "got: {e}");
 }
 
@@ -288,8 +288,8 @@ fn wire_cell(name: &str) -> System {
 /// The wire format itself, not just its round trip: length and digest
 /// of `System::snapshot()` on [`WIRE_CELLS`]. A layout change bumps
 /// `SNAP_LAYOUT` and refreshes them; so does a behaviour change, which
-/// moves the state at the cut. Last refreshed for layout 7 (the
-/// soft-error purge replaced the probe-and-rebuild).
+/// moves the state at the cut. Last refreshed for layout 8 (a corrupted
+/// cache line is restored in place; the cache's poison list is gone).
 #[test]
 fn wire_format_is_pinned() {
     let got: Vec<(&str, usize, u64)> = WIRE_CELLS
@@ -300,12 +300,12 @@ fn wire_format_is_pinned() {
         })
         .collect();
     let want = [
-        ("mp", 653_942, 0x13fb_0b8f_e497_79b1),
-        ("plain", 1_359_109, 0x4ebc_cc38_0e02_a7bf),
-        ("chaos", 1_347_604, 0x1e44_0db7_c405_9052),
-        ("arq", 1_358_227, 0xdfb1_1b2d_923a_7a23),
-        ("soft", 1_365_407, 0x0f4a_a086_13b9_d00c),
-        ("ecl16", 5_366_259, 0xe08a_5680_8829_eeb3),
+        ("mp", 653_926, 0x0a7e_b0ba_e7af_f67a),
+        ("plain", 1_359_077, 0x9444_e261_af0f_23f2),
+        ("chaos", 1_347_572, 0x83d8_e2cf_89f7_c4e5),
+        ("arq", 1_358_195, 0x1d94_bee2_9eac_402e),
+        ("soft", 1_368_144, 0xb5f0_dafb_d18f_224b),
+        ("ecl16", 5_366_131, 0x217c_aa2f_f6e2_b286),
     ];
     assert_eq!(got, want, "the wire moved");
 }

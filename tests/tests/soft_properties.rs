@@ -8,8 +8,8 @@
 //! 3. `SoftPlan::none()` is byte-identical to `soft: None` — outcome,
 //!    final cycle and stats JSON — in every engine mode;
 //! 4. soft cells are cycle-exact: Dense and Sparse (and the verify
-//!    engine on a subset) agree byte for byte with flips,
-//!    poison/recovery and periodic audits in play.
+//!    engine on a subset) agree byte for byte with flips, repairs
+//!    and periodic audits in play.
 
 use wb_isa::Workload;
 use wb_kernel::check::prelude::*;
