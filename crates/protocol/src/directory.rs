@@ -1588,9 +1588,15 @@ impl Directory {
                 self.events
                     .push_back((now + MEM_CYCLES, Event::UncachedMemRead { line, requester }));
             }
-            ProtoMsg::GetX { .. } => {
+            ProtoMsg::GetX { requester, .. } => {
                 // Writes may wait (TSO allows it): retry after a delay.
+                // Hint the writer, so its SoS load reads around the
+                // write with a tear-off: the way this write waits for
+                // may need an eviction slot held by a parked eviction
+                // that waits on the writer's own lockdown. The cache
+                // ignores a repeated hint.
                 self.note_retry(line);
+                self.send(requester, ProtoMsg::WbHint { line });
                 self.requeue(now, msg, self.retry_delay);
             }
             other => {

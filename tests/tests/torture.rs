@@ -127,16 +127,29 @@ fn ecl_atomic_waits_for_older_loads() {
     must_pass(cfg, &torture::workload(4, 9046, 200), 2_000_000);
 }
 
-/// A parked `Owned` LLC eviction once answered reads with the LLC's own
-/// copy before the owner's writeback arrived: a stale tear-off, mostly
-/// read as a `UniprocViolation`. One such program per arm, at the
-/// tiny-LLC geometry of `deadlock_freedom`'s eviction tests (four lines
-/// per bank, two ways, a two-slot eviction buffer) over 24 spread lines,
-/// jitter 25. Every cell must pass.
+/// Programs that once failed at the tiny-LLC geometry of
+/// `deadlock_freedom`'s eviction tests (four lines per bank, two ways, a
+/// two-slot eviction buffer) over 24 spread lines, jitter 25. The first
+/// five, one per arm: a parked `Owned` LLC eviction answered reads with
+/// the LLC's own copy before the owner's writeback arrived, a stale
+/// tear-off mostly read as a `UniprocViolation`. The last three
+/// livelocked on the WritersBlock arms: a GetX the bank could not
+/// allocate for was retried without a hint, so its writer's SoS load
+/// waited on the write, the write on a way, the way on an eviction
+/// slot, and the slot on a parked eviction held by that core's own
+/// lockdown. Every cell must pass.
 #[test]
 fn tiny_llc_known_failures_by_arm() {
-    const SEEDS: [(&str, u64); 5] =
-        [("mesi-inorder", 11), ("mesi-ooo", 19), ("wb-inorder", 52), ("wb-ooo", 57), ("wb-ecl", 63)];
+    const SEEDS: [(&str, u64); 8] = [
+        ("mesi-inorder", 11),
+        ("mesi-ooo", 19),
+        ("wb-inorder", 52),
+        ("wb-ooo", 57),
+        ("wb-ecl", 63),
+        ("wb-inorder", 302),
+        ("wb-ooo", 43),
+        ("wb-ecl", 81),
+    ];
     wb_bench::sweep::run(SEEDS.to_vec(), |(arm, seed)| {
         let (protocol, mode) = wb_kernel::config::arm(arm).expect("a config::ARMS name");
         let mut cfg = config(CoreClass::Slm, mode, seed).with_protocol(protocol);
