@@ -22,6 +22,11 @@
 // dropped an SoS load's hit and wedged the machine (`LoadAccess` is
 // `#[must_use]`; `cargo clippy` in `scripts/verify.sh` fails on this).
 #![deny(clippy::let_underscore_must_use)]
+// Lookups by sequence number answer with an `Option`. Where the pipeline
+// knows the entry exists, a `let ... else` states what happens otherwise;
+// there is no `unwrap`/`expect` outside tests, as in `wb-mesh` (`cargo
+// clippy` in `scripts/verify.sh` fails on one).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod core;
 pub mod lsq;

@@ -2,7 +2,7 @@
 //! machinery depends on (Sections 3.1-3.2 terminology).
 
 use wb_kernel::check::prelude::*;
-use wb_cpu::lsq::{ForwardResult, LoadState, Lsq};
+use wb_cpu::lsq::{ForwardResult, Lsq};
 use wb_mem::Addr;
 
 #[derive(Debug, Clone)]
@@ -41,13 +41,12 @@ wb_proptest! {
             match op {
                 LsqOp::AllocLoad if !lsq.lq_full() => {
                     lsq.alloc_load(next_seq, false);
-                    lsq.load_mut(next_seq).unwrap().addr = Some(addr);
-                    lsq.load_mut(next_seq).unwrap().state = LoadState::Ready;
+                    lsq.resolve_load(next_seq, addr);
                     next_seq += 1;
                 }
                 LsqOp::AllocAmo if !lsq.lq_full() => {
                     lsq.alloc_load(next_seq, true);
-                    lsq.load_mut(next_seq).unwrap().addr = Some(addr);
+                    lsq.resolve_load(next_seq, addr);
                     next_seq += 1;
                 }
                 LsqOp::AllocStore if !lsq.sq_full() => {
@@ -56,7 +55,7 @@ wb_proptest! {
                 }
                 LsqOp::PerformOldest => {
                     if let Some(sos) = lsq.sos_seq() {
-                        lsq.load_mut(sos).unwrap().perform(0, 0);
+                        lsq.perform(sos, 0, 0);
                     }
                 }
                 LsqOp::ResolveStore { value } => {
@@ -64,9 +63,8 @@ wb_proptest! {
                         .filter(|s| lsq.store(*s).is_some_and(|e| e.addr.is_none()))
                         .collect();
                     if let Some(&s) = unresolved.first() {
-                        let st = lsq.store_mut(s).unwrap();
-                        st.addr = Some(addr);
-                        st.data = Some(value);
+                        lsq.resolve_store(s, addr);
+                        lsq.store_data(s, value);
                     }
                 }
                 LsqOp::SquashTail if next_seq > 1 => {
@@ -79,6 +77,17 @@ wb_proptest! {
             // Invariant: SoS = oldest non-performed.
             let oldest_np = lsq.loads().find(|e| !e.performed()).map(|e| e.seq);
             prop_assert_eq!(lsq.sos_seq(), oldest_np);
+
+            // Invariant: the kept oldest non-performed atomic and oldest
+            // unresolved store address equal a rescan.
+            let oldest_amo = lsq.loads().find(|e| e.is_amo && !e.performed()).map(|e| e.seq);
+            prop_assert_eq!(lsq.oldest_unperformed_amo(), oldest_amo);
+            let unresolved_store = (1..next_seq).find(|&s| {
+                lsq.store(s).is_some_and(|e| e.addr.is_none())
+                    || lsq.load(s).is_some_and(|e| e.is_amo && e.addr.is_none())
+            });
+            prop_assert_eq!(lsq.oldest_unresolved_store(), unresolved_store);
+            prop_assert!(lsq.marks_hold());
 
             // Invariant: is_ordered consistency.
             let seqs: Vec<u64> = lsq.loads().map(|e| e.seq).collect();
@@ -108,9 +117,8 @@ wb_proptest! {
         let mut seq = 1u64;
         for v in &values {
             lsq.alloc_store(seq);
-            let st = lsq.store_mut(seq).unwrap();
-            st.addr = Some(addr);
-            st.data = Some(*v);
+            lsq.resolve_store(seq, addr);
+            lsq.store_data(seq, *v);
             seq += 1;
         }
         // A load younger than all stores must forward the last value.
@@ -128,13 +136,12 @@ wb_proptest! {
         let mut lsq = Lsq::new(16, 16, 8);
         for s in 1..=count as u64 {
             lsq.alloc_store(s);
-            let st = lsq.store_mut(s).unwrap();
-            st.addr = Some(Addr::new(0x100 + s * 8));
-            st.data = Some(s);
+            lsq.resolve_store(s, Addr::new(0x100 + s * 8));
+            lsq.store_data(s, s);
         }
         for s in 1..=count as u64 {
             prop_assert_eq!(lsq.oldest_store_seq(), Some(s));
-            lsq.commit_store(s);
+            prop_assert!(lsq.commit_store(s));
         }
         let mut popped = Vec::new();
         while let Some(e) = lsq.sb_pop() {
