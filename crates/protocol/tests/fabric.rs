@@ -106,7 +106,7 @@ impl Fabric {
                     MeshMsg { src: from, dst: dest.node(), vnet: msg.vnet(), flits, payload: (dest, msg) },
                 );
             }
-            self.collected[i].extend(self.caches[i].take_completions());
+            self.collected[i].extend(self.caches[i].drain_completions());
         }
         self.mesh.tick(self.now);
         self.now += 1;
