@@ -6,7 +6,7 @@ use wb_kernel::{ActivitySched, NodeId};
 impl System {
     /// Layout version of the `System` payload inside the WBSNAP frame.
     /// Bump whenever any component's wire layout changes.
-    const SNAP_LAYOUT: u16 = 8;
+    const SNAP_LAYOUT: u16 = 9;
 
     /// The activity wheel a sparse engine *would* hold at this instant,
     /// recomputed from component state alone. Stored in every snapshot:

@@ -237,17 +237,17 @@ fn mismatched_configurations_are_rejected() {
     // Truncated payload.
     let mut d = System::new(cfg.clone(), &w);
     assert!(d.restore(&bytes[..bytes.len() / 2]).is_err(), "truncation must be rejected");
-    // A snapshot of the previous payload layout, 7 (the u16 right after
-    // the frame header; 8 dropped the private cache's poison list): a
+    // A snapshot of the previous payload layout, 8 (the u16 right after
+    // the frame header; 9 keeps a blocked write's books in a `Round`): a
     // typed error, never a misparse.
     let mut old = bytes.clone();
     let at = wb_kernel::snap::MAGIC.len() + 4;
     let layout = u16::from_le_bytes([old[at], old[at + 1]]);
-    assert_eq!(layout, 8, "this build writes layout 8");
-    old[at..at + 2].copy_from_slice(&7u16.to_le_bytes());
+    assert_eq!(layout, 9, "this build writes layout 9");
+    old[at..at + 2].copy_from_slice(&8u16.to_le_bytes());
     let mut f = System::new(cfg, &w);
     let e = f.restore(&old).expect_err("old layout must be rejected");
-    let want = "snapshot layout 7 unsupported (this build reads 8)";
+    let want = "snapshot layout 8 unsupported (this build reads 9)";
     assert!(e.to_string().contains(want), "got: {e}");
 }
 
@@ -288,8 +288,9 @@ fn wire_cell(name: &str) -> System {
 /// The wire format itself, not just its round trip: length and digest
 /// of `System::snapshot()` on [`WIRE_CELLS`]. A layout change bumps
 /// `SNAP_LAYOUT` and refreshes them; so does a behaviour change, which
-/// moves the state at the cut. Last refreshed for layout 8 (a corrupted
-/// cache line is restored in place; the cache's poison list is gone).
+/// moves the state at the cut. Last refreshed for layout 9 (a write's
+/// directory entry keeps its lockdown count in the same `Round` as a
+/// parked eviction or a purge).
 #[test]
 fn wire_format_is_pinned() {
     let got: Vec<(&str, usize, u64)> = WIRE_CELLS
@@ -300,12 +301,12 @@ fn wire_format_is_pinned() {
         })
         .collect();
     let want = [
-        ("mp", 653_926, 0x0a7e_b0ba_e7af_f67a),
-        ("plain", 1_359_077, 0x9444_e261_af0f_23f2),
-        ("chaos", 1_347_572, 0x83d8_e2cf_89f7_c4e5),
-        ("arq", 1_358_195, 0x1d94_bee2_9eac_402e),
-        ("soft", 1_368_144, 0xb5f0_dafb_d18f_224b),
-        ("ecl16", 5_366_131, 0x217c_aa2f_f6e2_b286),
+        ("mp", 653_895, 0xad65_e813_3fc5_1979),
+        ("plain", 1_358_953, 0x9029_3b9b_73ed_51ae),
+        ("chaos", 1_347_479, 0x5e09_bcb3_7e91_da44),
+        ("arq", 1_358_102, 0x6cea_4be7_66c9_3bc7),
+        ("soft", 1_367_989, 0xb665_6696_87ad_b79e),
+        ("ecl16", 5_366_007, 0x74d9_499f_6a8c_2a87),
     ];
     assert_eq!(got, want, "the wire moved");
 }
