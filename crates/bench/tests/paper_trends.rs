@@ -26,13 +26,22 @@ fn percents(text: &str, prefix: &str) -> Vec<f64> {
         .collect()
 }
 
+/// Figure 10's headline: OoO+WB over plain OoO commit averages +10.2 %
+/// in the paper. Both scales must land within 5 points of it (they read
+/// +13.1 % quick and +10.4 % small); the max is not bounded, since it is
+/// one benchmark's (blackscholes', see EXPERIMENTS.md "Figure 10").
 #[test]
 fn fig10_writersblock_beats_plain_ooo_commit_on_slm() {
+    const PAPER: f64 = 10.2;
+    const BAND: f64 = 5.0;
     for name in ["fig10_ooo_commit.txt", "fig10_small.txt"] {
         let t = table(name);
         let wb_over_ooo = percents(&t, "OoO+WB over OoO")[0];
         let ooo_over_inorder = percents(&t, "OoO    over InOrder")[0];
-        assert!(wb_over_ooo > 0.0, "{name}: OoO+WB over OoO {wb_over_ooo}%");
+        assert!(
+            (wb_over_ooo - PAPER).abs() <= BAND,
+            "{name}: OoO+WB over OoO {wb_over_ooo}% outside the paper's {PAPER}% ± {BAND} points"
+        );
         assert!(
             wb_over_ooo > ooo_over_inorder,
             "{name}: OoO+WB over OoO {wb_over_ooo}% vs OoO over InOrder {ooo_over_inorder}%"
