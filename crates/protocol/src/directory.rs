@@ -229,6 +229,63 @@ impl Round {
     }
 }
 
+/// Option 1's books for one write (Section 3.4), beside its `Round`. A
+/// Nack or a LockdownAck does not say which invalidation it answers, the
+/// writer's own or a re-invalidation; these sets do.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Readmitted {
+    /// Re-invalidated cores that have not settled.
+    reinvalidated: SharerSet,
+    /// The subset that Nacked: each owes the bank its LockdownAck.
+    nacked: SharerSet,
+    /// Cores whose Nack of the writer's invalidation owes a LockdownAck.
+    owing: SharerSet,
+}
+
+impl Readmitted {
+    /// A Nack from `n`. A re-invalidated core's first answers its
+    /// re-invalidation (true); any other is a lockdown of the writer's.
+    fn nack(&mut self, n: NodeId) -> bool {
+        let reinvalidation = self.reinvalidated.contains(n) && !self.nacked.contains(n);
+        if reinvalidation {
+            self.nacked.insert(n);
+        } else {
+            self.owing.insert(n);
+        }
+        reinvalidation
+    }
+
+    /// An InvAck from `n`: does it settle a re-invalidation, and was the
+    /// Nack taken for that re-invalidation the writer's after all?
+    fn inv_ack(&mut self, n: NodeId) -> (bool, bool) {
+        if !self.reinvalidated.contains(n) {
+            return (false, false);
+        }
+        self.reinvalidated.remove(n);
+        let writers = self.nacked.contains(n);
+        if writers {
+            self.nacked.remove(n);
+            self.owing.insert(n);
+        }
+        (true, writers)
+    }
+
+    /// A LockdownAck from `n`: does it settle a re-invalidation, and is
+    /// it the writer's? A core's lockdown lifts once, so one LockdownAck
+    /// answers every Nack it sent; one that answers no known Nack is the
+    /// writer's.
+    fn lockdown_ack(&mut self, n: NodeId) -> (bool, bool) {
+        let reinvalidation = self.nacked.contains(n);
+        if reinvalidation {
+            self.nacked.remove(n);
+            self.reinvalidated.remove(n);
+        }
+        let owed = self.owing.contains(n) || !reinvalidation;
+        self.owing.remove(n);
+        (reinvalidation, owed)
+    }
+}
+
 /// The round a line is in, with the bank's copy of the data, the
 /// messages queued behind it and, for a blocked write, its writer.
 struct RoundAt<'a> {
@@ -321,6 +378,8 @@ pub struct Directory {
     /// entry make the reader send a 3-hop Unblock the write transaction
     /// does not expect; this counts how many to absorb per line.
     stray_unblocks: std::collections::HashMap<LineAddr, u32>,
+    /// Option-1 ablation: [`Readmitted`] per write in flight.
+    readmitted: HashMap<LineAddr, Readmitted>,
     stats: Stats,
     tracer: Tracer,
     /// Cycle each line entered WritersBlock (first Nack), for the
@@ -403,6 +462,7 @@ impl Directory {
             retry_delay: 25,
             option1_cacheable_reads: option1,
             stray_unblocks: std::collections::HashMap::new(),
+            readmitted: HashMap::new(),
             stats,
             tracer: Tracer::new(CompId::Dir(node.0)),
             wb_since: HashMap::new(),
@@ -1121,6 +1181,9 @@ impl Directory {
         let data = entry.data;
         entry.start_write(requester);
         self.l3.touch(line, now);
+        if self.option1_cacheable_reads {
+            self.readmitted.insert(line, Readmitted::default());
+        }
         if let Some(owner) = owner {
             self.send(owner, ProtoMsg::FwdGetX { line, requester });
             return;
@@ -1196,7 +1259,12 @@ impl Directory {
     // WritersBlock machinery
     // ------------------------------------------------------------------
 
-    fn on_nack(&mut self, now: Cycle, line: LineAddr, _from: NodeId, data: Option<LineData>) {
+    fn on_nack(&mut self, now: Cycle, line: LineAddr, from: NodeId, data: Option<LineData>) {
+        // A re-invalidated reader's lockdown: its LockdownAck will settle
+        // the re-invalidation, and it holds no lockdown of the writer's.
+        if self.readmitted.get_mut(&line).is_some_and(|r| r.nack(from)) {
+            return;
+        }
         let Some(RoundAt { round, data: bank_data, queued, writer }) = self.round_at(line) else {
             self.no_round(line, "Nack");
             return;
@@ -1244,15 +1312,23 @@ impl Directory {
     }
 
     fn on_lockdown_ack(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
+        // A re-invalidated reader's ack settles its re-invalidation, and
+        // is the writer's too only if the core also owes it one.
+        let (reinvalidation, owed) =
+            self.readmitted.get_mut(&line).map_or((false, true), |r| r.lockdown_ack(from));
         let Some(RoundAt { round, queued, writer, .. }) = self.round_at(line) else {
             self.no_round(line, "LockdownAck");
             return;
         };
         match writer {
-            // The ack belongs to the writer; the bank holds it until it
-            // may pass it on.
+            // The bank holds the writer's ack until it may pass it on.
             Some(_) => {
-                queued.push_back(ProtoMsg::LockdownAck { line, from });
+                if reinvalidation {
+                    round.settled();
+                }
+                if owed {
+                    queued.push_back(ProtoMsg::LockdownAck { line, from });
+                }
                 self.pass_on_acks(line);
             }
             None => round.settled(),
@@ -1260,13 +1336,18 @@ impl Directory {
         self.settle_round(now, line);
     }
 
-    fn on_inv_ack(&mut self, now: Cycle, line: LineAddr, _from: NodeId) {
+    fn on_inv_ack(&mut self, now: Cycle, line: LineAddr, from: NodeId) {
+        let (settles, writers) =
+            self.readmitted.get_mut(&line).map_or((false, false), |r| r.inv_ack(from));
         match self.round_at(line) {
             Some(RoundAt { round, writer: None, .. }) => round.answered(),
             // An Option-1 re-invalidation answered: the last of its round
             // lets the next round start or the held acks go on.
-            Some(RoundAt { round, writer: Some(_), .. }) if round.reinvalidating() > 0 => {
+            Some(RoundAt { round, writer: Some(_), .. }) if settles => {
                 round.settled();
+                if writers {
+                    round.nacked();
+                }
                 if round.reinvalidating() == 0 {
                     self.pass_on_acks(line);
                 }
@@ -1292,8 +1373,22 @@ impl Directory {
             return;
         };
         let writer = *writer;
-        let readers = sharers.take();
+        // A reader re-admitted before its last re-invalidation settled
+        // waits for the next round: one answer settles one invalidation.
+        let books = self.readmitted.get_mut(&line);
+        let mut readers = SharerSet::EMPTY;
+        for n in sharers.take() {
+            match &books {
+                Some(r) if r.reinvalidated.contains(n) => sharers.insert(n),
+                _ => readers.insert(n),
+            }
+        }
         round.pending += readers.count() as u32;
+        if let Some(r) = books {
+            for target in readers {
+                r.reinvalidated.insert(target);
+            }
+        }
         let acks = if round.reinvalidating() == 0 { take_lockdown_acks(queued) } else { 0 };
         round.lift(acks);
         for target in readers {
@@ -1378,6 +1473,7 @@ impl Directory {
                 return;
             }
             DirState::BusyWrite { writer, .. } if *writer == from => {
+                self.readmitted.remove(&line);
                 entry.sharers = SharerSet::EMPTY;
                 entry.owner = Some(from);
                 entry.state = DirState::Owned;
@@ -1597,7 +1693,7 @@ impl Directory {
 // observability state (the tracer) are not listed: restore targets a
 // bank built from the same [`SystemConfig`].
 wb_kernel::snap_component!(pub Directory {
-    l3, evict_buf, memory, ingress, events, outbox, stray_unblocks, stats,
+    l3, evict_buf, memory, ingress, events, outbox, stray_unblocks, readmitted, stats,
     wb_since, fault, retry_counts, tearoff_counts, hot, wounds,
 });
 
@@ -1615,6 +1711,7 @@ wb_kernel::snap_enum!(DirState {
 // run must detect it on the same cycle.
 wb_kernel::snap_struct!(DirEntry { state, sharers, owner, data, queued, guard });
 wb_kernel::snap_struct!(Round { pending, unheard, wb, lockdowns });
+wb_kernel::snap_struct!(Readmitted { reinvalidated, nacked, owing });
 wb_kernel::snap_struct!(Evicting { line, data, round, queued });
 wb_kernel::snap_enum!(Event {
     0 => Process(msg),

@@ -438,6 +438,49 @@ fn option1_reader_is_reinvalidated_before_the_write_gets_its_ack() {
     assert!(b.deliver(ProtoMsg::GetS { line, requester: n0, kind: Cacheable }).is_empty());
 }
 
+/// Option 1 again, with readers that hold lockdowns. A re-invalidated
+/// reader under a lockdown Nacks the re-invalidation and answers it with
+/// its `LockdownAck` when the lockdown lifts: that ack settles the
+/// re-invalidation and is not the writer's. A core that Nacked the
+/// write's own invalidation, read again and was re-invalidated within
+/// the same lockdown sends one `LockdownAck` for both. The writer gets
+/// exactly one `RedirAck` per Nacked invalidation of its own.
+#[test]
+fn option1_reader_under_a_lockdown_settles_its_reinvalidation_with_its_lockdown_ack() {
+    use wb_protocol::messages::ReadKind::Cacheable;
+    let line = A.line();
+    let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let mut b = Bank { dir: Directory::with_memory_config(n0, &small_mem(), true), now: 0 };
+    b.deliver(ProtoMsg::GetS { line, requester: n1, kind: Cacheable });
+    b.deliver(ProtoMsg::Unblock { line, from: n1 });
+    b.deliver(ProtoMsg::GetS { line, requester: n2, kind: Cacheable });
+    b.deliver(ProtoMsg::DataWb { line, from: n1, data: LineData::new() });
+    b.deliver(ProtoMsg::Unblock { line, from: n2 }); // cores 1 and 2 share it
+    // Core 3 writes; both sharers' lockdowns Nack its invalidations.
+    b.deliver(ProtoMsg::GetX { line, requester: n3 });
+    b.deliver(ProtoMsg::Nack { line, from: n1, data: None });
+    b.deliver(ProtoMsg::Nack { line, from: n2, data: None });
+    // Core 0 is admitted; core 1's lockdown lifts and re-invalidates it.
+    b.deliver(ProtoMsg::GetS { line, requester: n0, kind: Cacheable });
+    b.deliver(ProtoMsg::Unblock { line, from: n0 });
+    assert!(reinv_to(&b.deliver(ProtoMsg::LockdownAck { line, from: n1 }), 0));
+    // Core 0 holds a lockdown too: it Nacks, and core 2 reads again.
+    assert!(!redir_to(&b.deliver(ProtoMsg::Nack { line, from: n0, data: None }), 3));
+    b.deliver(ProtoMsg::GetS { line, requester: n2, kind: Cacheable });
+    b.deliver(ProtoMsg::Unblock { line, from: n2 });
+    // Core 0's lockdown lifts: its round ends and core 2's begins.
+    let out = b.deliver(ProtoMsg::LockdownAck { line, from: n0 });
+    assert!(reinv_to(&out, 2), "the next round did not start: {out:?}");
+    assert!(!redir_to(&out, 3), "ack passed on while a reader holds a copy: {out:?}");
+    // Core 2 Nacks within the lockdown that Nacked the write: one
+    // LockdownAck answers both, and both held acks reach the writer.
+    b.deliver(ProtoMsg::Nack { line, from: n2, data: None });
+    let out = b.deliver(ProtoMsg::LockdownAck { line, from: n2 });
+    let redirs = out.iter().filter(|m| matches!(m, (Dest::Cache(NodeId(3)), ProtoMsg::RedirAck { .. }))).count();
+    assert_eq!(redirs, 2, "{out:?}");
+    assert_eq!(b.dir.stats().get("dir_redir_acks"), 2);
+}
+
 /// A GetX the bank cannot allocate an LLC way for is retried every
 /// `retry_delay` cycles until a way frees up. Its writer is hinted at
 /// the first refusal (its SoS load must read around the waiting write),

@@ -52,12 +52,13 @@ fn main() {
     smoke("sos bypass under lockdown stall", &directed::sos_bypass(), cfg);
 
     // 3. The §3.4 Option-1 ablation must wedge — and the watchdog must
-    //    say so, with the starving writer and the hot line named.
+    //    say so, with the starving writer and the hot line named. Without
+    //    jitter the re-invalidation rounds chain for good; with some, a
+    //    round can find no reader admitted and the write gets through.
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(8)
         .with_commit(CommitMode::OutOfOrderWb)
         .with_seed(0)
-        .with_jitter(20)
         .without_event_log();
     cfg.wb_cacheable_reads = true; // Option 1: the rejected design
     cfg.stall_window = 50_000;
