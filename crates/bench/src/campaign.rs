@@ -1,10 +1,9 @@
 //! Crash-resumable campaign farm — the one matrix runner.
 //!
-//! A *campaign* is a matrix of simulation cells — workload × protocol
-//! arm × chaos plan × fault plan × soft-error plan × seed — described
-//! by a JSON spec
-//! (parsed with the in-tree [`wb_kernel::json`] parser) and executed on
-//! the deterministic sweep runner ([`crate::sweep`]). Results stream to
+//! A *campaign* is a matrix of simulation cells described by a
+//! [`CampaignSpec`] (`writersblock::spec`: the keys, and the one-cell
+//! form every reproducer prints) and executed on the deterministic sweep
+//! runner ([`crate::sweep`]). Results stream to
 //! `<out>/results.jsonl` in completion order; after every flushed
 //! result line the cell's id is appended to `<out>/manifest`, so a
 //! `kill -9` at any instant loses at most the cell in flight. Re-running
@@ -17,16 +16,18 @@
 //! Every run also rewrites `<out>/wedges.jsonl` from the merged results:
 //! the first failing cell in spec order of each distinct signature, in
 //! `merged.jsonl`'s line format (so with its reproducer); empty for a
-//! clean campaign. Mining for failures is a spec like any other: the
-//! `torture` workload draws each cell's program from its seed, and the
-//! chaos, fault and soft-error axes put any workload under injection.
+//! clean campaign. Mining for failures is a spec like any other: a
+//! torture workload draws each cell's program from its seed, and the
+//! chaos, fault and soft-error axes put any workload under injection. A
+//! reproducer saved to a file is a spec too: the farm replays its cell.
 //!
-//! Cells are judged by [`System::verify`], so a cell that *completes*
+//! Cells are judged by [`writersblock::System::verify`], so a cell that *completes*
 //! still passes through the final coherence audit and the silent-flip
 //! account: an undetected bit flip is recorded as `corrupt` with a
 //! `silent-corruption|…` signature instead of slipping through as a
-//! clean run. (Cells run without the event log, so the farm's verdict
-//! has no TSO half.)
+//! clean run. Torture cells keep the event log, so their verdict has a
+//! TSO half as well; the other workloads run without it (their store
+//! values are not unique).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, OpenOptions};
@@ -35,355 +36,10 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use crate::sweep;
-use wb_isa::Workload;
-use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{self, CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
-use wb_kernel::fault::FaultPlan;
 use wb_kernel::json::{self, Json};
-use wb_kernel::soft::SoftPlan;
-use wb_workloads::torture;
-use writersblock::{Failure, System, Verdict};
+use writersblock::{Failure, Verdict};
 
-/// The workload name whose program depends on the cell's seed: a cell
-/// with seed `s` runs `torture::workload(spec.cores, s, TORTURE_OPS)`.
-const TORTURE: &str = "torture";
-
-/// Operations per core of a `torture` cell's program.
-const TORTURE_OPS: usize = 200;
-
-// ---------------------------------------------------------------------------
-// Spec
-// ---------------------------------------------------------------------------
-
-/// A parsed campaign spec: the full cell matrix plus execution knobs.
-#[derive(Debug, Clone)]
-pub struct CampaignSpec {
-    pub name: String,
-    /// Core count used when *generating* suite workloads; each cell's
-    /// machine is sized to its workload's own core count.
-    pub cores: usize,
-    pub class: CoreClass,
-    pub engine: EngineMode,
-    pub jitter: u64,
-    /// Default per-cell cycle budget.
-    pub budget: u64,
-    /// Per-workload budget overrides (e.g. radix/streamcluster need 2x).
-    pub budgets: BTreeMap<String, u64>,
-    pub workloads: Vec<String>,
-    pub arms: Vec<String>,
-    pub chaos: Vec<String>,
-    pub faults: Vec<String>,
-    pub softs: Vec<String>,
-    pub seeds: Vec<u64>,
-}
-
-fn want_str(v: &Json, key: &str) -> Result<String, String> {
-    v.as_str().map(str::to_owned).ok_or_else(|| format!("spec key `{key}` must be a string"))
-}
-
-fn want_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.as_u64().ok_or_else(|| format!("spec key `{key}` must be an unsigned integer"))
-}
-
-fn want_str_list(v: &Json, key: &str) -> Result<Vec<String>, String> {
-    let arr = v.as_arr().ok_or_else(|| format!("spec key `{key}` must be an array"))?;
-    if arr.is_empty() {
-        return Err(format!("spec key `{key}` must not be empty"));
-    }
-    arr.iter().map(|e| want_str(e, key)).collect()
-}
-
-impl CampaignSpec {
-    /// Parse and validate a spec. Every workload/arm/chaos/fault name is
-    /// resolved against the registries here, so a typo fails before any
-    /// cell runs rather than mid-campaign.
-    pub fn parse(src: &str) -> Result<CampaignSpec, String> {
-        let doc = json::parse(src).map_err(|e| format!("campaign spec: {e}"))?;
-        let obj = doc.as_obj().ok_or("campaign spec must be a JSON object")?;
-        let mut spec = CampaignSpec {
-            name: "campaign".to_owned(),
-            cores: 4,
-            class: CoreClass::Slm,
-            engine: EngineMode::Sparse,
-            jitter: 0,
-            budget: crate::RUN_BUDGET,
-            budgets: BTreeMap::new(),
-            workloads: vec![],
-            arms: vec!["wb-ooo".to_owned()],
-            chaos: vec!["off".to_owned()],
-            faults: vec!["off".to_owned()],
-            softs: vec!["off".to_owned()],
-            seeds: vec![1],
-        };
-        for (k, v) in obj {
-            match k.as_str() {
-                "name" => spec.name = want_str(v, k)?,
-                "cores" => {
-                    spec.cores = want_u64(v, k)? as usize;
-                    if !(1..=wb_kernel::MAX_NODES).contains(&spec.cores) {
-                        return Err(format!("spec key `cores` must be in 1..={}", wb_kernel::MAX_NODES));
-                    }
-                }
-                "class" => spec.class = CoreClass::parse(&want_str(v, k)?)?,
-                "engine" => spec.engine = EngineMode::parse(&want_str(v, k)?)?,
-                "jitter" => spec.jitter = want_u64(v, k)?,
-                "budget" => spec.budget = want_u64(v, k)?,
-                "budgets" => {
-                    let o = v.as_obj().ok_or("spec key `budgets` must be an object")?;
-                    for (w, b) in o {
-                        spec.budgets.insert(w.clone(), want_u64(b, "budgets")?);
-                    }
-                }
-                "workloads" => spec.workloads = want_str_list(v, k)?,
-                "arms" => spec.arms = want_str_list(v, k)?,
-                "chaos" => spec.chaos = want_str_list(v, k)?,
-                "faults" => spec.faults = want_str_list(v, k)?,
-                "softs" => spec.softs = want_str_list(v, k)?,
-                "seeds" => {
-                    // Either an explicit list, or {"first": F, "count": N}
-                    // for fleets of thousands.
-                    if let Some(arr) = v.as_arr() {
-                        spec.seeds = arr.iter().map(|e| want_u64(e, k)).collect::<Result<_, _>>()?;
-                        if spec.seeds.is_empty() {
-                            return Err("spec key `seeds` must not be empty".to_owned());
-                        }
-                    } else if v.as_obj().is_some() {
-                        let first = want_u64(
-                            v.get("first").ok_or("seeds object needs `first`")?,
-                            "seeds.first",
-                        )?;
-                        let count = want_u64(
-                            v.get("count").ok_or("seeds object needs `count`")?,
-                            "seeds.count",
-                        )?;
-                        if count == 0 {
-                            return Err("seeds.count must be positive".to_owned());
-                        }
-                        spec.seeds = (0..count).map(|i| first.wrapping_add(i)).collect();
-                    } else {
-                        return Err("spec key `seeds` must be an array or object".to_owned());
-                    }
-                }
-                other => return Err(format!("unknown spec key `{other}`")),
-            }
-        }
-        if spec.workloads.is_empty() {
-            return Err("spec key `workloads` is required".to_owned());
-        }
-        for w in spec.workloads.iter().filter(|w| *w != TORTURE) {
-            workload_by_name(w, spec.cores)?;
-        }
-        for a in &spec.arms {
-            arm_by_name(a)?;
-        }
-        for c in &spec.chaos {
-            chaos_by_name(c)?;
-        }
-        for f in &spec.faults {
-            fault_by_name(f)?;
-        }
-        for s in &spec.softs {
-            soft_by_name(s)?;
-        }
-        for w in spec.budgets.keys() {
-            if !spec.workloads.contains(w) {
-                return Err(format!("budget override for `{w}` which is not in `workloads`"));
-            }
-        }
-        Ok(spec)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registries
-// ---------------------------------------------------------------------------
-
-/// Resolve a seed-independent workload name: litmus tests, the barrier
-/// storm, or any of the 12 suite kernels (generated at `cores` cores,
-/// `Scale::Test`). `torture` is not one: a torture cell's program comes
-/// from its seed.
-pub fn workload_by_name(name: &str, cores: usize) -> Result<Workload, String> {
-    use wb_tso::litmus;
-    match name {
-        "mp" => return Ok(litmus::mp().workload),
-        "mp-warm" => return Ok(litmus::mp_warm().workload),
-        "sb" => return Ok(litmus::sb().workload),
-        "lb" => return Ok(litmus::lb().workload),
-        "corr" => return Ok(litmus::corr().workload),
-        "iriw" => return Ok(litmus::iriw().workload),
-        "mp-transitive" => return Ok(litmus::mp_transitive().workload),
-        "two-plus-two-w" => return Ok(litmus::two_plus_two_w().workload),
-        "barrier-storm" => return Ok(wb_workloads::barrier_storm(cores, 4)),
-        _ => {}
-    }
-    wb_workloads::by_name(name, cores, wb_workloads::Scale::Test)
-        .ok_or_else(|| format!("unknown workload `{name}`"))
-}
-
-/// Resolve a protocol arm name ([`config::ARMS`]) to (protocol, commit mode).
-pub fn arm_by_name(name: &str) -> Result<(ProtocolKind, CommitMode), String> {
-    config::arm(name).ok_or_else(|| format!("unknown arm `{name}`"))
-}
-
-/// Resolve a chaos plan name (`"off"` = none).
-pub fn chaos_by_name(name: &str) -> Result<Option<ChaosPlan>, String> {
-    Ok(Some(match name {
-        "off" => return Ok(None),
-        "delay-storm" => ChaosPlan::delay_storm(),
-        "request-storm" => ChaosPlan::request_storm(),
-        "forward-storm" => ChaosPlan::forward_storm(),
-        "response-storm" => ChaosPlan::response_storm(),
-        "reorder-amplify" => ChaosPlan::reorder_amplify(),
-        "wb-entry-squeeze" => ChaosPlan::wb_entry_squeeze(),
-        "hotspot" => ChaosPlan::hotspot(0),
-        other => return Err(format!("unknown chaos plan `{other}`")),
-    }))
-}
-
-/// Resolve a fault plan name (`"off"` = none; `"drop-N-M"` drops N/M of
-/// all hops).
-pub fn fault_by_name(name: &str) -> Result<Option<FaultPlan>, String> {
-    Ok(Some(match name {
-        "off" => return Ok(None),
-        "drop-response" => FaultPlan::drop_response(),
-        "drop-forward" => FaultPlan::drop_forward(),
-        "duplicate-storm" => FaultPlan::duplicate_storm(),
-        "corrupt-everywhere" => FaultPlan::corrupt_everywhere(),
-        "mixed-misery" => FaultPlan::mixed_misery(),
-        other => {
-            let parts: Vec<&str> = other.split('-').collect();
-            match parts.as_slice() {
-                ["drop", num, den] => match (num.parse(), den.parse()) {
-                    (Ok(n), Ok(d)) if d > 0u64 => FaultPlan::drop_everywhere(n, d),
-                    _ => return Err(format!("bad drop rate in `{other}`")),
-                },
-                _ => return Err(format!("unknown fault plan `{other}`")),
-            }
-        }
-    }))
-}
-
-/// Resolve a soft-error plan name (`"off"` = none). A `-xN` suffix
-/// accelerates every clause rate `N`-fold (mean gaps divided) — e.g.
-/// `"background-radiation-x20"` — because the standard matrix rates
-/// are soak-tuned and short campaign cells would otherwise finish
-/// before a single strike lands.
-pub fn soft_by_name(name: &str) -> Result<Option<SoftPlan>, String> {
-    if name == "off" {
-        return Ok(None);
-    }
-    let (base, accel) = match name.rsplit_once("-x") {
-        Some((b, n)) if !n.is_empty() && n.bytes().all(|c| c.is_ascii_digit()) => {
-            let n: u64 = n.parse().map_err(|_| format!("bad acceleration in `{name}`"))?;
-            if n == 0 {
-                return Err(format!("zero acceleration in `{name}`"));
-            }
-            (b, n)
-        }
-        _ => (name, 1),
-    };
-    let plan = match base {
-        "none" => SoftPlan::none(),
-        "cache-state-storm" => SoftPlan::cache_state_storm(),
-        "tag-flips" => SoftPlan::tag_flips(),
-        "dir-state-storm" => SoftPlan::dir_state_storm(),
-        "sharer-bits" => SoftPlan::sharer_bits(),
-        "mshr-fields" => SoftPlan::mshr_fields(),
-        "background-radiation" => SoftPlan::background_radiation(),
-        "double-entry" => SoftPlan::double_entry(),
-        other => return Err(format!("unknown soft plan `{other}`")),
-    };
-    Ok(Some(if accel > 1 { plan.accelerated(accel) } else { plan }))
-}
-
-// ---------------------------------------------------------------------------
-// Cells
-// ---------------------------------------------------------------------------
-
-/// One point of the campaign matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cell {
-    /// Stable id, unique within the campaign; the manifest key.
-    pub id: String,
-    pub workload: String,
-    pub arm: String,
-    pub chaos: String,
-    pub fault: String,
-    pub soft: String,
-    pub seed: u64,
-    pub budget: u64,
-}
-
-/// Expand the spec into its cell matrix, in spec order (workload
-/// outermost, seed innermost). Ids are stable across runs — they key
-/// the resume manifest.
-pub fn cells(spec: &CampaignSpec) -> Vec<Cell> {
-    let mut out = Vec::new();
-    for w in &spec.workloads {
-        let budget = spec.budgets.get(w).copied().unwrap_or(spec.budget);
-        for arm in &spec.arms {
-            for chaos in &spec.chaos {
-                for fault in &spec.faults {
-                    for soft in &spec.softs {
-                        for &seed in &spec.seeds {
-                            out.push(Cell {
-                                id: format!("{w}+{arm}+{chaos}+{fault}+{soft}+s{seed}"),
-                                workload: w.clone(),
-                                arm: arm.clone(),
-                                chaos: chaos.clone(),
-                                fault: fault.clone(),
-                                soft: soft.clone(),
-                                seed,
-                                budget,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Build the system configuration for one cell under `seed` (machine
-/// sized to the workload's own core count). A [`TORTURE`] cell keeps the
-/// event log, so its verdict includes the TSO check: only its programs
-/// store globally unique values, which the checker needs to tell writes
-/// apart.
-pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) -> SystemConfig {
-    // Names were validated at parse time; resolution cannot fail here.
-    let (protocol, commit) = arm_by_name(&cell.arm).expect("arm validated at parse");
-    let mut cfg = SystemConfig::new(spec.class)
-        .with_cores(cores)
-        .with_commit(commit)
-        .with_protocol(protocol)
-        .with_engine(spec.engine)
-        .with_seed(seed)
-        .with_jitter(spec.jitter);
-    if cell.workload != TORTURE {
-        cfg = cfg.without_event_log();
-    }
-    if let Some(p) = chaos_by_name(&cell.chaos).expect("chaos validated at parse") {
-        cfg = cfg.with_chaos(p);
-    }
-    if let Some(p) = fault_by_name(&cell.fault).expect("fault validated at parse") {
-        cfg = cfg.with_fault(p);
-    }
-    if let Some(p) = soft_by_name(&cell.soft).expect("soft validated at parse") {
-        cfg = cfg.with_soft(p);
-    }
-    cfg
-}
-
-/// The program a cell runs: a [`TORTURE`] cell's is drawn from its seed,
-/// any other's from its workload name alone.
-fn cell_workload(spec: &CampaignSpec, cell: &Cell) -> Workload {
-    if cell.workload == TORTURE {
-        torture::workload(spec.cores, cell.seed, TORTURE_OPS)
-    } else {
-        workload_by_name(&cell.workload, spec.cores).expect("workload validated at parse")
-    }
-}
+pub use writersblock::spec::{cell_config, cell_workload, cells, workload_by_name, CampaignSpec, Cell};
 
 // ---------------------------------------------------------------------------
 // Results
@@ -396,7 +52,7 @@ fn cell_workload(spec: &CampaignSpec, cell: &Cell) -> Workload {
 pub struct CellResult {
     pub id: String,
     /// `done` | `budget` | `wedge` | `fault` | `corrupt` — the last for a
-    /// run that completed but failed an oracle of [`System::verify`]: a
+    /// run that completed but failed an oracle of [`writersblock::System::verify`]: a
     /// dirty final audit or injected flips that were never detected.
     pub outcome: String,
     /// As of the end of the run, before the final audit's drain ticks.
@@ -470,10 +126,8 @@ impl CellResult {
 }
 
 /// Run one cell from reset through `System::verify` and summarize.
-fn verify_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
-    let w = cell_workload(spec, cell);
-    let mut sys = System::new(cell_config(spec, cell, w.cores(), cell.seed), &w);
-    CellResult::from_verdict(&cell.id, &sys.verify(cell.budget))
+pub fn verify_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
+    CellResult::from_verdict(&cell.id, &spec.system(cell).verify(cell.budget))
 }
 
 // ---------------------------------------------------------------------------
@@ -626,6 +280,7 @@ fn first_per_signature<'a>(results: &[&'a CellResult]) -> Vec<&'a CellResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wb_kernel::config::{EngineMode, ARMS};
 
     // The farm's tests exercise its files on disk; each gets its own
     // scratch directory, keyed by process id and tag.
@@ -645,23 +300,29 @@ mod tests {
 
     #[test]
     fn spec_parses_with_defaults_and_rejects_junk() {
-        let spec = CampaignSpec::parse(TINY).expect("tiny spec parses");
-        assert_eq!(spec.name, "tiny");
-        assert_eq!(spec.arms, ["wb-ooo"]);
+        let spec = CampaignSpec::parse(r#"{"workloads":["mp","sb"],"chaos":["off","delay-storm"],"seeds":[1,2]}"#)
+            .expect("parses");
+        assert_eq!((spec.arms.as_slice(), spec.machine.as_str(), spec.jitter.as_slice()), (&["wb-ooo".to_owned()][..], "table6", &[0][..]));
         assert_eq!(cells(&spec).len(), 2 * 2 * 2);
         for (src, needle) in [
             (r#"{"workloads":["nope"]}"#, "unknown workload"),
+            (r#"{"workloads":["torture/5"]}"#, "unknown workload"),
             (r#"{"workloads":["mp"],"arms":["x"]}"#, "unknown arm"),
             (r#"{"workloads":["mp"],"class":"xyz"}"#, "unknown core class"),
+            (r#"{"workloads":["mp"],"machine":"huge"}"#, "unknown machine"),
             (r#"{"workloads":["torture"],"arms":["wb-ooo"],"cores":0}"#, "`cores` must be in 1..=256"),
             (r#"{"workloads":["torture"],"arms":["wb-ooo"],"cores":300}"#, "`cores` must be in 1..=256"),
             (r#"{"workloads":["mp"],"chaos":["x"]}"#, "unknown chaos"),
             (r#"{"workloads":["mp"],"faults":["drop-1-0"]}"#, "bad drop rate"),
             (r#"{"workloads":["mp"],"softs":["x"]}"#, "unknown soft plan"),
             (r#"{"workloads":["mp"],"softs":["tag-flips-x0"]}"#, "zero acceleration"),
+            (r#"{"workloads":["mp"],"jitter":[]}"#, "must not be empty"),
+            (r#"{"workloads":["mp"],"option1":1}"#, "true or false"),
+            (r#"{"workloads":["mp"],"stall_window":0}"#, "must be positive"),
             (r#"{"workloads":["mp"],"frobnicate":1}"#, "unknown spec key"),
             (r#"{"workloads":["mp"],"warmup":2000}"#, "unknown spec key"),
             (r#"{"workloads":["mp"],"budgets":{"fft":1}}"#, "not in `workloads`"),
+            (r#"{"workloads":["mp"]} # unstated: collapsible_lq: false"#, "cannot state: collapsible_lq: false"),
             (r#"{}"#, "`workloads` is required"),
         ] {
             let e = CampaignSpec::parse(src).expect_err(src);
@@ -690,11 +351,13 @@ mod tests {
         .expect("parses");
         let cs = cells(&spec);
         assert_eq!(cs.len(), 6);
-        assert_eq!(cs[0].seed, 10);
-        assert_eq!(cs[2].seed, 12);
-        assert_eq!(cs[0].budget, 500);
-        assert_eq!(cs[5].budget, 900);
+        assert_eq!((cs[0].seed, cs[2].seed), (10, 12));
+        assert_eq!((cs[0].budget, cs[5].budget), (500, 900));
         assert_eq!(cs[0].id, "mp+wb-ooo+off+off+off+s10");
+        let spec = CampaignSpec::parse(r#"{"workloads":["torture/40x6"],"jitter":[25,0],"seeds":[3]}"#)
+            .expect("parses");
+        let ids: Vec<String> = cells(&spec).into_iter().map(|c| c.id).collect();
+        assert_eq!(ids, ["torture/40x6+wb-ooo+off+off+off+j25+s3", "torture/40x6+wb-ooo+off+off+off+j0+s3"]);
     }
 
     /// The soft axis expands like chaos/faults, resolves accelerated
@@ -713,8 +376,7 @@ mod tests {
         let plan = cell_config(&spec, &cs[1], 2, 3).soft.expect("soft plan installed");
         assert_eq!(plan.name, "background_radiation");
         assert_eq!(plan.clauses[0].mean_gap, 400, "x20 acceleration applied");
-        assert!(soft_by_name("tag-flips").expect("known").is_some());
-        assert!(soft_by_name("off").expect("off").is_none());
+        assert_eq!(plan.spec_name().as_deref(), Some("background-radiation-x20"));
         // Both cells pass every oracle, so the farm still calls them done.
         for c in &cs {
             let r = verify_cell(&spec, c);
@@ -793,12 +455,12 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns/torture.json");
         let src = fs::read_to_string(path).expect("campaigns/torture.json exists");
         let spec = CampaignSpec::parse(&src).expect("torture spec parses");
-        assert_eq!(spec.workloads, [TORTURE]);
+        assert_eq!(spec.workloads, ["torture"]);
         assert_eq!(spec.cores, 4);
-        assert_eq!(spec.arms.len(), config::ARMS.len(), "all five arms");
-        assert_eq!((spec.jitter, spec.budget), (25, 2_000_000));
+        assert_eq!(spec.arms.len(), ARMS.len(), "all five arms");
+        assert_eq!((spec.jitter.as_slice(), spec.budget), (&[25][..], 2_000_000));
         assert!(spec.seeds.len() > 1, "a seed range");
-        assert_eq!(cells(&spec).len(), config::ARMS.len() * spec.seeds.len());
+        assert_eq!(cells(&spec).len(), ARMS.len() * spec.seeds.len());
     }
 
     /// The soft-error torture recipe: `torture` on all five arms under
@@ -809,10 +471,10 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns/soft_torture.json");
         let src = fs::read_to_string(path).expect("campaigns/soft_torture.json exists");
         let spec = CampaignSpec::parse(&src).expect("soft_torture spec parses");
-        assert_eq!(spec.workloads, [TORTURE]);
-        assert_eq!(spec.arms.len(), config::ARMS.len(), "all five arms");
+        assert_eq!(spec.workloads, ["torture"]);
+        assert_eq!(spec.arms.len(), ARMS.len(), "all five arms");
         assert_eq!(spec.softs, ["background-radiation-x20", "background-radiation-x5"]);
-        assert_eq!((spec.jitter, spec.budget), (25, 8_000_000));
+        assert_eq!((spec.jitter.as_slice(), spec.budget), (&[25][..], 8_000_000));
         assert_eq!(spec.seeds, (0..400).collect::<Vec<u64>>());
         assert_eq!(cells(&spec).len(), 4000);
     }
@@ -831,7 +493,7 @@ mod tests {
     }
 
     /// A `torture` cell's program comes from its seed: two seeds, two
-    /// programs, and the verdict's reproducer names `torture-<seed>`.
+    /// programs, and the verdict's reproducer is a spec of that cell.
     #[test]
     fn torture_cells_draw_their_program_from_the_seed() {
         let spec =
@@ -841,10 +503,11 @@ mod tests {
         assert_eq!((a.cores(), b.cores()), (4, 4));
         assert_ne!(a.programs, b.programs, "seeds 5 and 6 ran the same program");
         for (c, w) in cs.iter().zip([a, b]) {
-            assert_eq!(w.programs, torture::workload(4, c.seed, TORTURE_OPS).programs);
-            let v = System::new(cell_config(&spec, c, w.cores(), c.seed), &w).verify(1);
-            let name = format!("torture-{}", c.seed);
-            assert!(v.reproducer.contains(&name), "{name} not in {}", v.reproducer);
+            assert_eq!(w.programs, wb_workloads::torture::workload(4, c.seed, 200).programs);
+            let v = spec.system(c).verify(1);
+            let replay = CampaignSpec::parse(&v.reproducer).expect("the reproducer parses");
+            let one = &cells(&replay)[0];
+            assert_eq!((one.id.as_str(), one.budget), (c.id.as_str(), 1), "{}", v.reproducer);
         }
     }
 

@@ -18,8 +18,7 @@ use wb_kernel::config::{self, CoreClass, EngineMode, SystemConfig};
 use wb_workloads::{suite, Scale};
 use writersblock::{Report, RunOutcome, System};
 
-/// Default per-run cycle budget for evaluation runs.
-pub const RUN_BUDGET: u64 = 200_000_000;
+pub use writersblock::spec::RUN_BUDGET;
 
 /// The 16-core evaluation configuration for `class` on the
 /// protocol/commit arm called `arm` (a [`config::ARMS`] name).

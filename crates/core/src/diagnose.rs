@@ -1,43 +1,19 @@
 //! Wedge diagnosis: the replayable reproducer line, the wait-for graph
 //! extracted from live machine state, and the rendered report.
 
+use crate::spec;
 use crate::system::{System, DUMP_LAST};
 use wb_kernel::wedge::{self, WaitEdge, WaitParty, WedgeClass, WedgeReport};
 use wb_protocol::ProtocolError;
 
 impl System {
-    /// One-line command-equivalent description of this run, printed in
-    /// every wedge report and failing verdict so a failure can be
-    /// replayed byte-for-byte.
-    pub(crate) fn reproducer(&self) -> String {
-        let c = &self.cfg;
-        let mut s = format!(
-            "workload={} seed={:#x} cores={} protocol={:?} commit={:?} jitter={} engine={} dir_banks_per_node={}",
-            self.workload_name,
-            c.seed,
-            c.num_cores,
-            c.protocol,
-            c.core.commit_mode,
-            c.network.jitter,
-            c.engine.name(),
-            c.memory.dir_banks_per_node,
-        );
-        if c.wb_cacheable_reads {
-            s.push_str(" option1=true");
-        }
-        match &c.chaos {
-            Some(p) => s.push_str(&format!(" chaos={p}")),
-            None => s.push_str(" chaos=off"),
-        }
-        match &c.fault {
-            Some(p) => s.push_str(&format!(" fault={p}")),
-            None => s.push_str(" fault=off"),
-        }
-        match &c.soft {
-            Some(p) => s.push_str(&format!(" soft={p}")),
-            None => s.push_str(" soft=off"),
-        }
-        s
+    /// This run as a one-cell campaign spec on one line (with its engine
+    /// and its budget, the current or last run's deadline), printed in
+    /// every wedge report and failing verdict: saved to a file, the
+    /// campaign farm replays it byte for byte.
+    pub fn reproducer(&self) -> String {
+        let budget = self.deadline.unwrap_or(spec::RUN_BUDGET);
+        spec::describe(&self.cfg, &self.workload_name, self.workload_cores, Some(budget))
     }
 
     /// Extract a wait-for graph from live machine state, classify the

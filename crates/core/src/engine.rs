@@ -576,6 +576,7 @@ impl System {
             self.cores.iter().map(|c| (c.retired(), c.drained())),
         );
         let deadline = self.now.saturating_add(max_cycles);
+        self.deadline = Some(deadline);
         let engine = self.cfg.engine;
         // Any all-units ticking between runs self-accounted its cycles;
         // the sparse idle-charge frontier starts at `now`.

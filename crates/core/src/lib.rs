@@ -54,6 +54,7 @@ mod engine;
 pub mod litmus_runner;
 pub mod report;
 mod snapshot;
+pub mod spec;
 pub mod system;
 mod verdict;
 mod watchdog;

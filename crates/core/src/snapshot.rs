@@ -1,12 +1,13 @@
 //! Snapshot / restore of the complete mutable simulation state.
 
+use crate::spec;
 use crate::system::System;
 use wb_kernel::{ActivitySched, NodeId};
 
 impl System {
     /// Layout version of the `System` payload inside the WBSNAP frame.
     /// Bump whenever any component's wire layout changes.
-    const SNAP_LAYOUT: u16 = 9;
+    const SNAP_LAYOUT: u16 = 10;
 
     /// The activity wheel a sparse engine *would* hold at this instant,
     /// recomputed from component state alone. Stored in every snapshot:
@@ -39,27 +40,12 @@ impl System {
     }
 
     /// Configuration fingerprint stored in every snapshot and compared
-    /// on restore: a snapshot only restores into a system built from
-    /// the same workload and configuration. The engine mode is
-    /// deliberately excluded — reports are byte-identical across
+    /// on restore: the reproducer without the run's engine and budget,
+    /// so a snapshot only restores into a system built from the same
+    /// workload and configuration. Reports are byte-identical across
     /// engines, so cross-engine restore is legal (and tested).
     fn snap_fingerprint(&self) -> String {
-        let c = &self.cfg;
-        format!(
-            "workload={} seed={:#x} cores={} banks={} protocol={:?} commit={:?} jitter={} \
-             option1={} chaos={} fault={} soft={}",
-            self.workload_name,
-            c.seed,
-            c.num_cores,
-            c.memory.dir_banks_per_node,
-            c.protocol,
-            c.core.commit_mode,
-            c.network.jitter,
-            c.wb_cacheable_reads,
-            c.chaos.as_ref().map_or_else(|| "off".to_string(), |p| p.to_string()),
-            c.fault.as_ref().map_or_else(|| "off".to_string(), |p| p.to_string()),
-            c.soft.as_ref().map_or_else(|| "off".to_string(), |p| p.to_string()),
-        )
+        spec::describe(&self.cfg, &self.workload_name, self.workload_cores, None)
     }
 
     /// Serialize the complete mutable simulation state into a framed

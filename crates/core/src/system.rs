@@ -86,6 +86,10 @@ pub struct System {
     pub(crate) home: HomeMap,
     init_mem: Vec<(Addr, u64)>,
     pub(crate) workload_name: String,
+    /// Programs in the workload: the core count its spec states.
+    pub(crate) workload_cores: usize,
+    /// The cycle the current (or last) run stops at, its budget spent.
+    pub(crate) deadline: Option<Cycle>,
     /// System-glue event ring (message delivery and injection).
     pub(crate) tracer: Tracer,
     /// Where human-readable trace lines go (stderr by default).
@@ -256,6 +260,8 @@ impl System {
             home,
             init_mem: workload.init_mem.clone(),
             workload_name: workload.name.clone(),
+            workload_cores: workload.cores(),
+            deadline: None,
             tracer: Tracer::new(CompId::System),
             sink: TraceSink::default(),
             chaos_wants_signal,

@@ -56,7 +56,8 @@ pub struct Verdict {
     /// audit ticks the machine to drain its own repair traffic.
     pub cycles: u64,
     pub retired: u64,
-    /// One-line replay recipe: workload, seed, arm, engine and plans.
+    /// The cell as a one-line campaign spec ([`System::reproducer`]);
+    /// empty when the cell passed.
     pub reproducer: String,
     /// Name of the installed soft-error plan, `"off"` without one.
     pub soft_plan: &'static str,
@@ -182,7 +183,7 @@ impl System {
         Verdict {
             cycles,
             retired,
-            reproducer: self.reproducer(),
+            reproducer: if failure.is_some() { self.reproducer() } else { String::new() },
             soft_plan: self.cfg.soft.as_ref().map_or("off", |p| p.name),
             silent,
             failure,

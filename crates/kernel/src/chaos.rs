@@ -188,6 +188,32 @@ impl ChaosPlan {
         }
     }
 
+    /// The plan a campaign spec names `name`; `"off"` is none.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unknown name.
+    pub fn by_name(name: &str) -> Result<Option<ChaosPlan>, String> {
+        Ok(Some(match name {
+            "off" => return Ok(None),
+            "delay-storm" => ChaosPlan::delay_storm(),
+            "request-storm" => ChaosPlan::request_storm(),
+            "forward-storm" => ChaosPlan::forward_storm(),
+            "response-storm" => ChaosPlan::response_storm(),
+            "reorder-amplify" => ChaosPlan::reorder_amplify(),
+            "wb-entry-squeeze" => ChaosPlan::wb_entry_squeeze(),
+            "hotspot" => ChaosPlan::hotspot(0),
+            other => return Err(format!("unknown chaos plan `{other}`")),
+        }))
+    }
+
+    /// Inverse of [`ChaosPlan::by_name`]: the name that builds this
+    /// plan, if one does.
+    pub fn spec_name(&self) -> Option<String> {
+        let name = self.name.replace('_', "-");
+        (Self::by_name(&name).ok()?.as_ref() == Some(self)).then_some(name)
+    }
+
     /// Control row: no perturbation at all.
     pub fn quiet() -> Self {
         ChaosPlan {

@@ -245,6 +245,39 @@ impl Default for MemoryConfig {
     }
 }
 
+impl MemoryConfig {
+    /// The memory geometries a campaign spec names with its `machine`
+    /// key.
+    pub const MACHINES: [&'static str; 2] = ["table6", "tiny-llc"];
+
+    /// Table 6's hierarchy with a tiny LLC: four 64-byte lines per bank
+    /// in two ways and a two-slot eviction buffer, so directory
+    /// evictions and parked WritersBlock entries (Section 3.5.1) are
+    /// constant.
+    pub fn tiny_llc() -> Self {
+        MemoryConfig { l3_bank_bytes: 4 * 64, l3_ways: 2, dir_evict_buffer: 2, ..Self::default() }
+    }
+
+    /// The [`MemoryConfig::MACHINES`] entry called `name`: `table6` is
+    /// the default.
+    ///
+    /// # Errors
+    ///
+    /// Fails on any other name.
+    pub fn machine(name: &str) -> Result<Self, String> {
+        match name {
+            "table6" => Ok(Self::default()),
+            "tiny-llc" => Ok(Self::tiny_llc()),
+            other => Err(format!("unknown machine `{other}`")),
+        }
+    }
+
+    /// Inverse of [`MemoryConfig::machine`].
+    pub fn machine_name(&self) -> Option<&'static str> {
+        Self::MACHINES.into_iter().find(|m| Self::machine(m).as_ref() == Ok(self))
+    }
+}
+
 /// Reliable-delivery (link-layer ARQ) parameters. Only consulted when a
 /// fault plan is installed: a fault-free mesh never constructs the
 /// reliable sublayer, keeping the fast path byte-identical.
@@ -306,6 +339,9 @@ impl Default for NetworkConfig {
         }
     }
 }
+
+/// The default watchdog window ([`SystemConfig::stall_window`]).
+pub const STALL_WINDOW: u64 = 200_000;
 
 /// Multiplier on both watchdog thresholds while a fault plan is
 /// installed: retransmission round trips (`rto_min`, doubled per retry)
@@ -473,7 +509,7 @@ impl SystemConfig {
             chaos: None,
             fault: None,
             soft: None,
-            stall_window: 200_000,
+            stall_window: STALL_WINDOW,
             engine: EngineMode::Dense,
         }
     }

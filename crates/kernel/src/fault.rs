@@ -105,6 +105,45 @@ impl FaultPlan {
         FaultPlan { name, clauses: vec![FaultClause { flow, effect }] }
     }
 
+    /// The plan a campaign spec names `name`; `"off"` is none, and
+    /// `"drop-N-M"` drops N/M of all hops.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unknown name or a malformed drop rate.
+    pub fn by_name(name: &str) -> Result<Option<FaultPlan>, String> {
+        Ok(Some(match name {
+            "off" => return Ok(None),
+            "drop-response" => FaultPlan::drop_response(),
+            "drop-forward" => FaultPlan::drop_forward(),
+            "duplicate-storm" => FaultPlan::duplicate_storm(),
+            "corrupt-everywhere" => FaultPlan::corrupt_everywhere(),
+            "mixed-misery" => FaultPlan::mixed_misery(),
+            other => {
+                let parts: Vec<&str> = other.split('-').collect();
+                match parts.as_slice() {
+                    ["drop", num, den] => match (num.parse(), den.parse()) {
+                        (Ok(n), Ok(d)) if d > 0u64 => FaultPlan::drop_everywhere(n, d),
+                        _ => return Err(format!("bad drop rate in `{other}`")),
+                    },
+                    _ => return Err(format!("unknown fault plan `{other}`")),
+                }
+            }
+        }))
+    }
+
+    /// Inverse of [`FaultPlan::by_name`]: the name that builds this
+    /// plan, if one does.
+    pub fn spec_name(&self) -> Option<String> {
+        let name = match self.clauses.as_slice() {
+            [FaultClause { effect: FaultEffect::Drop { num, den }, .. }] if self.name == "drop_everywhere" => {
+                format!("drop-{num}-{den}")
+            }
+            _ => self.name.replace('_', "-"),
+        };
+        (Self::by_name(&name).ok()?.as_ref() == Some(self)).then_some(name)
+    }
+
     /// Control row: the reliable layer runs but nothing is ever lost.
     /// Delivery must be byte-identical to an unprotected mesh.
     pub fn none() -> Self {

@@ -106,6 +106,56 @@ impl SoftPlan {
         SoftPlan { name, clauses: vec![SoftClause { target, mean_gap }] }
     }
 
+    /// The plan a campaign spec names `name`; `"off"` is none. A `-xN`
+    /// suffix accelerates every clause rate `N`-fold (mean gaps
+    /// divided) — e.g. `"background-radiation-x20"` — because the
+    /// standard matrix rates are soak-tuned and short campaign cells
+    /// would otherwise finish before a single strike lands.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unknown name or a zero or malformed acceleration.
+    pub fn by_name(name: &str) -> Result<Option<SoftPlan>, String> {
+        if name == "off" {
+            return Ok(None);
+        }
+        let (base, accel) = match name.rsplit_once("-x") {
+            Some((b, n)) if !n.is_empty() && n.bytes().all(|c| c.is_ascii_digit()) => {
+                let n: u64 = n.parse().map_err(|_| format!("bad acceleration in `{name}`"))?;
+                if n == 0 {
+                    return Err(format!("zero acceleration in `{name}`"));
+                }
+                (b, n)
+            }
+            _ => (name, 1),
+        };
+        let plan = match base {
+            "none" => SoftPlan::none(),
+            "cache-state-storm" => SoftPlan::cache_state_storm(),
+            "tag-flips" => SoftPlan::tag_flips(),
+            "dir-state-storm" => SoftPlan::dir_state_storm(),
+            "sharer-bits" => SoftPlan::sharer_bits(),
+            "mshr-fields" => SoftPlan::mshr_fields(),
+            "background-radiation" => SoftPlan::background_radiation(),
+            "double-entry" => SoftPlan::double_entry(),
+            other => return Err(format!("unknown soft plan `{other}`")),
+        };
+        Ok(Some(if accel > 1 { plan.accelerated(accel) } else { plan }))
+    }
+
+    /// Inverse of [`SoftPlan::by_name`]: the name that builds this plan,
+    /// if one does.
+    pub fn spec_name(&self) -> Option<String> {
+        let base = self.name.strip_prefix("soft_").unwrap_or(self.name).replace('_', "-");
+        let plain = Self::by_name(&base).ok()??;
+        let accel = match (plain.clauses.first(), self.clauses.first()) {
+            (Some(p), Some(s)) => p.mean_gap / s.mean_gap.max(1),
+            _ => 1,
+        };
+        let name = if accel > 1 { format!("{base}-x{accel}") } else { base };
+        (Self::by_name(&name).ok()?.as_ref() == Some(self)).then_some(name)
+    }
+
     /// Control row: guards are maintained and checked but no flip ever
     /// lands. Runs must be byte-identical to `cfg.soft = None`.
     pub fn none() -> Self {

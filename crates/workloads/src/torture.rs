@@ -6,9 +6,14 @@
 //! unique (`core << 32 | k`), so the axiomatic checker can recover the
 //! reads-from relation from values alone. This is the one generator in
 //! the workspace: the `torture-<seed>` reproducers in
-//! `benchmark/README.md` "Known failing inputs" and ROADMAP item 1 name
-//! programs produced by exactly this code, so the order of RNG draws
-//! below is part of the contract (pinned by `digest_pin`).
+//! `benchmark/README.md` "Known failing inputs" and the cells of
+//! `campaigns/regressions.jsonl` name programs produced by exactly this
+//! code, so the order of RNG draws below is part of the contract
+//! (pinned by `digest_pin`).
+//!
+//! A recipe — ops per core and line set — has a campaign-spec token
+//! ([`token`]), and a workload is named `<token>-<seed>`, so a
+//! reproducer can name the program it ran.
 
 use wb_isa::{AluOp, Program, Reg, Workload};
 use wb_kernel::SimRng;
@@ -16,11 +21,59 @@ use wb_kernel::SimRng;
 /// The two-line hot set: every access races on one of two lines.
 pub const HOT_LINES: [u64; 2] = [0x1000, 0x2040];
 
-/// `n` line addresses strided so they hash across directory banks;
-/// [`program`] picks one of eight words inside a line, which exercises
-/// same-line different-word interleavings.
-pub fn spread_lines(n: u64) -> Vec<u64> {
-    (0..n).map(|i| 0x1000 + i * 0x440).collect()
+/// Operations per core of the farm's default recipe, `torture`.
+pub const OPS: usize = 200;
+
+/// The line set a torture program races on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lines {
+    /// `n` line addresses strided so they hash across directory banks;
+    /// [`program`] picks one of eight words inside a line, which
+    /// exercises same-line different-word interleavings.
+    Spread(u64),
+    /// [`HOT_LINES`]: maximal racing.
+    Hot,
+}
+
+impl Lines {
+    /// The line addresses.
+    pub fn addrs(self) -> Vec<u64> {
+        match self {
+            Lines::Spread(n) => (0..n).map(|i| 0x1000 + i * 0x440).collect(),
+            Lines::Hot => HOT_LINES.to_vec(),
+        }
+    }
+}
+
+/// A recipe's campaign-spec token: `torture` for [`OPS`] ops over six
+/// spread lines, else `torture/<ops>x<n>` with `n` the spread-line
+/// count or `hot`.
+pub fn token(ops: usize, lines: Lines) -> String {
+    match lines {
+        Lines::Spread(6) if ops == OPS => "torture".to_owned(),
+        Lines::Spread(n) => format!("torture/{ops}x{n}"),
+        Lines::Hot => format!("torture/{ops}xhot"),
+    }
+}
+
+/// Inverse of [`token`]: the recipe's ops per core and line set.
+pub fn recipe(token: &str) -> Option<(usize, Lines)> {
+    if token == "torture" {
+        return Some((OPS, Lines::Spread(6)));
+    }
+    let (ops, lines) = token.strip_prefix("torture/")?.split_once('x')?;
+    let lines = match lines {
+        "hot" => Lines::Hot,
+        n => Lines::Spread(n.parse().ok().filter(|&n| n > 0)?),
+    };
+    Some((ops.parse().ok()?, lines))
+}
+
+/// The token and seed of a workload named by [`workload_on`].
+pub fn parse_name(name: &str) -> Option<(&str, u64)> {
+    let (token, seed) = name.rsplit_once('-')?;
+    recipe(token)?;
+    Some((token, seed.parse().ok()?))
 }
 
 /// `ops` random memory operations for `core` over `lines`, then `halt`:
@@ -61,17 +114,18 @@ pub fn program(core: usize, rng: &mut SimRng, ops: usize, lines: &[u64]) -> Prog
     p.build()
 }
 
-/// `torture-<seed>` over an explicit line set: one RNG seeded with
-/// `seed` generates the programs of cores `0..cores` in that order.
-pub fn workload_on(cores: usize, seed: u64, ops: usize, lines: &[u64]) -> Workload {
+/// `<token>-<seed>` over `lines`: one RNG seeded with `seed` generates
+/// the programs of cores `0..cores` in that order.
+pub fn workload_on(cores: usize, seed: u64, ops: usize, lines: Lines) -> Workload {
     let mut rng = SimRng::new(seed);
-    let programs = (0..cores).map(|c| program(c, &mut rng, ops, lines)).collect();
-    Workload::new(format!("torture-{seed}"), programs)
+    let addrs = lines.addrs();
+    let programs = (0..cores).map(|c| program(c, &mut rng, ops, &addrs)).collect();
+    Workload::new(format!("{}-{seed}", token(ops, lines)), programs)
 }
 
-/// `torture-<seed>` over the default six spread lines.
+/// The recipe over the default six spread lines.
 pub fn workload(cores: usize, seed: u64, ops: usize) -> Workload {
-    workload_on(cores, seed, ops, &spread_lines(6))
+    workload_on(cores, seed, ops, Lines::Spread(6))
 }
 
 #[cfg(test)]
@@ -83,8 +137,8 @@ mod tests {
     use wb_kernel::check::prelude::*;
 
     /// The line sets in use: spread sets of 1..=8 lines and the hot set.
-    fn line_set() -> Gen<Vec<u64>> {
-        (0u64..9).into_gen().prop_map(|n| if n == 0 { HOT_LINES.to_vec() } else { spread_lines(n) })
+    fn line_set() -> Gen<Lines> {
+        (0u64..9).into_gen().prop_map(|n| if n == 0 { Lines::Hot } else { Lines::Spread(n) })
     }
 
     wb_proptest! {
@@ -99,8 +153,12 @@ mod tests {
             ops in 0usize..65,
             lines in line_set(),
         ) {
-            let w = workload_on(cores, seed, ops, &lines);
+            let w = workload_on(cores, seed, ops, lines);
             prop_assert_eq!(w.cores(), cores);
+            let tok = token(ops, lines);
+            prop_assert_eq!(parse_name(&w.name), Some((tok.as_str(), seed)));
+            prop_assert_eq!(recipe(&tok), Some((ops, lines)));
+            let addrs = lines.addrs();
             let mut values = BTreeSet::new();
             for p in &w.programs {
                 prop_assert_eq!(p.iter().last(), Some(&Inst::Halt));
@@ -109,7 +167,7 @@ mod tests {
                     match *i {
                         Inst::Imm { rd: Reg(1), value } => {
                             let line = value & !0x3f;
-                            prop_assert!(lines.contains(&line), "address {value:#x} off the line set");
+                            prop_assert!(addrs.contains(&line), "address {value:#x} off the line set");
                             prop_assert_eq!(value % 8, 0, "address {value:#x} not word-aligned");
                         }
                         Inst::Imm { rd: Reg(2), value } => {
@@ -119,9 +177,9 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(&workload_on(cores, seed, ops, &lines).programs, &w.programs);
+            prop_assert_eq!(&workload_on(cores, seed, ops, lines).programs, &w.programs);
             if ops >= 8 {
-                prop_assert_ne!(&workload_on(cores, seed + 1, ops, &lines).programs, &w.programs);
+                prop_assert_ne!(&workload_on(cores, seed + 1, ops, lines).programs, &w.programs);
             }
         }
     }
@@ -129,7 +187,7 @@ mod tests {
     /// `torture-40` at 4 cores x 200 ops, the first of the programs
     /// `benchmark/README.md` lists as "Known failing inputs" (all of them
     /// pass since the SoS-bypass, tear-off and ECL-atomic fixes;
-    /// `torture::known_failures_by_arm` replays them). Lengths and digest
+    /// `campaigns/regressions.jsonl` replays them). Lengths and digest
     /// were computed from `tests/tests/torture.rs`'s own
     /// `random_program` before it was deleted in favour of this module.
     #[test]

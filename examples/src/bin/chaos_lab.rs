@@ -21,6 +21,7 @@
 use wb_examples::base_cfg;
 use wb_workloads::directed;
 use writersblock::prelude::*;
+use writersblock::spec::{cells, CampaignSpec};
 
 /// Run one scenario through `System::verify`: it must drain, audit
 /// clean and pass the TSO checker.
@@ -41,9 +42,7 @@ fn main() {
     // 2a. §3.5.1: eviction-buffer pressure (tiny LLC) while the
     //     wb_entry_squeeze plan stretches the parked-entry window.
     let mut cfg = base_cfg(3).with_chaos(ChaosPlan::wb_entry_squeeze());
-    cfg.memory.l3_bank_bytes = 4 * 64;
-    cfg.memory.l3_ways = 2;
-    cfg.memory.dir_evict_buffer = 2;
+    cfg.memory = wb_kernel::config::MemoryConfig::tiny_llc();
     smoke("evict-buffer squeeze", &racing, cfg);
 
     // 2b. §3.5.2: the SoS tear-off escape hatch while the response
@@ -51,19 +50,15 @@ fn main() {
     let cfg = base_cfg(5).with_cores(2).with_chaos(ChaosPlan::lockdown_vnet_stall(2));
     smoke("sos bypass under lockdown stall", &directed::sos_bypass(), cfg);
 
-    // 3. The §3.4 Option-1 ablation must wedge — and the watchdog must
-    //    say so, with the starving writer and the hot line named. Without
-    //    jitter the re-invalidation rounds chain for good; with some, a
-    //    round can find no reader admitted and the write gets through.
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(8)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_seed(0)
-        .without_event_log();
-    cfg.wb_cacheable_reads = true; // Option 1: the rejected design
-    cfg.stall_window = 50_000;
-    let mut sys = System::new(cfg, &directed::option1_spin());
-    let verdict = sys.verify(150_000);
+    // 3. The §3.4 Option-1 ablation (`campaigns/option1_spin.json`) must
+    //    wedge — and the watchdog must say so, with the starving writer
+    //    and the hot line named. Without jitter the re-invalidation
+    //    rounds chain for good; with some, a round can find no reader
+    //    admitted and the write gets through.
+    let spec = CampaignSpec::parse(include_str!("../../../campaigns/option1_spin.json"))
+        .unwrap_or_else(|e| panic!("campaigns/option1_spin.json: {e}"));
+    let cell = &cells(&spec)[0];
+    let verdict = spec.system(cell).verify(cell.budget);
     let Some(Failure::Wedge(rep)) = verdict.failure() else {
         panic!("Option 1 under spin-readers must wedge, got: {verdict}");
     };

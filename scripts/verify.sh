@@ -98,30 +98,31 @@ test "$(wc -l < "$campdir/cut/manifest")" -eq 8
 cmp "$campdir/ref/merged.jsonl" "$campdir/cut/merged.jsonl"
 cmp "$campdir/ref/wedges.jsonl" "$campdir/cut/wedges.jsonl"
 
-# Soft-error gate: seeds 0-99 of campaigns/soft_torture.json (torture
-# cells under background radiation at 20x and 5x) plus the same seeds
-# under a cache-state storm at 100x, 1500 cells in all. Torture cells
-# keep the event log, so each one must drain, audit clean and pass the
-# TSO checker; the summary line must count no failure of any kind.
-cat > "$campdir/soft.json" <<'EOF'
-{ "name": "soft_torture_0_99", "cores": 4, "class": "slm", "engine": "sparse",
-  "budget": 8000000, "jitter": 25, "workloads": ["torture"],
-  "arms": ["mesi-inorder", "mesi-ooo", "wb-inorder", "wb-ooo", "wb-ecl"],
-  "softs": ["background-radiation-x20", "background-radiation-x5",
-            "cache-state-storm-x100"],
-  "seeds": { "first": 0, "count": 100 } }
-EOF
-soft_summary="$(cargo run -q --release --offline -p wb-bench --bin campaign -- \
-    "$campdir/soft.json" --out "$campdir/soft" --threads 2)"
-echo "$soft_summary"
-case "$soft_summary" in
-    *", 0 wedges, 0 faults, 0 corrupt -> "*) ;;
-    *)
-        echo "ERROR: soft-error torture cells failed; first cell per signature:" >&2
-        cat "$campdir/soft/wedges.jsonl" >&2
-        exit 1
-        ;;
-esac
+# Farm gates: seeds 0-99 of three committed 400-seed scans on all five
+# arms must read no failure of any kind. campaigns/soft_torture.json is
+# torture under background radiation at 20x and 5x (1000 cells),
+# campaigns/cache_state_storm.json the same under a cache-state storm at
+# 100x (500) and campaigns/tiny_llc.json torture over 24 lines on the
+# tiny-LLC machine (500). Torture cells keep the event log, so each one
+# must drain, audit clean and pass the TSO checker.
+gate() {
+    local name="$1" cells="$2" summary
+    sed 's/"count": 400/"count": 100/' "campaigns/$name.json" > "$campdir/$name.json"
+    summary="$(cargo run -q --release --offline -p wb-bench --bin campaign -- \
+        "$campdir/$name.json" --out "$campdir/$name" --threads 2)"
+    echo "$summary"
+    case "$summary" in
+        *": $cells cells ("*", 0 wedges, 0 faults, 0 corrupt -> "*) ;;
+        *)
+            echo "ERROR: $name gate failed; first cell per signature:" >&2
+            cat "$campdir/$name/wedges.jsonl" >&2
+            exit 1
+            ;;
+    esac
+}
+gate soft_torture 1000
+gate cache_state_storm 500
+gate tiny_llc 500
 
 # Benchmark smoke: benchmark/ is a package of its own that builds
 # against the public API of crates/* (the layer rig assembles the
@@ -132,4 +133,4 @@ esac
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke > /dev/null
 
-echo "tier-1 verify: OK (offline build + clippy + full test suite + golden results + engine-equivalence + scale + campaign crash-resume + soft-error torture cells + benchmark smoke tests)"
+echo "tier-1 verify: OK (offline build + clippy + full test suite + golden results + engine-equivalence + scale + campaign crash-resume + soft-error, cache-state-storm and tiny-LLC farm gates + benchmark smoke tests)"

@@ -4,25 +4,23 @@
 
 use wb_isa::{AluOp, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
+use wb_kernel::config::{CommitMode, CoreClass, MemoryConfig, ProtocolKind, SystemConfig, ARMS};
 use wb_kernel::trace::{TraceFilter, TraceSink};
 use wb_kernel::wedge::{WaitParty, WedgeClass};
 use wb_mem::Addr;
 use wb_workloads::directed;
-use writersblock::{Failure, RunOutcome, System, Verdict};
+use writersblock::spec::{cells, CampaignSpec};
+use writersblock::{Failure, RunOutcome, System};
 
 /// The aggressive config for the Figure 5.A workload
-/// ([`directed::racing`], eleven cold lines): tiny LLC banks (4 lines x
-/// 2 ways) and a tiny eviction buffer.
+/// ([`directed::racing`], eleven cold lines): the tiny-LLC machine.
 fn dir_evict_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
         .with_commit(CommitMode::OutOfOrderWb)
         .with_seed(seed)
         .with_jitter(20);
-    cfg.memory.l3_bank_bytes = 4 * 64;
-    cfg.memory.l3_ways = 2;
-    cfg.memory.dir_evict_buffer = 2;
+    cfg.memory = MemoryConfig::tiny_llc();
     cfg
 }
 
@@ -203,63 +201,34 @@ fn unresolved_address_reordering_safe() {
 // watchdog names it correctly — and deterministically.
 // ---------------------------------------------------------------------------
 
-/// The machine for [`directed::option1_spin`]: Option 1 switched on.
-fn option1_spin_cfg(seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(8)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_seed(seed)
-        .with_jitter(20)
-        .without_event_log();
-    cfg.wb_cacheable_reads = true; // Option 1: the rejected design
-    cfg.stall_window = 50_000;
-    cfg
-}
-
-fn run_option1_livelock(seed: u64) -> (Verdict, Vec<String>) {
-    let mut sys = System::new(option1_spin_cfg(seed), &directed::option1_spin());
-    sys.set_trace_sink(TraceSink::Capture(Vec::new()));
-    let verdict = sys.verify(150_000);
-    (verdict, sys.take_sink_lines())
-}
-
-/// Deterministic scan: the first seed whose run wedges. Whether a given
-/// seed sets up the lockdown window is timing-dependent, but the scan
-/// itself is reproducible, so both tests below see the same wedge.
-fn first_wedging_seed() -> (u64, Verdict, Vec<String>) {
-    for seed in 0..6u64 {
-        let (verdict, lines) = run_option1_livelock(seed);
-        if matches!(verdict.failure(), Some(Failure::Wedge(_) | Failure::Fault(_))) {
-            return (seed, verdict, lines);
-        }
-    }
-    panic!("no seed in 0..6 wedges — the Option-1 livelock scenario lost its bite");
+/// `campaigns/option1_spin.json`: [`directed::option1_spin`] with
+/// Option 1 switched on, without jitter — a livelock by design.
+fn option1_spin() -> System {
+    let spec = CampaignSpec::parse(include_str!("../../campaigns/option1_spin.json")).expect("option1_spin spec");
+    spec.system(&cells(&spec)[0])
 }
 
 /// Forcing the known §3.4 wedge yields a report with the right class
 /// and the right participants: the starving writer and the hot line.
 #[test]
 fn option1_livelock_is_diagnosed() {
-    let (seed, verdict, sink_lines) = first_wedging_seed();
+    let mut sys = option1_spin();
+    sys.set_trace_sink(TraceSink::Capture(Vec::new()));
+    let verdict = sys.verify(150_000);
+    let sink_lines = sys.take_sink_lines();
     let Some(Failure::Wedge(rep)) = verdict.failure() else {
-        panic!("seed {seed}: scan returned {verdict}");
+        panic!("Option 1 under spin-readers must wedge: {verdict}");
     };
     // The verdict's dedup key is the wedge report's own.
     assert_eq!(verdict.signature(), Some(rep.signature()));
-    assert_eq!(rep.class, WedgeClass::Livelock, "seed {seed}, wrong class:\n{rep}");
-    assert!(rep.retries_in_window >= 16, "seed {seed}, no retry storm:\n{rep}");
+    assert_eq!(rep.class, WedgeClass::Livelock, "wrong class:\n{rep}");
+    assert!(rep.retries_in_window >= 16, "no retry storm:\n{rep}");
     // The starving writer (core 1) and the contested line are named.
-    assert!(rep.involves(WaitParty::Core(1)), "seed {seed}, writer not named:\n{rep}");
-    assert!(
-        rep.involves(WaitParty::Line(Addr::new(directed::X).line().0)),
-        "seed {seed}, hot line not named:\n{rep}"
-    );
-    assert!(
-        rep.stalled_cores.iter().any(|&(c, _)| c == 1),
-        "seed {seed}, writer not stalled:\n{rep}"
-    );
-    assert!(rep.reproducer.contains("option1=true"), "reproducer incomplete:\n{rep}");
-    assert!(rep.reproducer.contains("chaos=off"), "chaos state missing:\n{rep}");
+    assert!(rep.involves(WaitParty::Core(1)), "writer not named:\n{rep}");
+    assert!(rep.involves(WaitParty::Line(Addr::new(directed::X).line().0)), "hot line not named:\n{rep}");
+    assert!(rep.stalled_cores.iter().any(|&(c, _)| c == 1), "writer not stalled:\n{rep}");
+    assert!(rep.reproducer.contains("\"option1\":true"), "reproducer incomplete:\n{rep}");
+    assert!(rep.reproducer.contains("\"chaos\":[\"off\"]"), "chaos state missing:\n{rep}");
     // The report reached the sink too (that is what users see).
     assert!(
         sink_lines.iter().any(|l| l.contains("livelock")),
@@ -272,13 +241,12 @@ fn option1_livelock_is_diagnosed() {
 /// no note in the report names a host path.
 #[test]
 fn traced_wedge_dumps_participant_lines() {
-    let (seed, _, _) = first_wedging_seed();
-    let mut sys = System::new(option1_spin_cfg(seed), &directed::option1_spin());
+    let mut sys = option1_spin();
     sys.set_trace(TraceFilter::all());
     sys.set_trace_sink(TraceSink::Capture(Vec::new()));
     let verdict = sys.verify(150_000);
     let Some(Failure::Wedge(rep)) = verdict.failure() else {
-        panic!("seed {seed}: traced run returned {verdict}");
+        panic!("traced run returned {verdict}");
     };
     let lines = sys.take_sink_lines();
     let x = Addr::new(directed::X).line().0;
@@ -286,11 +254,11 @@ fn traced_wedge_dumps_participant_lines() {
     let at = lines
         .iter()
         .position(|l| *l == header)
-        .unwrap_or_else(|| panic!("seed {seed}: no dump for the hot line: {lines:?}"));
+        .unwrap_or_else(|| panic!("no dump for the hot line: {lines:?}"));
     let tag = format!("line {x:#x}");
     assert!(
         lines.get(at + 1).is_some_and(|l| l.contains(&tag)),
-        "seed {seed}: dump header not followed by a record on {tag}: {lines:?}"
+        "dump header not followed by a record on {tag}: {lines:?}"
     );
     for n in &rep.notes {
         assert!(!n.contains('/') && !n.contains(".json"), "note names a path: {n}");
@@ -302,7 +270,7 @@ fn traced_wedge_dumps_participant_lines() {
 /// the livelock run, `tearoff_reads_served` from the SoS bypass run.
 #[test]
 fn wedge_pressure_lands_in_histograms() {
-    let mut sys = System::new(option1_spin_cfg(0), &directed::option1_spin());
+    let mut sys = option1_spin();
     let _ = sys.verify(150_000);
     let r = sys.report();
     let nacks = r.stats.hist("nack_retries").expect("nack_retries histogram missing");
@@ -352,9 +320,14 @@ fn wedge_pressure_lands_in_histograms() {
 /// wedge diagnosis is part of the deterministic surface.
 #[test]
 fn wedge_reports_are_deterministic() {
-    let (seed_a, verdict_a, sink_a) = first_wedging_seed();
-    let (seed_b, verdict_b, sink_b) = first_wedging_seed();
-    assert_eq!(seed_a, seed_b, "seed scan diverged");
+    let run = || {
+        let mut sys = option1_spin();
+        sys.set_trace_sink(TraceSink::Capture(Vec::new()));
+        let verdict = sys.verify(150_000);
+        (verdict, sys.take_sink_lines())
+    };
+    let ((verdict_a, sink_a), (verdict_b, sink_b)) = (run(), run());
+    assert!(!verdict_a.passed(), "Option 1 under spin-readers must wedge");
     assert_eq!(verdict_a, verdict_b, "structured verdict diverged");
     assert_eq!(verdict_a.to_string(), verdict_b.to_string(), "rendered report diverged");
     assert_eq!(sink_a, sink_b, "sink output diverged");

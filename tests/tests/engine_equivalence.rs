@@ -36,14 +36,13 @@ struct Observed {
 }
 
 /// Wedge reproducer lines carry the engine that produced them
-/// (`engine=dense` vs `engine=sparse`); everything else about the two
-/// runs must agree, so equivalence compares modulo that one token.
+/// (`"engine":"dense"` vs `"engine":"sparse"`); everything else about
+/// the two runs must agree, so equivalence compares modulo that one key.
 fn neutralize_engine(mut o: Observed) -> Observed {
     if let RunOutcome::Wedge(r) | RunOutcome::Fault(r) = &mut o.outcome {
-        // Longer tokens first, so "engine=sparse" can't eat the prefix
-        // of "engine=sparse-verify".
         for engine in [EngineMode::SparseVerify, EngineMode::Sparse, EngineMode::Dense] {
-            r.reproducer = r.reproducer.replace(&format!("engine={}", engine.name()), "engine=*");
+            let key = format!("\"engine\":\"{}\"", engine.name());
+            r.reproducer = r.reproducer.replace(&key, "\"engine\":\"*\"");
         }
     }
     o
@@ -317,16 +316,11 @@ fn assert_same_wedge(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64)
     let dense = run_with(EngineMode::Dense, cfg, w, budget, false);
     match &dense.outcome {
         RunOutcome::Wedge(r) => {
-            // The reproducer names the engine and bank fan-out so the
-            // one-liner replays exactly.
+            // The reproducer names the engine and the machine (with its
+            // bank fan-out) so the one-liner replays exactly.
             assert!(
-                r.reproducer.contains("engine=dense"),
-                "reproducer must name the engine: {}",
-                r.reproducer
-            );
-            assert!(
-                r.reproducer.contains("dir_banks_per_node=1"),
-                "reproducer must name the bank fan-out: {}",
+                r.reproducer.contains("\"engine\":\"dense\"") && r.reproducer.contains("\"machine\":\"table6\""),
+                "reproducer must name the engine and the machine: {}",
                 r.reproducer
             );
         }
@@ -370,14 +364,14 @@ fn wedge_fires_at_the_same_cycle() {
 /// ([`directed::option1_spin`] with cacheable reads served from a
 /// WritersBlock entry), whose spin-readers are re-invalidated round
 /// after round while the blocked write starves — a livelock by design,
-/// the reason the paper rejects Option 1.
+/// the reason the paper rejects Option 1. Without jitter the rounds
+/// chain for good (with jitter 20 the write gets through).
 #[test]
 fn livelock_fires_at_the_same_cycle() {
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(8)
         .with_commit(CommitMode::OutOfOrderWb)
         .with_seed(0)
-        .with_jitter(20)
         .without_event_log();
     cfg.wb_cacheable_reads = true;
     let dense = assert_same_wedge("option1-spin", &cfg, &directed::option1_spin(), 2_000_000);

@@ -88,9 +88,8 @@ fn scaled_watchdog_lets_legal_barrier_finish() {
 #[test]
 fn sharded_directory_banks_stay_tso_correct() {
     // Lines strided so they hash across banks, two words per line.
-    let lines = torture::spread_lines(8);
     for seed in 0..8u64 {
-        let w = torture::workload_on(4, seed, 30, &lines);
+        let w = torture::workload_on(4, seed, 30, torture::Lines::Spread(8));
         let mut cfg = SystemConfig::new(CoreClass::Slm)
             .with_cores(16)
             .with_commit(CommitMode::OutOfOrderWb)

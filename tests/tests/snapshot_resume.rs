@@ -19,7 +19,7 @@
 use wb_isa::Workload;
 use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::check::prelude::*;
-use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
+use wb_kernel::config::{CommitMode, CoreClass, CoreConfig, EngineMode, MemoryConfig, ProtocolKind, SystemConfig};
 use wb_kernel::fault::FaultPlan;
 use wb_kernel::soft::SoftPlan;
 use wb_workloads::torture;
@@ -234,20 +234,32 @@ fn mismatched_configurations_are_rejected() {
     let (_, w2) = cell(1, 9);
     let mut c = System::new(cfg.clone(), &w2);
     assert!(c.restore(&bytes).is_err(), "workload mismatch must be rejected");
+    // Another core class, the tiny-LLC machine, and an eviction buffer
+    // that alone differs from Table 6's.
+    let mut evict = cfg.clone();
+    evict.memory.dir_evict_buffer = 2;
+    let mut tiny = cfg.clone();
+    tiny.memory = MemoryConfig::tiny_llc();
+    let hsw = SystemConfig { core: CoreConfig { commit_mode: cfg.core.commit_mode, ..CoreConfig::for_class(CoreClass::Hsw) }, ..cfg.clone() };
+    for other in [hsw, tiny, evict] {
+        let e = System::new(other, &w).restore(&bytes).expect_err("machine mismatch must be rejected");
+        assert!(e.to_string().contains("different configuration"), "got: {e}");
+    }
     // Truncated payload.
     let mut d = System::new(cfg.clone(), &w);
     assert!(d.restore(&bytes[..bytes.len() / 2]).is_err(), "truncation must be rejected");
-    // A snapshot of the previous payload layout, 8 (the u16 right after
-    // the frame header; 9 keeps a blocked write's books in a `Round`): a
-    // typed error, never a misparse.
+    // A snapshot of the previous payload layout, 9 (the u16 right after
+    // the frame header; 10 fingerprints the configuration with its
+    // one-cell spec and keeps Option 1's per-write books): a typed
+    // error, never a misparse.
     let mut old = bytes.clone();
     let at = wb_kernel::snap::MAGIC.len() + 4;
     let layout = u16::from_le_bytes([old[at], old[at + 1]]);
-    assert_eq!(layout, 9, "this build writes layout 9");
-    old[at..at + 2].copy_from_slice(&8u16.to_le_bytes());
+    assert_eq!(layout, 10, "this build writes layout 10");
+    old[at..at + 2].copy_from_slice(&9u16.to_le_bytes());
     let mut f = System::new(cfg, &w);
     let e = f.restore(&old).expect_err("old layout must be rejected");
-    let want = "snapshot layout 8 unsupported (this build reads 9)";
+    let want = "snapshot layout 9 unsupported (this build reads 10)";
     assert!(e.to_string().contains(want), "got: {e}");
 }
 
@@ -288,9 +300,9 @@ fn wire_cell(name: &str) -> System {
 /// The wire format itself, not just its round trip: length and digest
 /// of `System::snapshot()` on [`WIRE_CELLS`]. A layout change bumps
 /// `SNAP_LAYOUT` and refreshes them; so does a behaviour change, which
-/// moves the state at the cut. Last refreshed for layout 9 (a write's
-/// directory entry keeps its lockdown count in the same `Round` as a
-/// parked eviction or a purge).
+/// moves the state at the cut. Last refreshed for layout 10 (the
+/// configuration fingerprint is the one-cell campaign spec, and each
+/// bank keeps Option 1's per-write books).
 #[test]
 fn wire_format_is_pinned() {
     let got: Vec<(&str, usize, u64)> = WIRE_CELLS
@@ -301,12 +313,12 @@ fn wire_format_is_pinned() {
         })
         .collect();
     let want = [
-        ("mp", 653_895, 0xad65_e813_3fc5_1979),
-        ("plain", 1_358_953, 0x9029_3b9b_73ed_51ae),
-        ("chaos", 1_347_479, 0x5e09_bcb3_7e91_da44),
-        ("arq", 1_358_102, 0x6cea_4be7_66c9_3bc7),
-        ("soft", 1_367_989, 0xb665_6696_87ad_b79e),
-        ("ecl16", 5_366_007, 0x74d9_499f_6a8c_2a87),
+        ("mp", 654_018, 0x3d47_4480_331c_89fc),
+        ("plain", 1_359_075, 0x2beb_721d_5eae_8eae),
+        ("chaos", 1_347_571, 0x5bb6_35b3_dc15_001c),
+        ("arq", 1_358_170, 0x2434_2b17_295a_1fc6),
+        ("soft", 1_368_062, 0xc0a4_d3d6_0d27_6f1d),
+        ("ecl16", 5_366_245, 0x3f9d_c6ff_7dcc_e4f2),
     ];
     assert_eq!(got, want, "the wire moved");
 }

@@ -79,43 +79,6 @@ fn soft_torture_matrix() {
     assert!(latency_cells > 0, "soft_detect_latency never populated");
 }
 
-/// 200-op programs that once failed under soft errors; each must pass.
-///
-/// Under background radiation at 20x, one per arm: a corrupted directory
-/// entry was rebuilt from which caches still held a copy, so a cache
-/// that had silently dropped its copy while its core still held a load
-/// bound to the line missed the next invalidation, and the load
-/// committed a stale value. The purge that replaced the rebuild
-/// invalidates every core.
-///
-/// Under a cache-state storm at 100x, on the WritersBlock arms: a
-/// corrupted E/M line was repaired by writing it back (a PutM), which
-/// skipped the pin that keeps a line with M-speculative loads in the
-/// cache (§3.8), and the core was not told the line left. The run then
-/// failed the TSO check (`TsoViolation`) or faulted when a forward found
-/// no owner. The line is now restored in place.
-#[test]
-fn purge_known_failures_by_arm() {
-    let radiation = SoftPlan::background_radiation().accelerated(20);
-    let storm = SoftPlan::cache_state_storm().accelerated(100);
-    let cells = vec![
-        ("mesi-inorder", 321, radiation.clone()),
-        ("mesi-ooo", 47, radiation.clone()),
-        ("wb-inorder", 22, radiation.clone()),
-        ("wb-ooo", 26, radiation.clone()),
-        ("wb-ecl", 73, radiation),
-        ("wb-inorder", 54, storm.clone()),
-        ("wb-ooo", 40, storm.clone()),
-        ("wb-ecl", 24, storm),
-    ];
-    wb_bench::sweep::run(cells, |(arm, seed, plan)| {
-        let (protocol, mode) = wb_kernel::config::arm(arm).expect("a config::ARMS name");
-        let cfg = config(protocol, mode, seed).with_soft(plan);
-        let w = torture::workload(4, seed, 200);
-        System::new(cfg, &w).verify(8_000_000).assert_pass(&format!("{} on {arm}", w.name));
-    });
-}
-
 /// Heavy radiation on the paper's own configuration — the WritersBlock
 /// protocol with out-of-order commit — must still audit clean and stay
 /// TSO-green, with both cache-side and directory-side recovery visible.
