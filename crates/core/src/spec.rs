@@ -395,6 +395,11 @@ pub fn describe(cfg: &SystemConfig, workload: &str, cores: usize, budget: Option
     if program_seed != cfg.seed {
         notes.push(format!("program seed {program_seed}"));
     }
+    // `wb_kernel::json` reads numbers as f64: a seed past 2^53 would
+    // read back as another.
+    if cfg.seed > 1 << 53 {
+        notes.push(format!("seed {}", cfg.seed));
+    }
     let named = NAMED.iter().any(|(n, _)| *n == token) || wb_workloads::SUITE.iter().any(|(n, _)| *n == token);
     if !named && torture::recipe(token).is_none() {
         notes.push(format!("workload `{token}`"));
@@ -514,10 +519,13 @@ mod tests {
         let mut odd = base.clone().with_seed(10);
         odd.core.collapsible_lq = false;
         odd.network.link.rto_min = 64;
-        odd.chaos = Some(ChaosPlan::quiet());
+        odd.chaos = Some(ChaosPlan::lockdown_vnet_stall(0));
         let line = describe(&odd, &w.name, 4, Some(77));
         let (_, notes) = line.split_once(UNSTATED).expect(&line);
-        assert_eq!(notes, "program seed 9; chaos quiet(); collapsible_lq: false; rto_min: 64");
+        assert_eq!(notes, "program seed 9; chaos lockdown_vnet_stall(*>*/vn0:lockstall300); collapsible_lq: false; rto_min: 64");
         assert!(CampaignSpec::parse(&line).is_err());
+        let big = (1u64 << 60) + 1;
+        let line = describe(&base.with_seed(big), &format!("torture/30x24-{big}"), 4, None);
+        assert!(line.ends_with(&format!("# unstated: seed {big}")), "{line}");
     }
 }

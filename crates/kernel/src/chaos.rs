@@ -188,30 +188,24 @@ impl ChaosPlan {
         }
     }
 
-    /// The plan a campaign spec names `name`; `"off"` is none.
+    /// The plan a campaign spec names `name`: a [`ChaosPlan::MATRIX`]
+    /// entry; `"off"` is none.
     ///
     /// # Errors
     ///
     /// Fails on an unknown name.
     pub fn by_name(name: &str) -> Result<Option<ChaosPlan>, String> {
-        Ok(Some(match name {
-            "off" => return Ok(None),
-            "delay-storm" => ChaosPlan::delay_storm(),
-            "request-storm" => ChaosPlan::request_storm(),
-            "forward-storm" => ChaosPlan::forward_storm(),
-            "response-storm" => ChaosPlan::response_storm(),
-            "reorder-amplify" => ChaosPlan::reorder_amplify(),
-            "wb-entry-squeeze" => ChaosPlan::wb_entry_squeeze(),
-            "hotspot" => ChaosPlan::hotspot(0),
-            other => return Err(format!("unknown chaos plan `{other}`")),
-        }))
+        if name == "off" {
+            return Ok(None);
+        }
+        let (_, make) = Self::MATRIX.iter().find(|(n, _)| *n == name).ok_or_else(|| format!("unknown chaos plan `{name}`"))?;
+        Ok(Some(make()))
     }
 
     /// Inverse of [`ChaosPlan::by_name`]: the name that builds this
     /// plan, if one does.
     pub fn spec_name(&self) -> Option<String> {
-        let name = self.name.replace('_', "-");
-        (Self::by_name(&name).ok()?.as_ref() == Some(self)).then_some(name)
+        Self::MATRIX.iter().find(|(_, make)| make() == *self).map(|(n, _)| (*n).to_owned())
     }
 
     /// Control row: no perturbation at all.
@@ -352,21 +346,24 @@ impl ChaosPlan {
         )
     }
 
-    /// The standard torture matrix (issue asks for ≥ 8 plans).
+    /// The standard torture matrix, each plan by its campaign-spec name.
+    pub const MATRIX: [crate::Named<ChaosPlan>; 11] = [
+        ("quiet", ChaosPlan::quiet),
+        ("delay-storm", ChaosPlan::delay_storm),
+        ("request-storm", ChaosPlan::request_storm),
+        ("forward-storm", ChaosPlan::forward_storm),
+        ("response-storm", ChaosPlan::response_storm),
+        ("hotspot", || ChaosPlan::hotspot(0)),
+        ("starve-flow", || ChaosPlan::starve_flow(1, 0, 0)),
+        ("reorder-amplify", ChaosPlan::reorder_amplify),
+        ("wb-entry-squeeze", ChaosPlan::wb_entry_squeeze),
+        ("lockdown-stall-vn1", || ChaosPlan::lockdown_vnet_stall(1)),
+        ("lockdown-stall-vn2", || ChaosPlan::lockdown_vnet_stall(2)),
+    ];
+
+    /// The plans of [`ChaosPlan::MATRIX`].
     pub fn matrix() -> Vec<ChaosPlan> {
-        vec![
-            ChaosPlan::quiet(),
-            ChaosPlan::delay_storm(),
-            ChaosPlan::request_storm(),
-            ChaosPlan::forward_storm(),
-            ChaosPlan::response_storm(),
-            ChaosPlan::hotspot(0),
-            ChaosPlan::starve_flow(1, 0, 0),
-            ChaosPlan::reorder_amplify(),
-            ChaosPlan::wb_entry_squeeze(),
-            ChaosPlan::lockdown_vnet_stall(1),
-            ChaosPlan::lockdown_vnet_stall(2),
-        ]
+        Self::MATRIX.iter().map(|(_, make)| make()).collect()
     }
 }
 
@@ -596,5 +593,9 @@ mod tests {
         );
         assert_eq!(ChaosPlan::quiet().to_string(), "quiet()");
         assert_eq!(ChaosPlan::matrix().len(), 11);
+        for (name, make) in ChaosPlan::MATRIX {
+            assert_eq!((ChaosPlan::by_name(name), make().spec_name()), (Ok(Some(make())), Some(name.to_owned())));
+        }
+        assert_eq!(ChaosPlan::hotspot(3).spec_name(), None, "a plan no name builds");
     }
 }

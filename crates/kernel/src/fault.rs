@@ -105,43 +105,38 @@ impl FaultPlan {
         FaultPlan { name, clauses: vec![FaultClause { flow, effect }] }
     }
 
-    /// The plan a campaign spec names `name`; `"off"` is none, and
-    /// `"drop-N-M"` drops N/M of all hops.
+    /// The plan a campaign spec names `name`: a [`FaultPlan::MATRIX`]
+    /// entry, or `"drop-N-M"`, which drops N/M of all hops; `"off"` is
+    /// none.
     ///
     /// # Errors
     ///
     /// Fails on an unknown name or a malformed drop rate.
     pub fn by_name(name: &str) -> Result<Option<FaultPlan>, String> {
-        Ok(Some(match name {
-            "off" => return Ok(None),
-            "drop-response" => FaultPlan::drop_response(),
-            "drop-forward" => FaultPlan::drop_forward(),
-            "duplicate-storm" => FaultPlan::duplicate_storm(),
-            "corrupt-everywhere" => FaultPlan::corrupt_everywhere(),
-            "mixed-misery" => FaultPlan::mixed_misery(),
-            other => {
-                let parts: Vec<&str> = other.split('-').collect();
-                match parts.as_slice() {
-                    ["drop", num, den] => match (num.parse(), den.parse()) {
-                        (Ok(n), Ok(d)) if d > 0u64 => FaultPlan::drop_everywhere(n, d),
-                        _ => return Err(format!("bad drop rate in `{other}`")),
-                    },
-                    _ => return Err(format!("unknown fault plan `{other}`")),
-                }
-            }
-        }))
+        if name == "off" {
+            return Ok(None);
+        }
+        if let Some((_, make)) = Self::MATRIX.iter().find(|(n, _)| *n == name) {
+            return Ok(Some(make()));
+        }
+        match name.split('-').collect::<Vec<_>>().as_slice() {
+            ["drop", num, den] => match (num.parse(), den.parse()) {
+                (Ok(n), Ok(d)) if d > 0u64 => Ok(Some(FaultPlan::drop_everywhere(n, d))),
+                _ => Err(format!("bad drop rate in `{name}`")),
+            },
+            _ => Err(format!("unknown fault plan `{name}`")),
+        }
     }
 
     /// Inverse of [`FaultPlan::by_name`]: the name that builds this
     /// plan, if one does.
     pub fn spec_name(&self) -> Option<String> {
-        let name = match self.clauses.as_slice() {
+        match self.clauses.as_slice() {
             [FaultClause { effect: FaultEffect::Drop { num, den }, .. }] if self.name == "drop_everywhere" => {
-                format!("drop-{num}-{den}")
+                Some(format!("drop-{num}-{den}"))
             }
-            _ => self.name.replace('_', "-"),
-        };
-        (Self::by_name(&name).ok()?.as_ref() == Some(self)).then_some(name)
+            _ => Self::MATRIX.iter().find(|(_, make)| make() == *self).map(|(n, _)| (*n).to_owned()),
+        }
     }
 
     /// Control row: the reliable layer runs but nothing is ever lost.
@@ -210,19 +205,22 @@ impl FaultPlan {
         }
     }
 
-    /// The standard torture matrix (the issue asks for ≥ 6 lossy plans
-    /// beside the `none` control).
+    /// The standard torture matrix, six lossy plans and more beside the
+    /// `none` control, each by its campaign-spec name.
+    pub const MATRIX: [crate::Named<FaultPlan>; 8] = [
+        ("none", FaultPlan::none),
+        ("drop-1-10", || FaultPlan::drop_everywhere(1, 10)),
+        ("drop-response", FaultPlan::drop_response),
+        ("drop-forward", FaultPlan::drop_forward),
+        ("duplicate-storm", FaultPlan::duplicate_storm),
+        ("corrupt-everywhere", FaultPlan::corrupt_everywhere),
+        ("lossy-link", || FaultPlan::lossy_link(0, 1)),
+        ("mixed-misery", FaultPlan::mixed_misery),
+    ];
+
+    /// The plans of [`FaultPlan::MATRIX`].
     pub fn matrix() -> Vec<FaultPlan> {
-        vec![
-            FaultPlan::none(),
-            FaultPlan::drop_everywhere(1, 10),
-            FaultPlan::drop_response(),
-            FaultPlan::drop_forward(),
-            FaultPlan::duplicate_storm(),
-            FaultPlan::corrupt_everywhere(),
-            FaultPlan::lossy_link(0, 1),
-            FaultPlan::mixed_misery(),
-        ]
+        Self::MATRIX.iter().map(|(_, make)| make()).collect()
     }
 
     /// True when no clause can ever fire.
@@ -440,5 +438,10 @@ mod tests {
         );
         assert_eq!(FaultPlan::matrix().len(), 8);
         assert!(FaultPlan::matrix().iter().filter(|p| !p.is_none()).count() >= 6);
+        for (name, make) in FaultPlan::MATRIX {
+            assert_eq!((FaultPlan::by_name(name), make().spec_name()), (Ok(Some(make())), Some(name.to_owned())));
+        }
+        assert_eq!(FaultPlan::drop_everywhere(3, 7).spec_name().as_deref(), Some("drop-3-7"));
+        assert_eq!(FaultPlan::lossy_link(2, 3).spec_name(), None, "a plan no name builds");
     }
 }

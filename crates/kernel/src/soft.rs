@@ -129,30 +129,19 @@ impl SoftPlan {
             }
             _ => (name, 1),
         };
-        let plan = match base {
-            "none" => SoftPlan::none(),
-            "cache-state-storm" => SoftPlan::cache_state_storm(),
-            "tag-flips" => SoftPlan::tag_flips(),
-            "dir-state-storm" => SoftPlan::dir_state_storm(),
-            "sharer-bits" => SoftPlan::sharer_bits(),
-            "mshr-fields" => SoftPlan::mshr_fields(),
-            "background-radiation" => SoftPlan::background_radiation(),
-            "double-entry" => SoftPlan::double_entry(),
-            other => return Err(format!("unknown soft plan `{other}`")),
-        };
-        Ok(Some(if accel > 1 { plan.accelerated(accel) } else { plan }))
+        let (_, make) = Self::MATRIX.iter().find(|(n, _)| *n == base).ok_or_else(|| format!("unknown soft plan `{base}`"))?;
+        Ok(Some(if accel > 1 { make().accelerated(accel) } else { make() }))
     }
 
     /// Inverse of [`SoftPlan::by_name`]: the name that builds this plan,
     /// if one does.
     pub fn spec_name(&self) -> Option<String> {
-        let base = self.name.strip_prefix("soft_").unwrap_or(self.name).replace('_', "-");
-        let plain = Self::by_name(&base).ok()??;
-        let accel = match (plain.clauses.first(), self.clauses.first()) {
+        let (base, make) = Self::MATRIX.iter().find(|(_, make)| make().name == self.name)?;
+        let accel = match (make().clauses.first(), self.clauses.first()) {
             (Some(p), Some(s)) => p.mean_gap / s.mean_gap.max(1),
             _ => 1,
         };
-        let name = if accel > 1 { format!("{base}-x{accel}") } else { base };
+        let name = if accel > 1 { format!("{base}-x{accel}") } else { (*base).to_owned() };
         (Self::by_name(&name).ok()?.as_ref() == Some(self)).then_some(name)
     }
 
@@ -213,19 +202,22 @@ impl SoftPlan {
         }
     }
 
-    /// The standard torture matrix (the issue asks for ≥ 6 flipping
-    /// plans beside the `none` control).
+    /// The standard torture matrix, six flipping plans and more beside
+    /// the `none` control, each by its campaign-spec name.
+    pub const MATRIX: [crate::Named<SoftPlan>; 8] = [
+        ("none", SoftPlan::none),
+        ("cache-state-storm", SoftPlan::cache_state_storm),
+        ("tag-flips", SoftPlan::tag_flips),
+        ("dir-state-storm", SoftPlan::dir_state_storm),
+        ("sharer-bits", SoftPlan::sharer_bits),
+        ("mshr-fields", SoftPlan::mshr_fields),
+        ("background-radiation", SoftPlan::background_radiation),
+        ("double-entry", SoftPlan::double_entry),
+    ];
+
+    /// The plans of [`SoftPlan::MATRIX`].
     pub fn matrix() -> Vec<SoftPlan> {
-        vec![
-            SoftPlan::none(),
-            SoftPlan::cache_state_storm(),
-            SoftPlan::tag_flips(),
-            SoftPlan::dir_state_storm(),
-            SoftPlan::sharer_bits(),
-            SoftPlan::mshr_fields(),
-            SoftPlan::background_radiation(),
-            SoftPlan::double_entry(),
-        ]
+        Self::MATRIX.iter().map(|(_, make)| make()).collect()
     }
 
     /// The same schedule with every rate accelerated `div`-fold (mean
@@ -455,5 +447,11 @@ mod tests {
         );
         assert_eq!(SoftPlan::matrix().len(), 8);
         assert!(SoftPlan::matrix().iter().filter(|p| !p.is_none()).count() >= 6);
+        for (name, make) in SoftPlan::MATRIX {
+            assert_eq!((SoftPlan::by_name(name), make().spec_name()), (Ok(Some(make())), Some(name.to_owned())));
+        }
+        let fast = SoftPlan::cache_state_storm().accelerated(100);
+        assert_eq!(fast.spec_name().as_deref(), Some("cache-state-storm-x100"));
+        assert_eq!(SoftPlan::one("custom", SoftTarget::Mshr, 9).spec_name(), None, "a plan no name builds");
     }
 }

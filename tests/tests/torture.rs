@@ -8,20 +8,10 @@
 //! directed litmus tests.
 
 use wb_bench::campaign::{self, cells, CampaignSpec};
-use wb_isa::Workload;
+use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::config::{CommitMode, CoreClass, SystemConfig, ARMS};
 use wb_workloads::torture::{self, Lines};
 use writersblock::System;
-
-/// Four cores of `class` committing by `mode`, jitter 25.
-fn config(class: CoreClass, mode: CommitMode, seed: u64) -> SystemConfig {
-    SystemConfig::new(class).with_cores(4).with_commit(mode).with_seed(seed).with_jitter(25)
-}
-
-/// A failing verdict names the seed, arm and plan in its reproducer.
-fn must_pass(cfg: SystemConfig, w: &Workload, budget: u64) {
-    System::new(cfg, w).verify(budget).assert_pass(&w.name);
-}
 
 /// Every cell of every spec must pass; a failure prints its reproducer.
 fn all_pass<'a>(specs: impl IntoIterator<Item = &'a str>) {
@@ -76,14 +66,19 @@ fn torture_hsw_ooo_wb() {
     tier1(r#""workloads":["torture/50x6"],"class":"hsw","arms":["wb-ooo"],"seeds":{"first":300,"count":15}"#);
 }
 
-/// The non-collapsible (FIFO) LQ variant under torture.
+/// The non-collapsible (FIFO) LQ variant under torture: a core field
+/// no spec key states, so its reproducer names it as unstated.
 #[test]
 fn torture_fifo_lq() {
     for seed in 400..415u64 {
-        let mut cfg = config(CoreClass::Slm, CommitMode::OutOfOrderWb, seed);
+        let mut cfg = SystemConfig::new(CoreClass::Slm)
+            .with_cores(4)
+            .with_commit(CommitMode::OutOfOrderWb)
+            .with_seed(seed)
+            .with_jitter(25);
         cfg.core.collapsible_lq = false;
         let w = torture::workload_on(4, seed, 40, Lines::Spread(4));
-        must_pass(cfg, &w, 2_000_000);
+        System::new(cfg, &w).verify(2_000_000).assert_pass(&w.name);
     }
 }
 
@@ -95,18 +90,15 @@ fn torture_fifo_lq() {
 /// the cell's reproducer, plan included.
 #[test]
 fn torture_chaos_matrix() {
-    use wb_kernel::chaos::ChaosPlan;
-    let plans = ChaosPlan::matrix();
+    let plans: Vec<String> = ChaosPlan::MATRIX.iter().map(|(name, _)| format!("{name:?}")).collect();
     assert!(plans.len() >= 8, "matrix shrank to {} plans", plans.len());
-    // Independent cells: fan out over the deterministic sweep runner
-    // (a panicking cell propagates when its scoped worker joins).
-    let jobs: Vec<_> =
-        plans.iter().flat_map(|p| ARMS.map(|(_, pr, m)| (p.clone(), pr, m))).collect();
-    let w = torture::workload(4, 7, 25);
-    wb_bench::sweep::run(jobs, |(plan, protocol, mode)| {
-        let cfg = config(CoreClass::Slm, mode, 7).with_protocol(protocol).with_chaos(plan);
-        must_pass(cfg, &w, 8_000_000);
-    });
+    let arms: Vec<String> = ARMS.iter().map(|(name, ..)| format!("{name:?}")).collect();
+    all_pass([format!(
+        r#"{{"engine":"dense","jitter":25,"budget":8000000,"workloads":["torture/25x6"],"arms":[{}],"chaos":[{}],"seeds":[7]}}"#,
+        arms.join(","),
+        plans.join(",")
+    )
+    .as_str()]);
 }
 
 /// The ECL (early-commit-of-loads) mode — the paper's stall-on-use use
