@@ -213,6 +213,12 @@ impl CampaignSpec {
         Ok(spec)
     }
 
+    /// The system of one of this spec's cells, at reset.
+    pub fn system(&self, cell: &Cell) -> System {
+        let w = cell_workload(self, cell);
+        System::new(cell_config(self, cell, w.cores(), cell.seed), &w)
+    }
+
     /// The spec on one line of JSON, which [`CampaignSpec::parse`] reads
     /// back. `run` adds how the cells are run — engine and budgets — to
     /// what they are.
@@ -364,14 +370,6 @@ pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) ->
     cfg.fault = FaultPlan::by_name(&cell.fault).expect("fault validated at parse");
     cfg.soft = SoftPlan::by_name(&cell.soft).expect("soft validated at parse");
     cfg
-}
-
-impl CampaignSpec {
-    /// The system of one of this spec's cells, at reset.
-    pub fn system(&self, cell: &Cell) -> System {
-        let w = cell_workload(self, cell);
-        System::new(cell_config(self, cell, w.cores(), cell.seed), &w)
-    }
 }
 
 /// The program a cell runs: a torture cell's is drawn from its seed,

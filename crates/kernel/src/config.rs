@@ -247,8 +247,8 @@ impl Default for MemoryConfig {
 
 impl MemoryConfig {
     /// The memory geometries a campaign spec names with its `machine`
-    /// key.
-    pub const MACHINES: [&'static str; 2] = ["table6", "tiny-llc"];
+    /// key: Table 6's, and [`MemoryConfig::tiny_llc`].
+    pub const MACHINES: [crate::Named<MemoryConfig>; 2] = [("table6", Self::default), ("tiny-llc", Self::tiny_llc)];
 
     /// Table 6's hierarchy with a tiny LLC: four 64-byte lines per bank
     /// in two ways and a two-slot eviction buffer, so directory
@@ -258,23 +258,19 @@ impl MemoryConfig {
         MemoryConfig { l3_bank_bytes: 4 * 64, l3_ways: 2, dir_evict_buffer: 2, ..Self::default() }
     }
 
-    /// The [`MemoryConfig::MACHINES`] entry called `name`: `table6` is
-    /// the default.
+    /// The [`MemoryConfig::MACHINES`] entry called `name`.
     ///
     /// # Errors
     ///
     /// Fails on any other name.
     pub fn machine(name: &str) -> Result<Self, String> {
-        match name {
-            "table6" => Ok(Self::default()),
-            "tiny-llc" => Ok(Self::tiny_llc()),
-            other => Err(format!("unknown machine `{other}`")),
-        }
+        let (_, make) = Self::MACHINES.iter().find(|(n, _)| *n == name).ok_or_else(|| format!("unknown machine `{name}`"))?;
+        Ok(make())
     }
 
     /// Inverse of [`MemoryConfig::machine`].
     pub fn machine_name(&self) -> Option<&'static str> {
-        Self::MACHINES.into_iter().find(|m| Self::machine(m).as_ref() == Ok(self))
+        Self::MACHINES.iter().find(|(_, make)| make() == *self).map(|(n, _)| *n)
     }
 }
 

@@ -84,8 +84,8 @@ pub use wedge::{WaitEdge, WaitParty, WedgeClass, WedgeReport};
 /// domain, as in the paper's GEMS-based setup.
 pub type Cycle = u64;
 
-/// A plan by the name a campaign spec gives it.
-pub type Named<P> = (&'static str, fn() -> P);
+/// A plan or a machine by the name a campaign spec gives it.
+pub type Named<T> = (&'static str, fn() -> T);
 
 /// Hard ceiling on the number of nodes a system may have. Sharer sets in
 /// the directory are fixed-width bitsets sized from this constant (no

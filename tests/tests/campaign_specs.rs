@@ -36,7 +36,7 @@ fn every_committed_cell_reproduces_itself() {
         .into_iter()
         .flat_map(|(path, spec)| cells(&spec).into_iter().map(move |c| (path.clone(), spec.clone(), c)))
         .collect();
-    assert!(jobs.len() > 8_000, "{} cells", jobs.len());
+    assert!(jobs.len() > 9_000, "{} cells", jobs.len());
     wb_bench::sweep::run(jobs, |(path, spec, cell)| {
         let w = cell_workload(&spec, &cell);
         let cfg = cell_config(&spec, &cell, w.cores(), cell.seed);
