@@ -5,7 +5,7 @@
 //! jitter × seed on one machine. It is the only way a cell is described:
 //! the campaign farm (`wb_bench::campaign`) runs specs, the reproducer
 //! of a wedge report or a failing verdict is a one-cell spec on one line
-//! ([`describe`]), and the configuration fingerprint a snapshot carries
+//! ([`crate::System::reproducer`]), and the configuration fingerprint a snapshot carries
 //! is that line without the run's engine and budget. Paste a reproducer
 //! into a file and `campaign FILE --out DIR` replays the cell.
 //!
@@ -279,8 +279,9 @@ const NAMED: [(&str, Make); 10] = [
     ("option1-spin", |_| directed::option1_spin()),
 ];
 
-/// Resolve a seed-independent workload name: a [`NAMED`] workload or
-/// one of the 12 suite kernels (generated at `cores` cores,
+/// Resolve a seed-independent workload name: a litmus test, the
+/// barrier storm, `option1-spin` or one of the 12 suite kernels
+/// (generated at `cores` cores,
 /// `Scale::Test`). The workload is named `name`, so a reproducer names
 /// it the way a spec does. A torture token is not one: a torture cell's
 /// program comes from its seed.
@@ -387,7 +388,7 @@ pub fn cell_workload(spec: &CampaignSpec, cell: &Cell) -> Workload {
 /// budget too; without, it is the fingerprint a snapshot carries.
 /// Settings no spec key can state follow the JSON after `# unstated:`,
 /// so the line never names a different cell in silence.
-pub fn describe(cfg: &SystemConfig, workload: &str, cores: usize, budget: Option<u64>) -> String {
+pub(crate) fn describe(cfg: &SystemConfig, workload: &str, cores: usize, budget: Option<u64>) -> String {
     let mut notes = Vec::new();
     let (token, program_seed) = torture::parse_name(workload).unwrap_or((workload, cfg.seed));
     if program_seed != cfg.seed {

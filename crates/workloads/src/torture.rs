@@ -22,7 +22,7 @@ use wb_kernel::SimRng;
 pub const HOT_LINES: [u64; 2] = [0x1000, 0x2040];
 
 /// Operations per core of the farm's default recipe, `torture`.
-pub const OPS: usize = 200;
+const OPS: usize = 200;
 
 /// The line set a torture program races on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub enum Lines {
 
 impl Lines {
     /// The line addresses.
-    pub fn addrs(self) -> Vec<u64> {
+    fn addrs(self) -> Vec<u64> {
         match self {
             Lines::Spread(n) => (0..n).map(|i| 0x1000 + i * 0x440).collect(),
             Lines::Hot => HOT_LINES.to_vec(),
@@ -45,7 +45,7 @@ impl Lines {
     }
 }
 
-/// A recipe's campaign-spec token: `torture` for [`OPS`] ops over six
+/// A recipe's campaign-spec token: `torture` for 200 ops over six
 /// spread lines, else `torture/<ops>x<n>` with `n` the spread-line
 /// count or `hot`.
 pub fn token(ops: usize, lines: Lines) -> String {
