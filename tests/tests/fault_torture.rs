@@ -7,36 +7,29 @@
 //! audits clean and passes the axiomatic TSO checker. A failing
 //! verdict prints the cell's reproducer, plan included.
 
-use wb_kernel::chaos::ChaosPlan;
+use wb_bench::campaign::{cells, CampaignSpec, Cell};
 use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
 use wb_kernel::fault::FaultPlan;
+use wb_kernel::Stats;
 use wb_workloads::torture;
 use writersblock::{Failure, System};
 
-/// Run one (plan, chaos, protocol, mode) cell through `System::verify`
-/// — drained, audit clean, TSO-green; returns the run's merged stats
-/// for assertions.
-fn run_cell(
-    plan: &FaultPlan,
-    chaos: Option<&ChaosPlan>,
-    protocol: ProtocolKind,
-    mode: CommitMode,
-    ops: usize,
-) -> wb_kernel::Stats {
-    let seed = 7u64;
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(4)
-        .with_commit(mode)
-        .with_protocol(protocol)
-        .with_seed(seed)
-        .with_jitter(25)
-        .with_fault(plan.clone());
-    if let Some(c) = chaos {
-        cfg = cfg.with_chaos(c.clone());
-    }
-    let mut sys = System::new(cfg, &torture::workload(4, seed, ops));
-    sys.verify(8_000_000).assert_pass("fault-torture cell");
-    sys.report().stats
+/// Every cell of a spec of four SLM cores, jitter 25, Dense, 8M cycles
+/// with `keys`, through `System::verify` — drained, audit clean,
+/// TSO-green — with the run's merged stats for assertions.
+fn verified(keys: &str) -> Vec<(Cell, Stats)> {
+    let src = format!(r#"{{"engine":"dense","jitter":25,"budget":8000000,"seeds":[7],{keys}}}"#);
+    let spec = CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    wb_bench::sweep::run(cells(&spec), |c| {
+        let mut sys = spec.system(&c);
+        sys.verify(c.budget).assert_pass(&c.id);
+        (c, sys.report().stats)
+    })
+}
+
+/// The five arms as a spec list.
+fn all_arms() -> String {
+    ARMS.iter().map(|(name, ..)| format!("{name:?}")).collect::<Vec<_>>().join(",")
 }
 
 /// Every fault plan in the standard matrix x the five protocol/commit
@@ -45,27 +38,20 @@ fn run_cell(
 /// and per-frame retry-count histograms populated).
 #[test]
 fn fault_torture_matrix() {
-    let plans = FaultPlan::matrix();
-    assert!(plans.len() >= 6, "matrix shrank to {} plans", plans.len());
-    // Cells are independent single-threaded simulations; fan the matrix
-    // out over the deterministic sweep runner and assert on the ordered
-    // results (run_cell panics inside a worker still fail the test —
-    // the scoped thread's panic propagates on join).
-    let jobs: Vec<(FaultPlan, ProtocolKind, CommitMode)> =
-        plans.iter().flat_map(|p| ARMS.map(|(_, pr, m)| (p.clone(), pr, m))).collect();
-    let results = wb_bench::sweep::run(jobs.clone(), |(plan, protocol, mode)| {
-        run_cell(&plan, None, protocol, mode, 25)
-    });
+    let faults: Vec<String> = FaultPlan::MATRIX.iter().map(|(name, _)| format!("{name:?}")).collect();
+    assert!(faults.len() >= 6, "matrix shrank to {} plans", faults.len());
+    let results = verified(&format!(
+        r#""workloads":["torture/25x6"],"arms":[{}],"faults":[{}]"#,
+        all_arms(),
+        faults.join(",")
+    ));
     let mut retx_seen = 0u64;
     let mut retx_hist_cells = 0usize;
-    for ((plan, protocol, mode), stats) in jobs.iter().zip(&results) {
+    for (cell, stats) in &results {
         retx_seen += stats.get("link_retx");
         let cycles_populated = stats.hist("link_retx_cycles").is_some_and(|h| h.count() > 0);
         let count_populated = stats.hist("link_retx_count").is_some_and(|h| h.count() > 0);
-        assert_eq!(
-            cycles_populated, count_populated,
-            "plan {plan} {protocol:?} {mode:?}: retx histograms out of sync"
-        );
+        assert_eq!(cycles_populated, count_populated, "{}: retx histograms out of sync", cell.id);
         if cycles_populated {
             retx_hist_cells += 1;
         }
@@ -79,9 +65,8 @@ fn fault_torture_matrix() {
 /// TSO-green with visible recovery traffic.
 #[test]
 fn fault_torture_ten_percent_drop() {
-    let plan = FaultPlan::drop_everywhere(1, 10);
-    let stats =
-        run_cell(&plan, None, ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 30);
+    let cells = verified(r#""workloads":["torture/30x6"],"faults":["drop-1-10"]"#);
+    let [(_, stats)] = &cells[..] else { panic!("one cell") };
     assert!(stats.get("link_drops") > 0, "1/10 drop never fired");
     assert!(stats.get("link_retx") > 0, "drops at 10% must force retransmissions");
     assert!(stats.hist("link_retx_cycles").is_some_and(|h| h.count() > 0));
@@ -137,17 +122,10 @@ fn watchdog_near_miss_scaled_window_rides_out_retransmissions() {
 /// loss/duplication/corruption below it, at once, on every combo.
 #[test]
 fn fault_torture_combined_with_chaos() {
-    let cells = [
-        (ChaosPlan::reorder_amplify(), FaultPlan::mixed_misery()),
-        (ChaosPlan::response_storm(), FaultPlan::drop_everywhere(1, 20)),
-    ];
-    for (chaos, plan) in &cells {
-        for (_, protocol, mode) in ARMS {
-            let stats = run_cell(plan, Some(chaos), protocol, mode, 20);
-            assert!(
-                stats.get("mesh_chaos_msgs") > 0,
-                "chaos {chaos} never fired under plan {plan}"
-            );
+    for (chaos, fault) in [("reorder-amplify", "mixed-misery"), ("response-storm", "drop-1-20")] {
+        let keys = format!(r#""workloads":["torture/20x6"],"arms":[{}],"chaos":["{chaos}"],"faults":["{fault}"]"#, all_arms());
+        for (cell, stats) in verified(&keys) {
+            assert!(stats.get("mesh_chaos_msgs") > 0, "{}: chaos never fired", cell.id);
         }
     }
 }

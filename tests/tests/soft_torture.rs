@@ -10,38 +10,29 @@
 //! the axiomatic TSO checker, finishes with a clean final audit, and
 //! accounts for every injected flip (`soft_silent == 0`).
 
-use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
+use wb_bench::campaign::{cells, CampaignSpec, Cell};
+use wb_kernel::config::ARMS;
 use wb_kernel::soft::SoftPlan;
-use wb_workloads::torture;
-use writersblock::System;
+use wb_kernel::Stats;
 
-/// Four SLM cores on one arm, jitter 25.
-fn config(protocol: ProtocolKind, mode: CommitMode, seed: u64) -> SystemConfig {
-    SystemConfig::new(CoreClass::Slm)
-        .with_cores(4)
-        .with_commit(mode)
-        .with_protocol(protocol)
-        .with_seed(seed)
-        .with_jitter(25)
+/// A spec of the soft-torture machine — four SLM cores, jitter 25,
+/// Dense, 8M cycles — with `keys`.
+fn spec(keys: &str) -> CampaignSpec {
+    let src = format!(r#"{{"engine":"dense","jitter":25,"budget":8000000,{keys}}}"#);
+    CampaignSpec::parse(&src).unwrap_or_else(|e| panic!("{src}: {e}"))
 }
 
-/// Run one (plan, protocol, mode) cell through `System::verify` —
-/// drained, final audit clean after its scrub, every flip accounted
-/// for, TSO-green; returns `(stats, injected)`.
-fn run_cell(
-    plan: &SoftPlan,
-    protocol: ProtocolKind,
-    mode: CommitMode,
-    ops: usize,
-) -> (wb_kernel::Stats, u64) {
-    let seed = 7u64;
-    // Matrix rates are soak-tuned (thousands of cycles between strikes);
-    // these cells run a few thousand cycles total, so accelerate 20x to
-    // land a real barrage in every cell.
-    let cfg = config(protocol, mode, seed).with_soft(plan.clone().accelerated(20));
-    let mut sys = System::new(cfg, &torture::workload(4, seed, ops));
-    sys.verify(8_000_000).assert_pass("soft-torture cell");
-    (sys.report().stats, sys.soft_injected().0)
+/// Every cell of `spec(keys)` through `System::verify` — drained, final
+/// audit clean after its scrub, every flip accounted for, TSO-green —
+/// with its stats and injected flips.
+fn verified(keys: &str) -> Vec<(Cell, Stats, u64)> {
+    let spec = spec(keys);
+    wb_bench::sweep::run(cells(&spec), |c| {
+        let mut sys = spec.system(&c);
+        sys.verify(c.budget).assert_pass(&c.id);
+        let (stats, injected) = (sys.report().stats, sys.soft_injected().0);
+        (c, stats, injected)
+    })
 }
 
 /// Every soft plan in the standard matrix x the five protocol/commit
@@ -51,27 +42,28 @@ fn run_cell(
 /// class, detect-latency histograms populated).
 #[test]
 fn soft_torture_matrix() {
-    let plans = SoftPlan::matrix();
-    assert!(plans.len() >= 6, "matrix shrank to {} plans", plans.len());
-    let jobs: Vec<(SoftPlan, ProtocolKind, CommitMode)> =
-        plans.iter().flat_map(|p| ARMS.map(|(_, pr, m)| (p.clone(), pr, m))).collect();
-    let results = wb_bench::sweep::run(jobs.clone(), |(plan, protocol, mode)| {
-        run_cell(&plan, protocol, mode, 25)
-    });
+    // Matrix rates are soak-tuned (thousands of cycles between strikes);
+    // these cells run a few thousand cycles total, so accelerate 20x to
+    // land a real barrage in every cell.
+    let softs: Vec<String> = SoftPlan::MATRIX.iter().map(|(name, _)| format!("\"{name}-x20\"")).collect();
+    assert!(softs.len() >= 6, "matrix shrank to {} plans", softs.len());
+    let arms: Vec<String> = ARMS.iter().map(|(name, ..)| format!("{name:?}")).collect();
+    let results = verified(&format!(
+        r#""workloads":["torture/25x6"],"arms":[{}],"softs":[{}],"seeds":[7]"#,
+        arms.join(","),
+        softs.join(",")
+    ));
     let mut injected_total = 0u64;
     let mut detected_total = 0u64;
     let mut latency_cells = 0usize;
-    for ((plan, protocol, mode), (stats, injected)) in jobs.iter().zip(&results) {
+    for (cell, stats, injected) in &results {
         injected_total += injected;
         detected_total += stats.get("soft_detected");
         if stats.hist("soft_detect_latency").is_some_and(|h| h.count() > 0) {
             latency_cells += 1;
         }
-        if !plan.is_none() {
-            assert!(
-                stats.get("audit_runs") > 0,
-                "plan {plan} {protocol:?} {mode:?}: periodic audit never ran"
-            );
+        if cell.soft != "none-x20" {
+            assert!(stats.get("audit_runs") > 0, "{}: periodic audit never ran", cell.id);
         }
     }
     assert!(injected_total > 0, "no plan in the matrix ever landed a flip");
@@ -84,9 +76,9 @@ fn soft_torture_matrix() {
 /// TSO-green, with both cache-side and directory-side recovery visible.
 #[test]
 fn soft_torture_background_radiation_on_wb() {
-    let plan = SoftPlan::background_radiation();
-    let (stats, injected) =
-        run_cell(&plan, ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 40);
+    let cells = verified(r#""workloads":["torture/40x6"],"softs":["background-radiation-x20"],"seeds":[7]"#);
+    let [(_, stats, injected)] = &cells[..] else { panic!("one cell") };
+    let injected = *injected;
     assert!(injected > 0, "background radiation never landed a flip");
     assert!(
         stats.get("soft_detected") + stats.get("soft_masked") >= injected,
@@ -102,11 +94,11 @@ fn soft_torture_background_radiation_on_wb() {
 /// which they happened, and the window deltas sum to the run totals.
 #[test]
 fn soft_counters_appear_in_timeline_deltas() {
-    let cfg = config(ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 11)
-        .with_soft(SoftPlan::background_radiation().accelerated(20));
-    let mut sys = System::new(cfg, &torture::workload(4, 11, 40));
+    let spec = spec(r#""workloads":["torture/40x6"],"softs":["background-radiation-x20"],"seeds":[11]"#);
+    let cell = &cells(&spec)[0];
+    let mut sys = spec.system(cell);
     sys.enable_timeline(500);
-    sys.verify(8_000_000).assert_pass("soft-timeline");
+    sys.verify(cell.budget).assert_pass(&cell.id);
     let totals = sys.report().stats;
     assert!(totals.get("soft_detected") > 0, "no detections to attribute");
     // Close a final partial window at the current cycle (the audit's
@@ -130,10 +122,9 @@ fn soft_counters_appear_in_timeline_deltas() {
 /// bookkeeping) matches a `soft: None` build cycle for cycle.
 #[test]
 fn empty_soft_plan_changes_nothing() {
-    let w = torture::workload(4, 9, 30);
-    let cfg = config(ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 9);
-    let mut base = System::new(cfg.clone(), &w);
-    let mut soft = System::new(cfg.with_soft(SoftPlan::none()), &w);
+    let spec = spec(r#""workloads":["torture/30x6"],"softs":["off","none"],"seeds":[9]"#);
+    let cs = cells(&spec);
+    let (mut base, mut soft) = (spec.system(&cs[0]), spec.system(&cs[1]));
     let b_out = base.run(8_000_000);
     let s_out = soft.run(8_000_000);
     assert_eq!(b_out, s_out, "empty soft plan changed the outcome");
