@@ -11,6 +11,7 @@
 //! accounts for every injected flip (`soft_silent == 0`).
 
 use wb_bench::campaign::{cells, CampaignSpec, Cell};
+use wb_integration::regressions;
 use wb_kernel::config::ARMS;
 use wb_kernel::soft::SoftPlan;
 use wb_kernel::Stats;
@@ -114,6 +115,21 @@ fn soft_counters_appear_in_timeline_deltas() {
         tl.windows().filter(|win| win.delta.get("soft_detected") > 0).count() > 0,
         "no window carries a detection delta"
     );
+}
+
+/// 200-op programs that once failed under soft errors, one per arm under
+/// background radiation at 20x and three under a cache-state storm at
+/// 100x: the soft-error lines of `campaigns/regressions.jsonl`
+/// (EXPERIMENTS.md "Soft errors" has the two bugs, a directory rebuild
+/// that missed a silently dropped copy and an E/M repair by PutM that
+/// skipped the §3.8 pin). Each must drain, audit clean and pass the TSO
+/// check.
+#[test]
+fn purge_known_failures_by_arm() {
+    let specs = regressions(|s| s.softs != ["off"]);
+    assert_eq!(specs.len(), 8);
+    let jobs: Vec<_> = specs.into_iter().flat_map(|s| cells(&s).into_iter().map(move |c| (s.clone(), c))).collect();
+    wb_bench::sweep::run(jobs, |(spec, c)| spec.system(&c).verify(c.budget).assert_pass(&c.id));
 }
 
 /// `SoftPlan::none()` is a true no-op: installing the empty plan turns

@@ -8,16 +8,16 @@
 //! directed litmus tests.
 
 use wb_bench::campaign::{self, cells, CampaignSpec};
+use wb_integration::regressions;
 use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::config::{CommitMode, CoreClass, SystemConfig, ARMS};
 use wb_workloads::torture::{self, Lines};
 use writersblock::System;
 
 /// Every cell of every spec must pass; a failure prints its reproducer.
-fn all_pass<'a>(specs: impl IntoIterator<Item = &'a str>) {
+fn all_pass(specs: impl IntoIterator<Item = CampaignSpec>) {
     let jobs: Vec<_> = specs
         .into_iter()
-        .map(|src| CampaignSpec::parse(src).unwrap_or_else(|e| panic!("{src}: {e}")))
         .flat_map(|spec| cells(&spec).into_iter().map(move |c| (spec.clone(), c)))
         .collect();
     wb_bench::sweep::run(jobs, |(spec, cell)| {
@@ -28,7 +28,11 @@ fn all_pass<'a>(specs: impl IntoIterator<Item = &'a str>) {
 
 /// The tier-1 torture cells: four cores, jitter 25, Dense, 2M cycles.
 fn tier1(keys: &str) {
-    all_pass([format!(r#"{{"engine":"dense","jitter":25,"budget":2000000,{keys}}}"#).as_str()]);
+    all_pass([parse(&format!(r#"{{"engine":"dense","jitter":25,"budget":2000000,{keys}}}"#))]);
+}
+
+fn parse(src: &str) -> CampaignSpec {
+    CampaignSpec::parse(src).unwrap_or_else(|e| panic!("{src}: {e}"))
 }
 
 #[test]
@@ -93,12 +97,11 @@ fn torture_chaos_matrix() {
     let plans: Vec<String> = ChaosPlan::MATRIX.iter().map(|(name, _)| format!("{name:?}")).collect();
     assert!(plans.len() >= 8, "matrix shrank to {} plans", plans.len());
     let arms: Vec<String> = ARMS.iter().map(|(name, ..)| format!("{name:?}")).collect();
-    all_pass([format!(
+    all_pass([parse(&format!(
         r#"{{"engine":"dense","jitter":25,"budget":8000000,"workloads":["torture/25x6"],"arms":[{}],"chaos":[{}],"seeds":[7]}}"#,
         arms.join(","),
         plans.join(",")
-    )
-    .as_str()]);
+    ))]);
 }
 
 /// The ECL (early-commit-of-loads) mode — the paper's stall-on-use use
@@ -108,14 +111,38 @@ fn torture_ecl() {
     tier1(r#""workloads":["torture/40x6"],"arms":["wb-ecl"],"seeds":{"first":500,"count":25}"#);
 }
 
-/// Every cell that once failed — wedged, faulted or failed the TSO
-/// check — replayed from `campaigns/regressions.jsonl`, one one-cell
-/// spec per line: EXPERIMENTS.md "Known failures by arm" has each
-/// one's bug and arm. Every cell must pass.
+/// The 22 programs that once wedged or failed the TSO check on some arm
+/// (one dropped SoS bypass hit, tear-offs served after the last lockdown
+/// lifted, and an ECL atomic that ran ahead of older loads), each on all
+/// five arms at jitter 25 and 0: every line of
+/// `campaigns/regressions.jsonl` on the Table-6 machine without soft
+/// errors. The other two tables below take the rest of the file, so
+/// every line runs. Every cell must pass.
 #[test]
-fn regressions_pass() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../campaigns/regressions.jsonl");
-    let src = std::fs::read_to_string(path).expect("campaigns/regressions.jsonl exists");
-    assert_eq!(src.lines().count(), 236);
-    all_pass(src.lines());
+fn known_failures_by_arm() {
+    assert_eq!(regressions(|_| true).len(), 236);
+    let specs = regressions(|s| s.machine != "tiny-llc" && s.softs == ["off"]);
+    assert_eq!(specs.len(), 220);
+    all_pass(specs);
+}
+
+/// An ECL atomic must wait for older loads: the `known_failures_by_arm`
+/// cell that showed it (`torture-9046@200` on `wb-ecl`, jitter 0),
+/// replayed alone.
+#[test]
+fn ecl_atomic_waits_for_older_loads() {
+    let specs = regressions(|s| s.seeds == [9046] && s.arms == ["wb-ecl"] && s.jitter == [0]);
+    assert_eq!(specs.len(), 1);
+    all_pass(specs);
+}
+
+/// The tiny-LLC livelocks (4 lines per bank, 2 ways, 2 eviction slots:
+/// LLC evictions blocked behind lockdowns, §3.5.1), one seed per arm
+/// that once wedged: the `tiny-llc` lines of `campaigns/regressions.jsonl`.
+/// Every cell must pass.
+#[test]
+fn tiny_llc_known_failures_by_arm() {
+    let specs = regressions(|s| s.machine == "tiny-llc");
+    assert_eq!(specs.len(), 8);
+    all_pass(specs);
 }
