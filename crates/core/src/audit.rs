@@ -4,6 +4,10 @@ use crate::system::System;
 use wb_kernel::audit::{AuditKind, AuditReport, AuditViolation};
 use wb_kernel::NodeId;
 
+/// Cycles the final audit's drain may take before the recovery traffic
+/// counts as stuck.
+const DRAIN_BUDGET: u64 = 100_000;
+
 impl System {
     /// One pass of the online coherence invariant auditor.
     ///
@@ -33,23 +37,30 @@ impl System {
             if final_run {
                 // A cache repairs its lines in place, but a directory
                 // purge waits for every core's answer, so a final scrub
-                // leaves real protocol traffic in flight. Drain it — with further
-                // strikes and periodic audits suspended — before passing
-                // the verdict below.
+                // leaves real protocol traffic in flight. Drain it on the
+                // run loop — with further strikes and periodic audits
+                // suspended — before passing the verdict below.
                 let eng = self.soft.take();
                 let next_audit = self.next_audit_at.take();
-                let mut fuel = 100_000u64;
-                while !self.done() && fuel > 0 {
-                    self.tick();
-                    fuel -= 1;
+                if self.cfg.engine.is_sparse() {
+                    // The scrub changed state behind the wheel: every
+                    // unit, drains included, is re-evaluated at the
+                    // first drained cycle, so the park log is spent.
+                    self.sched.wake_all(self.now);
+                    self.mesh.clear_parked_nodes();
                 }
+                // The reproducer names the cell's budget, not the drain's.
+                let deadline = self.deadline;
+                let outcome = self.run(DRAIN_BUDGET);
+                self.deadline = deadline;
                 self.soft = eng;
                 self.next_audit_at = next_audit;
-                if fuel == 0 {
+                if !outcome.is_done() {
                     violations.push(AuditViolation {
                         kind: AuditKind::UnrepairedWound,
-                        detail: "recovery traffic failed to drain after the final scrub"
-                            .to_string(),
+                        detail: format!(
+                            "recovery traffic failed to drain after the final scrub: {outcome}"
+                        ),
                     });
                 }
             }

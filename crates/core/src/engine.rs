@@ -23,7 +23,7 @@ use wb_protocol::messages::Dest;
 use wb_protocol::ProtocolError;
 
 /// Visit every unit, in index order, without consulting the wheel
-/// (`EngineMode::Dense`, and [`System::tick`] under every engine).
+/// (`EngineMode::Dense`).
 const ALL: u8 = 0;
 /// Visit the wheel's due set plus the recipients of this cycle's
 /// messages (`EngineMode::Sparse`).
@@ -81,18 +81,6 @@ impl System {
     // ------------------------------------------------------------------
     // The cycle body
     // ------------------------------------------------------------------
-
-    /// Advance the whole system one cycle, visiting every unit.
-    pub fn tick(&mut self) {
-        self.cycle::<ALL>();
-        if self.cfg.engine.is_sparse() {
-            // An all-units cycle goes around the wheel: whatever it
-            // changed, every unit is re-evaluated at the next sparse
-            // cycle, drains included, so the park log is spent.
-            self.sched.wake_all(self.now);
-            self.mesh.clear_parked_nodes();
-        }
-    }
 
     /// One cycle of the machine over visit set `V`.
     ///

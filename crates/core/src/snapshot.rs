@@ -175,11 +175,22 @@ impl System {
                 table.units()
             )));
         }
-        // The canonical table is exactly what the sparse engines need:
-        // fresh per-unit recomputes as of the snapshot cycle. Dense
-        // keeps its zero-unit wheel.
+        // The canonical table is what the sparse engines need: fresh
+        // per-unit recomputes as of the snapshot cycle. Dense keeps its
+        // zero-unit wheel.
         if self.cfg.engine.is_sparse() {
             self.sched = table;
+            // The table arms a drain wherever an arrival is parked. The
+            // run it continues armed one only where a frame parked
+            // during the last cycle (the park log); an older arrival is
+            // blocked on a flow gap, and the frame that fills the gap
+            // arms its drain when it parks. Re-arm as that run did, so
+            // the continuation visits — and skips — the same cycles.
+            let now = self.now;
+            for i in 0..n {
+                let due = now > 0 && self.mesh.parked_during(NodeId(i as u16), now - 1);
+                self.sched.set(self.unit_drain(i), due.then_some(now));
+            }
         }
         r.finish()
     }

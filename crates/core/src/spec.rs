@@ -394,11 +394,6 @@ pub(crate) fn describe(cfg: &SystemConfig, workload: &str, cores: usize, budget:
     if program_seed != cfg.seed {
         notes.push(format!("program seed {program_seed}"));
     }
-    // `wb_kernel::json` reads numbers as f64: a seed past 2^53 would
-    // read back as another.
-    if cfg.seed > 1 << 53 {
-        notes.push(format!("seed {}", cfg.seed));
-    }
     let named = NAMED.iter().any(|(n, _)| *n == token) || wb_workloads::SUITE.iter().any(|(n, _)| *n == token);
     if !named && torture::recipe(token).is_none() {
         notes.push(format!("workload `{token}`"));
@@ -523,8 +518,14 @@ mod tests {
         let (_, notes) = line.split_once(UNSTATED).expect(&line);
         assert_eq!(notes, "program seed 9; chaos lockdown_vnet_stall(*>*/vn0:lockstall300); collapsible_lq: false; rto_min: 64");
         assert!(CampaignSpec::parse(&line).is_err());
+        // A seed past 2^53 (the exact range of an f64) reads back as itself.
         let big = (1u64 << 60) + 1;
-        let line = describe(&base.with_seed(big), &format!("torture/30x24-{big}"), 4, None);
-        assert!(line.ends_with(&format!("# unstated: seed {big}")), "{line}");
+        let wide = base.with_seed(big);
+        let w = torture::workload_on(4, big, 30, torture::Lines::Spread(24));
+        let line = describe(&wide, &w.name, 4, Some(77));
+        let spec = CampaignSpec::parse(&line).expect(&line);
+        let cell = &cells(&spec)[0];
+        assert_eq!((cell.seed, cell_config(&spec, cell, 4, big), cell.budget), (big, wide, 77), "{line}");
+        assert_eq!(cell_workload(&spec, cell).programs, w.programs);
     }
 }

@@ -451,6 +451,12 @@ impl System {
         self.mesh.fault_injected()
     }
 
+    /// Frames the reliable link layer has sent and not yet seen
+    /// acknowledged — 0 without a fault plan.
+    pub fn unacked_frames(&self) -> usize {
+        self.mesh.unacked_frames()
+    }
+
     /// `(injected, missed)` soft-error strikes so far — `(0, 0)`
     /// without a live soft plan.
     pub fn soft_injected(&self) -> (u64, u64) {

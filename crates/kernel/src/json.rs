@@ -28,15 +28,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value. Numbers are kept as `f64` (every number the
-/// workspace emits is a u64 well inside the 2^53 exact range).
+/// A parsed JSON value. An integer literal (no fraction, no exponent)
+/// is kept exactly, so a seed past 2^53 reads back as itself; any
+/// other number is an `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number.
+    /// An integer literal, exactly.
+    Int(i128),
+    /// Any other number (or an integer too long for `i128`).
     Num(f64),
     /// A string (escapes decoded).
     Str(String),
@@ -55,9 +58,10 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a non-negative integer, if it is one that fits.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(n) => u64::try_from(*n).ok(),
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
@@ -66,6 +70,7 @@ impl Json {
     /// The value as a float, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -257,6 +262,7 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     while *pos < b.len() && b[*pos].is_ascii_digit() {
         *pos += 1;
     }
+    let integral = !matches!(b.get(*pos), Some(b'.' | b'e' | b'E'));
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
         while *pos < b.len() && b[*pos].is_ascii_digit() {
@@ -273,6 +279,11 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid number")?;
+    if integral {
+        if let Ok(n) = text.parse::<i128>() {
+            return Ok(Json::Int(n));
+        }
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number `{text}` at byte {start}"))
@@ -287,7 +298,9 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Json::Null);
         assert_eq!(parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(parse("false").unwrap(), Json::Bool(false));
-        assert_eq!(parse("42").unwrap(), Json::Num(42.0));
+        assert_eq!(parse("42").unwrap(), Json::Int(42));
+        assert_eq!(parse("-7").unwrap(), Json::Int(-7));
+        assert_eq!(parse("42.0").unwrap(), Json::Num(42.0));
         assert_eq!(parse("-1.5e2").unwrap(), Json::Num(-150.0));
         assert_eq!(parse(r#""hi\nA""#).unwrap(), Json::Str("hi\nA".into()));
     }
@@ -304,6 +317,11 @@ mod tests {
     #[test]
     fn u64_accessor() {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
+        let big = (1u64 << 60) + 1;
+        assert_eq!(parse(&big.to_string()).unwrap().as_u64(), Some(big), "integers read exactly");
+        assert_eq!(parse(&u64::MAX.to_string()).unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None, "2^64 does not fit");
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-7").unwrap().as_u64(), None);
         assert_eq!(parse(r#""7""#).unwrap().as_u64(), None);

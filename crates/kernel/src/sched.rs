@@ -144,8 +144,8 @@ impl ActivitySched {
     }
 
     /// Schedule every unit at `now` — the conservative reset used at
-    /// construction, after an all-units `System::tick`, and after an
-    /// audit (whose scrub may touch any component). Spurious wakes are
+    /// construction and around an audit (whose scrub may touch any
+    /// component). Spurious wakes are
     /// harmless: a quiescent unit's visit is a no-op.
     pub fn wake_all(&mut self, now: Cycle) {
         for u in 0..self.wake.len() {

@@ -5,7 +5,7 @@
 //! state/tags, directory entry state, sharer-set words and MSHR
 //! bookkeeping fields. A [`SoftPlan`] is a set of (target, mean-gap)
 //! clauses evaluated by a [`SoftEngine`] **between ticks** (the system
-//! applies due flips at the top of `System::tick`), so a plan that
+//! applies due flips at the top of each cycle), so a plan that
 //! never fires leaves runs byte-identical.
 //!
 //! Detection is a parity/ECC model: protected structures carry a

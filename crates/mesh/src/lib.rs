@@ -62,7 +62,7 @@ use wb_kernel::fault::FaultEngine;
 use wb_kernel::trace::{Category, CompId, TraceEvent, TraceFilter, Tracer};
 use wb_kernel::{CounterHandle, Cycle, NodeId, SimRng, Stats};
 
-use reliable::{frame_check, FlowKey, LinkCtl, Pending, RecvFlow, RecvVerdict, ReliableLink, Unacked};
+use reliable::{frame_check, FlowKey, LinkCtl, Pending, RecvVerdict, ReliableLink, Unacked};
 
 /// The three virtual networks.
 ///
@@ -424,7 +424,7 @@ impl<T> Mesh<T> {
             }
         }
         if let Some(rl) = &self.reliable {
-            for sf in rl.send_flows.values() {
+            for sf in rl.send_flows().values() {
                 for u in &sf.unacked {
                     f(&u.payload);
                 }
@@ -435,15 +435,21 @@ impl<T> Mesh<T> {
         }
     }
 
+    /// Frames sent on the reliable sublayer and not yet acknowledged
+    /// (0 without it).
+    pub fn unacked_frames(&self) -> usize {
+        self.reliable.as_ref().map_or(0, |rl| rl.send_flows().values().map(|sf| sf.unacked.len()).sum())
+    }
+
     /// Sanity-check the reliable sublayer's bookkeeping: window bounds
-    /// respected, per-flow retransmit queues sequence-ordered, the
-    /// owed-ack count consistent with per-flow state. Returns one line
-    /// per violation (empty = healthy); the online auditor folds these
-    /// into its ARQ-window check.
+    /// respected, per-flow retransmit queues sequence-ordered, the kept
+    /// retransmission and standalone-ack timers equal to the ones the
+    /// flows imply. Returns one line per violation (empty = healthy);
+    /// the online auditor folds these into its ARQ-window check.
     pub fn audit_reliable(&self) -> Vec<String> {
         let mut out = Vec::new();
         let Some(rl) = &self.reliable else { return out };
-        for (key, sf) in &rl.send_flows {
+        for (key, sf) in rl.send_flows() {
             if sf.unacked.len() > rl.cfg.window {
                 out.push(format!(
                     "flow {key:?}: {} unacked frames exceed window {}",
@@ -466,7 +472,7 @@ impl<T> Mesh<T> {
                 prev = Some(u.seq);
             }
         }
-        for (key, r) in &rl.recv_flows {
+        for (key, r) in rl.recv_flows() {
             if r.ooo.iter().next().is_some_and(|&s| s <= r.next_expected) {
                 out.push(format!(
                     "flow {key:?}: out-of-order set overlaps cumulative frontier {}",
@@ -481,9 +487,15 @@ impl<T> Mesh<T> {
                 ));
             }
         }
-        let owed = rl.recv_flows.values().filter(|r| r.owed_since.is_some()).count();
-        if owed != rl.owed_count {
-            out.push(format!("owed-ack count {} disagrees with per-flow state {owed}", rl.owed_count));
+        let (rto, ack) = rl.derive_timers();
+        let (kept_rto, kept_ack) = rl.timers();
+        if rto != *kept_rto {
+            out.push(format!(
+                "retransmission timers {kept_rto:?} disagree with the window heads {rto:?}"
+            ));
+        }
+        if ack != *kept_ack {
+            out.push(format!("owed-ack timers {kept_ack:?} disagree with per-flow state {ack:?}"));
         }
         out
     }
@@ -524,26 +536,24 @@ impl<T> Mesh<T> {
         for f in &self.in_flight {
             consider(f.ready_at);
         }
-        if let Some(rl) = &self.reliable {
-            for sf in rl.send_flows.values() {
-                if let Some(head) = sf.unacked.front() {
-                    consider(head.last_sent + head.rto);
-                }
-            }
-            for r in rl.recv_flows.values() {
-                if let Some(since) = r.owed_since {
-                    consider(since + rl.cfg.ack_idle);
-                }
-            }
+        if let Some(at) = self.reliable.as_ref().and_then(ReliableLink::next_deadline) {
+            consider(at);
         }
         next
     }
 
     /// True when node `n`'s arrival buffer holds parked frames (the
-    /// term [`Mesh::next_internal_event`] omits; snapshot restore uses it
-    /// to schedule drain units).
+    /// term [`Mesh::next_internal_event`] omits; a snapshot's canonical
+    /// wake table arms a drain for each such node).
     pub fn has_arrivals_at(&self, n: NodeId) -> bool {
         !self.arrived[n.index()].is_empty()
+    }
+
+    /// True when a frame parked at node `n` during cycle `c`: a frame
+    /// parks on the cycle its last hop ends, its `ready_at`. Snapshot
+    /// restore arms exactly these drains, as the park log did.
+    pub fn parked_during(&self, n: NodeId, c: Cycle) -> bool {
+        self.arrived[n.index()].iter().any(|f| f.ready_at == c)
     }
 }
 
@@ -640,12 +650,11 @@ impl<T: Clone + Hash> Mesh<T> {
         self.stats.add_h(self.h_flits_vnet[vnet.index()], flits as u64);
 
         if let Some(mut rl) = self.reliable.take() {
-            let sf = rl.send_flows.entry(key).or_default();
-            if sf.unacked.len() >= rl.cfg.window || !sf.pending.is_empty() {
+            if rl.must_queue(key) {
                 // Window full (or a queue already formed): backpressure,
                 // never loss. Timing effects (link serialization, jitter,
                 // chaos) apply at actual transmission, not queueing.
-                sf.pending.push_back(Pending { payload, flits, seq: flow_seq, queued_at: now });
+                rl.queue(key, Pending { payload, flits, seq: flow_seq, queued_at: now });
                 self.stats.inc("link_backpressure_msgs");
             } else {
                 self.transmit_data(&mut rl, now, key, Pending { payload, flits, seq: flow_seq, queued_at: now });
@@ -691,16 +700,10 @@ impl<T: Clone + Hash> Mesh<T> {
         let ack = rl.take_piggyback_ack((dst, src, vi));
         let check = frame_check(src, dst, vi, flits, Some(seq), ack, Some(&payload));
         let rto = rl.cfg.rto_min;
-        let sf = rl.send_flows.entry(key).or_default();
-        sf.unacked.push_back(Unacked {
-            payload: payload.clone(),
-            flits,
-            seq,
-            first_sent: origin,
-            last_sent: now,
-            rto,
-            retx: 0,
-        });
+        rl.push_unacked(
+            key,
+            Unacked { payload: payload.clone(), flits, seq, first_sent: origin, last_sent: now, rto, retx: 0 },
+        );
 
         let busy = self.link_busy.entry((src, vi)).or_insert(0);
         let start = now.max(*busy);
@@ -849,12 +852,7 @@ impl<T: Clone + Hash> Mesh<T> {
                 if ack > 0 {
                     self.apply_ack(rl, now, (f.dst, f.src, vi), ack);
                 }
-                let key: FlowKey = (f.src, f.dst, vi);
-                let verdict = rl.recv_flows.entry(key).or_insert_with(RecvFlow::new).on_data(seq);
-                // Fresh or duplicate, an ack is owed: a duplicate usually
-                // means the sender missed our previous ack.
-                rl.mark_owed(key, now);
-                match verdict {
+                match rl.receive_data((f.src, f.dst, vi), seq, now) {
                     RecvVerdict::Duplicate => {
                         self.stats.inc("link_dup_squashed");
                         self.tracer.record(
@@ -881,44 +879,33 @@ impl<T: Clone + Hash> Mesh<T> {
 
     /// Apply a cumulative ack and refill the freed window from `pending`.
     fn apply_ack(&mut self, rl: &mut ReliableLink<T>, now: Cycle, key: FlowKey, ack: u64) {
-        for retx in rl.apply_ack(key, ack) {
+        let stats = &mut self.stats;
+        rl.apply_ack(key, ack, |retx| {
             if retx > 0 {
-                self.stats.record("link_retx_count", retx as u64);
+                stats.record("link_retx_count", retx as u64);
             }
-        }
-        loop {
-            let Some(sf) = rl.send_flows.get_mut(&key) else { return };
-            if sf.unacked.len() >= rl.cfg.window {
-                return;
-            }
-            let Some(p) = sf.pending.pop_front() else { return };
+        });
+        while let Some(p) = rl.pop_sendable(key) {
             self.transmit_data(rl, now, key, p);
         }
     }
 
     /// Once-per-tick ARQ upkeep: retransmit timed-out window heads and
     /// emit standalone acks for flows whose reverse direction went idle.
+    /// Only due flows are visited (the timers keep deadline order), and
+    /// they act in flow-key order.
     fn link_maintenance(&mut self, rl: &mut ReliableLink<T>, now: Cycle) {
         // Retransmission: only the oldest unacked frame per flow (its
         // loss is what blocks the cumulative frontier), with exponential
         // backoff capped at rto_max. Retransmits ride a sideband (no
         // link_busy/jitter/chaos interaction) so a fault-free run's rng
         // stream and schedule stay untouched by the sublayer's existence.
-        let rto_max = rl.cfg.rto_max;
         let mut keys = std::mem::take(&mut self.scratch_flow_keys);
         keys.clear();
-        keys.extend(rl.send_flows.keys().copied());
-        for key in keys.drain(..) {
-            let Some(sf) = rl.send_flows.get_mut(&key) else { continue };
-            let Some(head) = sf.unacked.front_mut() else { continue };
-            if now.saturating_sub(head.last_sent) < head.rto {
-                continue;
-            }
-            head.last_sent = now;
-            head.rto = head.rto.saturating_mul(2).min(rto_max);
-            head.retx += 1;
-            let (payload, flits, seq, first_sent, attempt) =
-                (head.payload.clone(), head.flits, head.seq, head.first_sent, head.retx);
+        rl.due_retransmits(now, &mut keys);
+        for &key in &keys {
+            let Some(head) = rl.retransmit(key, now) else { continue };
+            let Unacked { payload, flits, seq, first_sent, retx: attempt, .. } = head;
             let (src, dst, vi) = key;
             self.stats.inc("link_retx");
             self.stats.record("link_retx_cycles", now.saturating_sub(first_sent));
@@ -942,28 +929,14 @@ impl<T: Clone + Hash> Mesh<T> {
                 sent_at: first_sent,
             });
         }
-
         self.scratch_flow_keys = keys;
 
         // Standalone acks: when the reverse direction has been silent for
         // ack_idle cycles, pay one control flit to unblock the sender.
-        if rl.owed_count == 0 {
-            return;
-        }
-        let ack_idle = rl.cfg.ack_idle;
         let mut due = std::mem::take(&mut self.scratch_acks_due);
         due.clear();
-        let ReliableLink { recv_flows, owed_count, .. } = rl;
-        for (key, r) in recv_flows.iter_mut() {
-            if let Some(since) = r.owed_since {
-                if now.saturating_sub(since) >= ack_idle {
-                    r.owed_since = None;
-                    *owed_count -= 1;
-                    due.push((*key, r.next_expected));
-                }
-            }
-        }
-        for ((src, dst, vi), ack) in due.drain(..) {
+        rl.take_due_acks(now, &mut due);
+        for &((src, dst, vi), ack) in &due {
             // The ack travels the reverse direction of the data flow.
             self.stats.inc("link_acks");
             let check = frame_check::<T>(dst, src, vi, 1, None, ack, None);
@@ -982,5 +955,68 @@ impl<T: Clone + Hash> Mesh<T> {
             });
         }
         self.scratch_acks_due = due;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wb_kernel::check::prelude::*;
+    use wb_kernel::fault::FaultPlan;
+
+    /// [`Mesh::next_internal_event`] recomputed the slow way: every
+    /// flight, every send flow's window head and every owed ack.
+    fn rescan(m: &Mesh<u32>, now: Cycle) -> Option<Cycle> {
+        let mut all: Vec<Cycle> = m.in_flight.iter().map(|f| f.ready_at).collect();
+        if let Some(rl) = &m.reliable {
+            for sf in rl.send_flows().values() {
+                all.extend(sf.unacked.front().map(|u| u.last_sent + u.rto));
+            }
+            for r in rl.recv_flows().values() {
+                all.extend(r.owed_since.map(|since| since + rl.cfg.ack_idle));
+            }
+        }
+        all.into_iter().map(|c| c.max(now)).min()
+    }
+
+    wb_kernel::wb_proptest! {
+        #![cases = 24]
+
+        /// The kept ARQ timers answer exactly what a rescan of the flows
+        /// does, after any mix of sends and ticks under lossy links, and
+        /// the auditor finds them in step with the flows.
+        #[test]
+        fn kept_timers_match_a_rescan(
+            steps in vec_of((0u8..3, 0u16..4, 0u16..4, 0usize..2, 1u64..300), 1..60),
+            seed in 0u64..10_000,
+            misery in 0u8..2,
+        ) {
+            let plan = if misery == 1 { FaultPlan::mixed_misery() } else { FaultPlan::drop_everywhere(1, 5) };
+            let mut m: Mesh<u32> = Mesh::new(4, 4, 16, 6, 0, seed);
+            m.enable_reliable(LinkConfig { window: 4, rto_min: 64, rto_max: 512, ack_idle: 16 });
+            m.set_fault(Some(FaultEngine::new(plan, seed)));
+            let mut now = 0;
+            for (i, &(op, src, dst, vnet, span)) in steps.iter().enumerate() {
+                if op == 0 {
+                    // A burst on few flows: windows fill, back-pressure
+                    // forms, and cumulative acks leave a new head behind.
+                    for k in 0..span % 8 {
+                        let msg = MeshMsg { src: NodeId(src), dst: NodeId(dst), vnet: VNet::ALL[vnet], flits: 1, payload: k as u32 };
+                        m.send(now, msg);
+                    }
+                } else {
+                    for _ in 0..span {
+                        m.tick(now);
+                        now += 1;
+                        for n in 0..16 {
+                            m.drain_arrived(NodeId(n));
+                        }
+                        prop_assert_eq!(m.next_internal_event(now), rescan(&m, now), "at cycle {}", now);
+                    }
+                }
+                prop_assert_eq!(m.next_internal_event(now), rescan(&m, now), "after step {}", i);
+                prop_assert_eq!(m.audit_reliable(), Vec::<String>::new());
+            }
+        }
     }
 }

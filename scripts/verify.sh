@@ -56,15 +56,16 @@ if ! diff -ru results "$tmp/results"; then
 fi
 
 # Engine-equivalence smoke: the sparse engine must stay cycle-exact
-# against dense ticking — one litmus cell and one RTO-bound fault cell
-# (the quiescence-heavy shape jumping exists for), in release mode,
-# including the self-checking SparseVerify pass (it rides inside
-# assert_equivalent), plus the sparse-economics sanity cell (the engine
-# must demonstrably visit only live components, not just match
+# against dense ticking — one litmus cell, one RTO-bound fault cell
+# (the quiescence-heavy shape jumping exists for) and one soft-error
+# cell whose final audit drains a long tail of recovery traffic, in
+# release mode, including the self-checking SparseVerify pass (it rides
+# inside assert_equivalent), plus the sparse-economics sanity cell (the
+# engine must demonstrably visit only live components, not just match
 # outcomes).
 cargo test -q --release --offline -p wb-integration --test engine_equivalence -- \
     litmus_runs_are_cycle_exact rto_bound_bench_cells_are_cycle_exact \
-    sparse_engine_visits_only_live_components \
+    soft_final_drain_is_cycle_exact sparse_engine_visits_only_live_components \
     | grep -q 'test result: ok'
 
 # Scale suite: the 16x16 watchdog regression cells run at full size in

@@ -23,6 +23,7 @@ use wb_mesh::Mesh;
 use wb_protocol::messages::Dest;
 use wb_protocol::{PrivateCache, ProtoMsg, ReadKind};
 use wb_workloads::{directed, splash, torture, Scale};
+use writersblock::spec::{cell_config, cell_workload, cells, CampaignSpec};
 use writersblock::{RunOutcome, System};
 
 /// Everything observable about one finished run.
@@ -307,6 +308,30 @@ fn rto_bound_bench_cells_are_cycle_exact() {
         cfg.network.link.rto_max = 12_000;
         assert_equivalent(&format!("rto-bound {protocol:?}/{mode:?}"), &cfg, &w, 8_000_000, verify);
     }
+}
+
+/// A soft-error cell on lossy links whose final audit scrub leaves a
+/// long tail of recovery traffic (a `resil4` cell): the drain after
+/// `run_audit(true)` runs on the run loop of each engine, and Dense,
+/// Sparse and SparseVerify must end it on the same cycle with the same
+/// stats.
+#[test]
+fn soft_final_drain_is_cycle_exact() {
+    let spec = CampaignSpec::parse(
+        r#"{"name":"drain","cores":4,"class":"slm","jitter":25,"budget":20000000,
+            "workloads":["iriw"],"arms":["wb-ooo"],"chaos":["wb-entry-squeeze"],
+            "faults":["drop-1-10"],"softs":["background-radiation-x10"],"seeds":[3]}"#,
+    )
+    .expect("parses");
+    let cell = &cells(&spec)[0];
+    let w = cell_workload(&spec, cell);
+    let cfg = cell_config(&spec, cell, w.cores(), cell.seed);
+    let mut sys = System::new(cfg.clone().with_engine(EngineMode::Sparse), &w);
+    assert!(sys.run(cell.budget).is_done(), "{} finishes", cell.id);
+    let end = sys.now();
+    sys.run_audit(true).assert_clean("final audit");
+    assert_eq!(sys.now() - end, 16_219, "the final scrub's recovery traffic drains for long");
+    assert_equivalent(&cell.id, &cfg, &w, cell.budget, true);
 }
 
 /// Run a cell that must wedge on every engine: outcome, cycle, stats
