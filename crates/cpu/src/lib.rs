@@ -5,6 +5,9 @@
 //! - [`lsq`]: load queue (collapsible, with S bits and lockdowns), store
 //!   queue, post-commit store buffer and the LDT of Section 4.2;
 //! - [`predictor`]: a bimodal branch predictor;
+//! - [`slots`]: the sequence-ordered queue with a slot table that the
+//!   ROB, LQ and SQ keep their entries in, addressed by checked slot
+//!   references;
 //! - [`core`]: the pipeline — dispatch/issue/execute/commit with the
 //!   three commit policies the paper evaluates (in-order, safe
 //!   out-of-order per Bell-Lipasti, and out-of-order with the consistency
@@ -22,15 +25,16 @@
 // dropped an SoS load's hit and wedged the machine (`LoadAccess` is
 // `#[must_use]`; `cargo clippy` in `scripts/verify.sh` fails on this).
 #![deny(clippy::let_underscore_must_use)]
-// Lookups by sequence number answer with an `Option`. Where the pipeline
-// knows the entry exists, a `let ... else` states what happens otherwise;
-// there is no `unwrap`/`expect` outside tests, as in `wb-mesh` (`cargo
-// clippy` in `scripts/verify.sh` fails on one).
+// Lookups answer with an `Option`. Where the pipeline knows the entry
+// exists, a `let ... else` states what happens otherwise; there is no
+// `unwrap`/`expect` outside tests, as in `wb-mesh` (`cargo clippy` in
+// `scripts/verify.sh` fails on one).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod core;
 pub mod lsq;
 pub mod predictor;
+pub mod slots;
 
 pub use crate::core::{Core, StallInfo};
 pub use lsq::Lsq;

@@ -12,16 +12,19 @@
 //! - loads committed out of order export their lockdowns to the **LDT**
 //!   (lockdown table, Section 4.2).
 //!
-//! Every queue is kept sorted by sequence number, so an entry is found by
-//! binary search. The questions the pipeline asks every cycle — the SoS
-//! load, the oldest non-performed atomic, the oldest unresolved store
-//! address and how many loads are Ready — are kept up to date by the
-//! methods that allocate, resolve, perform and remove entries rather than
-//! rescanned. An LQ entry changes only through those methods.
+//! The LQ and the SQ are [`SlotQueue`]s: an entry is named by a [`Ref`],
+//! its slot checked against its sequence number, and walks follow the
+//! queue's sequence order. The store buffer and the LDT are plain FIFO
+//! and list. The questions the pipeline asks every cycle — the SoS load,
+//! the oldest non-performed atomic and the oldest unresolved store
+//! address — are kept up to date by the methods that allocate, resolve,
+//! perform and remove entries rather than rescanned. An LQ entry changes
+//! only through those methods.
 
+use crate::slots::{Ref, Sequenced, Slot, SlotQueue};
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Bound;
-use wb_kernel::{Cycle, Snap};
+use wb_kernel::{Cycle, Snap, SnapError};
 use wb_mem::{Addr, LineAddr};
 
 /// Load lifecycle.
@@ -89,7 +92,7 @@ impl LqEntry {
 }
 
 /// One store-queue entry (pre-commit).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SqEntry {
     pub seq: u64,
     pub addr: Option<Addr>,
@@ -124,40 +127,80 @@ pub enum ForwardResult {
     Wait,
 }
 
+/// An LQ entry in its queue: the entry, its slot, and the ROB slot of
+/// its instruction (which a committed load outlives in the
+/// non-collapsible and ECL modes).
+#[derive(Debug, Clone, Copy)]
+struct Load {
+    e: LqEntry,
+    slot: Slot,
+    rob: Slot,
+}
+
+impl Sequenced for Load {
+    fn seq(&self) -> u64 {
+        self.e.seq
+    }
+    fn slot(&self) -> Slot {
+        self.slot
+    }
+    fn set_slot(&mut self, slot: Slot) {
+        self.slot = slot;
+    }
+}
+
+/// An SQ entry in its queue, with its slot.
+#[derive(Debug, Clone, Copy)]
+struct Store {
+    e: SqEntry,
+    slot: Slot,
+}
+
+impl Sequenced for Store {
+    fn seq(&self) -> u64 {
+        self.e.seq
+    }
+    fn slot(&self) -> Slot {
+        self.slot
+    }
+    fn set_slot(&mut self, slot: Slot) {
+        self.slot = slot;
+    }
+}
+
 /// The load/store machinery of one core.
 #[derive(Debug)]
 pub struct Lsq {
-    lq: VecDeque<LqEntry>,
-    sq: VecDeque<SqEntry>,
+    lq: SlotQueue<Load>,
+    sq: SlotQueue<Store>,
     sb: VecDeque<SbEntry>,
     ldt: Vec<LdtEntry>,
-    lq_cap: usize,
-    /// Capacity of the store queue and of the post-commit store buffer
-    /// alike (Table 6's "SQ/SB" column).
-    sq_cap: usize,
+    /// Capacity of the post-commit store buffer: the store queue's
+    /// (Table 6's "SQ/SB" column).
+    sb_cap: usize,
     ldt_cap: usize,
     /// Lines whose invalidation we Nacked and still owe an Ack for.
     /// Ordered so release traffic is deterministic.
     pending_acks: BTreeSet<LineAddr>,
     /// The SoS load: the oldest non-performed load or atomic.
-    sos: Option<u64>,
+    sos: Option<Ref>,
     /// The oldest non-performed atomic.
-    amo: Option<u64>,
-    /// The oldest store or atomic with an unresolved address.
+    amo: Option<Ref>,
+    /// The oldest store or atomic with an unresolved address (its
+    /// sequence number: it may be in either queue).
     unresolved: Option<u64>,
 }
 
 impl Lsq {
     /// Build with the Table 6 capacities; the store buffer holds as many
-    /// stores as the store queue.
+    /// stores as the store queue. Allocates nothing until entries arrive.
     pub fn new(lq_cap: usize, sq_cap: usize, ldt_cap: usize) -> Self {
         Lsq {
-            lq: VecDeque::new(),
-            sq: VecDeque::new(),
+            lq: SlotQueue::new(lq_cap),
+            sq: SlotQueue::new(sq_cap),
             sb: VecDeque::new(),
             ldt: Vec::new(),
-            lq_cap,
-            sq_cap,
+            sb_cap: sq_cap,
             ldt_cap,
             pending_acks: BTreeSet::new(),
             sos: None,
@@ -170,17 +213,17 @@ impl Lsq {
 
     /// Room for another load?
     pub fn lq_full(&self) -> bool {
-        self.lq.len() >= self.lq_cap
+        self.lq.is_full()
     }
 
     /// Room for another store?
     pub fn sq_full(&self) -> bool {
-        self.sq.len() >= self.sq_cap
+        self.sq.is_full()
     }
 
     /// Room in the post-commit store buffer?
     pub fn sb_full(&self) -> bool {
-        self.sb.len() >= self.sq_cap
+        self.sb.len() >= self.sb_cap
     }
 
     /// Room in the lockdown table?
@@ -190,23 +233,21 @@ impl Lsq {
 
     // ----------------------------------------------------------- allocation
 
-    /// Allocate an LQ entry at dispatch.
+    /// Allocate an LQ entry at dispatch for the instruction in ROB slot
+    /// `rob`.
     ///
     /// # Panics
     ///
     /// Panics if the LQ is full (callers must check
     /// [`Lsq::lq_full`] first) or `seq` is not increasing.
-    pub fn alloc_load(&mut self, seq: u64, is_amo: bool) {
-        assert!(!self.lq_full(), "LQ overflow");
-        if let Some(last) = self.lq.back() {
-            assert!(last.seq < seq, "loads must be allocated in program order");
-        }
-        self.lq.push_back(LqEntry::new(seq, is_amo));
-        self.sos = self.sos.or(Some(seq));
+    pub fn alloc_load(&mut self, seq: u64, is_amo: bool, rob: Slot) -> Ref {
+        let r = self.lq.push(Load { e: LqEntry::new(seq, is_amo), slot: 0, rob });
+        self.sos = self.sos.or(Some(r));
         if is_amo {
-            self.amo = self.amo.or(Some(seq));
+            self.amo = self.amo.or(Some(r));
             self.unresolved = self.unresolved.or(Some(seq));
         }
+        r
     }
 
     /// Allocate an SQ entry at dispatch.
@@ -214,68 +255,91 @@ impl Lsq {
     /// # Panics
     ///
     /// Panics if the SQ is full or `seq` is not increasing.
-    pub fn alloc_store(&mut self, seq: u64) {
-        assert!(!self.sq_full(), "SQ overflow");
-        if let Some(last) = self.sq.back() {
-            assert!(last.seq < seq, "stores must be allocated in program order");
-        }
-        self.sq.push_back(SqEntry { seq, addr: None, data: None });
+    pub fn alloc_store(&mut self, seq: u64) -> Ref {
+        let r = self.sq.push(Store { e: SqEntry { seq, addr: None, data: None }, slot: 0 });
         self.unresolved = self.unresolved.or(Some(seq));
+        r
     }
 
     // -------------------------------------------------------------- lookups
 
-    fn lq_pos(&self, seq: u64) -> Option<usize> {
-        self.lq.binary_search_by_key(&seq, |e| e.seq).ok()
+    /// The LQ reference of the load `seq`, found by binary search: a
+    /// cache completion names its loads by sequence number.
+    pub fn find_load(&self, seq: u64) -> Option<Ref> {
+        self.lq.find(seq)
     }
 
-    fn sq_pos(&self, seq: u64) -> Option<usize> {
-        self.sq.binary_search_by_key(&seq, |e| e.seq).ok()
+    /// The SQ reference of the store `seq` (for restore).
+    pub fn find_store(&self, seq: u64) -> Option<Ref> {
+        self.sq.find(seq)
     }
 
-    /// LQ entries from the first with a sequence number of at least `seq`.
-    fn loads_from(&self, seq: u64) -> std::collections::vec_deque::Iter<'_, LqEntry> {
-        self.lq.range(self.lq.partition_point(|e| e.seq < seq)..)
+    /// The LQ entry `r` names, while it is in the LQ.
+    pub fn load(&self, r: Ref) -> Option<&LqEntry> {
+        self.lq.get(r).map(|l| &l.e)
     }
 
-    /// Borrow the LQ entry for `seq`.
-    pub fn load(&self, seq: u64) -> Option<&LqEntry> {
-        self.lq_pos(seq).map(|i| &self.lq[i])
-    }
-
-    /// The LQ entry for `seq`, to update. Every caller knows the entry
+    /// The LQ entry `r` names, to update. Every caller knows the entry
     /// is there; debug builds check it.
-    fn load_mut(&mut self, seq: u64) -> Option<&mut LqEntry> {
-        let i = self.lq_pos(seq);
-        debug_assert!(i.is_some(), "load {seq} is not in the LQ");
-        i.map(|i| &mut self.lq[i])
+    fn load_mut(&mut self, r: Ref) -> Option<&mut LqEntry> {
+        let e = self.lq.get_mut(r).map(|l| &mut l.e);
+        debug_assert!(e.is_some(), "load {} is not in the LQ", r.seq);
+        e
     }
 
-    /// The SQ entry for `seq`, to update (as [`Lsq::load_mut`]).
-    fn store_mut(&mut self, seq: u64) -> Option<&mut SqEntry> {
-        let i = self.sq_pos(seq);
-        debug_assert!(i.is_some(), "store {seq} is not in the SQ");
-        i.map(|i| &mut self.sq[i])
+    /// The ROB slot of the load `r`'s instruction.
+    pub fn rob_slot(&self, r: Ref) -> Option<Slot> {
+        self.lq.get(r).map(|l| l.rob)
     }
 
-    /// The LQ entry at position `i` (program order).
-    pub fn load_at(&self, i: usize) -> Option<&LqEntry> {
-        self.lq.get(i)
+    /// Link the load `r` to ROB slot `rob` (restore rebuilds the links).
+    pub fn set_rob_slot(&mut self, r: Ref, rob: Slot) {
+        if let Some(l) = self.lq.get_mut(r) {
+            l.rob = rob;
+        }
     }
 
-    /// Borrow the SQ entry for `seq`.
-    pub fn store(&self, seq: u64) -> Option<&SqEntry> {
-        self.sq_pos(seq).map(|i| &self.sq[i])
+    /// The SQ entry `r` names.
+    pub fn store(&self, r: Ref) -> Option<&SqEntry> {
+        self.sq.get(r).map(|s| &s.e)
     }
 
-    /// The LQ entry for `seq` once it has bound its value.
-    pub fn bound(&self, seq: u64) -> Option<&LqEntry> {
-        self.load(seq).filter(|e| e.performed())
+    /// The SQ entry `r` names, to update (as [`Lsq::load_mut`]).
+    fn store_mut(&mut self, r: Ref) -> Option<&mut SqEntry> {
+        let e = self.sq.get_mut(r).map(|s| &mut s.e);
+        debug_assert!(e.is_some(), "store {} is not in the SQ", r.seq);
+        e
+    }
+
+    /// The LQ entry at position `i` (program order) and its reference.
+    pub fn load_at(&self, i: usize) -> Option<(Ref, &LqEntry)> {
+        self.lq.at(i).map(|l| (Ref { seq: l.e.seq, slot: l.slot }, &l.e))
+    }
+
+    /// The LQ entry `r` names once it has bound its value.
+    pub fn bound(&self, r: Ref) -> Option<&LqEntry> {
+        self.load(r).filter(|e| e.performed())
     }
 
     /// Iterate over LQ entries in program order.
     pub fn loads(&self) -> impl Iterator<Item = &LqEntry> {
-        self.lq.iter()
+        self.lq.iter().map(|l| &l.e)
+    }
+
+    /// LQ entries with their references and ROB slots, in program order.
+    pub fn load_links(&self) -> impl Iterator<Item = (Ref, Slot, &LqEntry)> {
+        self.lq.iter_refs().map(|(r, l)| (r, l.rob, &l.e))
+    }
+
+    /// SQ entries with their references, in program order.
+    pub fn stores(&self) -> impl Iterator<Item = (Ref, &SqEntry)> {
+        self.sq.iter_refs().map(|(r, s)| (r, &s.e))
+    }
+
+    /// The LQ entries from `r`'s on (none when `r` left the LQ).
+    fn loads_from(&self, r: Ref) -> impl Iterator<Item = &LqEntry> {
+        let pos = self.lq.position(r).unwrap_or(self.lq.len());
+        self.lq.iter_from(pos).map(|l| &l.e)
     }
 
     /// Iterate over SB entries, oldest first.
@@ -300,65 +364,67 @@ impl Lsq {
 
     // ------------------------------------------------------------- updates
 
-    /// The load or atomic `seq` computed its address; a load becomes
-    /// Ready to issue.
-    pub fn resolve_load(&mut self, seq: u64, addr: Addr) {
-        let Some(e) = self.load_mut(seq) else { return };
+    /// The load or atomic `r` computed its address; a load becomes Ready
+    /// to issue.
+    pub fn resolve_load(&mut self, r: Ref, addr: Addr) {
+        let Some(e) = self.load_mut(r) else { return };
         e.addr = Some(addr);
         if !e.is_amo {
             e.state = LoadState::Ready;
-        } else if self.unresolved == Some(seq) {
-            self.unresolved = self.first_unresolved(seq + 1);
+        } else if self.unresolved == Some(r.seq) {
+            self.unresolved = self.first_unresolved(0);
         }
     }
 
-    /// The store `seq` computed its address.
-    pub fn resolve_store(&mut self, seq: u64, addr: Addr) {
-        let Some(e) = self.store_mut(seq) else { return };
+    /// The store `r` computed its address.
+    pub fn resolve_store(&mut self, r: Ref, addr: Addr) {
+        let Some(e) = self.store_mut(r) else { return };
         e.addr = Some(addr);
-        if self.unresolved == Some(seq) {
-            self.unresolved = self.first_unresolved(seq + 1);
+        if self.unresolved == Some(r.seq) {
+            // Every older store has resolved.
+            let next = self.sq.position(r).map_or(0, |p| p + 1);
+            self.unresolved = self.first_unresolved(next);
         }
     }
 
-    /// The store `seq` captured its data.
-    pub fn store_data(&mut self, seq: u64, data: u64) {
-        if let Some(e) = self.store_mut(seq) {
+    /// The store `r` captured its data.
+    pub fn store_data(&mut self, r: Ref, data: u64) {
+        if let Some(e) = self.store_mut(r) {
             e.data = Some(data);
         }
     }
 
-    /// Bind `value` to the load or atomic `seq`: it performs now, and
+    /// Bind `value` to the load or atomic `r`: it performs now, and
     /// consumers may use the value from `wake_at` (the hit latency).
     /// Every way a load or atomic obtains its value — store forwarding,
     /// a cache hit, a fill, a tear-off, the atomic's own read — ends
     /// here.
-    pub fn perform(&mut self, seq: u64, value: u64, wake_at: Cycle) {
-        let Some(e) = self.load_mut(seq) else { return };
+    pub fn perform(&mut self, r: Ref, value: u64, wake_at: Cycle) {
+        let Some(e) = self.load_mut(r) else { return };
         e.value = value;
         e.state = LoadState::Performed;
         e.wake_at = wake_at;
-        self.performed(seq);
+        self.performed(r);
     }
 
-    /// The load `seq` takes its value from an older store.
-    pub fn mark_forwarded(&mut self, seq: u64) {
-        if let Some(e) = self.load_mut(seq) {
+    /// The load `r` takes its value from an older store.
+    pub fn mark_forwarded(&mut self, r: Ref) {
+        if let Some(e) = self.load_mut(r) {
             e.forwarded = true;
         }
     }
 
-    /// The load `seq` sent a request to the cache.
-    pub fn set_requested(&mut self, seq: u64) {
-        if let Some(e) = self.load_mut(seq) {
+    /// The load `r` sent a request to the cache.
+    pub fn set_requested(&mut self, r: Ref) {
+        if let Some(e) = self.load_mut(r) {
             e.state = LoadState::Requested;
         }
     }
 
-    /// The load `seq` was refused a tear-off copy: it goes back to Ready
+    /// The load `r` was refused a tear-off copy: it goes back to Ready
     /// and retries only as the SoS load (Section 3.4).
-    pub fn retry_at_sos(&mut self, seq: u64) {
-        if let Some(e) = self.load_mut(seq) {
+    pub fn retry_at_sos(&mut self, r: Ref) {
+        if let Some(e) = self.load_mut(r) {
             e.state = LoadState::Ready;
             e.retry_when_sos = true;
         }
@@ -366,28 +432,33 @@ impl Lsq {
 
     // ------------------------------------------------------- kept answers
 
-    /// After `seq` performed: move the SoS and oldest-atomic marks past it.
-    fn performed(&mut self, seq: u64) {
-        if self.sos == Some(seq) {
-            self.sos = self.first_unperformed(seq + 1, false);
-        }
-        if self.amo == Some(seq) {
-            self.amo = self.first_unperformed(seq + 1, true);
+    /// After `r` performed: move the SoS and oldest-atomic marks past it.
+    fn performed(&mut self, r: Ref) {
+        if self.sos == Some(r) || self.amo == Some(r) {
+            let next = self.lq.position(r).map_or(self.lq.len(), |p| p + 1);
+            if self.sos == Some(r) {
+                self.sos = self.first_unperformed(next, false);
+            }
+            if self.amo == Some(r) {
+                self.amo = self.first_unperformed(next, true);
+            }
         }
     }
 
-    /// The oldest non-performed load (or only atomic) from `seq` on.
-    fn first_unperformed(&self, seq: u64, amo_only: bool) -> Option<u64> {
-        self.loads_from(seq).find(|e| !e.performed() && (e.is_amo || !amo_only)).map(|e| e.seq)
+    /// The oldest non-performed load (or only atomic) from LQ position
+    /// `pos` on.
+    fn first_unperformed(&self, pos: usize, amo_only: bool) -> Option<Ref> {
+        self.lq.iter_refs_from(pos).find(|(_, l)| !l.e.performed() && (l.e.is_amo || !amo_only)).map(|(r, _)| r)
     }
 
-    /// The oldest store or atomic from `seq` on with an unresolved
-    /// address. An unresolved atomic has not performed, so the LQ search
-    /// starts at the oldest non-performed atomic.
-    fn first_unresolved(&self, seq: u64) -> Option<u64> {
-        let sq = self.sq.range(self.sq.partition_point(|e| e.seq < seq)..).find(|e| e.addr.is_none());
-        let amo = self.amo.and_then(|a| self.loads_from(seq.max(a)).find(|e| e.is_amo && e.addr.is_none()));
-        match (sq.map(|e| e.seq), amo.map(|e| e.seq)) {
+    /// The oldest store or atomic with an unresolved address, where no
+    /// store before SQ position `sq_from` has one. An unresolved atomic
+    /// has not performed, so the LQ walk starts at the oldest
+    /// non-performed atomic.
+    fn first_unresolved(&self, sq_from: usize) -> Option<u64> {
+        let sq = self.sq.iter_from(sq_from).find(|s| s.e.addr.is_none()).map(|s| s.e.seq);
+        let amo = self.amo.and_then(|a| self.loads_from(a).find(|e| e.is_amo && e.addr.is_none()));
+        match (sq, amo.map(|e| e.seq)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -400,10 +471,13 @@ impl Lsq {
         self.unresolved = self.first_unresolved(0);
     }
 
-    /// Do the kept answers equal a rescan of the queues? Checked by the
-    /// core once per tick in debug builds.
+    /// Do the kept answers equal a rescan of the queues, and are the
+    /// queues' slot lists consistent? Checked by the core once per tick
+    /// in debug builds.
     pub fn marks_hold(&self) -> bool {
-        self.sos == self.first_unperformed(0, false)
+        self.lq.consistent()
+            && self.sq.consistent()
+            && self.sos == self.first_unperformed(0, false)
             && self.amo == self.first_unperformed(0, true)
             && self.unresolved == self.first_unresolved(0)
     }
@@ -412,30 +486,30 @@ impl Lsq {
 
     /// The SoS load: the oldest non-performed load or atomic. `None`
     /// when every load has performed.
-    pub fn sos(&self) -> Option<&LqEntry> {
-        self.sos.and_then(|s| self.load(s))
+    pub fn sos(&self) -> Option<(Ref, &LqEntry)> {
+        self.sos.and_then(|s| Some((s, self.load(s)?)))
     }
 
-    /// The sequence number of the SoS load.
-    pub fn sos_seq(&self) -> Option<u64> {
+    /// The reference of the SoS load.
+    pub fn sos_ref(&self) -> Option<Ref> {
         self.sos
     }
 
     /// Is the load `seq` ordered with respect to loads (every older load
     /// performed)?
     pub fn is_ordered(&self, seq: u64) -> bool {
-        self.sos.is_none_or(|sos| seq <= sos)
+        self.sos.is_none_or(|sos| seq <= sos.seq)
     }
 
-    /// The oldest non-performed atomic, if any.
+    /// The oldest non-performed atomic's sequence number, if any.
     pub fn oldest_unperformed_amo(&self) -> Option<u64> {
-        self.amo
+        self.amo.map(|a| a.seq)
     }
 
     /// Is there a non-performed atomic older than `seq`? Loads may not
     /// enter lockdown past an atomic (Section 3.7).
     pub fn older_unperformed_amo(&self, seq: u64) -> bool {
-        self.amo.is_some_and(|a| a < seq)
+        self.amo.is_some_and(|a| a.seq < seq)
     }
 
     /// Is there a non-performed load (or atomic) older than `seq`?
@@ -444,17 +518,17 @@ impl Lsq {
     /// protocol, where a pending load may yet trigger a consistency
     /// squash that nothing younger must have committed past.
     pub fn older_unperformed_load(&self, seq: u64) -> bool {
-        self.sos.is_some_and(|sos| sos < seq)
+        self.sos.is_some_and(|sos| sos.seq < seq)
     }
 
     /// Is `seq` currently the SoS load?
     pub fn is_sos(&self, seq: u64) -> bool {
-        self.sos == Some(seq)
+        self.sos.is_some_and(|s| s.seq == seq)
     }
 
-    /// Is the load M-speculative (performed but unordered)?
-    pub fn is_mspec(&self, seq: u64) -> bool {
-        self.bound(seq).is_some() && !self.is_ordered(seq)
+    /// Is the load `r` M-speculative (performed but unordered)?
+    pub fn is_mspec(&self, r: Ref) -> bool {
+        self.bound(r).is_some() && !self.is_ordered(r.seq)
     }
 
     // ----------------------------------------------------------- forwarding
@@ -473,9 +547,8 @@ impl Lsq {
         // than every SQ store and every non-performed atomic (neither
         // lets a younger store commit), so the SB is searched only when
         // neither matched.
-        let older_stores = self.sq.partition_point(|e| e.seq < seq);
-        let sq = self.sq.range(..older_stores).rev().find(|e| e.addr == Some(addr));
-        let amo = self.amo.filter(|&a| a < seq).and_then(|a| {
+        let sq = self.sq.iter().rev().map(|s| &s.e).skip_while(|e| e.seq >= seq).find(|e| e.addr == Some(addr));
+        let amo = self.amo.filter(|a| a.seq < seq).and_then(|a| {
             self.loads_from(a)
                 .take_while(|e| e.seq < seq)
                 .filter(|e| e.is_amo && e.addr == Some(addr) && !e.performed())
@@ -493,7 +566,7 @@ impl Lsq {
 
     /// The oldest (first-allocated) uncommitted store's sequence number.
     pub fn oldest_store_seq(&self) -> Option<u64> {
-        self.sq.front().map(|e| e.seq)
+        self.sq.front().map(|s| s.e.seq)
     }
 
     /// The oldest store (or atomic) with an unresolved address, if any
@@ -506,9 +579,12 @@ impl Lsq {
 
     /// M-speculative LQ loads matching `line`, oldest first: performed
     /// entries younger than the SoS load.
-    fn mspec(&self, line: LineAddr) -> impl DoubleEndedIterator<Item = &LqEntry> {
-        let from = self.sos.map_or(self.lq.len(), |s| self.lq.partition_point(|e| e.seq < s));
-        self.lq.range(from..).filter(move |e| e.performed() && e.addr.is_some_and(|a| a.line() == line))
+    fn mspec(&self, line: LineAddr) -> impl DoubleEndedIterator<Item = (Ref, &LqEntry)> {
+        let from = self.sos.and_then(|s| self.lq.position(s)).unwrap_or(self.lq.len());
+        self.lq
+            .iter_refs_from(from)
+            .map(|(r, l)| (r, &l.e))
+            .filter(move |(_, e)| e.performed() && e.addr.is_some_and(|a| a.line() == line))
     }
 
     /// Lines currently protected by a lockdown: M-speculative LQ loads
@@ -519,8 +595,8 @@ impl Lsq {
 
     /// The oldest M-speculative LQ load matching `line` that is younger
     /// than `after`.
-    pub fn mspec_match(&self, line: LineAddr, after: u64) -> Option<u64> {
-        self.mspec(line).find(|e| e.seq > after).map(|e| e.seq)
+    pub fn mspec_match(&self, line: LineAddr, after: u64) -> Option<Ref> {
+        self.mspec(line).find(|(r, _)| r.seq > after).map(|(r, _)| r)
     }
 
     /// Mark the youngest lockdown for `line` as seen (the S bit) and
@@ -530,8 +606,8 @@ impl Lsq {
         for e in self.ldt.iter_mut().filter(|e| e.line == line) {
             e.seen = true;
         }
-        let youngest = self.mspec(line).next_back().map(|e| e.seq);
-        if let Some(e) = youngest.and_then(|s| self.load_mut(s)) {
+        let youngest = self.mspec(line).next_back().map(|(r, _)| r);
+        if let Some(e) = youngest.and_then(|r| self.load_mut(r)) {
             e.seen = true;
         }
         self.pending_acks.insert(line);
@@ -559,7 +635,7 @@ impl Lsq {
         let before = self.ldt.len();
         match self.sos {
             None => self.ldt.clear(),
-            Some(s) => self.ldt.retain(|e| e.seq > s),
+            Some(s) => self.ldt.retain(|e| e.seq > s.seq),
         }
         before - self.ldt.len()
     }
@@ -577,33 +653,34 @@ impl Lsq {
 
     // ------------------------------------------------------- commit / drain
 
-    /// After the entry `seq` left the LQ: recompute any mark it held.
-    fn removed_load(&mut self, seq: u64) {
-        if self.sos == Some(seq) {
-            self.sos = self.first_unperformed(seq, false);
+    /// After the entry `r` left LQ position `pos`: recompute any mark it
+    /// held (every younger entry has moved up to `pos`).
+    fn removed_load(&mut self, r: Ref, pos: usize) {
+        if self.sos == Some(r) {
+            self.sos = self.first_unperformed(pos, false);
         }
-        if self.amo == Some(seq) {
-            self.amo = self.first_unperformed(seq, true);
+        if self.amo == Some(r) {
+            self.amo = self.first_unperformed(pos, true);
         }
-        if self.unresolved == Some(seq) {
-            self.unresolved = self.first_unresolved(seq);
+        if self.unresolved == Some(r.seq) {
+            self.unresolved = self.first_unresolved(0);
         }
     }
 
-    /// Remove a committed load from the (collapsible) LQ. `None` when no
-    /// entry has that sequence number.
-    pub fn commit_load(&mut self, seq: u64) -> Option<LqEntry> {
-        let e = self.lq.remove(self.lq_pos(seq)?)?;
-        self.removed_load(seq);
-        Some(e)
+    /// Remove a committed load from the (collapsible) LQ. `None` when `r`
+    /// is not in the LQ.
+    pub fn commit_load(&mut self, r: Ref) -> Option<LqEntry> {
+        let pos = self.lq.position(r)?;
+        let (_, l) = self.lq.remove(pos)?;
+        self.removed_load(r, pos);
+        Some(l.e)
     }
 
     /// Non-collapsible mode: mark the load committed but keep its entry
     /// (it retains its own lockdown, footnote 10 of the paper). Returns a
     /// copy of the entry; `None` as [`Lsq::commit_load`].
-    pub fn commit_load_in_place(&mut self, seq: u64) -> Option<LqEntry> {
-        let i = self.lq_pos(seq)?;
-        let e = &mut self.lq[i];
+    pub fn commit_load_in_place(&mut self, r: Ref) -> Option<LqEntry> {
+        let e = &mut self.lq.get_mut(r)?.e;
         e.committed = true;
         e.delivered = true;
         Some(*e)
@@ -612,16 +689,16 @@ impl Lsq {
     /// ECL variant of [`Lsq::commit_load_in_place`]: the value has not
     /// reached the register file yet; the entry may not drain until it
     /// does.
-    pub fn commit_load_early(&mut self, seq: u64) {
-        if let Some(e) = self.load_mut(seq) {
+    pub fn commit_load_early(&mut self, r: Ref) {
+        if let Some(e) = self.load_mut(r) {
             e.committed = true;
             e.delivered = false;
         }
     }
 
     /// Mark an early-committed load's value as delivered.
-    pub fn mark_delivered(&mut self, seq: u64) {
-        if let Some(e) = self.load_mut(seq) {
+    pub fn mark_delivered(&mut self, r: Ref) {
+        if let Some(e) = self.load_mut(r) {
             e.delivered = true;
         }
     }
@@ -631,14 +708,14 @@ impl Lsq {
     /// its lockdown has lifted. Returns how many entries drained.
     pub fn drain_committed_head(&mut self) -> usize {
         let mut n = 0;
-        while let Some(e) = self.lq.front() {
-            if e.committed && e.delivered && e.performed() && self.is_ordered(e.seq) {
-                let seq = e.seq;
-                self.lq.pop_front();
-                self.removed_load(seq);
-                n += 1;
-            } else {
+        while let Some(l) = self.lq.front() {
+            let e = &l.e;
+            if !(e.committed && e.delivered && e.performed() && self.is_ordered(e.seq)) {
                 break;
+            }
+            if let Some((r, _)) = self.lq.pop_front() {
+                self.removed_load(r, 0);
+                n += 1;
             }
         }
         n
@@ -653,7 +730,7 @@ impl Lsq {
     /// Panics if the SB is full.
     pub fn commit_store(&mut self, seq: u64) -> bool {
         assert!(!self.sb_full(), "SB overflow");
-        let Some(&SqEntry { seq: head, addr: Some(addr), data: Some(data) }) = self.sq.front() else {
+        let Some(&SqEntry { seq: head, addr: Some(addr), data: Some(data) }) = self.sq.front().map(|s| &s.e) else {
             return false;
         };
         if head != seq {
@@ -669,29 +746,35 @@ impl Lsq {
     /// A kept answer at or past `from` clears: every older entry it
     /// could have named was already past it.
     pub fn squash(&mut self, from: u64) -> usize {
-        let before = self.lq.len();
-        let keep = self.lq.partition_point(|e| e.seq < from);
-        self.lq.truncate(keep);
-        self.sq.truncate(self.sq.partition_point(|e| e.seq < from));
-        for mark in [&mut self.sos, &mut self.amo, &mut self.unresolved] {
-            if mark.is_some_and(|m| m >= from) {
+        let removed = self.lq.truncate_from(from);
+        self.sq.truncate_from(from);
+        for mark in [&mut self.sos, &mut self.amo] {
+            if mark.is_some_and(|m| m.seq >= from) {
                 *mark = None;
             }
         }
-        before - self.lq.len()
+        if self.unresolved.is_some_and(|u| u >= from) {
+            self.unresolved = None;
+        }
+        removed
     }
 
     /// The oldest load in `{Requested, Performed}` younger than
     /// `writer_seq` that read word `addr` — the victim of a memory-order
-    /// violation when a store resolves its address late.
-    pub fn conflict_victim(&self, writer_seq: u64, addr: Addr) -> Option<u64> {
-        self.loads_from(writer_seq + 1)
-            .find(|e| {
-                !e.is_amo
-                    && e.addr == Some(addr)
-                    && matches!(e.state, LoadState::Requested | LoadState::Performed)
+    /// violation when a store resolves its address late. The walk goes
+    /// from the youngest load back to the writer.
+    pub fn conflict_victim(&self, writer_seq: u64, addr: Addr) -> Option<Ref> {
+        self.lq
+            .iter_refs()
+            .rev()
+            .take_while(|(r, _)| r.seq > writer_seq)
+            .filter(|(_, l)| {
+                !l.e.is_amo
+                    && l.e.addr == Some(addr)
+                    && matches!(l.e.state, LoadState::Requested | LoadState::Performed)
             })
-            .map(|e| e.seq)
+            .last()
+            .map(|(r, _)| r)
     }
 
     /// Occupancies for stall accounting.
@@ -699,12 +782,20 @@ impl Lsq {
         (self.lq.len(), self.sq.len(), self.sb.len())
     }
 
-    /// Serialize the queues and the deferred-ack set. Capacities are
-    /// configuration, and the kept answers are rebuilt from the queues:
-    /// restore targets an LSQ built with the same limits.
+    /// Serialize the queues (in program order) and the deferred-ack set.
+    /// Capacities are configuration, the kept answers are rebuilt from
+    /// the queues and slots are not written: restore targets an LSQ built
+    /// with the same limits, and [`Core::restore`](crate::Core::restore)
+    /// links the LQ back to the ROB.
     pub fn snap(&self, w: &mut wb_kernel::SnapWriter) {
-        self.lq.snap(w);
-        self.sq.snap(w);
+        w.usize(self.lq.len());
+        for l in self.lq.iter() {
+            l.e.snap(w);
+        }
+        w.usize(self.sq.len());
+        for s in self.sq.iter() {
+            s.e.snap(w);
+        }
         self.sb.snap(w);
         self.ldt.snap(w);
         self.pending_acks.snap(w);
@@ -712,14 +803,33 @@ impl Lsq {
 
     /// Inverse of [`Lsq::snap`].
     pub fn restore(&mut self, r: &mut wb_kernel::SnapReader) -> wb_kernel::SnapResult<()> {
-        self.lq.unsnap_into(r)?;
-        self.sq.unsnap_into(r)?;
+        let lq = Vec::<LqEntry>::unsnap(r)?;
+        let sq = Vec::<SqEntry>::unsnap(r)?;
+        self.lq.clear();
+        self.sq.clear();
+        for e in lq {
+            check_arrival(self.lq.is_full(), self.lq.back(), e.seq, "LQ")?;
+            self.lq.push(Load { e, slot: 0, rob: Slot::MAX });
+        }
+        for e in sq {
+            check_arrival(self.sq.is_full(), self.sq.back(), e.seq, "SQ")?;
+            self.sq.push(Store { e, slot: 0 });
+        }
         self.sb.unsnap_into(r)?;
         self.ldt.unsnap_into(r)?;
         self.pending_acks.unsnap_into(r)?;
         self.rebuild_marks();
         Ok(())
     }
+}
+
+/// Restore refuses a queue it could not have written: one past its
+/// capacity or out of sequence order.
+fn check_arrival(full: bool, back: Option<Ref>, seq: u64, queue: &str) -> wb_kernel::SnapResult<()> {
+    if full || back.is_some_and(|b| b.seq >= seq) {
+        return Err(SnapError::new(format!("{queue} entry {seq} is past the capacity or out of order")));
+    }
+    Ok(())
 }
 
 wb_kernel::snap_enum!(LoadState { 0 => WaitAddr, 1 => Ready, 2 => Requested, 3 => Performed });
@@ -743,11 +853,15 @@ mod tests {
         Lsq::new(8, 8, 4)
     }
 
+    fn load(l: &mut Lsq, seq: u64) -> Ref {
+        l.alloc_load(seq, false, 0)
+    }
+
     #[test]
     fn capacity_checks() {
         let mut l = Lsq::new(2, 1, 1);
-        l.alloc_load(1, false);
-        l.alloc_load(2, false);
+        load(&mut l, 1);
+        load(&mut l, 2);
         assert!(l.lq_full());
         l.alloc_store(3);
         assert!(l.sq_full());
@@ -756,38 +870,36 @@ mod tests {
     #[test]
     fn sos_and_ordering() {
         let mut l = lsq();
-        l.alloc_load(1, false);
-        l.alloc_load(2, false);
-        l.alloc_load(3, false);
-        assert_eq!(l.sos_seq(), Some(1));
+        let r: Vec<Ref> = (1..=3).map(|s| load(&mut l, s)).collect();
+        assert_eq!(l.sos_ref(), Some(r[0]));
         // Perform the youngest: M-speculative.
-        l.resolve_load(3, addr(0x40));
-        l.perform(3, 0, 0);
-        assert!(l.is_mspec(3));
+        l.resolve_load(r[2], addr(0x40));
+        l.perform(r[2], 0, 0);
+        assert!(l.is_mspec(r[2]));
         assert!(!l.is_ordered(3));
         assert!(l.is_ordered(1), "the SoS load itself is ordered");
         // Perform the older two: everything ordered.
-        for s in [1, 2] {
-            l.perform(s, 0, 0);
+        for &x in &r[..2] {
+            l.perform(x, 0, 0);
         }
-        assert_eq!(l.sos_seq(), None);
+        assert_eq!(l.sos_ref(), None);
         assert!(l.is_ordered(3));
-        assert!(!l.is_mspec(3));
+        assert!(!l.is_mspec(r[2]));
     }
 
     #[test]
     fn forwarding_from_sq_and_sb() {
         let mut l = lsq();
-        l.alloc_store(1);
-        l.resolve_store(1, addr(0x40));
-        l.alloc_load(2, false);
+        let st = l.alloc_store(1);
+        l.resolve_store(st, addr(0x40));
+        load(&mut l, 2);
         // Data not ready -> wait.
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::Wait);
-        l.store_data(1, 10);
+        l.store_data(st, 10);
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::Value(10));
         assert_eq!(l.forward(2, addr(0x48)), ForwardResult::None);
         // Committed store in SB forwards too.
-        l.store_data(1, 11);
+        l.store_data(st, 11);
         assert!(l.commit_store(1));
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::Value(11));
     }
@@ -796,11 +908,11 @@ mod tests {
     fn youngest_older_store_wins() {
         let mut l = lsq();
         for (seq, v) in [(1, 10u64), (2, 20)] {
-            l.alloc_store(seq);
-            l.resolve_store(seq, addr(0x40));
-            l.store_data(seq, v);
+            let st = l.alloc_store(seq);
+            l.resolve_store(st, addr(0x40));
+            l.store_data(st, v);
         }
-        l.alloc_load(3, false);
+        load(&mut l, 3);
         assert_eq!(l.forward(3, addr(0x40)), ForwardResult::Value(20));
         // A store younger than the load is invisible.
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::Value(10));
@@ -809,49 +921,49 @@ mod tests {
     #[test]
     fn amo_blocks_forwarding_until_performed() {
         let mut l = lsq();
-        l.alloc_load(1, true); // atomic
-        l.resolve_load(1, addr(0x40));
-        l.alloc_load(2, false);
+        let amo = l.alloc_load(1, true, 0);
+        l.resolve_load(amo, addr(0x40));
+        load(&mut l, 2);
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::Wait);
-        l.perform(1, 0, 0);
+        l.perform(amo, 0, 0);
         assert_eq!(l.forward(2, addr(0x40)), ForwardResult::None, "performed amo wrote the cache");
     }
 
     #[test]
     fn unresolved_store_tracking() {
         let mut l = lsq();
-        l.alloc_store(5);
-        l.alloc_load(6, true); // an atomic's address counts too
+        let st = l.alloc_store(5);
+        let amo = l.alloc_load(6, true, 0); // an atomic's address counts too
         assert_eq!(l.oldest_unresolved_store(), Some(5));
-        l.resolve_store(5, addr(0x40));
+        l.resolve_store(st, addr(0x40));
         assert_eq!(l.oldest_unresolved_store(), Some(6));
-        l.resolve_load(6, addr(0x48));
+        l.resolve_load(amo, addr(0x48));
         assert_eq!(l.oldest_unresolved_store(), None);
     }
 
     #[test]
     fn lockdown_matching_and_seen() {
         let mut l = lsq();
-        l.alloc_load(1, false); // stays non-performed: the SoS load
-        l.alloc_load(2, false);
-        l.alloc_load(3, false);
-        for s in [2, 3] {
-            l.resolve_load(s, addr(0x40));
-            l.perform(s, 0, 0);
+        let sos = load(&mut l, 1); // stays non-performed: the SoS load
+        let r2 = load(&mut l, 2);
+        let r3 = load(&mut l, 3);
+        for r in [r2, r3] {
+            l.resolve_load(r, addr(0x40));
+            l.perform(r, 0, 0);
         }
         let line = addr(0x40).line();
         assert!(l.has_lockdown(line));
-        assert_eq!(l.mspec_match(line, 0), Some(2));
-        assert_eq!(l.mspec_match(line, 2), Some(3));
+        assert_eq!(l.mspec_match(line, 0), Some(r2));
+        assert_eq!(l.mspec_match(line, 2), Some(r3));
         assert_eq!(l.mspec_match(line, 3), None);
         l.mark_seen(addr(0x40).line());
-        assert!(l.load(3).unwrap().seen, "S bit goes to the youngest match");
-        assert!(!l.load(2).unwrap().seen);
+        assert!(l.load(r3).unwrap().seen, "S bit goes to the youngest match");
+        assert!(!l.load(r2).unwrap().seen);
         assert!(l.owes_ack(addr(0x40).line()));
         // Nothing released while the lockdown stands.
         assert_eq!(l.next_release(None), None);
         // Perform the SoS load: everything ordered, ack released.
-        l.perform(1, 0, 0);
+        l.perform(sos, 0, 0);
         assert_eq!(l.next_release(None), Some(line));
         assert_eq!(l.next_release(Some(line)), None);
         assert!(!l.owes_ack(addr(0x40).line()));
@@ -860,19 +972,19 @@ mod tests {
     #[test]
     fn ldt_export_and_release() {
         let mut l = Lsq::new(8, 8, 2);
-        l.alloc_load(1, false); // SoS
-        l.alloc_load(2, false);
-        l.resolve_load(2, addr(0x40));
-        l.perform(2, 0, 0);
+        let sos = load(&mut l, 1);
+        let r2 = load(&mut l, 2);
+        l.resolve_load(r2, addr(0x40));
+        l.perform(r2, 0, 0);
         // Commit load 2 out of order: export to LDT.
-        let entry = l.commit_load(2).unwrap();
+        let entry = l.commit_load(r2).unwrap();
         assert!(l.export_to_ldt(2, entry.addr.unwrap().line(), entry.seen));
         assert!(l.has_lockdown(addr(0x40).line()));
         // LDT capacity enforced.
         assert!(l.export_to_ldt(3, addr(0x80).line(), false));
         assert!(!l.export_to_ldt(4, addr(0xc0).line(), false));
         // SoS performs: LDT entries release.
-        l.perform(1, 0, 0);
+        l.perform(sos, 0, 0);
         assert_eq!(l.release_ldt(), 2);
         assert!(!l.has_lockdown(addr(0x40).line()));
     }
@@ -880,29 +992,29 @@ mod tests {
     #[test]
     fn squash_removes_younger_only() {
         let mut l = lsq();
-        l.alloc_load(1, false);
-        l.alloc_load(3, false);
-        l.alloc_store(2);
-        l.alloc_store(4);
+        let r1 = load(&mut l, 1);
+        let r3 = load(&mut l, 3);
+        let s2 = l.alloc_store(2);
+        let s4 = l.alloc_store(4);
         assert_eq!(l.squash(3), 1);
-        assert!(l.load(1).is_some());
-        assert!(l.load(3).is_none());
-        assert!(l.store(2).is_some());
-        assert!(l.store(4).is_none());
+        assert!(l.load(r1).is_some());
+        assert!(l.load(r3).is_none());
+        assert!(l.store(s2).is_some());
+        assert!(l.store(s4).is_none());
     }
 
     #[test]
     fn conflict_victims_found() {
         let mut l = lsq();
         l.alloc_store(1);
-        l.alloc_load(2, false);
-        l.alloc_load(3, false);
-        l.resolve_load(2, addr(0x40));
-        l.perform(2, 0, 0);
-        l.resolve_load(3, addr(0x48));
-        l.set_requested(3);
-        assert_eq!(l.conflict_victim(1, addr(0x40)), Some(2));
-        assert_eq!(l.conflict_victim(1, addr(0x48)), Some(3));
+        let r2 = load(&mut l, 2);
+        let r3 = load(&mut l, 3);
+        l.resolve_load(r2, addr(0x40));
+        l.perform(r2, 0, 0);
+        l.resolve_load(r3, addr(0x48));
+        l.set_requested(r3);
+        assert_eq!(l.conflict_victim(1, addr(0x40)), Some(r2));
+        assert_eq!(l.conflict_victim(1, addr(0x48)), Some(r3));
         assert_eq!(l.conflict_victim(1, addr(0x50)), None);
         assert_eq!(l.conflict_victim(2, addr(0x40)), None, "only younger loads are victims");
     }
@@ -910,10 +1022,10 @@ mod tests {
     #[test]
     fn amo_ordering_restrictions() {
         let mut l = lsq();
-        l.alloc_load(1, true); // non-performed atomic
-        l.alloc_load(2, false);
+        let amo = l.alloc_load(1, true, 0); // non-performed atomic
+        load(&mut l, 2);
         assert!(l.older_unperformed_amo(2));
-        l.perform(1, 0, 0);
+        l.perform(amo, 0, 0);
         assert!(!l.older_unperformed_amo(2));
     }
 
@@ -921,9 +1033,9 @@ mod tests {
     fn sb_fifo() {
         let mut l = lsq();
         for seq in [1, 2] {
-            l.alloc_store(seq);
-            l.resolve_store(seq, addr(0x40 + 8 * seq));
-            l.store_data(seq, seq);
+            let st = l.alloc_store(seq);
+            l.resolve_store(st, addr(0x40 + 8 * seq));
+            l.store_data(st, seq);
         }
         assert!(!l.commit_store(2), "only the SQ head commits");
         assert!(l.commit_store(1));

@@ -40,13 +40,13 @@ wb_proptest! {
         for op in ops {
             match op {
                 LsqOp::AllocLoad if !lsq.lq_full() => {
-                    lsq.alloc_load(next_seq, false);
-                    lsq.resolve_load(next_seq, addr);
+                    let r = lsq.alloc_load(next_seq, false, 0);
+                    lsq.resolve_load(r, addr);
                     next_seq += 1;
                 }
                 LsqOp::AllocAmo if !lsq.lq_full() => {
-                    lsq.alloc_load(next_seq, true);
-                    lsq.resolve_load(next_seq, addr);
+                    let r = lsq.alloc_load(next_seq, true, 0);
+                    lsq.resolve_load(r, addr);
                     next_seq += 1;
                 }
                 LsqOp::AllocStore if !lsq.sq_full() => {
@@ -54,15 +54,13 @@ wb_proptest! {
                     next_seq += 1;
                 }
                 LsqOp::PerformOldest => {
-                    if let Some(sos) = lsq.sos_seq() {
+                    if let Some(sos) = lsq.sos_ref() {
                         lsq.perform(sos, 0, 0);
                     }
                 }
                 LsqOp::ResolveStore { value } => {
-                    let unresolved: Vec<u64> = (1..next_seq)
-                        .filter(|s| lsq.store(*s).is_some_and(|e| e.addr.is_none()))
-                        .collect();
-                    if let Some(&s) = unresolved.first() {
+                    let unresolved = lsq.stores().find(|(_, e)| e.addr.is_none()).map(|(r, _)| r);
+                    if let Some(s) = unresolved {
                         lsq.resolve_store(s, addr);
                         lsq.store_data(s, value);
                     }
@@ -76,26 +74,27 @@ wb_proptest! {
 
             // Invariant: SoS = oldest non-performed.
             let oldest_np = lsq.loads().find(|e| !e.performed()).map(|e| e.seq);
-            prop_assert_eq!(lsq.sos_seq(), oldest_np);
+            prop_assert_eq!(lsq.sos_ref().map(|r| r.seq), oldest_np);
 
             // Invariant: the kept oldest non-performed atomic and oldest
             // unresolved store address equal a rescan.
             let oldest_amo = lsq.loads().find(|e| e.is_amo && !e.performed()).map(|e| e.seq);
             prop_assert_eq!(lsq.oldest_unperformed_amo(), oldest_amo);
             let unresolved_store = (1..next_seq).find(|&s| {
-                lsq.store(s).is_some_and(|e| e.addr.is_none())
-                    || lsq.load(s).is_some_and(|e| e.is_amo && e.addr.is_none())
+                lsq.stores().any(|(_, e)| e.seq == s && e.addr.is_none())
+                    || lsq.loads().any(|e| e.seq == s && e.is_amo && e.addr.is_none())
             });
             prop_assert_eq!(lsq.oldest_unresolved_store(), unresolved_store);
             prop_assert!(lsq.marks_hold());
 
             // Invariant: is_ordered consistency.
-            let seqs: Vec<u64> = lsq.loads().map(|e| e.seq).collect();
-            for s in seqs {
+            let refs: Vec<_> = (0..).map_while(|i| lsq.load_at(i).map(|(r, _)| r)).collect();
+            for r in refs {
+                let s = r.seq;
                 let older_np = lsq.loads().any(|e| e.seq < s && !e.performed());
                 prop_assert_eq!(lsq.is_ordered(s), !older_np, "seq {}", s);
-                if lsq.is_mspec(s) {
-                    prop_assert!(lsq.load(s).unwrap().performed());
+                if lsq.is_mspec(r) {
+                    prop_assert!(lsq.load(r).unwrap().performed());
                     prop_assert!(!lsq.is_ordered(s));
                 }
             }
@@ -116,9 +115,9 @@ wb_proptest! {
         let addr = Addr::new(0x80);
         let mut seq = 1u64;
         for v in &values {
-            lsq.alloc_store(seq);
-            lsq.resolve_store(seq, addr);
-            lsq.store_data(seq, *v);
+            let st = lsq.alloc_store(seq);
+            lsq.resolve_store(st, addr);
+            lsq.store_data(st, *v);
             seq += 1;
         }
         // A load younger than all stores must forward the last value.
@@ -135,9 +134,9 @@ wb_proptest! {
     fn store_buffer_fifo(count in 1usize..12) {
         let mut lsq = Lsq::new(16, 16, 8);
         for s in 1..=count as u64 {
-            lsq.alloc_store(s);
-            lsq.resolve_store(s, Addr::new(0x100 + s * 8));
-            lsq.store_data(s, s);
+            let st = lsq.alloc_store(s);
+            lsq.resolve_store(st, Addr::new(0x100 + s * 8));
+            lsq.store_data(st, s);
         }
         for s in 1..=count as u64 {
             prop_assert_eq!(lsq.oldest_store_seq(), Some(s));

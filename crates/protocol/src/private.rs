@@ -154,6 +154,11 @@ pub struct PrivateCache {
     pending_fills: Vec<PendingFill>,
     outbox: Vec<(Dest, ProtoMsg)>,
     completions: Vec<Completion>,
+    /// Emptied lists of waiting loads: a retired completion's, or a
+    /// freed MSHR's that no load joined. A new MSHR takes one, so a miss
+    /// allocates only while the pool warms up. Capacity, not state: not
+    /// snapshotted.
+    spare_tags: Vec<Vec<ReadTag>>,
     stats: Stats,
     tracer: Tracer,
     /// Cycle each active lockdown began (first Nack sent), for the
@@ -217,6 +222,7 @@ impl PrivateCache {
             pending_fills: Vec::new(),
             outbox: Vec::new(),
             completions: Vec::new(),
+            spare_tags: Vec::new(),
             stats,
             tracer: Tracer::new(CompId::Cache(node.0)),
             lockdown_since: HashMap::new(),
@@ -359,10 +365,31 @@ impl PrivateCache {
         out.append(&mut self.outbox);
     }
 
-    /// Drain core-facing completion events in place, so the buffer keeps
-    /// its capacity.
-    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
-        self.completions.drain(..)
+    /// Core-facing completion events, oldest first, until
+    /// [`PrivateCache::retire_completions`].
+    pub fn completions(&self) -> &[Completion] {
+        &self.completions
+    }
+
+    /// Drop the completion events the core has applied. The buffer
+    /// keeps its capacity, and each `LoadData`'s list of waiting loads
+    /// goes back to the pool new MSHRs take theirs from.
+    pub fn retire_completions(&mut self) {
+        for c in self.completions.drain(..) {
+            if let Completion::LoadData { tags, .. } = c {
+                spare(&mut self.spare_tags, tags);
+            }
+        }
+    }
+
+    /// Allocate an MSHR ([`MshrFile::alloc`]) with a list of waiting
+    /// loads from the spare pool.
+    fn alloc_mshr(&mut self, line: LineAddr, kind: MshrKind, sos: bool, now: Cycle) -> Option<&mut Mshr> {
+        let m = self.mshrs.alloc(line, kind, sos, now)?;
+        if let Some(tags) = self.spare_tags.pop() {
+            m.waiting_loads = tags;
+        }
+        Some(m)
     }
 
     /// True when core-facing completion events wait to be drained.
@@ -708,12 +735,8 @@ impl PrivateCache {
                 }
                 return LoadAccess::Miss;
             }
-            if self.mshrs.alloc(line, MshrKind::TearOff, true, now).is_some() {
-                self.mshrs
-                    .find_mut(line, MshrKind::TearOff)
-                    .expect("just allocated")
-                    .waiting_loads
-                    .push(tag);
+            if let Some(t) = self.alloc_mshr(line, MshrKind::TearOff, true, now) {
+                t.waiting_loads.push(tag);
                 self.stats.inc("cache_sos_bypass_reads");
                 self.tracer.record(now, TraceEvent::MshrAlloc { line: line.0, kind: "TearOff" });
                 let home = self.home(line);
@@ -731,11 +754,11 @@ impl PrivateCache {
             }
         }
         // Fresh read.
-        if self.mshrs.alloc(line, MshrKind::Read, sos, now).is_none() {
+        let Some(m) = self.alloc_mshr(line, MshrKind::Read, sos, now) else {
             self.stats.inc("cache_mshr_blocked");
             return LoadAccess::Blocked;
-        }
-        self.mshrs.find_mut(line, MshrKind::Read).expect("just allocated").waiting_loads.push(tag);
+        };
+        m.waiting_loads.push(tag);
         self.tracer.record(now, TraceEvent::MshrAlloc { line: line.0, kind: "Read" });
         let home = self.home(line);
         self.send_dir(home, ProtoMsg::GetS { line, requester: self.node, kind: ReadKind::Cacheable });
@@ -758,7 +781,7 @@ impl PrivateCache {
         if self.mshrs.find(line, MshrKind::Write).is_some() {
             return false;
         }
-        if self.mshrs.alloc(line, MshrKind::Write, false, now).is_none() {
+        if self.alloc_mshr(line, MshrKind::Write, false, now).is_none() {
             self.stats.inc("cache_mshr_blocked");
             return false;
         }
@@ -980,7 +1003,9 @@ impl PrivateCache {
         let home = self.home(line);
         self.send_dir(home, ProtoMsg::Unblock { line, from: self.node });
         self.completions.push(Completion::WriteReady { line });
-        if !m.waiting_loads.is_empty() {
+        if m.waiting_loads.is_empty() {
+            spare(&mut self.spare_tags, m.waiting_loads);
+        } else {
             self.completions.push(Completion::LoadData {
                 tags: m.waiting_loads,
                 line,
@@ -1116,7 +1141,9 @@ impl PrivateCache {
             for kind in [MshrKind::TearOff, MshrKind::Read] {
                 if let Some(m) = self.mshrs.free(line, kind) {
                     self.note_mshr_free(now, &m);
-                    if !m.waiting_loads.is_empty() {
+                    if m.waiting_loads.is_empty() {
+                        spare(&mut self.spare_tags, m.waiting_loads);
+                    } else {
                         self.completions.push(Completion::LoadData {
                             tags: m.waiting_loads,
                             line,
@@ -1283,6 +1310,15 @@ impl PrivateCache {
 // [`wb_kernel::config::SystemConfig`]. `wounds` is the soft-error
 // layer: the cycle each undetected wound landed; the corrupted state
 // itself lives inside the L2 lines.
+/// Keep an emptied list of waiting loads for a later MSHR (one that
+/// never allocated is not worth keeping).
+fn spare(pool: &mut Vec<Vec<ReadTag>>, mut tags: Vec<ReadTag>) {
+    if tags.capacity() > 0 {
+        tags.clear();
+        pool.push(tags);
+    }
+}
+
 wb_kernel::snap_component!(pub PrivateCache {
     l1, l2, mshrs, evict_buf, pending_fills, outbox, completions, stats,
     lockdown_since, hot, fault, wounds,

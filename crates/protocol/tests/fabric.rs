@@ -106,7 +106,8 @@ impl Fabric {
                     MeshMsg { src: from, dst: dest.node(), vnet: msg.vnet(), flits, payload: (dest, msg) },
                 );
             }
-            self.collected[i].extend(self.caches[i].drain_completions());
+            self.collected[i].extend_from_slice(self.caches[i].completions());
+            self.caches[i].retire_completions();
         }
         self.mesh.tick(self.now);
         self.now += 1;
