@@ -28,6 +28,8 @@
 //!
 //! A torture token (`torture`, `torture/200x24`, `torture/30xhot`: see
 //! [`torture::token`]) draws each cell's program from the cell's seed.
+//! Any other name is seed-independent ([`workload_by_name`]). No key
+//! sets the event log: the workload decides it ([`cell_config`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -178,7 +180,8 @@ impl CampaignSpec {
                         if count == 0 {
                             return Err("seeds.count must be positive".to_owned());
                         }
-                        spec.seeds = (0..count).map(|i| first.wrapping_add(i)).collect();
+                        let last = first.checked_add(count - 1).ok_or("seeds.first + seeds.count passes u64::MAX")?;
+                        spec.seeds = (first..=last).collect();
                     } else {
                         return Err("spec key `seeds` must be an array or object".to_owned());
                     }
@@ -265,29 +268,35 @@ impl CampaignSpec {
 type Make = fn(usize) -> Workload;
 
 /// The seed-independent workloads a spec can name beside the suite
-/// kernels: litmus tests, the barrier storm and §3.4's spin livelock.
-const NAMED: [(&str, Make); 10] = [
-    ("mp", |_| litmus::mp().workload),
-    ("mp-warm", |_| litmus::mp_warm().workload),
-    ("sb", |_| litmus::sb().workload),
-    ("lb", |_| litmus::lb().workload),
-    ("corr", |_| litmus::corr().workload),
-    ("iriw", |_| litmus::iriw().workload),
-    ("mp-transitive", |_| litmus::mp_transitive().workload),
-    ("two-plus-two-w", |_| litmus::two_plus_two_w().workload),
-    ("barrier-storm", |cores| wb_workloads::barrier_storm(cores, 4)),
-    ("option1-spin", |_| directed::option1_spin()),
+/// kernels (litmus tests, the directed workloads of Figure 5 and §3.4,
+/// the barrier storm): name, whether its cells keep the event log, and
+/// builder. A name builds one program at a core count, so a builder
+/// with a parameter is registered at one value, named with it.
+const NAMED: [(&str, bool, Make); 14] = [
+    ("mp", false, |_| litmus::mp().workload),
+    ("mp-warm", false, |_| litmus::mp_warm().workload),
+    ("sb", false, |_| litmus::sb().workload),
+    ("lb", false, |_| litmus::lb().workload),
+    ("corr", false, |_| litmus::corr().workload),
+    ("iriw", false, |_| litmus::iriw().workload),
+    ("mp-transitive", false, |_| litmus::mp_transitive().workload),
+    ("two-plus-two-w", false, |_| litmus::two_plus_two_w().workload),
+    ("spinlock-4", false, |_| litmus::spinlock(4).workload),
+    ("fig5a-racing-11", true, |_| directed::racing(11)),
+    ("fig5b-sos-bypass", true, |_| directed::sos_bypass()),
+    ("cross-sos", true, |_| directed::cross_sos()),
+    ("barrier-storm", false, |cores| wb_workloads::barrier_storm(cores, 4)),
+    ("option1-spin", false, |_| directed::option1_spin()),
 ];
 
-/// Resolve a seed-independent workload name: a litmus test, the
-/// barrier storm, `option1-spin` or one of the 12 suite kernels
-/// (generated at `cores` cores,
+/// Resolve a seed-independent workload name: a [`NAMED`] workload or
+/// one of the 12 suite kernels (generated at `cores` cores,
 /// `Scale::Test`). The workload is named `name`, so a reproducer names
 /// it the way a spec does. A torture token is not one: a torture cell's
 /// program comes from its seed.
 pub fn workload_by_name(name: &str, cores: usize) -> Result<Workload, String> {
-    let mut w = match NAMED.iter().find(|(n, _)| *n == name) {
-        Some((_, make)) => make(cores),
+    let mut w = match NAMED.iter().find(|(n, ..)| *n == name) {
+        Some((.., make)) => make(cores),
         None => wb_workloads::by_name(name, cores, wb_workloads::Scale::Test)
             .ok_or_else(|| format!("unknown workload `{name}`"))?,
     };
@@ -347,10 +356,9 @@ pub fn cells(spec: &CampaignSpec) -> Vec<Cell> {
 }
 
 /// Build the system configuration for one cell under `seed` (machine
-/// sized to the workload's own core count). A torture cell keeps the
-/// event log, so its verdict includes the TSO check: only its programs
-/// store globally unique values, which the checker needs to tell writes
-/// apart.
+/// sized to the workload's own core count). Torture cells and the
+/// [`NAMED`] entries that say so keep the event log: their store values
+/// are unique, which the TSO check needs.
 pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) -> SystemConfig {
     // Names were validated at parse time; resolution cannot fail here.
     let (protocol, commit) = config::arm(&cell.arm).expect("arm validated at parse");
@@ -364,7 +372,8 @@ pub fn cell_config(spec: &CampaignSpec, cell: &Cell, cores: usize, seed: u64) ->
     cfg.memory = MemoryConfig::machine(&spec.machine).expect("machine validated at parse");
     cfg.stall_window = spec.stall_window;
     cfg.wb_cacheable_reads = spec.option1;
-    if torture::recipe(&cell.workload).is_none() {
+    let logged = NAMED.iter().any(|&(n, log, _)| n == cell.workload && log);
+    if torture::recipe(&cell.workload).is_none() && !logged {
         cfg = cfg.without_event_log();
     }
     cfg.chaos = ChaosPlan::by_name(&cell.chaos).expect("chaos validated at parse");
@@ -394,7 +403,7 @@ pub(crate) fn describe(cfg: &SystemConfig, workload: &str, cores: usize, budget:
     if program_seed != cfg.seed {
         notes.push(format!("program seed {program_seed}"));
     }
-    let named = NAMED.iter().any(|(n, _)| *n == token) || wb_workloads::SUITE.iter().any(|(n, _)| *n == token);
+    let named = NAMED.iter().any(|(n, ..)| *n == token) || wb_workloads::SUITE.iter().any(|(n, _)| *n == token);
     if !named && torture::recipe(token).is_none() {
         notes.push(format!("workload `{token}`"));
     }
@@ -494,6 +503,39 @@ mod tests {
         assert_eq!(cfg.soft.expect("soft plan installed").clauses[0].mean_gap, 400, "x20 applied");
         assert!(cfg.record_events, "torture cells keep the event log");
         assert_eq!(cell_workload(&spec, cell).programs, torture::workload_on(4, 3, 20, torture::Lines::Hot).programs);
+    }
+
+    /// Every registered workload carries its own name, and a run of it
+    /// describes itself as a one-cell spec that rebuilds the same
+    /// configuration and programs. The name its builder gives it never
+    /// names another registered workload.
+    #[test]
+    fn every_named_workload_describes_itself() {
+        let built = |line: &str| {
+            let spec = CampaignSpec::parse(line).expect(line);
+            let cell = &cells(&spec)[0];
+            let w = cell_workload(&spec, cell);
+            (cell_config(&spec, cell, w.cores(), cell.seed), w)
+        };
+        for (name, log, make) in NAMED {
+            let (cfg, w) = built(&format!(r#"{{"workloads":["{name}"]}}"#));
+            assert_eq!((w.name.as_str(), cfg.record_events), (name, log));
+            let line = describe(&cfg, &w.name, w.cores(), None);
+            let (again, w2) = built(&line);
+            assert_eq!((again, w2.programs, w2.init_mem), (cfg, w.programs, w.init_mem), "{line}");
+            let own = make(4).name;
+            assert!(own == name || NAMED.iter().all(|(n, ..)| *n != own), "{name} builds `{own}`");
+        }
+        assert_ne!(directed::racing(9).name, directed::racing(11).name, "one name per program");
+    }
+
+    /// A seed range that would pass `u64::MAX` is refused, not wrapped
+    /// round to seed 0.
+    #[test]
+    fn seed_ranges_do_not_wrap() {
+        let range = |count| CampaignSpec::parse(&format!(r#"{{"workloads":["mp"],"seeds":{{"first":{},"count":{count}}}}}"#, u64::MAX - 1));
+        assert_eq!(range(2).expect("ends at u64::MAX").seeds, [u64::MAX - 1, u64::MAX]);
+        assert_eq!(range(3), Err("seeds.first + seeds.count passes u64::MAX".to_owned()));
     }
 
     /// A run's description parses back to a spec whose one cell builds

@@ -208,7 +208,7 @@ pub fn mp_transitive() -> LitmusTest {
 /// Spinlock mutual exclusion: two cores each increment a shared counter
 /// `n` times inside a test-and-set lock; the final value must be `2n`.
 /// Exercises atomics, SB drains and the lockdown restrictions of
-/// Section 3.7. Not enumerable.
+/// Section 3.7. Not enumerable. The workload is named `spinlock-<n>`.
 pub fn spinlock(n: u64) -> LitmusTest {
     let lock = Z;
     let counter = X;
@@ -238,7 +238,7 @@ pub fn spinlock(n: u64) -> LitmusTest {
     LitmusTest {
         name: "spinlock",
         description: "two cores increment under a test-and-set lock",
-        workload: Workload::new("spinlock", vec![mk(), mk()]),
+        workload: Workload::new(format!("spinlock-{n}"), vec![mk(), mk()]),
         observed: vec![(0, RA), (1, RA)],
         // The *final* counter value must be 2n; individual observations
         // are at least n. Forbidden outcomes are checked separately by

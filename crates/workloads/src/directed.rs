@@ -18,7 +18,7 @@ const Z3: u64 = 0x5140;
 /// while the readers chase through `colds` cold lines (stride 0x4000,
 /// so they conflict in the directory sets) and re-read the hot line out
 /// of order after each — lockdowns on `X` while directory entries are
-/// allocated and evicted underneath.
+/// allocated and evicted underneath. Named `fig5a-racing-<colds>`.
 pub fn racing(colds: u64) -> Workload {
     let reader = {
         let mut p = Program::builder();
@@ -40,7 +40,7 @@ pub fn racing(colds: u64) -> Workload {
     }
     writer.store(Reg(3), Reg(1), 0);
     writer.halt();
-    Workload::new("fig5a-racing", vec![reader.clone(), writer.build(), reader])
+    Workload::new(format!("fig5a-racing-{colds}"), vec![reader.clone(), writer.build(), reader])
 }
 
 /// Figure 5.B: core 0 holds a lockdown on [`X`] behind a pointer chase;
