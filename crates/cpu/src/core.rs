@@ -506,10 +506,11 @@ impl Core {
     /// LSQ's marks) and every slot link agree with a rescan? Checked once
     /// per tick in debug builds.
     fn kept_answers_hold(&self) -> bool {
-        // One pass over the ROB for the counts, the bind cycles and the
-        // links to the LSQ.
+        // One pass over the ROB for its slot table, the counts, the bind
+        // cycles and the links to the LSQ.
         let (mut iq_used, mut issuable, mut due) = (0, 0, 0);
-        let rob = self.rob.iter_refs().all(|(r, e)| {
+        let mut rob = true;
+        let consistent = self.rob.consistent(|r, e| {
             iq_used += usize::from(e.in_iq());
             issuable += usize::from(e.can_issue());
             due += usize::from(e.state.due().is_some());
@@ -522,9 +523,9 @@ impl Core {
             } else {
                 !e.is_store() || self.lsq.store(e.lsq_ref()).is_some()
             };
-            bound && linked
+            rob &= bound && linked;
         });
-        rob && self.iq_used == iq_used
+        consistent && rob && self.iq_used == iq_used
             && self.issuable == issuable
             && self.oldest_branch == self.first_unresolved_branch(0)
             && self.due_holds(due)
@@ -541,7 +542,7 @@ impl Core {
     }
 
     /// Do the slot references the ROB pass above did not check name what
-    /// a rescan finds: the ROB's slot table; each LQ entry's ROB entry,
+    /// a rescan finds: each LQ entry's ROB entry,
     /// which a committed load has left (non-collapsible and ECL modes
     /// keep it in the LQ); and each RAT producer and ECL delivery?
     fn links_hold(&self) -> bool {
@@ -555,7 +556,7 @@ impl Core {
             })
         });
         let ecl_loads = self.ecl_pending.iter().all(|&(l, _)| self.lsq.load(l).is_some_and(|e| !e.delivered));
-        self.rob.consistent() && lsq_to_rob && rat && ecl_loads
+        lsq_to_rob && rat && ecl_loads
     }
 
     // ------------------------------------------------------------------

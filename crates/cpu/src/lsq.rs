@@ -191,6 +191,10 @@ pub struct Lsq {
     unresolved: Option<u64>,
 }
 
+/// The LSQ's kept answers: the SoS load, the oldest non-performed
+/// atomic and the oldest unresolved store or atomic.
+type Marks = (Option<Ref>, Option<Ref>, Option<u64>);
+
 impl Lsq {
     /// Build with the Table 6 capacities; the store buffer holds as many
     /// stores as the store queue. Allocates nothing until entries arrive.
@@ -464,22 +468,32 @@ impl Lsq {
         }
     }
 
+    /// Whether both queues' slot lists are consistent, and the kept
+    /// answers rescanned: one pass over each queue.
+    fn rescan(&self) -> (bool, Marks) {
+        let (mut sos, mut amo, mut unresolved_amo, mut unresolved_store) = (None, None, None, None);
+        let lq = self.lq.consistent(|r, l| {
+            let waiting = !l.e.performed();
+            sos = sos.or(Some(r).filter(|_| waiting));
+            amo = amo.or(Some(r).filter(|_| waiting && l.e.is_amo));
+            // As `first_unresolved` walks: from the oldest non-performed atomic on.
+            unresolved_amo = unresolved_amo.or(Some(r.seq).filter(|_| amo.is_some() && l.e.is_amo && l.e.addr.is_none()));
+        });
+        let sq = self.sq.consistent(|r, s| unresolved_store = unresolved_store.or(Some(r.seq).filter(|_| s.e.addr.is_none())));
+        (lq && sq, (sos, amo, unresolved_store.into_iter().chain(unresolved_amo).min()))
+    }
+
     /// Recompute every kept answer from the queues (after a restore).
     fn rebuild_marks(&mut self) {
-        self.sos = self.first_unperformed(0, false);
-        self.amo = self.first_unperformed(0, true);
-        self.unresolved = self.first_unresolved(0);
+        (self.sos, self.amo, self.unresolved) = self.rescan().1;
     }
 
     /// Do the kept answers equal a rescan of the queues, and are the
     /// queues' slot lists consistent? Checked by the core once per tick
     /// in debug builds.
     pub fn marks_hold(&self) -> bool {
-        self.lq.consistent()
-            && self.sq.consistent()
-            && self.sos == self.first_unperformed(0, false)
-            && self.amo == self.first_unperformed(0, true)
-            && self.unresolved == self.first_unresolved(0)
+        let (consistent, marks) = self.rescan();
+        consistent && marks == (self.sos, self.amo, self.unresolved)
     }
 
     // ------------------------------------------------------------- ordering

@@ -244,10 +244,12 @@ impl<T: Sequenced> SlotQueue<T> {
 
     /// Are the entries in strictly increasing sequence order, does every
     /// entry's slot lead to its position, and is every other slot below
-    /// the table's length free? For debug checks.
-    pub fn consistent(&self) -> bool {
+    /// the table's length free? For debug checks, which see each entry
+    /// through `visit` (oldest first) and so walk the queue once.
+    pub fn consistent(&self, mut visit: impl FnMut(Ref, &T)) -> bool {
         let mut last = None;
-        let placed = self.iter().enumerate().all(|(p, e)| {
+        let placed = self.iter_refs().enumerate().all(|(p, (r, e))| {
+            visit(r, e);
             let ordered = last.is_none_or(|l| l < e.seq());
             last = Some(e.seq());
             ordered && self.slot_position(e.slot()) == Some(p)
@@ -327,7 +329,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                assert!(q.consistent(), "seed {seed}");
+                assert!(q.consistent(|_, _| ()), "seed {seed}");
                 assert_eq!(q.len(), model.len());
                 assert!(q.iter().map(|v| (v.0, v.2)).eq(model.iter().map(|&s| (s, s * 1000))), "seed {seed}");
                 for (pos, &s) in model.iter().enumerate() {
