@@ -2,9 +2,10 @@
 //! general guarantees of Section 3.5: SoS loads can never be blocked, so
 //! lockdowns always lift and blocked writes always complete.
 
+use wb_integration::{built, spec};
 use wb_isa::{AluOp, Program, Reg, Workload};
 use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{CommitMode, CoreClass, MemoryConfig, ProtocolKind, SystemConfig, ARMS};
+use wb_kernel::config::{CommitMode, CoreClass, MemoryConfig, SystemConfig};
 use wb_kernel::trace::{TraceFilter, TraceSink};
 use wb_kernel::wedge::{WaitParty, WedgeClass};
 use wb_mem::Addr;
@@ -14,6 +15,7 @@ use writersblock::{Failure, RunOutcome, System};
 
 /// The aggressive config for the Figure 5.A workload
 /// ([`directed::racing`], eleven cold lines): the tiny-LLC machine.
+/// Stays in Rust: it runs the workload's three programs on four cores.
 fn dir_evict_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(4)
@@ -47,22 +49,28 @@ fn dir_eviction_under_chaos_squeeze() {
     }
 }
 
+/// Every cell of the spec named `name` must drain — through
+/// `System::verify`, TSO check included, where the cell keeps the event
+/// log — then `check` looks at the finished system.
+fn all_drain(name: &str, check: impl Fn(&str, &System)) {
+    for (cell, cfg, w) in built(&spec(name)) {
+        let verify = cfg.record_events;
+        let mut sys = System::new(cfg, &w);
+        if verify {
+            sys.verify(cell.budget).assert_pass(&cell.id);
+        } else {
+            assert_eq!(sys.run(cell.budget), RunOutcome::Done, "{}", cell.id);
+        }
+        check(&cell.id, &sys);
+    }
+}
+
 /// Figure 5.B flavour: an SoS load resolving into the cacheline of a
 /// blocked write must bypass the write's MSHR via a tear-off read.
 #[test]
 fn sos_load_bypasses_blocked_write() {
-    let w = directed::sos_bypass();
-    for seed in 0..20u64 {
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(2)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_seed(seed)
-            .with_jitter(20);
-        let mut sys = System::new(cfg, &w);
-        sys.verify(3_000_000).assert_pass("sos bypass");
-        // The load after the store must see the store's value (po-loc).
-        assert_eq!(sys.arch_reg(1, Reg(7)), 1, "seed {seed}: store-to-load order broken");
-    }
+    // The load after the store must see the store's value (po-loc).
+    all_drain("sos-bypass", |id, sys| assert_eq!(sys.arch_reg(1, Reg(7)), 1, "{id}: store-to-load order broken"));
 }
 
 /// Figure 5.B crossed over two cores and two lines
@@ -73,18 +81,7 @@ fn sos_load_bypasses_blocked_write() {
 /// arm, with and without network jitter, the machine must drain.
 #[test]
 fn crossed_sos_loads_bind_their_bypass_hits() {
-    let w = directed::cross_sos();
-    for (arm, protocol, mode) in ARMS.into_iter().filter(|&(_, p, _)| p == ProtocolKind::WritersBlock) {
-        for (seed, jitter) in (0..6u64).flat_map(|s| [(s, 20), (s, 0)]) {
-            let cfg = SystemConfig::new(CoreClass::Slm)
-                .with_cores(2)
-                .with_protocol(protocol)
-                .with_commit(mode)
-                .with_seed(seed)
-                .with_jitter(jitter);
-            System::new(cfg, &w).verify(3_000_000).assert_pass(&format!("cross-sos {arm}"));
-        }
-    }
+    all_drain("cross-sos", |_, _| ());
 }
 
 /// The same bypass scenario with directed chaos: while any lockdown is
@@ -92,75 +89,32 @@ fn crossed_sos_loads_bind_their_bypass_hits() {
 /// tear-off escape hatch must still drain the machine (§3.5).
 #[test]
 fn sos_bypass_under_lockdown_vnet_stall() {
-    let w = directed::sos_bypass();
-    for (vnet, seeds) in [(1u8, 0..6u64), (2u8, 0..6u64)] {
-        for seed in seeds {
-            let cfg = SystemConfig::new(CoreClass::Slm)
-                .with_cores(2)
-                .with_commit(CommitMode::OutOfOrderWb)
-                .with_seed(seed)
-                .with_jitter(20)
-                .with_chaos(ChaosPlan::lockdown_vnet_stall(vnet));
-            let mut sys = System::new(cfg, &w);
-            sys.verify(8_000_000).assert_pass("sos bypass under chaos");
-            assert_eq!(sys.arch_reg(1, Reg(7)), 1, "vnet {vnet} seed {seed}: po-loc broken");
-        }
-    }
+    all_drain("sos-bypass-stalled", |id, sys| assert_eq!(sys.arch_reg(1, Reg(7)), 1, "{id}: po-loc broken"));
 }
 
 /// Spin loops + locks + atomics + WritersBlock must never deadlock
 /// (Section 3.7: no lockdowns past atomics).
 #[test]
 fn locks_and_atomics_never_deadlock() {
-    let t = wb_tso::litmus::spinlock(4);
-    for mode in [CommitMode::InOrder, CommitMode::OutOfOrder, CommitMode::OutOfOrderWb] {
-        for seed in 0..8u64 {
-            let cfg = SystemConfig::new(CoreClass::Slm)
-                .with_cores(2)
-                .with_commit(mode)
-                .with_seed(seed)
-                .with_jitter(15);
-            let mut sys = System::new(cfg, &t.workload);
-            let out = sys.run(4_000_000);
-            assert_eq!(out, RunOutcome::Done, "{mode:?} seed {seed}");
-            assert_eq!(sys.memory_word(wb_tso::litmus::X), 8, "{mode:?} seed {seed}: lost update");
-        }
-    }
+    all_drain("spinlock", |id, sys| assert_eq!(sys.memory_word(wb_tso::litmus::X), 8, "{id}: lost update"));
 }
 
 /// The deadlock detector itself must stay quiet across the whole
 /// workload suite under the most aggressive configuration.
 #[test]
 fn suite_smoke_ooo_wb() {
-    for w in wb_workloads::suite(4, wb_workloads::Scale::Test) {
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .without_event_log();
-        let mut sys = System::new(cfg, &w);
-        let out = sys.run(50_000_000);
-        assert_eq!(out, RunOutcome::Done, "{}", w.name);
-    }
+    all_drain("suite-wb-ooo", |_, _| ());
 }
 
 /// Every benchmark, every commit mode, bigger core classes too.
 #[test]
 fn suite_smoke_all_modes_nhm() {
-    for w in wb_workloads::suite(4, wb_workloads::Scale::Test) {
-        for mode in [CommitMode::InOrder, CommitMode::OutOfOrder, CommitMode::OutOfOrderWb] {
-            let cfg = SystemConfig::new(CoreClass::Nhm)
-                .with_cores(4)
-                .with_commit(mode)
-                .without_event_log();
-            let mut sys = System::new(cfg, &w);
-            let out = sys.run(50_000_000);
-            assert_eq!(out, RunOutcome::Done, "{} {mode:?}", w.name);
-        }
-    }
+    all_drain("suite-nhm", |_, _| ());
 }
 
 /// Branch-y code under WritersBlock with unresolved addresses: the
 /// reorder-over-unresolved-address case of Section 2 must be safe.
+/// Stays in Rust: its programs are written here.
 #[test]
 fn unresolved_address_reordering_safe() {
     let x = 0x1000u64;
@@ -280,39 +234,33 @@ fn wedge_pressure_lands_in_histograms() {
     // forwarding cannot serve it, so it must go out as a tear-off read
     // (a same-word load would be store-forwarded and never reach the
     // directory). Whether a given seed's timing sets up the blocked
-    // write varies; at least one in the scan must record a serve.
-    let sos_other_word = |seed: u64| {
-        let x = 0x1000u64;
-        let mut p0 = Program::builder();
-        p0.imm(Reg(1), x).imm(Reg(2), 0x3080).imm(Reg(6), 1);
-        p0.load(Reg(5), Reg(1), 0);
-        for _ in 0..60 {
-            p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-        }
-        p0.load(Reg(9), Reg(2), 0);
-        p0.load(Reg(3), Reg(9), 0);
-        p0.load(Reg(4), Reg(1), 0); // lockdown on x
-        p0.halt();
-        let mut p1 = Program::builder();
-        p1.imm(Reg(1), x).imm(Reg(3), 1).imm(Reg(6), 1);
-        for _ in 0..50 {
-            p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
-        }
-        p1.store(Reg(3), Reg(1), 0); // blocked by core 0's lockdown
-        p1.load(Reg(7), Reg(1), 8); // SoS load, same line, other word
-        p1.halt();
-        let w = Workload::new("sos-other-word", vec![p0.build(), p1.build()])
-            .with_init(Addr::new(0x3080), 0x2040);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(2)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_seed(seed)
-            .with_jitter(20);
+    // write varies; at least one in the scan must record a serve. The
+    // programs are written here, and run on the `sos-bypass` machines.
+    let x = 0x1000u64;
+    let mut p0 = Program::builder();
+    p0.imm(Reg(1), x).imm(Reg(2), 0x3080).imm(Reg(6), 1);
+    p0.load(Reg(5), Reg(1), 0);
+    for _ in 0..60 {
+        p0.alui(AluOp::Mul, Reg(6), Reg(6), 1);
+    }
+    p0.load(Reg(9), Reg(2), 0);
+    p0.load(Reg(3), Reg(9), 0);
+    p0.load(Reg(4), Reg(1), 0); // lockdown on x
+    p0.halt();
+    let mut p1 = Program::builder();
+    p1.imm(Reg(1), x).imm(Reg(3), 1).imm(Reg(6), 1);
+    for _ in 0..50 {
+        p1.alui(AluOp::Mul, Reg(6), Reg(6), 1);
+    }
+    p1.store(Reg(3), Reg(1), 0); // blocked by core 0's lockdown
+    p1.load(Reg(7), Reg(1), 8); // SoS load, same line, other word
+    p1.halt();
+    let w = Workload::new("sos-other-word", vec![p0.build(), p1.build()]).with_init(Addr::new(0x3080), 0x2040);
+    let served = built(&spec("sos-bypass")).into_iter().any(|(cell, cfg, _)| {
         let mut sys = System::new(cfg, &w);
-        assert_eq!(sys.run(3_000_000), RunOutcome::Done, "seed {seed}");
+        assert_eq!(sys.run(cell.budget), RunOutcome::Done, "{}", cell.id);
         sys.report().stats.hist("tearoff_reads_served").is_some_and(|h| h.count() >= 1)
-    };
-    let served = (0..20u64).any(sos_other_word);
+    });
     assert!(served, "no seed in 0..20 recorded a tearoff_reads_served sample");
 }
 

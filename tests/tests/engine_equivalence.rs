@@ -11,9 +11,9 @@
 //! by cycle.
 
 use wb_cpu::Core;
+use wb_integration::{built, cell_of, near_miss, one, spec};
 use wb_isa::{Cond, Program, Reg, Workload};
-use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig};
+use wb_kernel::config::{CommitMode, CoreClass, EngineMode, SystemConfig};
 use wb_kernel::fault::FaultPlan;
 use wb_kernel::trace::TraceFilter;
 use wb_kernel::wedge::WedgeClass;
@@ -22,8 +22,7 @@ use wb_mem::{HomeMap, LineAddr};
 use wb_mesh::Mesh;
 use wb_protocol::messages::Dest;
 use wb_protocol::{PrivateCache, ProtoMsg, ReadKind};
-use wb_workloads::{directed, splash, torture, Scale};
-use writersblock::spec::{cell_config, cell_workload, cells, CampaignSpec};
+use wb_workloads::{splash, Scale};
 use writersblock::{RunOutcome, System};
 
 /// Everything observable about one finished run.
@@ -86,31 +85,14 @@ fn assert_equivalent(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64,
 /// protocols and the paper's relaxed commit mode.
 #[test]
 fn litmus_runs_are_cycle_exact() {
-    let t = wb_tso::litmus::mp();
-    for (protocol, mode) in [
-        (ProtocolKind::BaseMesi, CommitMode::InOrder),
-        (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb),
-    ] {
-        for seed in 0..10u64 {
-            let cfg = SystemConfig::new(CoreClass::Slm)
-                .with_cores(2)
-                .with_commit(mode)
-                .with_protocol(protocol)
-                .with_seed(seed)
-                .with_jitter(30);
-            assert_equivalent(
-                &format!("mp {protocol:?}/{mode:?} seed {seed}"),
-                &cfg,
-                &t.workload,
-                500_000,
-                seed < 3,
-            );
-        }
+    for (cell, cfg, w) in built(&spec("eq-litmus-mp")) {
+        assert_equivalent(&cell.id, &cfg, &w, cell.budget, cell.seed < 3);
     }
 }
 
-/// Barrier-heavy splash kernel on a 16-core Figure 8 configuration —
-/// a quiescence-dominated shape.
+/// Barrier-heavy splash kernel, `splash::fft(4, ..)`'s four programs on
+/// a 16-core mesh — a quiescence-dominated shape. Stays in Rust: a spec
+/// sizes the machine to the workload.
 #[test]
 fn barrier_kernel_is_cycle_exact() {
     let w = splash::fft(4, Scale::Test);
@@ -128,36 +110,27 @@ fn barrier_kernel_is_cycle_exact() {
 /// cannot silently perturb timing either.
 #[test]
 fn machine_at_64_cores_is_cycle_exact() {
-    let w = torture::workload(64, 13, 8);
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(64)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(13)
-        .with_jitter(25);
-    assert_equivalent("64-core torture", &cfg, &w, 8_000_000, true);
+    let (cell, mut cfg, w) = one("eq-torture-64");
+    assert_equivalent(&cell.id, &cfg, &w, cell.budget, true);
+    // No spec key sets the bank fan-out: this variant stays in Rust.
     cfg.memory.dir_banks_per_node = 2;
-    assert_equivalent("64-core torture, 2 banks/node", &cfg, &w, 8_000_000, false);
+    assert_equivalent("64-core torture, 2 banks/node", &cfg, &w, cell.budget, false);
 }
 
 /// The 256-core (16x16 mesh) machine the sparse engine exists for:
 /// most of the fleet sleeps at any instant, and a tick must only touch
 /// live components. All engines agree byte for byte, with the sharded
-/// directory (2 banks/node) riding along.
+/// directory (2 banks/node) riding along. No spec key drops a torture
+/// cell's event log or sets the banks, so the test sets both.
 #[test]
 fn machine_at_256_cores_is_cycle_exact() {
-    let w = torture::workload(256, 17, 4);
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(256)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(17)
-        .with_jitter(25)
-        .without_event_log();
-    assert_equivalent("256-core torture", &cfg, &w, 8_000_000, false);
+    let line = r#"{"cores":256,"engine":"dense","jitter":25,"budget":8000000,"workloads":["torture/4x6"],"seeds":[17]}"#;
+    let (cell, cfg, w) = cell_of(line);
+    let mut cfg = cfg.without_event_log();
+    assert_equivalent(&cell.id, &cfg, &w, cell.budget, false);
     cfg.memory.dir_banks_per_node = 2;
-    let dense = run_with(EngineMode::Dense, &cfg, &w, 8_000_000, false);
-    let sparse = run_with(EngineMode::Sparse, &cfg, &w, 8_000_000, false);
+    let dense = run_with(EngineMode::Dense, &cfg, &w, cell.budget, false);
+    let sparse = run_with(EngineMode::Sparse, &cfg, &w, cell.budget, false);
     assert_eq!(dense, sparse, "256-core torture, 2 banks/node: Sparse diverged");
 }
 
@@ -165,14 +138,13 @@ fn machine_at_256_cores_is_cycle_exact() {
 /// running a 2-core litmus race, visits per executed cycle must be a
 /// small fraction of the dense engine's (which touches every pair,
 /// bank and the mesh every cycle), and whole-machine quiescent gaps
-/// must still be jumped.
+/// must still be jumped. Stays in Rust: two programs on 64 cores.
 #[test]
 fn sparse_engine_visits_only_live_components() {
     let t = wb_tso::litmus::mp();
     let cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(64)
         .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
         .with_seed(3)
         .with_jitter(30)
         .with_engine(EngineMode::Sparse);
@@ -197,15 +169,9 @@ fn sparse_engine_visits_only_live_components() {
     // stale bound says a watchdog trip is possible — on at most one
     // executed cycle in a hundred. (Walking every core, cache and bank
     // after each tick was three such passes per executed cycle.)
-    let cores = if cfg!(debug_assertions) { 100 } else { 256 };
-    let w = wb_workloads::barrier_storm(cores, 4);
-    let cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(cores)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_engine(EngineMode::Sparse)
-        .without_event_log();
+    let (cell, cfg, w) = one(if cfg!(debug_assertions) { "eq-barrier-storm-100" } else { "eq-barrier-storm-256" });
     let mut sys = System::new(cfg, &w);
-    assert!(sys.run(200_000_000).is_done(), "barrier storm must complete");
+    assert!(sys.run(cell.budget).is_done(), "barrier storm must complete");
     let executed = sys.now() - sys.skipped_cycles();
     assert!(
         sys.watchdog_rescans() <= executed / 100,
@@ -217,7 +183,7 @@ fn sparse_engine_visits_only_live_components() {
 
 /// Litmus smoke on the 8x8 machine: two active cores in the corner of a
 /// 64-core mesh, where home banks sit many hops away. Engines agree;
-/// the run completes.
+/// the run completes. Stays in Rust: two programs on 64 cores.
 #[test]
 fn litmus_smoke_at_8x8() {
     for t in [wb_tso::litmus::mp(), wb_tso::litmus::sb()] {
@@ -225,7 +191,6 @@ fn litmus_smoke_at_8x8() {
             let cfg = SystemConfig::new(CoreClass::Slm)
                 .with_cores(64)
                 .with_commit(CommitMode::OutOfOrderWb)
-                .with_protocol(ProtocolKind::WritersBlock)
                 .with_seed(seed)
                 .with_jitter(30);
             assert_equivalent(&format!("{} 8x8 seed {seed}", t.name), &cfg, &t.workload, 2_000_000, seed == 0);
@@ -238,14 +203,9 @@ fn litmus_smoke_at_8x8() {
 /// and jumps quiescent windows.
 #[test]
 fn traces_are_identical_under_skip() {
-    let t = wb_tso::litmus::sb();
-    let cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(2)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_seed(5)
-        .with_jitter(30);
-    let dense = run_with(EngineMode::Dense, &cfg, &t.workload, 500_000, true);
-    let sparse = run_with(EngineMode::Sparse, &cfg, &t.workload, 500_000, true);
+    let (cell, cfg, w) = one("eq-sb-traced");
+    let dense = run_with(EngineMode::Dense, &cfg, &w, cell.budget, true);
+    let sparse = run_with(EngineMode::Sparse, &cfg, &w, cell.budget, true);
     assert!(!dense.trace.is_empty(), "trace cell must actually record events");
     assert_eq!(dense, sparse, "traced sb run diverged");
 }
@@ -255,16 +215,8 @@ fn traces_are_identical_under_skip() {
 /// suppresses.
 #[test]
 fn chaos_cells_are_cycle_exact() {
-    let w = torture::workload(4, 7, 15);
-    for chaos in [ChaosPlan::delay_storm(), ChaosPlan::reorder_amplify()] {
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_protocol(ProtocolKind::WritersBlock)
-            .with_seed(7)
-            .with_jitter(25)
-            .with_chaos(chaos.clone());
-        assert_equivalent(&format!("chaos {chaos}"), &cfg, &w, 8_000_000, false);
+    for (cell, cfg, w) in built(&spec("eq-chaos")) {
+        assert_equivalent(&cell.id, &cfg, &w, cell.budget, false);
     }
 }
 
@@ -272,16 +224,8 @@ fn chaos_cells_are_cycle_exact() {
 /// future deadlines the mesh's `next_internal_event` must honour.
 #[test]
 fn fault_cells_are_cycle_exact() {
-    let w = torture::workload(4, 7, 15);
-    for plan in [FaultPlan::drop_everywhere(1, 10), FaultPlan::mixed_misery()] {
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_protocol(ProtocolKind::WritersBlock)
-            .with_seed(7)
-            .with_jitter(25)
-            .with_fault(plan.clone());
-        assert_equivalent(&format!("fault {plan}"), &cfg, &w, 8_000_000, true);
+    for (cell, cfg, w) in built(&spec("eq-fault")) {
+        assert_equivalent(&cell.id, &cfg, &w, cell.budget, true);
     }
 }
 
@@ -289,24 +233,16 @@ fn fault_cells_are_cycle_exact() {
 /// with a long fixed RTO, so most of simulated time is the machine
 /// parked on retransmission deadlines and nearly every cycle is jumped.
 /// Pinned here (with SparseVerify on the BaseMesi variant) so jumping
-/// those windows provably leaves the results byte-identical.
+/// those windows provably leaves the results byte-identical. No spec
+/// key sets the RTO, so the test sets it.
 #[test]
 fn rto_bound_bench_cells_are_cycle_exact() {
-    let w = torture::workload(4, 7, 30);
-    for (protocol, mode, drop_1_in, verify) in [
-        (ProtocolKind::BaseMesi, CommitMode::InOrder, 6, true),
-        (ProtocolKind::WritersBlock, CommitMode::OutOfOrderWb, 10, false),
-    ] {
-        let mut cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(mode)
-            .with_protocol(protocol)
-            .with_seed(7)
-            .with_jitter(25)
-            .with_fault(FaultPlan::drop_everywhere(1, drop_1_in));
-        cfg.network.link.rto_min = 12_000;
-        cfg.network.link.rto_max = 12_000;
-        assert_equivalent(&format!("rto-bound {protocol:?}/{mode:?}"), &cfg, &w, 8_000_000, verify);
+    for (arm, fault, verify) in [("mesi-inorder", "drop-1-6", true), ("wb-ooo", "drop-1-10", false)] {
+        let (cell, mut cfg, w) = cell_of(&format!(
+            r#"{{"engine":"dense","jitter":25,"budget":8000000,"workloads":["torture/30x6"],"arms":["{arm}"],"faults":["{fault}"],"seeds":[7]}}"#
+        ));
+        (cfg.network.link.rto_min, cfg.network.link.rto_max) = (12_000, 12_000);
+        assert_equivalent(&cell.id, &cfg, &w, cell.budget, verify);
     }
 }
 
@@ -317,16 +253,8 @@ fn rto_bound_bench_cells_are_cycle_exact() {
 /// stats.
 #[test]
 fn soft_final_drain_is_cycle_exact() {
-    let spec = CampaignSpec::parse(
-        r#"{"name":"drain","cores":4,"class":"slm","jitter":25,"budget":20000000,
-            "workloads":["iriw"],"arms":["wb-ooo"],"chaos":["wb-entry-squeeze"],
-            "faults":["drop-1-10"],"softs":["background-radiation-x10"],"seeds":[3]}"#,
-    )
-    .expect("parses");
-    let cell = &cells(&spec)[0];
-    let w = cell_workload(&spec, cell);
-    let cfg = cell_config(&spec, cell, w.cores(), cell.seed);
-    let mut sys = System::new(cfg.clone().with_engine(EngineMode::Sparse), &w);
+    let (cell, cfg, w) = one("eq-soft-drain");
+    let mut sys = System::new(cfg.clone(), &w);
     assert!(sys.run(cell.budget).is_done(), "{} finishes", cell.id);
     let end = sys.now();
     sys.run_audit(true).assert_clean("final audit");
@@ -365,41 +293,26 @@ fn assert_same_wedge(label: &str, cfg: &SystemConfig, w: &Workload, budget: u64)
 /// fault-plan widening), so the run *must* trip the watchdog.
 #[test]
 fn wedge_fires_at_the_same_cycle() {
-    let w = torture::workload(2, 11, 15);
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(2)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(11)
-        .with_jitter(25)
-        .with_fault(FaultPlan::drop_everywhere(1, 12));
-    cfg.network.link.rto_min = 4000;
-    cfg.network.link.rto_max = 4000;
-    cfg.stall_window = 625;
+    let (cfg, w) = near_miss(625);
     assert_eq!(cfg.effective_stall_window(), 2500);
     assert_same_wedge("near-miss", &cfg, &w, 8_000_000);
     // And with scaling restored the same cell completes — identically.
-    cfg.stall_window = 2500;
+    let (cfg, w) = near_miss(2500);
     assert_eq!(cfg.effective_stall_window(), 10_000);
     assert_equivalent("near-miss scaled", &cfg, &w, 8_000_000, false);
 }
 
 /// A livelock, where messages keep flowing and the jump paths keep
 /// synthesizing retry snapshots: the §3.4 Option-1 cell
-/// ([`directed::option1_spin`] with cacheable reads served from a
+/// ([`wb_workloads::directed::option1_spin`] with cacheable reads served from a
 /// WritersBlock entry), whose spin-readers are re-invalidated round
 /// after round while the blocked write starves — a livelock by design,
 /// the reason the paper rejects Option 1. Without jitter the rounds
 /// chain for good (with jitter 20 the write gets through).
 #[test]
 fn livelock_fires_at_the_same_cycle() {
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(8)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_seed(0)
-        .without_event_log();
-    cfg.wb_cacheable_reads = true;
-    let dense = assert_same_wedge("option1-spin", &cfg, &directed::option1_spin(), 2_000_000);
+    let (cell, cfg, w) = one("eq-option1-livelock");
+    let dense = assert_same_wedge(&cell.id, &cfg, &w, cell.budget);
     let report = dense.outcome.wedge_report().expect("wedged");
     assert_eq!(report.class, WedgeClass::Livelock, "option1-spin is a livelock:\n{report}");
     assert_eq!(dense.final_cycle, 200_335);
@@ -412,7 +325,8 @@ fn livelock_fires_at_the_same_cycle() {
 /// walks remote lines over links that drop frames, with a retransmission
 /// time-out far beyond the stall window. A core that waits on a dropped
 /// frame sleeps — never visited, never drained — and must still trip
-/// the watchdog on exactly the dense cycle.
+/// the watchdog on exactly the dense cycle. Stays in Rust: its programs
+/// are written here, and no spec key sets the RTO.
 #[test]
 fn a_sleeping_wedged_core_trips_beside_a_spinning_one() {
     let spinner = {
@@ -482,7 +396,8 @@ fn a_sleeping_wedged_core_trips_beside_a_spinning_one() {
 /// to cache 0 with the component crates' own `restore`, feeds that cache
 /// a message it can only answer with a fault, and splices its bytes
 /// back. The walk mirrors the order of `System::snapshot` (layout,
-/// fingerprint, cycle, mesh, cores, caches).
+/// fingerprint, cycle, mesh, cores, caches). Stays in Rust: its
+/// programs are written here, and its snapshot is spliced.
 #[test]
 fn a_restored_fault_is_reported_on_the_first_cycle() {
     // Busy at the snapshot cycle (every core is inside its nop stretch),
@@ -563,7 +478,8 @@ fn a_restored_fault_is_reported_on_the_first_cycle() {
 }
 
 /// Budget exhaustion lands on the same cycle with the same partial
-/// stats.
+/// stats: `splash::fft(4, ..)` on a 16-core mesh (stays in Rust, as the
+/// barrier kernel).
 #[test]
 fn budget_exhaustion_is_cycle_exact() {
     let w = splash::fft(4, Scale::Test);
@@ -576,7 +492,8 @@ fn budget_exhaustion_is_cycle_exact() {
 }
 
 /// On the barrier kernel (busy spinners, little to jump) skipping cycles
-/// must change nothing while dense ticking visits every one of them.
+/// must change nothing while dense ticking visits every one of them:
+/// `splash::fft(2, ..)` on a 16-core mesh (stays in Rust, as above).
 #[test]
 fn skip_engine_reaches_the_same_done_cycle() {
     let w = splash::fft(2, Scale::Test);
@@ -596,19 +513,12 @@ fn skip_engine_reaches_the_same_done_cycle() {
 /// deadline bookkeeping.
 #[test]
 fn timeline_sampling_is_cycle_exact() {
-    let w = torture::workload(4, 7, 60);
-    let cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(4)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(7)
-        .with_jitter(25)
-        .with_chaos(ChaosPlan::delay_storm());
+    let (cell, cfg, w) = one("timeline-chaos");
     let run = |engine: EngineMode| {
         let mut sys = System::new(cfg.clone().with_engine(engine), &w);
         sys.set_trace(TraceFilter::all());
         sys.enable_timeline(500);
-        let outcome = sys.run(8_000_000);
+        let outcome = sys.run(cell.budget);
         (outcome, sys.now(), sys.timeline_jsonl(), sys.collect_trace())
     };
     let (d_out, d_cycle, d_jsonl, d_trace) = run(EngineMode::Dense);

@@ -8,10 +8,10 @@
 //! verdict prints the cell's reproducer, plan included.
 
 use wb_bench::campaign::{cells, CampaignSpec, Cell};
-use wb_kernel::config::{CommitMode, CoreClass, ProtocolKind, SystemConfig, ARMS};
+use wb_integration::near_miss;
+use wb_kernel::config::ARMS;
 use wb_kernel::fault::FaultPlan;
 use wb_kernel::Stats;
-use wb_workloads::torture;
 use writersblock::{Failure, System};
 
 /// Every cell of a spec of four SLM cores, jitter 25, Dense, 8M cycles
@@ -81,23 +81,8 @@ fn fault_torture_ten_percent_drop() {
 /// misclassification.
 #[test]
 fn watchdog_near_miss_scaled_window_rides_out_retransmissions() {
-    let seed = 11u64;
-    let w = torture::workload(2, seed, 15);
     let build = |stall_window: u64| {
-        let mut cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(2)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_protocol(ProtocolKind::WritersBlock)
-            .with_seed(seed)
-            .with_jitter(25)
-            .with_fault(FaultPlan::drop_everywhere(1, 12));
-        // One lost frame costs a 4000-cycle retransmission round trip —
-        // longer than the raw 2500-cycle stall window. No backoff
-        // (rto_max == rto_min) so consecutive losses stay under the
-        // widened window.
-        cfg.network.link.rto_min = 4000;
-        cfg.network.link.rto_max = 4000;
-        cfg.stall_window = stall_window;
+        let (cfg, w) = near_miss(stall_window);
         System::new(cfg, &w)
     };
 

@@ -32,6 +32,8 @@ fn watchdog_cell() -> (usize, u64, u64) {
     }
 }
 
+/// Stays in Rust: the registered `barrier-storm` runs four rounds, this
+/// cell one.
 fn storm_config(cores: usize, window: u64) -> SystemConfig {
     let mut cfg = SystemConfig::new(CoreClass::Slm)
         .with_cores(cores)
@@ -87,7 +89,8 @@ fn scaled_watchdog_lets_legal_barrier_finish() {
 /// TSO-green and traffic actually spreads over all 32 banks' stats.
 #[test]
 fn sharded_directory_banks_stay_tso_correct() {
-    // Lines strided so they hash across banks, two words per line.
+    // Lines strided so they hash across banks, two words per line. Stays
+    // in Rust: four programs on 16 cores, two banks per node.
     for seed in 0..8u64 {
         let w = torture::workload_on(4, seed, 30, torture::Lines::Spread(8));
         let mut cfg = SystemConfig::new(CoreClass::Slm)

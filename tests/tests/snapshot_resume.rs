@@ -16,13 +16,10 @@
 //! for a resumed run is the *split* original (run-to-cut, then run-on),
 //! which these tests use throughout.
 
+use wb_integration::{near_miss, one, seeded};
 use wb_isa::Workload;
-use wb_kernel::chaos::ChaosPlan;
 use wb_kernel::check::prelude::*;
-use wb_kernel::config::{CommitMode, CoreClass, CoreConfig, EngineMode, MemoryConfig, ProtocolKind, SystemConfig};
-use wb_kernel::fault::FaultPlan;
-use wb_kernel::soft::SoftPlan;
-use wb_workloads::torture;
+use wb_kernel::config::{CommitMode, CoreClass, CoreConfig, EngineMode, MemoryConfig, SystemConfig};
 use writersblock::{RunOutcome, System};
 
 /// Everything observable about a finished (or stopped) run.
@@ -46,11 +43,11 @@ fn observe(sys: &mut System, budget: u64) -> Observed {
     }
 }
 
-/// The headline arm (WritersBlock, out-of-order commit) at jitter 25.
+/// The headline arm (WritersBlock, out-of-order commit) at jitter 25, for
+/// the cells whose snapshots carry an event log no spec keeps (mp, fft).
 fn base(seed: u64) -> SystemConfig {
     SystemConfig::new(CoreClass::Slm)
         .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
         .with_seed(seed)
         .with_jitter(25)
 }
@@ -59,22 +56,9 @@ fn base(seed: u64) -> SystemConfig {
 /// contention, chaos timing injection, a lossy-link (ARQ-active) fault
 /// cell, and a soft-error cell (bit flips + guards + periodic audit).
 fn cell(kind: usize, seed: u64) -> (SystemConfig, Workload) {
-    let base = base(seed);
     match kind % 5 {
-        0 => (base.with_cores(2), wb_tso::litmus::mp().workload),
-        1 => (base.with_cores(4), torture::workload(4, seed, 10)),
-        2 => (
-            base.with_cores(4).with_chaos(ChaosPlan::delay_storm()),
-            torture::workload(4, seed, 8),
-        ),
-        3 => (
-            base.with_cores(4).with_fault(FaultPlan::drop_everywhere(1, 10)),
-            torture::workload(4, seed, 8),
-        ),
-        _ => (
-            base.with_cores(4).with_soft(SoftPlan::background_radiation().accelerated(20)),
-            torture::workload(4, seed, 10),
-        ),
+        0 => (base(seed).with_cores(2), wb_tso::litmus::mp().workload),
+        k => seeded(["resume-plain", "resume-chaos", "resume-arq", "resume-soft"][k - 1], seed),
     }
 }
 
@@ -149,11 +133,7 @@ fn snapshots_restore_across_engines() {
     for engine in [EngineMode::Sparse, EngineMode::SparseVerify] {
         let mut b = System::new(cfg.clone().with_engine(engine), &w);
         b.restore(&bytes).expect("engine mode is not part of the fingerprint");
-        let rest = observe(&mut b, BUDGET);
-        assert_eq!(rest_dense.outcome, rest.outcome, "{engine:?} outcome diverged");
-        assert_eq!(rest_dense.final_cycle, rest.final_cycle, "{engine:?} cycle diverged");
-        assert_eq!(rest_dense.retired, rest.retired, "{engine:?} retired diverged");
-        assert_eq!(rest_dense.stats_json, rest.stats_json, "{engine:?} stats diverged");
+        assert_eq!(rest_dense, observe(&mut b, BUDGET), "{engine:?} diverged");
     }
 }
 
@@ -182,11 +162,7 @@ fn mid_sleep_scheduler_state_survives_restore() {
     for engine in [EngineMode::Dense, EngineMode::SparseVerify] {
         let mut c = System::new(cfg.clone().with_engine(engine), &w);
         c.restore(&bytes).expect("restores");
-        let rest = observe(&mut c, BUDGET);
-        assert_eq!(rest_a.outcome, rest.outcome, "{engine:?} outcome diverged");
-        assert_eq!(rest_a.final_cycle, rest.final_cycle, "{engine:?} cycle diverged");
-        assert_eq!(rest_a.retired, rest.retired, "{engine:?} retired diverged");
-        assert_eq!(rest_a.stats_json, rest.stats_json, "{engine:?} stats diverged");
+        assert_eq!(rest_a, observe(&mut c, BUDGET), "{engine:?} diverged");
     }
 }
 
@@ -195,17 +171,7 @@ fn mid_sleep_scheduler_state_survives_restore() {
 /// parties, reproducer — is byte-identical to the split baseline.
 #[test]
 fn wedge_cells_resume_to_the_same_report() {
-    let w = torture::workload(2, 11, 15);
-    let mut cfg = SystemConfig::new(CoreClass::Slm)
-        .with_cores(2)
-        .with_commit(CommitMode::OutOfOrderWb)
-        .with_protocol(ProtocolKind::WritersBlock)
-        .with_seed(11)
-        .with_jitter(25)
-        .with_fault(FaultPlan::drop_everywhere(1, 12));
-    cfg.network.link.rto_min = 4000;
-    cfg.network.link.rto_max = 4000;
-    cfg.stall_window = 625;
+    let (cfg, w) = near_miss(625);
     assert_eq!(cfg.effective_stall_window(), 2500);
     let mut a = System::new(cfg.clone(), &w);
     let _ = a.run(1_000);
@@ -226,8 +192,7 @@ fn wedge_cells_resume_to_the_same_report() {
 /// exactly the windows the original would have.
 #[test]
 fn timeline_state_survives_restore() {
-    let (cfg, _) = cell(2, 7);
-    let w = torture::workload(4, 7, 60);
+    let (_, cfg, w) = one("timeline-chaos");
     let mut a = System::new(cfg.clone(), &w);
     a.enable_timeline(500);
     let _ = a.run(3_750); // mid-window: origin/partial-window state matters
@@ -292,26 +257,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Six cells that between them reach every codec: litmus, plain
 /// contention, chaos, ARQ under `mixed_misery`, soft errors and 16-core
-/// ECL, each with the timeline on, run to a mid-flight cut.
+/// ECL, each with the timeline on, run to a mid-flight cut. The four
+/// torture cells are the `wire-*` lines of `campaigns/test_cells.jsonl`.
 const WIRE_CELLS: [&str; 6] = ["mp", "plain", "chaos", "arq", "soft", "ecl16"];
 
 fn wire_cell(name: &str) -> System {
     let base = base(7);
-    let four = base.clone().with_cores(4);
-    let torture = || torture::workload(4, 7, 40);
     let (cfg, w, cut) = match name {
         "mp" => (base.with_cores(2), wb_tso::litmus::mp().workload, 300),
-        "plain" => (four, torture(), 3000),
-        "chaos" => (four.with_chaos(ChaosPlan::delay_storm()), torture(), 3000),
-        "arq" => (four.with_fault(FaultPlan::mixed_misery()), torture(), 3000),
-        "soft" => {
-            (four.with_soft(SoftPlan::background_radiation().accelerated(20)), torture(), 3000)
-        }
-        _ => (
+        "ecl16" => (
             base.with_cores(16).with_commit(CommitMode::InOrderEcl),
             wb_workloads::splash::fft(16, wb_workloads::Scale::Test),
             2000,
         ),
+        torture => {
+            let (_, cfg, w) = one(&format!("wire-{torture}"));
+            (cfg, w, 3000)
+        }
     };
     let mut sys = System::new(cfg, &w);
     sys.enable_timeline(500);

@@ -13,9 +13,10 @@
 
 use wb_isa::Workload;
 use wb_kernel::check::prelude::*;
-use wb_kernel::config::{CommitMode, CoreClass, EngineMode, ProtocolKind, SystemConfig, ARMS};
+use wb_kernel::config::{CoreClass, EngineMode, SystemConfig, ARMS};
 use wb_kernel::soft::{SoftClause, SoftPlan, SoftTarget};
 use wb_workloads::torture;
+use wb_integration::{built, seeded, spec};
 use writersblock::System;
 
 const TARGETS: [SoftTarget; 5] = [
@@ -27,6 +28,8 @@ const TARGETS: [SoftTarget; 5] = [
 ];
 
 /// A random 1–3 clause plan with fast strike rates (gaps 100..600).
+/// The cells that draw one stay in Rust: a spec names only the plans of
+/// `SoftPlan::MATRIX`.
 fn soft_plan() -> Gen<SoftPlan> {
     (((0usize..5), (100u64..600)), ((0usize..5), (100u64..600)), ((0usize..5), (100u64..600)), (1usize..4))
         .into_gen()
@@ -79,15 +82,12 @@ wb_proptest! {
         engine in 0usize..3,
     ) {
         let engine = [EngineMode::Dense, EngineMode::Sparse, EngineMode::SparseVerify][engine];
-        let w = torture::workload(4, seed, 20);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_protocol(ProtocolKind::WritersBlock)
-            .with_seed(seed)
-            .with_jitter(25);
-        let mut base = build(&cfg, &w, engine);
-        let mut soft = build(&cfg.clone().with_soft(SoftPlan::none()), &w, engine);
+        // The spec's two cells: soft errors off, and the empty plan.
+        let mut spec = spec("soft-none");
+        spec.seeds = vec![seed];
+        let [(_, off, w), (_, none, _)] = <[_; 2]>::try_from(built(&spec)).expect("two cells");
+        let mut base = build(&off, &w, engine);
+        let mut soft = build(&none, &w, engine);
         let b = base.run(8_000_000);
         let s = soft.run(8_000_000);
         prop_assert_eq!(&b, &s, "outcome diverged under the empty plan ({engine:?})");
@@ -105,14 +105,9 @@ wb_proptest! {
         plan in soft_plan(),
         seed in 0u64..1_000_000,
     ) {
-        let w = torture::workload(4, seed, 20);
-        let cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_protocol(ProtocolKind::WritersBlock)
-            .with_seed(seed)
-            .with_jitter(25)
-            .with_soft(plan.clone());
+        // The plain cell of `soft-none`, under the random plan.
+        let (cfg, w) = seeded("soft-none", seed);
+        let cfg = cfg.with_soft(plan.clone());
         let run = |engine: EngineMode| {
             let mut sys = build(&cfg, &w, engine);
             let out = sys.run(8_000_000);

@@ -11,7 +11,7 @@
 //! accounts for every injected flip (`soft_silent == 0`).
 
 use wb_bench::campaign::{cells, CampaignSpec, Cell};
-use wb_integration::regressions;
+use wb_integration::{specs, REGRESSIONS};
 use wb_kernel::config::ARMS;
 use wb_kernel::soft::SoftPlan;
 use wb_kernel::Stats;
@@ -126,7 +126,7 @@ fn soft_counters_appear_in_timeline_deltas() {
 /// check.
 #[test]
 fn purge_known_failures_by_arm() {
-    let specs = regressions(|s| s.softs != ["off"]);
+    let specs = specs(REGRESSIONS, |s| s.softs != ["off"]);
     assert_eq!(specs.len(), 8);
     let jobs: Vec<_> = specs.into_iter().flat_map(|s| cells(&s).into_iter().map(move |c| (s.clone(), c))).collect();
     wb_bench::sweep::run(jobs, |(spec, c)| spec.system(&c).verify(c.budget).assert_pass(&c.id));

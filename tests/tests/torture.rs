@@ -8,10 +8,9 @@
 //! directed litmus tests.
 
 use wb_bench::campaign::{self, cells, CampaignSpec};
-use wb_integration::regressions;
+use wb_integration::{built, specs, REGRESSIONS};
 use wb_kernel::chaos::ChaosPlan;
-use wb_kernel::config::{CommitMode, CoreClass, SystemConfig, ARMS};
-use wb_workloads::torture::{self, Lines};
+use wb_kernel::config::ARMS;
 use writersblock::System;
 
 /// Every cell of every spec must pass; a failure prints its reproducer.
@@ -26,9 +25,13 @@ fn all_pass(specs: impl IntoIterator<Item = CampaignSpec>) {
     });
 }
 
-/// The tier-1 torture cells: four cores, jitter 25, Dense, 2M cycles.
 fn tier1(keys: &str) {
-    all_pass([parse(&format!(r#"{{"engine":"dense","jitter":25,"budget":2000000,{keys}}}"#))]);
+    all_pass([tier1_spec(keys)]);
+}
+
+/// The tier-1 torture cells: four cores, jitter 25, Dense, 2M cycles.
+fn tier1_spec(keys: &str) -> CampaignSpec {
+    parse(&format!(r#"{{"engine":"dense","jitter":25,"budget":2000000,{keys}}}"#))
 }
 
 fn parse(src: &str) -> CampaignSpec {
@@ -74,15 +77,10 @@ fn torture_hsw_ooo_wb() {
 /// no spec key states, so its reproducer names it as unstated.
 #[test]
 fn torture_fifo_lq() {
-    for seed in 400..415u64 {
-        let mut cfg = SystemConfig::new(CoreClass::Slm)
-            .with_cores(4)
-            .with_commit(CommitMode::OutOfOrderWb)
-            .with_seed(seed)
-            .with_jitter(25);
+    let spec = tier1_spec(r#""workloads":["torture/40x4"],"seeds":{"first":400,"count":15}"#);
+    for (cell, mut cfg, w) in built(&spec) {
         cfg.core.collapsible_lq = false;
-        let w = torture::workload_on(4, seed, 40, Lines::Spread(4));
-        System::new(cfg, &w).verify(2_000_000).assert_pass(&w.name);
+        System::new(cfg, &w).verify(cell.budget).assert_pass(&w.name);
     }
 }
 
@@ -120,8 +118,8 @@ fn torture_ecl() {
 /// every line runs. Every cell must pass.
 #[test]
 fn known_failures_by_arm() {
-    assert_eq!(regressions(|_| true).len(), 236);
-    let specs = regressions(|s| s.machine != "tiny-llc" && s.softs == ["off"]);
+    assert_eq!(specs(REGRESSIONS, |_| true).len(), 236);
+    let specs = specs(REGRESSIONS, |s| s.machine != "tiny-llc" && s.softs == ["off"]);
     assert_eq!(specs.len(), 220);
     all_pass(specs);
 }
@@ -131,7 +129,7 @@ fn known_failures_by_arm() {
 /// replayed alone.
 #[test]
 fn ecl_atomic_waits_for_older_loads() {
-    let specs = regressions(|s| s.seeds == [9046] && s.arms == ["wb-ecl"] && s.jitter == [0]);
+    let specs = specs(REGRESSIONS, |s| s.seeds == [9046] && s.arms == ["wb-ecl"] && s.jitter == [0]);
     assert_eq!(specs.len(), 1);
     all_pass(specs);
 }
@@ -142,7 +140,7 @@ fn ecl_atomic_waits_for_older_loads() {
 /// Every cell must pass.
 #[test]
 fn tiny_llc_known_failures_by_arm() {
-    let specs = regressions(|s| s.machine == "tiny-llc");
+    let specs = specs(REGRESSIONS, |s| s.machine == "tiny-llc");
     assert_eq!(specs.len(), 8);
     all_pass(specs);
 }
